@@ -16,8 +16,7 @@ from .lhv import (EXHAUSTIVE_CAP, ContradictionReport, ValueAssignment,
                   find_contradictions, predicted_s_values,
                   swap_conjugation_residual, value_of, verify_ks_identity)
 from .pauli import (PauliOperator, QuarterPhase, commutes, from_letters,
-                    identity, multiply, parse, render, single, to_letters,
-                    y_count)
+                    identity, multiply, parse, render, single, y_count)
 from .poles import (Pole, PoleOperator, classify, compatible_family,
                     enumerate_pole, eigenvalue_rule, eigenvalue_symbolic,
                     single_y_generator, xy_string)

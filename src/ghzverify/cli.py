@@ -35,6 +35,11 @@ def _default_label(n: int) -> str:
     return "0" * n + "+"
 
 
+def _require_qubits(n: int) -> None:
+    if n < 1:
+        raise GhzVerifyError(f"need n >= 1, got {n}")
+
+
 # ---------------------------------------------------------------- count
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -174,6 +179,7 @@ def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    _require_qubits(args.n)
     if args.n > states.DENSE_VECTOR_CAP:
         raise GhzVerifyError(f"verify is capped at {states.DENSE_VECTOR_CAP} qubits (got {args.n})")
     label = states.parse_label(args.label or _default_label(args.n), args.n)
@@ -201,6 +207,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ lhv
 
 def cmd_lhv(args: argparse.Namespace) -> int:
+    _require_qubits(args.n)
     label = states.parse_label(args.label or _default_label(args.n), args.n)
     if not label.is_canonical:
         raise GhzVerifyError(f"label {label} is not canonical (first bit must be 0)")
@@ -257,6 +264,7 @@ def _parse_subset(text: str) -> list[int]:
 
 def cmd_identity(args: argparse.Namespace) -> int:
     n = args.n
+    _require_qubits(n)
     if args.subset:
         subsets = [_parse_subset(args.subset)]
         for subset in subsets:
@@ -271,7 +279,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
                 f"pass --subset for larger n")
         subsets = [list(combo)
                    for size in range(1, n + 1, 2)
-                   for combo in _odd_combinations(n, size)]
+                   for combo in itertools.combinations(range(1, n + 1), size)]
     rows = []
     all_pass = True
     for subset in subsets:
@@ -295,10 +303,6 @@ def cmd_identity(args: argparse.Namespace) -> int:
             print(f"  {status}  subset={subset_text} sign={row['sign']}")
         print("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
     return 0 if all_pass else 1
-
-
-def _odd_combinations(n: int, size: int):
-    return itertools.combinations(range(1, n + 1), size)
 
 
 # ----------------------------------------------------------------- main

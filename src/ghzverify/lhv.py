@@ -15,6 +15,7 @@ survivors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, Mapping
@@ -99,6 +100,11 @@ def value_of(assignment: ValueAssignment, op: PauliOperator) -> int:
     return -sign if flips % 2 else sign
 
 
+def _product_rule(values: Mapping[int, int], y_positions: Iterable[int]) -> int:
+    """Product of the single-Y generator values at the given Y positions."""
+    return math.prod(map(values.__getitem__, y_positions))
+
+
 def predicted_s_values(n: int, quantum_n_values: Mapping[int, int]) -> dict[PoleOperator, int]:
     """Product-rule predictions for every S string from the single-Y values.
 
@@ -108,13 +114,8 @@ def predicted_s_values(n: int, quantum_n_values: Mapping[int, int]) -> dict[Pole
     missing = [k for k in range(1, n + 1) if k not in quantum_n_values]
     if missing:
         raise DomainError(f"missing single-Y values for positions {missing}")
-    predictions = {}
-    for target in enumerate_pole(n, Pole.S):
-        value = 1
-        for k in target.y_positions:
-            value *= quantum_n_values[k]
-        predictions[target] = value
-    return predictions
+    return {target: _product_rule(quantum_n_values, target.y_positions)
+            for target in enumerate_pole(n, Pole.S)}
 
 
 def find_contradictions(label: GhzLabel) -> list[ContradictionReport]:
@@ -125,30 +126,7 @@ def find_contradictions(label: GhzLabel) -> list[ContradictionReport]:
     """
     if not label.is_canonical:
         raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    n = label.n
-    generator_values = {}
-    generators = {}
-    for k in range(1, n + 1):
-        gen = single_y_generator(n, k)
-        value = eigenvalue_symbolic(label, 1, gen)
-        if value is None:
-            raise ConsistencyError(f"single-Y generator {gen.letters} lost its eigenstate")
-        generators[k] = gen
-        generator_values[k] = value
-    predictions = predicted_s_values(n, generator_values)
-    reports = []
-    for target in enumerate_pole(n, Pole.S):
-        quantum = eigenvalue_symbolic(label, 1, target)
-        if quantum is None:
-            raise ConsistencyError(f"S operator {target.letters} lost its eigenstate")
-        lhv = predictions[target]
-        if lhv != -quantum:
-            raise ConsistencyError(
-                f"{target.letters}: predicted {lhv} does not oppose eigenvalue {quantum}")
-        reports.append(ContradictionReport(
-            n, target, lhv, quantum,
-            tuple(generators[k] for k in target.y_positions)))
-    return reports
+    return _contradictions(label, 0)
 
 
 def _constraints(label: GhzLabel, require_s: bool) -> list[tuple[PoleOperator, int]]:
@@ -226,9 +204,14 @@ def ew_swap(op: PoleOperator, subset: Iterable[int]) -> PoleOperator:
     subset = set(subset)
     if len(subset) % 2 == 0:
         raise DomainError(f"swap subset must have odd size, got {len(subset)}")
-    mask = _subset_mask(op.n, subset)
-    swapped = PauliOperator(op.n, op.op.x_bits, op.op.z_bits ^ mask)
-    return PoleOperator.from_op(swapped)
+    return _swap(op, _subset_mask(op.n, subset))
+
+
+def _swap(op: PoleOperator, mask: int) -> PoleOperator:
+    """Interchange X and Y on the qubits of ``mask``; mask 0 is the identity."""
+    if not mask:
+        return op
+    return PoleOperator.from_op(PauliOperator(op.n, op.op.x_bits, op.op.z_bits ^ mask))
 
 
 def _swapped_state(label: GhzLabel, mask: int) -> tuple[GhzLabel, int]:
@@ -257,33 +240,43 @@ def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> list[Contradict
         raise DomainError(f"swap subset must have odd size, got {len(subset)}")
     if not label.is_canonical:
         raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
+    return _contradictions(label, _subset_mask(label.n, subset))
+
+
+def _contradictions(label: GhzLabel, mask: int) -> list[ContradictionReport]:
+    """Contradictions of the S-pole analysis swapped X<->Y on ``mask``.
+
+    Mask 0 is the untransported analysis itself: :func:`_swapped_state`
+    then returns the label at quarter 1 and :func:`_swap` is the identity.
+    The S pole is enumerated once; each target's prediction is the product
+    rule over its own Y positions, checked against its exact eigenvalue.
+    """
     n = label.n
-    mask = _subset_mask(n, subset)
     carrier, quarter = _swapped_state(label, mask)
-    swapped_generators = {}
+    generator_kind, target_kind = (("swapped generator", "swapped target") if mask
+                                   else ("single-Y generator", "S operator"))
+    generators = {}
     generator_values = {}
     for k in range(1, n + 1):
-        gen = ew_swap(single_y_generator(n, k), subset)
+        gen = _swap(single_y_generator(n, k), mask)
         value = eigenvalue_symbolic(carrier, quarter, gen)
         if value is None:
-            raise ConsistencyError(f"swapped generator {gen.letters} lost its eigenstate")
-        swapped_generators[k] = gen
+            raise ConsistencyError(f"{generator_kind} {gen.letters} lost its eigenstate")
+        generators[k] = gen
         generator_values[k] = value
     reports = []
     for target in enumerate_pole(n, Pole.S):
-        swapped_target = ew_swap(target, subset)
-        quantum = eigenvalue_symbolic(carrier, quarter, swapped_target)
+        swapped = _swap(target, mask)
+        quantum = eigenvalue_symbolic(carrier, quarter, swapped)
         if quantum is None:
-            raise ConsistencyError(f"swapped target {swapped_target.letters} lost its eigenstate")
-        lhv = 1
-        for k in target.y_positions:
-            lhv *= generator_values[k]
+            raise ConsistencyError(f"{target_kind} {swapped.letters} lost its eigenstate")
+        positions = target.y_positions
+        lhv = _product_rule(generator_values, positions)
         if lhv != -quantum:
             raise ConsistencyError(
-                f"{swapped_target.letters}: predicted {lhv} does not oppose eigenvalue {quantum}")
+                f"{swapped.letters}: predicted {lhv} does not oppose eigenvalue {quantum}")
         reports.append(ContradictionReport(
-            n, swapped_target, lhv, quantum,
-            tuple(swapped_generators[k] for k in target.y_positions)))
+            n, swapped, lhv, quantum, tuple(map(generators.__getitem__, positions))))
     return reports
 
 

@@ -13,6 +13,14 @@ so products, commutators and equality checks are exact; nothing in this
 module touches floating point.
 
 Text rendering is "(sign)(i?)letters", e.g. "+XXX", "-YYY", "+iXZ", "-iY".
+:meth:`PauliOperator.letters` renders the whole string from the two masks
+in a fixed handful of builtin calls, never qubit by qubit: each mask is
+written in binary as ASCII (one byte 0x30 + bit per qubit, qubit 1 first)
+and read back as a big-endian integer.  Then 2*x + z adds bytewise without
+a carry (no byte exceeds 0x93), so byte k is 0x90 + 2*x_k + z_k, and one
+byte translation maps 0x90..0x93 to I, Z, X, Y.  The same arithmetic on
+decimal digits would hit Python's limit on int/str conversion past 4300
+qubits; bytes have no such limit.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ _PHASE_TEXT = ("+", "+i", "-", "-i")
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 _TEXT_RE = re.compile(r"^([+-]?)(i?)([IXYZ]+)$")
+#: Byte 0x90 + 2x + z of the summed ASCII masks -> letter of the (x, z) pair.
+_PAIR_BYTE_LETTER = bytes.maketrans(bytes(range(0x90, 0x94)), b"IZXY")
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,11 @@ class PauliOperator:
         return _BITS_LETTER[(self.x_bits >> pos) & 1, (self.z_bits >> pos) & 1]
 
     def letters(self) -> str:
-        return "".join(self.letter(k) for k in range(1, self.n + 1))
+        """All n letters, qubit 1 first (see the module docstring)."""
+        width = f"0{self.n}b"
+        x = int.from_bytes(format(self.x_bits, width).encode(), "big")
+        z = int.from_bytes(format(self.z_bits, width).encode(), "big")
+        return (2 * x + z).to_bytes(self.n, "big").translate(_PAIR_BYTE_LETTER).decode()
 
     @property
     def y_bits(self) -> int:
@@ -126,10 +140,6 @@ def from_letters(letters: Iterable[str]) -> PauliOperator:
         x = (x << 1) | xb
         z = (z << 1) | zb
     return PauliOperator(len(seq), x, z)
-
-
-def to_letters(op: PauliOperator) -> str:
-    return op.letters()
 
 
 def single(n: int, k: int, letter: str) -> PauliOperator:

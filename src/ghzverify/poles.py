@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 
 from .errors import DimensionError, DomainError, RuleNotApplicableError
 from .pauli import PauliOperator, multiply, y_count
@@ -60,13 +60,22 @@ class PoleOperator:
     def n(self) -> int:
         return self.op.n
 
-    @property
+    @cached_property
     def letters(self) -> str:
+        """The rendered string, computed once per instance."""
         return self.op.letters()
 
     @property
     def y_positions(self) -> tuple[int, ...]:
-        return tuple(k for k in range(1, self.op.n + 1) if self.op.letter(k) == "Y")
+        """1-based positions of the Y letters, read from the set bits of y_bits."""
+        n = self.op.n
+        y_bits = self.op.y_bits
+        positions = []
+        while y_bits:
+            top = y_bits.bit_length()
+            positions.append(n - top + 1)
+            y_bits ^= 1 << (top - 1)
+        return tuple(positions)
 
 
 def xy_string(n: int, y_positions) -> PauliOperator:
@@ -93,13 +102,6 @@ def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
         for positions in itertools.combinations(range(1, n + 1), count):
             found.append(PoleOperator(xy_string(n, positions), pole))
     return found
-
-
-def normalize_signed(op: PauliOperator) -> tuple[int, PoleOperator]:
-    """Split a +/-1 X/Y string into its sign and its pole representative."""
-    sign = op.phase.sign
-    bare = PauliOperator(op.n, op.x_bits, op.z_bits)
-    return sign, PoleOperator.from_op(bare)
 
 
 def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int,

@@ -17,8 +17,12 @@ from .errors import ConsistencyError, DomainError
 from .pauli import PauliOperator, QuarterPhase
 from .states import GhzLabel, RotatedState, collective_angle, rotated_dense
 
-#: Angle sums within this distance of a quarter-turn multiple snap to the pole.
-POLE_SNAP_TOL = 1e-9
+#: Angle sums within this distance of a pole (0 or pi from the state's angle)
+#: snap to it.  An offset d leaves the dense residual sqrt(2) * |sin(d / 2)|,
+#: so this is the offset at which that residual reaches oracle.EIGEN_TOL:
+#: apart from rounding at the boundary itself, a snapped pole passes the
+#: dense check and an unsnapped one fails it.
+POLE_SNAP_TOL = 2.0 * math.asin(oracle.EIGEN_TOL / math.sqrt(2.0))
 
 _TWO_PI = 2.0 * math.pi
 

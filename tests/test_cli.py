@@ -171,3 +171,23 @@ class TestIdentity:
     def test_all_subsets_cap(self, capsys):
         code, _, _ = run_cli(capsys, "identity", "--n", "13")
         assert code == 2
+
+
+class TestZeroQubits:
+    """A command with nothing to check refuses instead of passing vacuously."""
+
+    def test_identity(self, capsys):
+        code, out, err = run_cli(capsys, "identity", "--n", "0")
+        assert code == 2
+        assert "all checks passed" not in out
+        assert "need n >= 1" in err
+
+    def test_verify(self, capsys):
+        code, _, err = run_cli(capsys, "verify", "--n", "0")
+        assert code == 2
+        assert "need n >= 1" in err
+
+    def test_lhv(self, capsys):
+        code, _, err = run_cli(capsys, "lhv", "--n", "0")
+        assert code == 2
+        assert "need n >= 1" in err

@@ -4,6 +4,8 @@ import itertools
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        Pole, PoleOperator, ValueAssignment, c_n_closed,
@@ -12,7 +14,9 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        multiply, parse, predicted_s_values,
                        single_y_generator, swap_conjugation_residual,
                        value_of, verify_ks_identity)
+from ghzverify.lhv import ContradictionReport, _swapped_state
 from ghzverify.pauli import QuarterPhase, PauliOperator
+from ghzverify.poles import eigenvalue_symbolic
 
 
 def _assignment(n, minus_x=(), minus_y=()):
@@ -263,6 +267,88 @@ class TestEwContradictions:
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
             ew_contradictions(GhzLabel(3, 0, 1), {1, 2})
+
+
+def _reference_reports(label, subset):
+    """The per-letter route: Y positions and strings read letter by letter.
+
+    An empty subset is the untransported S-pole analysis.
+    """
+    n = label.n
+    mask = sum(1 << (n - k) for k in subset)
+    carrier, quarter = _swapped_state(label, mask)
+
+    def swap(op):
+        return ew_swap(op, subset) if subset else op
+
+    def y_positions(op):
+        return [k for k in range(1, n + 1) if op.op.letter(k) == "Y"]
+
+    generators = {k: swap(single_y_generator(n, k)) for k in range(1, n + 1)}
+    values = {k: eigenvalue_symbolic(carrier, quarter, g) for k, g in generators.items()}
+    reports = []
+    for target in enumerate_pole(n, Pole.S):
+        lhv = 1
+        for k in y_positions(target):
+            lhv *= values[k]
+        swapped = swap(target)
+        reports.append(ContradictionReport(
+            n, swapped, lhv, eigenvalue_symbolic(carrier, quarter, swapped),
+            tuple(generators[k] for k in y_positions(target))))
+    return reports
+
+
+def _rows(reports):
+    return [(r.s_operator.letters, r.lhv_value, r.quantum_value,
+             tuple(g.letters for g in r.generators_used)) for r in reports]
+
+
+def _rows_per_letter(reports):
+    def text(op):
+        return "".join(op.op.letter(k) for k in range(1, op.n + 1))
+    return [(text(r.s_operator), r.lhv_value, r.quantum_value,
+             tuple(text(g) for g in r.generators_used)) for r in reports]
+
+
+def _contradictions_for(label, subset):
+    return ew_contradictions(label, subset) if subset else find_contradictions(label)
+
+
+def _odd_subsets(n):
+    return [subset for size in range(1, n + 1, 2)
+            for subset in itertools.combinations(range(1, n + 1), size)]
+
+
+class TestMergedRoutineAgainstReference:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_label_and_odd_subset(self, n):
+        for bits in range(1 << (n - 1)):
+            for sign in (1, -1):
+                label = GhzLabel(n, bits, sign)
+                for subset in [()] + _odd_subsets(n):
+                    reports = _contradictions_for(label, subset)
+                    reference = _reference_reports(label, subset)
+                    assert reports == reference
+                    assert _rows(reports) == _rows_per_letter(reference)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_every_label_unswapped(self, n):
+        for bits in range(1 << (n - 1)):
+            for sign in (1, -1):
+                label = GhzLabel(n, bits, sign)
+                assert find_contradictions(label) == _reference_reports(label, ())
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=60)
+    def test_sampled_labels_and_subsets_up_to_ten(self, data):
+        n = data.draw(st.integers(6, 10))
+        label = GhzLabel(n, data.draw(st.integers(0, (1 << (n - 1)) - 1)),
+                         data.draw(st.sampled_from((1, -1))))
+        subset = data.draw(st.sampled_from([()] + _odd_subsets(n)))
+        reports = _contradictions_for(label, subset)
+        reference = _reference_reports(label, subset)
+        assert reports == reference
+        assert _rows(reports) == _rows_per_letter(reference)
 
 
 class TestSwapConjugation:

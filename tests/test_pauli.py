@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ghzverify import (DimensionError, LetterError, PauliOperator,
                        QuarterPhase, commutes, from_letters, identity,
-                       multiply, parse, render, to_letters, y_count)
+                       multiply, parse, render, y_count)
 from ghzverify.oracle import materialize
 
 
@@ -79,7 +79,7 @@ class TestYCount:
 class TestConstruction:
     def test_round_trip(self):
         for letters in ("XXX", "YXX", "Z", "IXYZ"):
-            assert to_letters(from_letters(letters)) == letters
+            assert from_letters(letters).letters() == letters
 
     def test_empty_rejected(self):
         with pytest.raises(DimensionError):
@@ -148,6 +148,34 @@ def test_anticommutation_parity(ops):
 def test_involution(letters):
     op = from_letters(letters)
     assert multiply(op, op) == identity(op.n)
+
+
+@st.composite
+def masked_ops(draw):
+    """Operators on 1..64 qubits, often with leading I letters, and n = 64."""
+    n = draw(st.one_of(st.integers(1, 64), st.just(64)))
+    full = (1 << n) - 1
+    # shifting both masks right leaves the first qubits at I
+    shift = draw(st.integers(0, n))
+    x = draw(st.integers(0, full)) >> shift
+    z = draw(st.integers(0, full)) >> shift
+    return PauliOperator(n, x, z)
+
+
+@given(masked_ops())
+@settings(deadline=None, max_examples=300)
+def test_letters_match_per_qubit_letters(op):
+    assert op.letters() == "".join(op.letter(k) for k in range(1, op.n + 1))
+
+
+@pytest.mark.parametrize("n", [1, 63, 64, 65, 5000])
+def test_letters_at_mask_extremes(n):
+    full = (1 << n) - 1
+    assert PauliOperator(n, 0, 0).letters() == "I" * n
+    assert PauliOperator(n, full, 0).letters() == "X" * n
+    assert PauliOperator(n, 0, full).letters() == "Z" * n
+    assert PauliOperator(n, full, full).letters() == "Y" * n
+    assert PauliOperator(n, 1, 1).letters() == "I" * (n - 1) + "Y"
 
 
 def _random_op(rng, n):

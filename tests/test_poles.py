@@ -191,6 +191,26 @@ class TestCompatibleFamily:
         assert negatives == south
 
 
+class TestPoleOperatorRendering:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_y_positions_match_letter_scan(self, n):
+        for pole in Pole:
+            for op in enumerate_pole(n, pole):
+                scanned = tuple(k for k in range(1, n + 1) if op.op.letter(k) == "Y")
+                assert op.y_positions == scanned
+
+    def test_y_positions_wide(self):
+        op = PoleOperator.from_op(xy_string(64, (1, 2, 40, 64)))
+        assert op.y_positions == (1, 2, 40, 64)
+
+    def test_cached_letters_leave_equality_and_hash_alone(self):
+        first = single_y_generator(5, 2)
+        second = single_y_generator(5, 2)
+        assert first.letters == "XYXXX"
+        assert first == second and hash(first) == hash(second)
+        assert first.letters is first.letters
+
+
 def test_xy_string_positions():
     assert xy_string(4, (2, 4)).letters() == "XYXY"
     with pytest.raises(DomainError):

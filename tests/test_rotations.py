@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from ghzverify import (DomainError, GhzLabel, ProductObservable, QuarterTurns,
-                       build_state, co_rotate_general, co_rotate_quarter,
+from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, ProductObservable,
+                       QuarterTurns, build_state, co_rotate_general, co_rotate_quarter,
                        eigen_check_general, render)
-from ghzverify.oracle import (apply_observable, expectation, materialize,
-                              observable_matrix, rotation_diagonal)
+from ghzverify.oracle import (EIGEN_TOL, apply_observable, expectation,
+                              materialize, observable_matrix, rotation_diagonal)
 from ghzverify.pauli import single
 from ghzverify.states import apply_rotations
 
@@ -125,6 +125,22 @@ class TestEigenCheckGeneral:
                 angles = rng.uniform(-math.pi, math.pi, size=n)
                 angles[-1] += quarter * math.pi / 2 - angles.sum()
                 assert eigen_check_general(label, 0.0, angles) == expected
+
+    def test_offset_past_snap_is_not_a_tool_failure(self):
+        # dense residual 7.07e-12 > EIGEN_TOL: off the pole in both tiers
+        assert eigen_check_general(GhzLabel(3, 0, 1), 0.0, (1e-11, 0, 0)) is None
+
+    def test_snap_tolerance_is_where_the_dense_residual_reaches_eigen_tol(self):
+        assert math.isclose(math.sqrt(2) * math.sin(POLE_SNAP_TOL / 2), EIGEN_TOL)
+
+    @pytest.mark.parametrize("offset", [1e-14, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11,
+                                        1e-10, 1e-9, 1e-8])
+    def test_small_offsets_agree_with_dense_route(self, offset):
+        label = GhzLabel(3, 0b010, 1)
+        for base, pole in ((0.0, 1), (math.pi, -1)):
+            for angle in (base + offset, base - offset):
+                expected = pole if offset <= POLE_SNAP_TOL else None
+                assert eigen_check_general(label, 0.0, (angle, 0.0, 0.0)) == expected
 
 
 class TestUntraceability:
