@@ -20,6 +20,7 @@ import numpy as np
 
 from . import __version__, counting, lhv, oracle, poles, rotations, states
 from .errors import ConsistencyError, GhzVerifyError
+from .pauli import PauliOperator
 from .states import GhzLabel
 
 MAX_COUNT_N = 64
@@ -102,9 +103,8 @@ def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
         op_pool = [op for pole in poles.Pole for op in poles.enumerate_pole(n, pole)]
     else:
         zmasks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS)
-        op_pool = [poles.PoleOperator.from_op(
-            poles.xy_string(n, [k for k in range(1, n + 1) if (z >> (n - k)) & 1]))
-            for z in zmasks]
+        op_pool = [poles.PoleOperator.from_op(PauliOperator(n, (1 << n) - 1, int(z)))
+                   for z in zmasks]
     worst = 0.0
     count = 0
     agree = True
@@ -213,8 +213,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
         raise GhzVerifyError(f"label {label} is not canonical (first bit must be 0)")
     if args.exhaustive and args.n > lhv.EXHAUSTIVE_CAP:
         raise GhzVerifyError(f"exhaustive mode is capped at {lhv.EXHAUSTIVE_CAP} qubits (got {args.n})")
-    reports = lhv.find_contradictions(label)
     expected = counting.c_n_closed(args.n)
+    reports = lhv.find_contradictions(label)
     count_ok = len(reports) == expected
     satisfying = None
     search_ok = True

@@ -145,29 +145,24 @@ def _constraints(label: GhzLabel, require_s: bool) -> list[tuple[PoleOperator, i
 def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     """Count assignments matching every N (and optionally S) eigenvalue.
 
-    Sweeps all 2**(2n) assignments in index order; the count is a pure
-    reduction, so any partition of the range gives the same total.
+    Starts from all 2**(2n) assignments and, constraint by constraint,
+    keeps only the (vx, vy) pairs that match it.  Every assignment is
+    tested until a constraint rejects it, so the sweep is complete.
     """
     n = label.n
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive search is capped at {EXHAUSTIVE_CAP} qubits (got {n})")
-    index = np.arange(1 << (2 * n), dtype=np.int64)
+    index = np.arange(1 << (2 * n), dtype=np.uint32)
     vx = index >> n
     vy = index & ((1 << n) - 1)
-    # parity[m] = popcount(m) mod 2 for every n-bit mask
-    parity = np.zeros(1 << n, dtype=np.int8)
-    for value in range(1 << n):
-        parity[value] = value.bit_count() & 1
-    alive = np.ones(index.shape, dtype=bool)
     for op, expected in _constraints(label, require_s):
         x_mask = op.op.x_bits & ~op.op.z_bits
-        y_mask = op.op.y_bits
-        flips = parity[vx & x_mask] ^ parity[vy & y_mask]
-        values = 1 - 2 * flips.astype(np.int64)
-        alive &= values == expected
-        if not alive.any():
+        flips = (np.bitwise_count(vx & x_mask) + np.bitwise_count(vy & op.op.y_bits)) & 1
+        keep = flips == (1 - expected) // 2
+        vx, vy = vx[keep], vy[keep]
+        if not vx.size:
             return 0
-    return int(alive.sum())
+    return int(vx.size)
 
 
 def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
@@ -187,9 +182,13 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     return product == expected
 
 
-def _subset_mask(n: int, subset: Iterable[int]) -> int:
+def _swap_mask(n: int, subset: Iterable[int]) -> int:
+    """Bit mask of an odd set of 1-based qubit indices, each within 1..n."""
+    subset = set(subset)
+    if len(subset) % 2 == 0:
+        raise DomainError(f"swap subset must have odd size, got {len(subset)}")
     mask = 0
-    for k in set(subset):
+    for k in subset:
         if not 1 <= k <= n:
             raise DomainError(f"qubit index {k} out of range 1..{n}")
         mask |= 1 << (n - k)
@@ -201,10 +200,7 @@ def ew_swap(op: PoleOperator, subset: Iterable[int]) -> PoleOperator:
 
     Flips the Y-count parity, carrying N/S strings to E/W and back.
     """
-    subset = set(subset)
-    if len(subset) % 2 == 0:
-        raise DomainError(f"swap subset must have odd size, got {len(subset)}")
-    return _swap(op, _subset_mask(op.n, subset))
+    return _swap(op, _swap_mask(op.n, subset))
 
 
 def _swap(op: PoleOperator, mask: int) -> PoleOperator:
@@ -235,12 +231,10 @@ def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> list[Contradict
     its prediction, so exactly as many contradictions appear among E/W
     strings as at the S pole.
     """
-    subset = set(subset)
-    if len(subset) % 2 == 0:
-        raise DomainError(f"swap subset must have odd size, got {len(subset)}")
+    mask = _swap_mask(label.n, subset)
     if not label.is_canonical:
         raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    return _contradictions(label, _subset_mask(label.n, subset))
+    return _contradictions(label, mask)
 
 
 def _contradictions(label: GhzLabel, mask: int) -> list[ContradictionReport]:
@@ -286,19 +280,12 @@ def swap_conjugation_residual(op: PoleOperator, subset: Iterable[int]) -> float:
     Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
     U M U^dagger against the swapped string entrywise.
     """
-    subset = set(subset)
-    if len(subset) % 2 == 0:
-        raise DomainError(f"swap subset must have odd size, got {len(subset)}")
     n = op.n
-    factors = []
-    for k in range(1, n + 1):
-        if k in subset:
-            factors.append((oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2))
-        else:
-            factors.append(oracle.PAULI_1Q["I"])
+    mask = _swap_mask(n, subset)
+    half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
     unitary = np.eye(1, dtype=complex)
-    for factor in factors:
-        unitary = np.kron(unitary, factor)
+    for k in range(1, n + 1):
+        unitary = np.kron(unitary, half_turn if (mask >> (n - k)) & 1 else oracle.PAULI_1Q["I"])
     conjugated = unitary @ oracle.materialize(op.op) @ unitary.conj().T
-    swapped = oracle.materialize(ew_swap(op, subset).op)
+    swapped = oracle.materialize(_swap(op, mask).op)
     return float(np.max(np.abs(conjugated - swapped)))

@@ -84,11 +84,8 @@ def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
     if vec.shape != (1 << op.n,):
         raise DimensionError(f"state has dimension {vec.shape}, expected ({1 << op.n},)")
     idx = np.arange(1 << op.n)
-    masked = idx & op.z_bits
-    parity = np.zeros(1 << op.n, dtype=np.int64)
-    while masked.any():
-        parity ^= masked & 1
-        masked >>= 1
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(idx & op.z_bits) & 1).astype(np.int8)
     coeff = op.phase.value * (1j) ** (op.y_bits.bit_count() % 4) * (1 - 2 * parity)
     out = np.empty_like(vec)
     out[idx ^ op.x_bits] = coeff * vec

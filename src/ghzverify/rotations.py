@@ -94,7 +94,7 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     (mod 2 pi), -1 when they differ by pi, and None otherwise.  A minus label
     at angle phi is the plus label at phi + pi up to phase, which shifts the
     comparison point accordingly.  Every returned sign is confirmed against
-    the dense state; disagreement raises ConsistencyError.
+    the dense state; disagreement beyond rounding raises ConsistencyError.
     """
     observable_angle = collective_angle(label, angles)
     effective = state_phi if label.sign > 0 else state_phi + math.pi
@@ -106,17 +106,25 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     else:
         predicted = None
 
+    # Both tiers form the same float sum of signed angles (collective_angle,
+    # signed_bit_sums) and part only after it.  Here the reference angle, the
+    # subtraction, the mod 2 pi reduction and the fold onto the pole each
+    # round by at most half an ulp u of the largest angle in play; an angle
+    # error e moves the residual sqrt(2) * |sin(d / 2)| by at most e / sqrt(2),
+    # and the dense exp, cos and sin add about an ulp of 1 (u / 4 or less).
+    # So the two residuals differ by under 2u; only twice that is a disagreement.
+    margin = 4.0 * math.ulp(max(_TWO_PI, abs(observable_angle), abs(effective)))
     vec = rotated_dense(RotatedState(label, state_phi))
     if predicted is None:
         for sign in (1, -1):
             result = oracle.check_eigen(vec, co_rotate_general(angles), sign)
-            if result.passed:
+            if result.residual < oracle.EIGEN_TOL - margin:
                 raise ConsistencyError(
                     f"angle sum {observable_angle!r} is off-pole but the dense state "
                     f"is an eigenstate with sign {sign}")
         return None
     result = oracle.check_eigen(vec, co_rotate_general(angles), predicted)
-    if not result.passed:
+    if result.residual >= oracle.EIGEN_TOL + margin:
         raise ConsistencyError(
             f"predicted eigenvalue {predicted} fails densely (residual {result.residual:.3e})")
     return predicted

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 
+from ghzverify import lhv
 from ghzverify.cli import main
 
 
@@ -191,3 +192,13 @@ class TestZeroQubits:
         code, _, err = run_cli(capsys, "lhv", "--n", "0")
         assert code == 2
         assert "need n >= 1" in err
+
+
+class TestOneQubit:
+    def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
+        def not_called(label):
+            raise AssertionError("contradictions built before the refusal")
+        monkeypatch.setattr(lhv, "find_contradictions", not_called)
+        code, _, err = run_cli(capsys, "lhv", "--n", "1")
+        assert code == 2
+        assert "counts are defined for n >= 2 (got 1)" in err

@@ -1,6 +1,7 @@
 """Value assignments, contradiction detection, and the swap transport."""
 
 import itertools
+import re
 from functools import reduce
 
 import pytest
@@ -158,19 +159,23 @@ class TestExhaustiveSearch:
         with pytest.raises(CapacityError):
             exhaustive_search(GhzLabel(11, 0, 1))
 
-    def test_pure_python_cross_check_small(self):
+    @pytest.mark.parametrize("require_s", [True, False])
+    @pytest.mark.parametrize("label", [GhzLabel(n, bits, sign)
+                                       for n in (1, 2, 3, 4)
+                                       for bits in range(1 << n)
+                                       for sign in (1, -1)], ids=str)
+    def test_pure_python_cross_check_small(self, label, require_s):
         # independent reference: explicit loop over all assignments
-        label = GhzLabel(3, 0b001, 1)
-        from ghzverify.poles import eigenvalue_symbolic
+        constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
         constraints = [(op, eigenvalue_symbolic(label, 1, op))
-                       for pole in (Pole.N, Pole.S)
-                       for op in enumerate_pole(3, pole)]
+                       for pole in constrained
+                       for op in enumerate_pole(label.n, pole)]
         brute = 0
-        for idx in range(1 << 6):
-            a = ValueAssignment.from_index(3, idx)
+        for idx in range(1 << (2 * label.n)):
+            a = ValueAssignment.from_index(label.n, idx)
             if all(value_of(a, op.op) == expected for op, expected in constraints):
                 brute += 1
-        assert exhaustive_search(label) == brute == 0
+        assert exhaustive_search(label, require_s=require_s) == brute
 
 
 class TestKsIdentity:
@@ -267,6 +272,21 @@ class TestEwContradictions:
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
             ew_contradictions(GhzLabel(3, 0, 1), {1, 2})
+
+
+@pytest.mark.parametrize("swap", [
+    lambda subset: ew_swap(single_y_generator(3, 1), subset),
+    lambda subset: ew_contradictions(GhzLabel(3, 0, 1), subset),
+    lambda subset: swap_conjugation_residual(single_y_generator(3, 1), subset),
+], ids=["ew_swap", "ew_contradictions", "swap_conjugation_residual"])
+@pytest.mark.parametrize("subset,message", [
+    ({1, 2}, "swap subset must have odd size, got 2"),
+    ({1, 2, 4}, "qubit index 4 out of range 1..3"),
+    ({0}, "qubit index 0 out of range 1..3"),
+])
+def test_swap_subset_checked_alike(swap, subset, message):
+    with pytest.raises(DomainError, match=re.escape(message)):
+        swap(subset)
 
 
 def _reference_reports(label, subset):

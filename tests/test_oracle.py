@@ -41,7 +41,7 @@ class TestMaterialize:
 
 
 class TestApplyPauli:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10])
     def test_matches_materialized_columns(self, n):
         rng = np.random.default_rng(31 + n)
         for _ in range(20):

@@ -11,7 +11,7 @@ from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, ProductObservable,
 from ghzverify.oracle import (EIGEN_TOL, apply_observable, expectation,
                               materialize, observable_matrix, rotation_diagonal)
 from ghzverify.pauli import single
-from ghzverify.states import apply_rotations
+from ghzverify.states import apply_rotations, parse_label
 
 
 class TestQuarterTurns:
@@ -141,6 +141,23 @@ class TestEigenCheckGeneral:
             for angle in (base + offset, base - offset):
                 expected = pole if offset <= POLE_SNAP_TOL else None
                 assert eigen_check_general(label, 0.0, (angle, 0.0, 0.0)) == expected
+
+    @pytest.mark.parametrize("text", ["000+", "000-", "011+", "011-", "01101+", "01101-"])
+    def test_rounding_at_the_snap_boundary_is_not_a_tool_failure(self, text):
+        # offsets within a rounding width of POLE_SNAP_TOL may land on either
+        # side of the snap, but the two tiers never report a disagreement
+        label = parse_label(text, len(text) - 1)
+        for base, pole in ((0.0, label.sign), (math.pi, -label.sign)):
+            for factor in np.linspace(0.99, 1.01, 401):
+                for direction in (1, -1):
+                    angles = (base + direction * factor * POLE_SNAP_TOL,) + (0.0,) * (label.n - 1)
+                    result = eigen_check_general(label, 0.0, angles)
+                    if factor < 0.995:
+                        assert result == pole
+                    elif factor > 1.005:
+                        assert result is None
+                    else:
+                        assert result in (pole, None)
 
 
 class TestUntraceability:
