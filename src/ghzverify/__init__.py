@@ -20,8 +20,7 @@ from .pauli import (PauliOperator, QuarterPhase, commutes, from_letters,
 from .poles import (Pole, PoleOperator, classify, compatible_family,
                     enumerate_pole, eigenvalue_rule, eigenvalue_symbolic,
                     single_y_generator, xy_string)
-from .rotations import (POLE_SNAP_TOL, ProductObservable, QuarterTurns,
-                        co_rotate_general, co_rotate_quarter,
+from .rotations import (POLE_SNAP_TOL, QuarterTurns, co_rotate_quarter,
                         eigen_check_general)
 from .states import (DENSE_VECTOR_CAP, GhzLabel, RotatedState,
                      apply_rotations, build_state, collective_angle,

@@ -112,11 +112,12 @@ def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
         vec = states.rotated_dense(states.RotatedState(label, quarter * math.pi / 2))
         for op in op_pool:
             value = poles.eigenvalue_symbolic(label, quarter, op)
+            image = oracle.apply_pauli(op.op, vec)
             if value is None:
-                hit = [oracle.check_eigen(vec, op.op, sign).passed for sign in (1, -1)]
+                hit = [oracle.check_eigen(vec, image, sign).passed for sign in (1, -1)]
                 agree &= not any(hit)
             else:
-                result = oracle.check_eigen(vec, op.op, value)
+                result = oracle.check_eigen(vec, image, value)
                 agree &= result.passed
                 worst = max(worst, result.residual)
             count += 1

@@ -282,10 +282,12 @@ def swap_conjugation_residual(op: PoleOperator, subset: Iterable[int]) -> float:
     """
     n = op.n
     mask = _swap_mask(n, subset)
+    # materialize refuses above the matrix cap, before any kron below runs
+    original = oracle.materialize(op.op)
+    swapped = oracle.materialize(_swap(op, mask).op)
     half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
     unitary = np.eye(1, dtype=complex)
     for k in range(1, n + 1):
         unitary = np.kron(unitary, half_turn if (mask >> (n - k)) & 1 else oracle.PAULI_1Q["I"])
-    conjugated = unitary @ oracle.materialize(op.op) @ unitary.conj().T
-    swapped = oracle.materialize(_swap(op, mask).op)
+    conjugated = unitary @ original @ unitary.conj().T
     return float(np.max(np.abs(conjugated - swapped)))

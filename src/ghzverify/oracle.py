@@ -7,6 +7,11 @@ O(1) and all matrix entries are exact fourth roots of unity times exact
 cosines, which leaves at least three orders of magnitude of headroom in
 double precision.
 
+An eigen check judges an image: each caller applies its own operator (a
+Pauli string through apply_pauli, an angle tuple through apply_observable)
+once, and check_eigen compares that image with the expected sign times the
+state.
+
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
 Conjugation checks above the matrix cap exploit that both sides map each
 computational basis vector to a phase times its bit-complement, so columns
@@ -59,19 +64,14 @@ def observable_matrix(angles: Sequence[float]) -> np.ndarray:
     return out
 
 
-def materialize(op) -> np.ndarray:
-    """Dense matrix of a Pauli string or a product observable."""
-    if isinstance(op, PauliOperator):
-        if op.n > DENSE_MATRIX_CAP:
-            raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {op.n})")
-        out = np.eye(1, dtype=complex)
-        for k in range(1, op.n + 1):
-            out = np.kron(out, PAULI_1Q[op.letter(k)])
-        return op.phase.value * out
-    angles = getattr(op, "angles", None)
-    if angles is not None:
-        return observable_matrix(angles)
-    raise TypeError(f"cannot materialize {type(op).__name__}")
+def materialize(op: PauliOperator) -> np.ndarray:
+    """Dense matrix of a Pauli string."""
+    if op.n > DENSE_MATRIX_CAP:
+        raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {op.n})")
+    out = np.eye(1, dtype=complex)
+    for k in range(1, op.n + 1):
+        out = np.kron(out, PAULI_1Q[op.letter(k)])
+    return op.phase.value * out
 
 
 def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
@@ -114,24 +114,17 @@ def rotation_diagonal(angles: Sequence[float]) -> np.ndarray:
     return np.exp(-0.5j * signed_bit_sums(n, angles))
 
 
-def check_eigen(state: np.ndarray, op, expected: int) -> CheckResult:
-    """Residual test of op|state> = expected|state> in max norm.
+def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> CheckResult:
+    """Residual test of image = expected * state in max norm.
 
-    ``op`` may be a dense matrix, a PauliOperator, or anything with an
-    ``angles`` attribute (applied matrix-free).
+    ``image`` is op|state>, applied by the caller (apply_pauli,
+    apply_observable or a dense matrix product), so one image serves
+    every sign tried.
     """
     state = np.asarray(state, dtype=complex)
-    if isinstance(op, np.ndarray):
-        if op.shape != (state.shape[0], state.shape[0]):
-            raise DimensionError(f"operator shape {op.shape} does not match state {state.shape}")
-        image = op @ state
-    elif isinstance(op, PauliOperator):
-        image = apply_pauli(op, state)
-    else:
-        angles = getattr(op, "angles", None)
-        if angles is None:
-            raise TypeError(f"cannot apply {type(op).__name__}")
-        image = apply_observable(state, angles)
+    image = np.asarray(image, dtype=complex)
+    if image.shape != state.shape:
+        raise DimensionError(f"image shape {image.shape} does not match state {state.shape}")
     residual = float(np.max(np.abs(image - expected * state)))
     return CheckResult(residual < EIGEN_TOL, residual)
 
@@ -159,16 +152,10 @@ def check_conjugation(angles: Sequence[float]) -> CheckResult:
     return CheckResult(residual < EIGEN_TOL, residual)
 
 
-def expectation(vec: np.ndarray, op) -> complex:
-    """<vec| op |vec> using the matrix-free applications above."""
+def expectation(vec: np.ndarray, op: PauliOperator) -> complex:
+    """<vec| op |vec> through the matrix-free Pauli application."""
     vec = np.asarray(vec, dtype=complex)
-    if isinstance(op, PauliOperator):
-        image = apply_pauli(op, vec)
-    elif isinstance(op, np.ndarray):
-        image = op @ vec
-    else:
-        image = apply_observable(vec, op.angles)
-    return complex(np.vdot(vec, image))
+    return complex(np.vdot(vec, apply_pauli(op, vec)))
 
 
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:

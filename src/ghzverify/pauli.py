@@ -197,8 +197,3 @@ def parse(text: str) -> PauliOperator:
     sign, imag, letters = match.groups()
     exponent = (2 if sign == "-" else 0) + (1 if imag else 0)
     return replace(from_letters(letters), phase=QuarterPhase(exponent))
-
-
-def operator_to_json(op: PauliOperator) -> dict:
-    """JSON form: the text rendering plus an explicit phase field."""
-    return {"text": render(op), "phase": str(op.phase)}

@@ -2,8 +2,8 @@
 
 Two tiers share this module.  Quarter turns stay symbolic: each factor lands
 back on +/-X or +/-Y exactly, so the result is a phase-tracked Pauli string.
-General angles produce a factored product observable whose dense matrix is
-only ever built inside the oracle.
+General angles stay a plain tuple of per-qubit angles, which the oracle
+applies matrix-free (apply_observable) or builds densely (observable_matrix).
 """
 
 from __future__ import annotations
@@ -52,18 +52,6 @@ class QuarterTurns:
         return tuple(t * math.pi / 2 for t in self.turns)
 
 
-@dataclass(frozen=True)
-class ProductObservable:
-    """prod_k (X_k cos(angle_k) + Y_k sin(angle_k)), kept in factored form."""
-
-    n: int
-    angles: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.angles) != self.n:
-            raise DomainError(f"expected {self.n} angles, got {len(self.angles)}")
-
-
 def co_rotate_quarter(turns: QuarterTurns | Sequence[int]) -> PauliOperator:
     """Exact quarter-turn co-rotation: 0 -> +X, 1 -> +Y, 2 -> -X, 3 -> -Y."""
     if not isinstance(turns, QuarterTurns):
@@ -78,12 +66,6 @@ def co_rotate_quarter(turns: QuarterTurns | Sequence[int]) -> PauliOperator:
         if t in (2, 3):
             flips += 1
     return PauliOperator(n, x, z, QuarterPhase(2 * flips))
-
-
-def co_rotate_general(angles: Sequence[float]) -> ProductObservable:
-    """General-angle co-rotation of the all-X string, as a factored observable."""
-    angles = tuple(float(a) for a in angles)
-    return ProductObservable(len(angles), angles)
 
 
 def eigen_check_general(label: GhzLabel, state_phi: float,
@@ -115,15 +97,16 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     # So the two residuals differ by under 2u; only twice that is a disagreement.
     margin = 4.0 * math.ulp(max(_TWO_PI, abs(observable_angle), abs(effective)))
     vec = rotated_dense(RotatedState(label, state_phi))
+    image = oracle.apply_observable(vec, angles)
     if predicted is None:
         for sign in (1, -1):
-            result = oracle.check_eigen(vec, co_rotate_general(angles), sign)
+            result = oracle.check_eigen(vec, image, sign)
             if result.residual < oracle.EIGEN_TOL - margin:
                 raise ConsistencyError(
                     f"angle sum {observable_angle!r} is off-pole but the dense state "
                     f"is an eigenstate with sign {sign}")
         return None
-    result = oracle.check_eigen(vec, co_rotate_general(angles), predicted)
+    result = oracle.check_eigen(vec, image, predicted)
     if result.residual >= oracle.EIGEN_TOL + margin:
         raise ConsistencyError(
             f"predicted eigenvalue {predicted} fails densely (residual {result.residual:.3e})")

@@ -207,28 +207,3 @@ def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -
     if abs(abs(phase) - 1.0) > tol:
         return False
     return bool(np.max(np.abs(a * phase - b)) <= tol)
-
-
-def label_to_json(state: RotatedState | GhzLabel) -> dict:
-    """Symbolic JSON form {n, label_bits, sign, phi}."""
-    if isinstance(state, GhzLabel):
-        label, phi = state, 0.0
-    else:
-        label, phi = state.label, state.phi
-    return {"n": label.n, "label_bits": label.bits_text(), "sign": label.sign, "phi": phi}
-
-
-def state_to_json(vec: np.ndarray) -> dict:
-    """Dense JSON form {n, amplitudes: [[re, im], ...]}."""
-    vec = np.asarray(vec, dtype=complex)
-    n = int(vec.shape[0]).bit_length() - 1
-    if vec.shape != (1 << n,):
-        raise DimensionError("statevector length is not a power of two")
-    return {"n": n, "amplitudes": [[z.real, z.imag] for z in vec]}
-
-
-def state_from_json(payload: dict) -> np.ndarray:
-    amps = payload["amplitudes"]
-    if len(amps) != 1 << int(payload["n"]):
-        raise DimensionError("amplitude count does not match qubit count")
-    return np.array([complex(re, im) for re, im in amps], dtype=complex)

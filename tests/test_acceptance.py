@@ -17,7 +17,7 @@ from ghzverify import (GhzLabel, Pole, PoleOperator, build_state, c_n_binomial,
                        exhaustive_search, find_contradictions, single,
                        swap_conjugation_residual, verify_ks_identity)
 from ghzverify.cli import main
-from ghzverify.oracle import check_conjugation, check_eigen, expectation
+from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen, expectation
 from ghzverify.poles import xy_string
 from ghzverify.states import RotatedState, apply_rotations, max_norm_diff, rotated_dense
 
@@ -67,9 +67,10 @@ def _eigen_triple_ok(label, quarter, op, vec):
     if op.pole in (Pole.N, Pole.S) and quarter == 1:
         if eigenvalue_rule(label, op) != symbolic:
             return False
+    image = apply_pauli(op.op, vec)
     if symbolic is None:
-        return not check_eigen(vec, op.op, 1).passed and not check_eigen(vec, op.op, -1).passed
-    return check_eigen(vec, op.op, symbolic).passed
+        return not check_eigen(vec, image, 1).passed and not check_eigen(vec, image, -1).passed
+    return check_eigen(vec, image, symbolic).passed
 
 
 def test_criterion_3_eigenvalue_suite(capsys):

@@ -4,6 +4,7 @@ import itertools
 import re
 from functools import reduce
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        single_y_generator, swap_conjugation_residual,
                        value_of, verify_ks_identity)
 from ghzverify.lhv import ContradictionReport, _swapped_state
+from ghzverify.oracle import DENSE_MATRIX_CAP
 from ghzverify.pauli import QuarterPhase, PauliOperator
 from ghzverify.poles import eigenvalue_symbolic
 
@@ -385,3 +387,11 @@ class TestSwapConjugation:
         for subset in [(1,), (2, 3, 4), (1, 2, 3, 4, 5)]:
             for op in ops[:3]:
                 assert swap_conjugation_residual(op, subset) < 1e-12
+
+    def test_refuses_above_matrix_cap_before_building_the_unitary(self, monkeypatch):
+        def no_kron(*args, **kwargs):
+            raise AssertionError("np.kron ran before the capacity refusal")
+
+        monkeypatch.setattr(np, "kron", no_kron)
+        with pytest.raises(CapacityError):
+            swap_conjugation_residual(single_y_generator(DENSE_MATRIX_CAP + 1, 1), (1,))

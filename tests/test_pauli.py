@@ -96,11 +96,6 @@ class TestConstruction:
     def test_parse_defaults_to_plus(self):
         assert parse("YYY") == from_letters("YYY")
 
-    def test_operator_json_carries_text_and_phase(self):
-        from ghzverify.pauli import operator_to_json
-        assert operator_to_json(parse("-YYY")) == {"text": "-YYY", "phase": "-"}
-        assert operator_to_json(parse("+iXZ")) == {"text": "+iXZ", "phase": "+i"}
-
 
 def _ops(draw, n, count):
     return [PauliOperator(n,

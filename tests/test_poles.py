@@ -10,7 +10,7 @@ from ghzverify import (DomainError, GhzLabel, LetterError, Pole, PoleOperator,
                        compatible_family, c_n_binomial, enumerate_pole,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters,
                        pihalf_state, single_y_generator, y_count)
-from ghzverify.oracle import check_eigen
+from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.poles import pole_to_json, xy_string
 from ghzverify.states import rotated_dense, RotatedState
 import math
@@ -147,11 +147,12 @@ class TestEigenvalueAgainstOracle:
                 vec = rotated_dense(RotatedState(label, quarter * math.pi / 2))
                 for op in ops:
                     value = eigenvalue_symbolic(label, quarter, op)
+                    image = apply_pauli(op.op, vec)
                     if value is None:
-                        assert not check_eigen(vec, op.op, 1).passed
-                        assert not check_eigen(vec, op.op, -1).passed
+                        assert not check_eigen(vec, image, 1).passed
+                        assert not check_eigen(vec, image, -1).passed
                     else:
-                        assert check_eigen(vec, op.op, value).passed
+                        assert check_eigen(vec, image, value).passed
 
     def test_pihalf_state_is_the_quarter_one_state(self):
         for n in (2, 3):
@@ -159,7 +160,7 @@ class TestEigenvalueAgainstOracle:
                 vec = pihalf_state(label)
                 for op in enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S):
                     value = eigenvalue_symbolic(label, 1, op)
-                    assert check_eigen(vec, op.op, value).passed
+                    assert check_eigen(vec, apply_pauli(op.op, vec), value).passed
 
 
 class TestCompatibleFamily:

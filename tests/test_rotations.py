@@ -1,13 +1,16 @@
 """Quarter-turn and general-angle co-rotation behavior."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, ProductObservable,
-                       QuarterTurns, build_state, co_rotate_general, co_rotate_quarter,
-                       eigen_check_general, render)
+from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, PoleOperator,
+                       QuarterPhase, QuarterTurns, build_state, co_rotate_quarter,
+                       eigen_check_general, eigenvalue_symbolic, render)
 from ghzverify.oracle import (EIGEN_TOL, apply_observable, expectation,
                               materialize, observable_matrix, rotation_diagonal)
 from ghzverify.pauli import single
@@ -51,15 +54,14 @@ class TestCoRotateQuarter:
 
 class TestCoRotateGeneral:
     def test_zero_angles_reduce_to_all_x(self):
-        obs = co_rotate_general((0.0, 0.0, 0.0))
-        assert isinstance(obs, ProductObservable)
+        obs = observable_matrix((0.0, 0.0, 0.0))
         from ghzverify import from_letters
-        assert np.max(np.abs(materialize(obs) - materialize(from_letters("XXX")))) < 1e-12
+        assert np.max(np.abs(obs - materialize(from_letters("XXX")))) < 1e-12
 
     def test_quarter_angle_reduces_to_single_y(self):
         from ghzverify import from_letters
-        obs = co_rotate_general((math.pi / 2, 0.0, 0.0))
-        assert np.max(np.abs(materialize(obs) - materialize(from_letters("YXX")))) < 1e-12
+        obs = observable_matrix((math.pi / 2, 0.0, 0.0))
+        assert np.max(np.abs(obs - materialize(from_letters("YXX")))) < 1e-12
 
     def test_conjugation_identity_random_angles(self):
         # both sides of the conjugation computed densely, 8x8
@@ -70,7 +72,7 @@ class TestCoRotateGeneral:
             angles = rng.uniform(-math.pi, math.pi, size=3)
             diag = rotation_diagonal(angles)
             lhs = (diag[:, None] * all_x) * np.conj(diag)[None, :]
-            rhs = materialize(co_rotate_general(angles))
+            rhs = observable_matrix(angles)
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_factors_are_hermitian_involutions(self):
@@ -86,8 +88,8 @@ class TestCoRotateGeneral:
             first = rng.uniform(-math.pi, math.pi, size=3)
             second = rng.uniform(-math.pi, math.pi, size=3)
             diag = rotation_diagonal(second)
-            stepped = (diag[:, None] * materialize(co_rotate_general(first))) * np.conj(diag)[None, :]
-            direct = materialize(co_rotate_general(first + second))
+            stepped = (diag[:, None] * observable_matrix(first)) * np.conj(diag)[None, :]
+            direct = observable_matrix(first + second)
             assert np.max(np.abs(stepped - direct)) < 1e-12
 
 
@@ -158,6 +160,25 @@ class TestEigenCheckGeneral:
                         assert result is None
                     else:
                         assert result in (pole, None)
+
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=150)
+def test_general_angles_agree_with_the_quarter_turn_tier(data):
+    # the float route (apply_observable on general angles) against the exact
+    # symbolic eigenvalue of the same setting as a phase-free Pauli string
+    n = data.draw(st.integers(1, 10))
+    label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
+                     data.draw(st.sampled_from((1, -1))))
+    turns = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    quarter = data.draw(st.integers(0, 3))
+    string = co_rotate_quarter(turns)
+    symbolic = eigenvalue_symbolic(
+        label, quarter, PoleOperator.from_op(replace(string, phase=QuarterPhase(0))))
+    expected = None if symbolic is None else string.phase.sign * symbolic
+    angles = [t * math.pi / 2 for t in turns]
+    assert eigen_check_general(label, quarter * math.pi / 2, angles) == expected
 
 
 class TestUntraceability:

@@ -8,9 +8,8 @@ import pytest
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
                        RotatedState, apply_rotations, build_state,
                        collective_angle, equal_up_to_global_phase,
-                       inner_product, max_norm_diff, parse_label,
-                       pihalf_state, rotate_2d, rotated_dense, states_equal)
-from ghzverify.states import label_to_json, state_from_json, state_to_json
+                       inner_product, parse_label, pihalf_state, rotate_2d,
+                       rotated_dense, states_equal)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -223,15 +222,3 @@ class TestBasisCompleteness:
         vectors = [build_state(label) for label in _all_canonical_labels(n)]
         gram = np.array([[inner_product(a, b) for b in vectors] for a in vectors])
         assert np.max(np.abs(gram - np.eye(1 << n))) < 1e-12
-
-
-class TestSerialization:
-    def test_label_json(self):
-        payload = label_to_json(RotatedState(GhzLabel(3, 2, -1), 0.5))
-        assert payload == {"n": 3, "label_bits": "010", "sign": -1, "phi": 0.5}
-
-    def test_state_json_round_trip(self):
-        vec = pihalf_state(GhzLabel(3, 1, 1))
-        payload = state_to_json(vec)
-        assert payload["n"] == 3
-        assert max_norm_diff(state_from_json(payload), vec) == 0.0
