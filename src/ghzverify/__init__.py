@@ -20,12 +20,10 @@ from .pauli import (PauliOperator, QuarterPhase, commutes, from_letters,
 from .poles import (Pole, PoleOperator, classify, compatible_family,
                     enumerate_pole, eigenvalue_rule, eigenvalue_symbolic,
                     single_y_generator, xy_string)
-from .rotations import (POLE_SNAP_TOL, QuarterTurns, co_rotate_quarter,
-                        eigen_check_general)
-from .states import (DENSE_VECTOR_CAP, GhzLabel, RotatedState,
-                     apply_rotations, build_state, collective_angle,
-                     equal_up_to_global_phase, inner_product, max_norm_diff,
-                     parse_label, pihalf_state, rotate_2d, rotated_dense,
+from .rotations import POLE_SNAP_TOL, co_rotate_quarter, eigen_check_general
+from .states import (DENSE_VECTOR_CAP, GhzLabel, apply_rotations, build_state,
+                     collective_angle, equal_up_to_global_phase, inner_product,
+                     max_norm_diff, parse_label, pihalf_state, rotated_dense,
                      states_equal)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -103,13 +103,13 @@ def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
         op_pool = [op for pole in poles.Pole for op in poles.enumerate_pole(n, pole)]
     else:
         zmasks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS)
-        op_pool = [poles.PoleOperator.from_op(PauliOperator(n, (1 << n) - 1, int(z)))
+        op_pool = [poles.PoleOperator(PauliOperator(n, (1 << n) - 1, int(z)))
                    for z in zmasks]
     worst = 0.0
     count = 0
     agree = True
     for quarter in (0, 1):
-        vec = states.rotated_dense(states.RotatedState(label, quarter * math.pi / 2))
+        vec = states.rotated_dense(label, quarter * math.pi / 2)
         for op in op_pool:
             value = poles.eigenvalue_symbolic(label, quarter, op)
             image = oracle.apply_pauli(op.op, vec)
@@ -155,11 +155,11 @@ def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
     # Quarter-turn co-rotation must agree with the general-angle observable.
     worst = 0.0
     for _ in range(16):
-        turns = rotations.QuarterTurns(tuple(int(t) for t in rng.integers(0, 4, size=n)))
+        turns = [int(t) for t in rng.integers(0, 4, size=n)]
         probe = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         probe /= np.linalg.norm(probe)
         via_pauli = oracle.apply_pauli(rotations.co_rotate_quarter(turns), probe)
-        via_angles = oracle.apply_observable(probe, turns.angles())
+        via_angles = oracle.apply_observable(probe, tuple(t * math.pi / 2 for t in turns))
         worst = max(worst, float(np.max(np.abs(via_pauli - via_angles))))
     checks.append({"check": "quarter_turn_consistency[16]",
                    "residual": worst, "pass": worst < 1e-12})
@@ -183,6 +183,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     _require_qubits(args.n)
     if args.n > states.DENSE_VECTOR_CAP:
         raise GhzVerifyError(f"verify is capped at {states.DENSE_VECTOR_CAP} qubits (got {args.n})")
+    if args.seed < 0:
+        raise GhzVerifyError(f"need seed >= 0, got {args.seed}")
     label = states.parse_label(args.label or _default_label(args.n), args.n)
     checks = _verify_checks(label, args.seed)
     all_pass = all(c["pass"] for c in checks)

@@ -207,7 +207,7 @@ def _swap(op: PoleOperator, mask: int) -> PoleOperator:
     """Interchange X and Y on the qubits of ``mask``; mask 0 is the identity."""
     if not mask:
         return op
-    return PoleOperator.from_op(PauliOperator(op.n, op.op.x_bits, op.op.z_bits ^ mask))
+    return PoleOperator(PauliOperator(op.n, op.op.x_bits, op.op.z_bits ^ mask))
 
 
 def _swapped_state(label: GhzLabel, mask: int) -> tuple[GhzLabel, int]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
 from .errors import DimensionError, DomainError, RuleNotApplicableError
@@ -28,10 +28,6 @@ class Pole(enum.Enum):
     W = 2
     S = 3
 
-    @property
-    def quarter(self) -> int:
-        return self.value
-
 
 def classify(op: PauliOperator) -> Pole:
     """Pole of a phase-free X/Y string, from its Y count modulo 4."""
@@ -42,19 +38,13 @@ def classify(op: PauliOperator) -> Pole:
 
 @dataclass(frozen=True)
 class PoleOperator:
-    """A phase +1 X/Y string together with its (consistent) pole."""
+    """A phase +1 X/Y string together with the pole its Y count fixes."""
 
     op: PauliOperator
-    pole: Pole
+    pole: Pole = field(init=False)
 
     def __post_init__(self) -> None:
-        actual = classify(self.op)
-        if actual is not self.pole:
-            raise DomainError(f"{self.op.letters()} sits at pole {actual.name}, not {self.pole.name}")
-
-    @classmethod
-    def from_op(cls, op: PauliOperator) -> PoleOperator:
-        return cls(op, classify(op))
+        object.__setattr__(self, "pole", classify(self.op))
 
     @property
     def n(self) -> int:
@@ -90,7 +80,7 @@ def xy_string(n: int, y_positions) -> PauliOperator:
 
 def single_y_generator(n: int, k: int) -> PoleOperator:
     """The N-pole string with its single Y on qubit k."""
-    return PoleOperator(xy_string(n, (k,)), Pole.N)
+    return PoleOperator(xy_string(n, (k,)))
 
 
 def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
@@ -98,9 +88,9 @@ def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     found = []
-    for count in range(pole.quarter, n + 1, 4):
+    for count in range(pole.value, n + 1, 4):
         for positions in itertools.combinations(range(1, n + 1), count):
-            found.append(PoleOperator(xy_string(n, positions), pole))
+            found.append(PoleOperator(xy_string(n, positions)))
     return found
 
 

@@ -1,7 +1,8 @@
 """Co-rotation of the all-X product observable under per-qubit z rotations.
 
-Two tiers share this module.  Quarter turns stay symbolic: each factor lands
-back on +/-X or +/-Y exactly, so the result is a phase-tracked Pauli string.
+Two tiers share this module.  Quarter turns, a plain tuple of per-qubit
+counts in units of pi/2, stay symbolic: each factor lands back on +/-X or
++/-Y exactly, so the result is a phase-tracked Pauli string.
 General angles stay a plain tuple of per-qubit angles, which the oracle
 applies matrix-free (apply_observable) or builds densely (observable_matrix).
 """
@@ -9,13 +10,12 @@ applies matrix-free (apply_observable) or builds densely (observable_matrix).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from . import oracle
 from .errors import ConsistencyError, DomainError
 from .pauli import PauliOperator, QuarterPhase
-from .states import GhzLabel, RotatedState, collective_angle, rotated_dense
+from .states import GhzLabel, collective_angle, rotated_dense
 
 #: Angle sums within this distance of a pole (0 or pi from the state's angle)
 #: snap to it.  An offset d leaves the dense residual sqrt(2) * |sin(d / 2)|,
@@ -27,40 +27,21 @@ POLE_SNAP_TOL = 2.0 * math.asin(oracle.EIGEN_TOL / math.sqrt(2.0))
 _TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class QuarterTurns:
-    """Per-qubit rotation counts in units of pi/2, each modulo 4."""
+def co_rotate_quarter(turns: Sequence[int]) -> PauliOperator:
+    """Exact quarter-turn co-rotation: 0 -> +X, 1 -> +Y, 2 -> -X, 3 -> -Y.
 
-    turns: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not self.turns:
-            raise DomainError("need at least one turn entry")
-        if any(t not in (0, 1, 2, 3) for t in self.turns):
-            raise DomainError(f"turns must lie in 0..3, got {self.turns}")
-
-    @property
-    def n(self) -> int:
-        return len(self.turns)
-
-    @property
-    def total(self) -> int:
-        """Collective quarter-turn count for the all-zero label, modulo 4."""
-        return sum(self.turns) % 4
-
-    def angles(self) -> tuple[float, ...]:
-        return tuple(t * math.pi / 2 for t in self.turns)
-
-
-def co_rotate_quarter(turns: QuarterTurns | Sequence[int]) -> PauliOperator:
-    """Exact quarter-turn co-rotation: 0 -> +X, 1 -> +Y, 2 -> -X, 3 -> -Y."""
-    if not isinstance(turns, QuarterTurns):
-        turns = QuarterTurns(tuple(turns))
-    n = turns.n
+    ``turns`` holds one rotation count per qubit in units of pi/2.
+    """
+    turns = tuple(turns)
+    if not turns:
+        raise DomainError("need at least one turn entry")
+    if any(t not in (0, 1, 2, 3) for t in turns):
+        raise DomainError(f"turns must lie in 0..3, got {turns}")
+    n = len(turns)
     x = (1 << n) - 1
     z = 0
     flips = 0
-    for k, t in enumerate(turns.turns, start=1):
+    for k, t in enumerate(turns, start=1):
         if t % 2:
             z |= 1 << (n - k)
         if t in (2, 3):
@@ -96,7 +77,7 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     # and the dense exp, cos and sin add about an ulp of 1 (u / 4 or less).
     # So the two residuals differ by under 2u; only twice that is a disagreement.
     margin = 4.0 * math.ulp(max(_TWO_PI, abs(observable_angle), abs(effective)))
-    vec = rotated_dense(RotatedState(label, state_phi))
+    vec = rotated_dense(label, state_phi)
     image = oracle.apply_observable(vec, angles)
     if predicted is None:
         for sign in (1, -1):

@@ -92,14 +92,6 @@ def parse_label(text: str, n: int | None = None) -> GhzLabel:
     return GhzLabel(len(bits_str), int(bits_str, 2), 1 if sign_str == "+" else -1)
 
 
-@dataclass(frozen=True)
-class RotatedState:
-    """A labeled GHZ pair viewed at collective angle ``phi`` (radians)."""
-
-    label: GhzLabel
-    phi: float
-
-
 def _check_dense_cap(n: int) -> None:
     if n > DENSE_VECTOR_CAP:
         raise CapacityError(f"dense statevectors are capped at {DENSE_VECTOR_CAP} qubits (got {n})")
@@ -122,27 +114,22 @@ def collective_angle(label: GhzLabel, phis: Sequence[float]) -> float:
     return float(sum((-1.0 if label.bit(k) else 1.0) * phi for k, phi in enumerate(phis, start=1)))
 
 
-def rotate_2d(state: RotatedState, delta_phi: float) -> RotatedState:
-    """Advance the collective angle; the label never changes."""
-    return RotatedState(state.label, state.phi + delta_phi)
-
-
-def rotated_dense(state: RotatedState) -> np.ndarray:
-    """Expand the two-component view into dense amplitudes."""
-    partner = GhzLabel(state.label.n, state.label.bits, -state.label.sign)
-    half = 0.5 * state.phi
-    return math.cos(half) * build_state(state.label) - 1j * math.sin(half) * build_state(partner)
+def rotated_dense(label: GhzLabel, phi: float) -> np.ndarray:
+    """Dense amplitudes of the labeled pair viewed at collective angle ``phi``."""
+    partner = GhzLabel(label.n, label.bits, -label.sign)
+    half = 0.5 * phi
+    return math.cos(half) * build_state(label) - 1j * math.sin(half) * build_state(partner)
 
 
 def signed_bit_sums(n: int, phis: Sequence[float]) -> np.ndarray:
     """For every index b, sum_k (-1)^{b_k} phi_k (qubit 1 = most significant)."""
     if len(phis) != n:
         raise DimensionError(f"expected {n} angles, got {len(phis)}")
-    idx = np.arange(1 << n)
-    total = np.zeros(1 << n)
-    for k, phi in enumerate(phis, start=1):
-        bit = (idx >> (n - k)) & 1
-        total += (1 - 2 * bit) * phi
+    total = np.zeros(1)
+    for phi in phis:
+        # Each qubit doubles the table: its 0 bit adds +phi, its 1 bit -phi,
+        # and qubit 1 added first ends up most significant.
+        total = np.add.outer(total, (phi, -phi)).ravel()
     return total
 
 

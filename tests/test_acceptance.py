@@ -19,7 +19,7 @@ from ghzverify import (GhzLabel, Pole, PoleOperator, build_state, c_n_binomial,
 from ghzverify.cli import main
 from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen, expectation
 from ghzverify.poles import xy_string
-from ghzverify.states import RotatedState, apply_rotations, max_norm_diff, rotated_dense
+from ghzverify.states import apply_rotations, max_norm_diff, rotated_dense
 
 TOL = 1e-12
 
@@ -83,7 +83,7 @@ def test_criterion_3_eigenvalue_suite(capsys):
                       for bits in range(1 << (n - 1)) for sign in (1, -1)]
             for label in labels:
                 for quarter in (0, 1):
-                    vec = rotated_dense(RotatedState(label, quarter * math.pi / 2))
+                    vec = rotated_dense(label, quarter * math.pi / 2)
                     for op in ops:
                         passed &= _eigen_triple_ok(label, quarter, op, vec)
         rng = np.random.default_rng(2024)
@@ -93,9 +93,9 @@ def test_criterion_3_eigenvalue_suite(capsys):
                                  1 if rng.integers(0, 2) else -1)
                 quarter = int(rng.integers(0, 2))
                 z_mask = int(rng.integers(0, 1 << n))
-                op = PoleOperator.from_op(
+                op = PoleOperator(
                     xy_string(n, [k for k in range(1, n + 1) if (z_mask >> (n - k)) & 1]))
-                vec = rotated_dense(RotatedState(label, quarter * math.pi / 2))
+                vec = rotated_dense(label, quarter * math.pi / 2)
                 passed &= _eigen_triple_ok(label, quarter, op, vec)
         crit.finish(passed)
 

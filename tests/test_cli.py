@@ -4,7 +4,7 @@ import csv
 import io
 import json
 
-from ghzverify import lhv
+from ghzverify import cli, lhv
 from ghzverify.cli import main
 
 
@@ -111,6 +111,15 @@ class TestVerify:
     def test_cap_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "15")
         assert code == 2
+
+    def test_negative_seed_refused_before_any_work(self, capsys, monkeypatch):
+        def not_called(label, seed):
+            raise AssertionError("checks ran before the refusal")
+        monkeypatch.setattr(cli, "_verify_checks", not_called)
+        code, out, err = run_cli(capsys, "verify", "--n", "3", "--seed", "-1")
+        assert code == 2
+        assert out == ""
+        assert "need seed >= 0, got -1" in err
 
 
 class TestLhv:

@@ -1,0 +1,33 @@
+"""Byte-exact CLI output for the commands whose stdout holds no floats.
+
+``verify`` stays out: its residuals depend on the platform's libm.  The json
+digests include ``"version"``, so a version bump must update them.
+"""
+
+import hashlib
+
+import pytest
+
+from ghzverify.cli import main
+
+GOLDEN = {
+    "count --n-min 2 --n-max 64 --format csv":
+        "ce582edad956060748840eb8847d26da32580e3bc4a00ff4bcb64466cf27bb0c",
+    "enumerate --n 12 --pole S --format csv":
+        "c990ef9833d8f048b1673f1c6867ad828a124c23703eb53909c05830ec7be227",
+    "identity --n 12":
+        "6becf58354f6a76ad3aa9a4ee175f2ac13658027b1121f458e1e1f0878fb27ad",
+    "lhv --n 10 --exhaustive":
+        "f952006fa35513e609e1e33713323a4572c351e26519bca8ea8f00050d1caffa",
+    "lhv --n 10 --exhaustive --label 0110100111- --format json":
+        "6f167924acc59b65c885f0c8cd93a6e0a75ce1595f85963a8aee2076b1b1b66f",
+    "lhv --n 12 --label 011010011010- --format json":
+        "58c4dba59d158a80c4d7c948894345dc50871d0339710978ecaaea8d47ceff7e",
+}
+
+
+@pytest.mark.parametrize("command", GOLDEN)
+def test_stdout_digest(capsys, command):
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]

@@ -211,13 +211,13 @@ class TestEwSwap:
         ("YXY", (1, 2, 3), "XYX", Pole.N),
     ])
     def test_examples(self, letters, subset, result, pole):
-        swapped = ew_swap(PoleOperator.from_op(from_letters(letters)), subset)
+        swapped = ew_swap(PoleOperator(from_letters(letters)), subset)
         assert swapped.letters == result
         assert swapped.pole is pole
 
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
-            ew_swap(PoleOperator.from_op(from_letters("YYY")), (1, 2))
+            ew_swap(PoleOperator(from_letters("YYY")), (1, 2))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_swap_preserves_product_identity(self, n):
@@ -229,7 +229,7 @@ class TestEwSwap:
                     for positions in itertools.combinations(range(1, n + 1), target_size):
                         product = reduce(multiply, (gens[k] for k in positions))
                         target = ew_swap(
-                            PoleOperator.from_op(from_letters("".join(
+                            PoleOperator(from_letters("".join(
                                 "Y" if k in positions else "X" for k in range(1, n + 1)))),
                             subset).op
                         exponent = 0 if target_size % 4 == 1 else 2

@@ -12,7 +12,7 @@ from ghzverify import (DomainError, GhzLabel, LetterError, Pole, PoleOperator,
                        pihalf_state, single_y_generator, y_count)
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.poles import pole_to_json, xy_string
-from ghzverify.states import rotated_dense, RotatedState
+from ghzverify.states import rotated_dense
 import math
 
 
@@ -112,13 +112,13 @@ class TestEigenvalueRule:
     ])
     def test_examples(self, bits, letters, expected):
         label = GhzLabel(3, bits, 1)
-        op = PoleOperator.from_op(from_letters(letters))
+        op = PoleOperator(from_letters(letters))
         assert eigenvalue_rule(label, op) == expected
         assert eigenvalue_symbolic(label, 1, op) == expected
 
     def test_east_west_rejected(self):
         with pytest.raises(RuleNotApplicableError):
-            eigenvalue_rule(GhzLabel(3, 0, 1), PoleOperator.from_op(from_letters("XXX")))
+            eigenvalue_rule(GhzLabel(3, 0, 1), PoleOperator(from_letters("XXX")))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rule_equals_symbolic_exhaustively(self, n):
@@ -144,7 +144,7 @@ class TestEigenvalueAgainstOracle:
         ops = [op for pole in Pole for op in enumerate_pole(n, pole)]
         for label in _all_raw_labels(n):
             for quarter in range(4):
-                vec = rotated_dense(RotatedState(label, quarter * math.pi / 2))
+                vec = rotated_dense(label, quarter * math.pi / 2)
                 for op in ops:
                     value = eigenvalue_symbolic(label, quarter, op)
                     image = apply_pauli(op.op, vec)
@@ -192,6 +192,25 @@ class TestCompatibleFamily:
         assert negatives == south
 
 
+class TestPoleDerivation:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_enumerated_strings_sit_at_their_pole(self, n):
+        for pole in Pole:
+            for op in enumerate_pole(n, pole):
+                assert op.pole is pole
+        for k in range(1, n + 1):
+            assert single_y_generator(n, k).pole is Pole.N
+
+    def test_rejects_z(self):
+        with pytest.raises(LetterError):
+            PoleOperator(from_letters("XZ"))
+
+    def test_rejects_signed(self):
+        from ghzverify import parse
+        with pytest.raises(DomainError):
+            PoleOperator(parse("-XXX"))
+
+
 class TestPoleOperatorRendering:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_y_positions_match_letter_scan(self, n):
@@ -201,7 +220,7 @@ class TestPoleOperatorRendering:
                 assert op.y_positions == scanned
 
     def test_y_positions_wide(self):
-        op = PoleOperator.from_op(xy_string(64, (1, 2, 40, 64)))
+        op = PoleOperator(xy_string(64, (1, 2, 40, 64)))
         assert op.y_positions == (1, 2, 40, 64)
 
     def test_cached_letters_leave_equality_and_hash_alone(self):

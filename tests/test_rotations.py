@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, PoleOperator,
-                       QuarterPhase, QuarterTurns, build_state, co_rotate_quarter,
+                       QuarterPhase, build_state, co_rotate_quarter,
                        eigen_check_general, eigenvalue_symbolic, render)
 from ghzverify.oracle import (EIGEN_TOL, apply_observable, expectation,
                               materialize, observable_matrix, rotation_diagonal)
@@ -19,16 +19,10 @@ from ghzverify.states import apply_rotations, parse_label
 
 class TestQuarterTurns:
     def test_validation(self):
-        with pytest.raises(DomainError):
-            QuarterTurns((0, 4))
-        with pytest.raises(DomainError):
-            QuarterTurns(())
-
-    def test_total(self):
-        assert QuarterTurns((1, 2, 3)).total == 2
-
-    def test_angles(self):
-        assert QuarterTurns((0, 2)).angles() == (0.0, math.pi)
+        with pytest.raises(DomainError, match=r"turns must lie in 0\.\.3, got \(0, 4\)"):
+            co_rotate_quarter((0, 4))
+        with pytest.raises(DomainError, match="need at least one turn entry"):
+            co_rotate_quarter(())
 
 
 class TestCoRotateQuarter:
@@ -48,7 +42,7 @@ class TestCoRotateQuarter:
         for turns in itertools.product(range(4), repeat=n):
             op = co_rotate_quarter(turns)
             dense = materialize(op)
-            general = observable_matrix(QuarterTurns(turns).angles())
+            general = observable_matrix(tuple(t * math.pi / 2 for t in turns))
             assert np.max(np.abs(dense - general)) < 1e-12
 
 
@@ -175,7 +169,7 @@ def test_general_angles_agree_with_the_quarter_turn_tier(data):
     quarter = data.draw(st.integers(0, 3))
     string = co_rotate_quarter(turns)
     symbolic = eigenvalue_symbolic(
-        label, quarter, PoleOperator.from_op(replace(string, phase=QuarterPhase(0))))
+        label, quarter, PoleOperator(replace(string, phase=QuarterPhase(0))))
     expected = None if symbolic is None else string.phase.sign * symbolic
     angles = [t * math.pi / 2 for t in turns]
     assert eigen_check_general(label, quarter * math.pi / 2, angles) == expected

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       RotatedState, apply_rotations, build_state,
-                       collective_angle, equal_up_to_global_phase,
-                       inner_product, parse_label, pihalf_state, rotate_2d,
-                       rotated_dense, states_equal)
+                       apply_rotations, build_state, collective_angle,
+                       equal_up_to_global_phase, inner_product, parse_label,
+                       pihalf_state, rotated_dense, states_equal)
+from ghzverify.states import signed_bit_sums
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -90,19 +90,30 @@ class TestCollectiveAngle:
 
 
 class TestRotate2d:
-    def test_identity(self):
-        state = RotatedState(GhzLabel(3, 0, 1), 0.0)
-        assert rotate_2d(state, 0.0) == state
-
     def test_half_turn_reaches_minus_partner(self):
-        state = rotate_2d(RotatedState(GhzLabel(3, 0, 1), 0.0), math.pi)
         expected = -1j * build_state(GhzLabel(3, 0, -1))
-        assert states_equal(rotated_dense(state), expected, tol=1e-12)
+        assert states_equal(rotated_dense(GhzLabel(3, 0, 1), math.pi), expected, tol=1e-12)
 
     def test_full_turn_flips_sign(self):
-        state = rotate_2d(RotatedState(GhzLabel(3, 0, 1), 0.0), 2 * math.pi)
         expected = -build_state(GhzLabel(3, 0, 1))
-        assert states_equal(rotated_dense(state), expected, tol=1e-12)
+        assert states_equal(rotated_dense(GhzLabel(3, 0, 1), 2 * math.pi), expected, tol=1e-12)
+
+
+class TestSignedBitSums:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_per_index_sum(self, n):
+        phis = np.random.default_rng(n).uniform(-2 * math.pi, 2 * math.pi, size=n)
+        expected = []
+        for b in range(1 << n):
+            total = 0.0
+            for k, phi in enumerate(phis, start=1):
+                total += -phi if (b >> (n - k)) & 1 else phi
+            expected.append(total)
+        assert np.array_equal(signed_bit_sums(n, phis), np.array(expected))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            signed_bit_sums(3, (0.0, 0.0))
 
 
 class TestApplyRotations:
@@ -114,7 +125,7 @@ class TestApplyRotations:
     def test_matches_two_component_expansion(self):
         label = GhzLabel(3, 0, 1)
         rotated = apply_rotations(build_state(label), label, (math.pi / 2, 0.0, 0.0))
-        expected = rotated_dense(RotatedState(label, math.pi / 2))
+        expected = rotated_dense(label, math.pi / 2)
         assert states_equal(rotated, expected, tol=1e-12)
 
     def test_uniform_compression(self):
@@ -132,7 +143,7 @@ class TestApplyRotations:
                 phis = rng.uniform(-2 * math.pi, 2 * math.pi, size=3)
                 phi = collective_angle(label, phis)
                 dense = apply_rotations(base, label, phis)
-                assert states_equal(dense, rotated_dense(RotatedState(label, phi)), tol=1e-12)
+                assert states_equal(dense, rotated_dense(label, phi), tol=1e-12)
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(7)
