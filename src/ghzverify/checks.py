@@ -1,0 +1,215 @@
+"""The check engine: every claim that joins the symbolic tier to the oracle.
+
+Each check states a claim in the integer-only tier (or as an exact law of
+the rotated states), confirms it densely, and returns a :class:`Check` with
+its case count, its worst residual, and whether that residual stayed under
+``oracle.EIGEN_TOL``.  This module and the CLI are the only ones that use
+both tiers.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Iterable, NamedTuple, Sequence
+
+import numpy as np
+
+from . import lhv, oracle, poles, rotations, states
+from .errors import ConsistencyError
+from .pauli import PauliOperator
+from .states import GhzLabel
+
+#: Above the dense-matrix cap, ``verify`` samples this many all-X/Y strings
+#: instead of enumerating every pole.
+VERIFY_SAMPLED_OPS = 256
+
+#: Angle sums within this distance of a pole (0 or pi from the state's angle)
+#: snap to it.  An offset d leaves the dense residual sqrt(2) * |sin(d / 2)|,
+#: so this is the offset at which that residual reaches oracle.EIGEN_TOL:
+#: apart from rounding at the boundary itself, a snapped pole passes the
+#: dense check and an unsnapped one fails it.
+POLE_SNAP_TOL = 2.0 * math.asin(oracle.EIGEN_TOL / math.sqrt(2.0))
+
+_TWO_PI = 2.0 * math.pi
+
+
+class Check(NamedTuple):
+    name: str
+    cases: int
+    residual: float
+    passed: bool
+
+
+def _within_tol(name: str, cases: int, residual: float) -> Check:
+    return Check(name, cases, residual, residual < oracle.EIGEN_TOL)
+
+
+def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
+    """Symbolic eigenvalues against the dense oracle, on the label's
+    unrotated and quarter-turn states.
+
+    Up to the dense-matrix cap every pole string is checked; above it,
+    VERIFY_SAMPLED_OPS all-X/Y strings are drawn.  A string the symbolic
+    tier calls a non-eigenstate must fail the dense test for both signs.
+    """
+    n = label.n
+    if n <= oracle.DENSE_MATRIX_CAP:
+        op_pool = [op for pole in poles.Pole for op in poles.enumerate_pole(n, pole)]
+    else:
+        zmasks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS)
+        op_pool = [poles.PoleOperator(PauliOperator(n, (1 << n) - 1, int(z)))
+                   for z in zmasks]
+    worst = 0.0
+    agree = True
+    for quarter in (0, 1):
+        vec = states.rotated_dense(label, quarter * math.pi / 2)
+        for op in op_pool:
+            value = poles.eigenvalue_symbolic(label, quarter, op)
+            image = oracle.apply_pauli(op.op, vec)
+            if value is None:
+                agree &= not any([oracle.check_eigen(vec, image, sign).passed for sign in (1, -1)])
+            else:
+                result = oracle.check_eigen(vec, image, value)
+                agree &= result.passed
+                worst = max(worst, result.residual)
+    return Check("eigenvalues_symbolic_vs_oracle", 2 * len(op_pool), worst, bool(agree))
+
+
+def collective_angle_collapse(label: GhzLabel, rng: np.random.Generator) -> Check:
+    """Equal collective angles must give identical rotated vectors, the
+    uniform compression case included."""
+    n = label.n
+    base = states.build_state(label)
+    signs = [1.0 if label.bit(k) == 0 else -1.0 for k in range(1, n + 1)]
+    worst = 0.0
+    for trial in range(20):
+        first = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
+        target = states.collective_angle(label, first)
+        if trial == 0:
+            second = np.array([signs[k] * target / n for k in range(n)])
+        else:
+            second = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
+            partial = states.collective_angle(label, list(second[:-1]) + [0.0])
+            second[-1] = signs[-1] * (target - partial)
+        diff = states.max_norm_diff(states.apply_rotations(base, label, first),
+                                    states.apply_rotations(base, label, second))
+        worst = max(worst, diff)
+    return _within_tol("collective_angle_collapse", 20, worst)
+
+
+def conjugation_identity(n: int, rng: np.random.Generator) -> Check:
+    """Conjugating the all-X string must reproduce the factored observable."""
+    worst = 0.0
+    for _ in range(10):
+        angles = rng.uniform(-math.pi, math.pi, size=n)
+        worst = max(worst, oracle.check_conjugation(tuple(angles)).residual)
+    return _within_tol("conjugation_identity", 10, worst)
+
+
+def quarter_turn_consistency(n: int, rng: np.random.Generator) -> Check:
+    """Quarter-turn co-rotation must agree with the general-angle observable."""
+    worst = 0.0
+    for _ in range(16):
+        turns = [int(t) for t in rng.integers(0, 4, size=n)]
+        probe = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        probe /= np.linalg.norm(probe)
+        via_pauli = oracle.apply_pauli(rotations.co_rotate_quarter(turns), probe)
+        via_angles = oracle.apply_observable(probe, tuple(t * math.pi / 2 for t in turns))
+        worst = max(worst, float(np.max(np.abs(via_pauli - via_angles))))
+    return _within_tol("quarter_turn_consistency", 16, worst)
+
+
+def rotation_unitarity(angle_sets: Sequence[Sequence[float]]) -> Check:
+    """Rotations are diagonal unitaries."""
+    worst = 0.0
+    for angles in angle_sets:
+        diag = oracle.rotation_diagonal(angles)
+        worst = max(worst, float(np.max(np.abs(np.abs(diag) - 1.0))))
+    return _within_tol("rotation_unitarity", len(angle_sets), worst)
+
+
+def pair_subspace_invariance(label: GhzLabel,
+                             angle_sets: Sequence[Sequence[float]]) -> Check:
+    """Rotations never leak out of the labeled pair."""
+    worst = 0.0
+    for angles in angle_sets:
+        worst = max(worst, oracle.two_dim_invariance_residual(label, angles))
+    return _within_tol("pair_subspace_invariance", len(angle_sets), worst)
+
+
+def verify(label: GhzLabel, seed: int) -> list[Check]:
+    """Every check of the ``verify`` command, all drawing from one generator."""
+    n = label.n
+    rng = np.random.default_rng(seed)
+    checks = [eigenvalues(label, rng),
+              collective_angle_collapse(label, rng),
+              conjugation_identity(n, rng),
+              quarter_turn_consistency(n, rng)]
+    angle_sets = [tuple(rng.uniform(-2 * math.pi, 2 * math.pi, size=n)) for _ in range(10)]
+    checks.append(rotation_unitarity(angle_sets))
+    checks.append(pair_subspace_invariance(label, angle_sets))
+    return checks
+
+
+def swap_conjugation_residual(op: poles.PoleOperator, subset: Iterable[int]) -> float:
+    """Dense check that the X<->Y swap is conjugation by the diagonal-axis half turn.
+
+    Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
+    U M U^dagger against :func:`lhv.ew_swap` of the string entrywise.
+    """
+    subset = set(subset)
+    swapped = lhv.ew_swap(op, subset)
+    # materialize refuses above the matrix cap, before any kron below runs
+    original = oracle.materialize(op.op)
+    target = oracle.materialize(swapped.op)
+    half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
+    unitary = np.eye(1, dtype=complex)
+    for k in range(1, op.n + 1):
+        unitary = np.kron(unitary, half_turn if k in subset else oracle.PAULI_1Q["I"])
+    conjugated = unitary @ original @ unitary.conj().T
+    return float(np.max(np.abs(conjugated - target)))
+
+
+def eigen_check_general(label: GhzLabel, state_phi: float,
+                        angles: Sequence[float]) -> int | None:
+    """Eigenvalue of the angle-set observable on the rotated labeled state.
+
+    Returns +1 when the observable's collective angle matches the state's
+    (mod 2 pi), -1 when they differ by pi, and None otherwise.  A minus label
+    at angle phi is the plus label at phi + pi up to phase, which shifts the
+    comparison point accordingly.  Every returned sign is confirmed against
+    the dense state; disagreement beyond rounding raises ConsistencyError.
+    """
+    observable_angle = states.collective_angle(label, angles)
+    effective = state_phi if label.sign > 0 else state_phi + math.pi
+    delta = (observable_angle - effective) % _TWO_PI
+    if min(delta, _TWO_PI - delta) <= POLE_SNAP_TOL:
+        predicted: int | None = 1
+    elif abs(delta - math.pi) <= POLE_SNAP_TOL:
+        predicted = -1
+    else:
+        predicted = None
+
+    # Both tiers form the same float sum of signed angles (collective_angle,
+    # signed_bit_sums) and part only after it.  Here the reference angle, the
+    # subtraction, the mod 2 pi reduction and the fold onto the pole each
+    # round by at most half an ulp u of the largest angle in play; an angle
+    # error e moves the residual sqrt(2) * |sin(d / 2)| by at most e / sqrt(2),
+    # and the dense exp, cos and sin add about an ulp of 1 (u / 4 or less).
+    # So the two residuals differ by under 2u; only twice that is a disagreement.
+    margin = 4.0 * math.ulp(max(_TWO_PI, abs(observable_angle), abs(effective)))
+    vec = states.rotated_dense(label, state_phi)
+    image = oracle.apply_observable(vec, angles)
+    if predicted is None:
+        for sign in (1, -1):
+            result = oracle.check_eigen(vec, image, sign)
+            if result.residual < oracle.EIGEN_TOL - margin:
+                raise ConsistencyError(
+                    f"angle sum {observable_angle!r} is off-pole but the dense state "
+                    f"is an eigenstate with sign {sign}")
+        return None
+    result = oracle.check_eigen(vec, image, predicted)
+    if result.residual >= oracle.EIGEN_TOL + margin:
+        raise ConsistencyError(
+            f"predicted eigenvalue {predicted} fails densely (residual {result.residual:.3e})")
+    return predicted

@@ -12,20 +12,14 @@ import csv
 import io
 import itertools
 import json
-import math
 import sys
 from typing import Sequence
 
-import numpy as np
-
-from . import __version__, counting, lhv, oracle, poles, rotations, states
+from . import __version__, checks, counting, lhv, poles, states
 from .errors import ConsistencyError, GhzVerifyError
-from .pauli import PauliOperator
-from .states import GhzLabel
 
 MAX_COUNT_N = 64
 IDENTITY_ALL_SUBSETS_CAP = 12
-VERIFY_SAMPLED_OPS = 256
 
 
 def _print_json(payload: dict) -> None:
@@ -92,93 +86,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- verify
 
-def _verify_checks(label: GhzLabel, seed: int) -> list[dict]:
-    n = label.n
-    rng = np.random.default_rng(seed)
-    checks: list[dict] = []
-
-    # Symbolic eigenvalues against the dense oracle, on the label's
-    # unrotated and quarter-turn states.
-    if n <= oracle.DENSE_MATRIX_CAP:
-        op_pool = [op for pole in poles.Pole for op in poles.enumerate_pole(n, pole)]
-    else:
-        zmasks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS)
-        op_pool = [poles.PoleOperator(PauliOperator(n, (1 << n) - 1, int(z)))
-                   for z in zmasks]
-    worst = 0.0
-    count = 0
-    agree = True
-    for quarter in (0, 1):
-        vec = states.rotated_dense(label, quarter * math.pi / 2)
-        for op in op_pool:
-            value = poles.eigenvalue_symbolic(label, quarter, op)
-            image = oracle.apply_pauli(op.op, vec)
-            if value is None:
-                hit = [oracle.check_eigen(vec, image, sign).passed for sign in (1, -1)]
-                agree &= not any(hit)
-            else:
-                result = oracle.check_eigen(vec, image, value)
-                agree &= result.passed
-                worst = max(worst, result.residual)
-            count += 1
-    checks.append({"check": f"eigenvalues_symbolic_vs_oracle[{count}]",
-                   "residual": worst, "pass": bool(agree)})
-
-    # Equal collective angles must give identical rotated vectors, the
-    # uniform compression case included.
-    base = states.build_state(label)
-    signs = [1.0 if label.bit(k) == 0 else -1.0 for k in range(1, n + 1)]
-    worst = 0.0
-    for trial in range(20):
-        first = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
-        target = states.collective_angle(label, first)
-        if trial == 0:
-            second = np.array([signs[k] * target / n for k in range(n)])
-        else:
-            second = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
-            partial = states.collective_angle(label, list(second[:-1]) + [0.0])
-            second[-1] = signs[-1] * (target - partial)
-        diff = states.max_norm_diff(states.apply_rotations(base, label, first),
-                                    states.apply_rotations(base, label, second))
-        worst = max(worst, diff)
-    checks.append({"check": "collective_angle_collapse[20]",
-                   "residual": worst, "pass": worst < 1e-12})
-
-    # Conjugating the all-X string must reproduce the factored observable.
-    worst = 0.0
-    for _ in range(10):
-        angles = rng.uniform(-math.pi, math.pi, size=n)
-        worst = max(worst, oracle.check_conjugation(tuple(angles)).residual)
-    checks.append({"check": "conjugation_identity[10]",
-                   "residual": worst, "pass": worst < 1e-12})
-
-    # Quarter-turn co-rotation must agree with the general-angle observable.
-    worst = 0.0
-    for _ in range(16):
-        turns = [int(t) for t in rng.integers(0, 4, size=n)]
-        probe = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        probe /= np.linalg.norm(probe)
-        via_pauli = oracle.apply_pauli(rotations.co_rotate_quarter(turns), probe)
-        via_angles = oracle.apply_observable(probe, tuple(t * math.pi / 2 for t in turns))
-        worst = max(worst, float(np.max(np.abs(via_pauli - via_angles))))
-    checks.append({"check": "quarter_turn_consistency[16]",
-                   "residual": worst, "pass": worst < 1e-12})
-
-    # Rotations are diagonal unitaries and never leak out of the labeled pair.
-    worst_unitary = 0.0
-    worst_leak = 0.0
-    for _ in range(10):
-        angles = tuple(rng.uniform(-2 * math.pi, 2 * math.pi, size=n))
-        diag = oracle.rotation_diagonal(angles)
-        worst_unitary = max(worst_unitary, float(np.max(np.abs(np.abs(diag) - 1.0))))
-        worst_leak = max(worst_leak, oracle.two_dim_invariance_residual(label, angles))
-    checks.append({"check": "rotation_unitarity[10]",
-                   "residual": worst_unitary, "pass": worst_unitary < 1e-12})
-    checks.append({"check": "pair_subspace_invariance[10]",
-                   "residual": worst_leak, "pass": worst_leak < 1e-12})
-    return checks
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     _require_qubits(args.n)
     if args.n > states.DENSE_VECTOR_CAP:
@@ -186,8 +93,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise GhzVerifyError(f"need seed >= 0, got {args.seed}")
     label = states.parse_label(args.label or _default_label(args.n), args.n)
-    checks = _verify_checks(label, args.seed)
-    all_pass = all(c["pass"] for c in checks)
+    rows = [{"check": f"{c.name}[{c.cases}]", "residual": c.residual, "pass": c.passed}
+            for c in checks.verify(label, args.seed)]
+    all_pass = all(row["pass"] for row in rows)
     if args.format == "json":
         _print_json({
             "command": "verify",
@@ -195,14 +103,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
             "n": args.n,
             "label": str(label),
             "seed": args.seed,
-            "checks": checks,
+            "checks": rows,
             "pass": all_pass,
         })
     else:
         print(f"verify n={args.n} label={label} seed={args.seed} version={__version__}")
-        for c in checks:
-            status = "PASS" if c["pass"] else "FAIL"
-            print(f"  {status}  {c['check']:<40} residual={c['residual']:.3e}")
+        for row in rows:
+            status = "PASS" if row["pass"] else "FAIL"
+            print(f"  {status}  {row['check']:<40} residual={row['residual']:.3e}")
         print("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
     return 0 if all_pass else 1
 
@@ -260,9 +168,15 @@ def cmd_lhv(args: argparse.Namespace) -> int:
 
 def _parse_subset(text: str) -> list[int]:
     try:
-        return sorted({int(part) for part in text.split(",") if part.strip()})
+        entries = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise GhzVerifyError(f"cannot parse subset {text!r} (want e.g. '1,2,3')") from None
+    seen: set[int] = set()
+    for k in entries:
+        if k in seen:
+            raise GhzVerifyError(f"subset lists qubit {k} more than once")
+        seen.add(k)
+    return sorted(seen)
 
 
 def cmd_identity(args: argparse.Namespace) -> int:

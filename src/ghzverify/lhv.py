@@ -18,11 +18,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from . import oracle
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, QuarterPhase, multiply
@@ -98,24 +97,6 @@ def value_of(assignment: ValueAssignment, op: PauliOperator) -> int:
     y_mask = op.y_bits
     flips = (assignment.vx & x_mask).bit_count() + (assignment.vy & y_mask).bit_count()
     return -sign if flips % 2 else sign
-
-
-def _product_rule(values: Mapping[int, int], y_positions: Iterable[int]) -> int:
-    """Product of the single-Y generator values at the given Y positions."""
-    return math.prod(map(values.__getitem__, y_positions))
-
-
-def predicted_s_values(n: int, quantum_n_values: Mapping[int, int]) -> dict[PoleOperator, int]:
-    """Product-rule predictions for every S string from the single-Y values.
-
-    ``quantum_n_values`` maps the Y position k of each single-Y generator to
-    its observed value v(O_k); all n positions must be present.
-    """
-    missing = [k for k in range(1, n + 1) if k not in quantum_n_values]
-    if missing:
-        raise DomainError(f"missing single-Y values for positions {missing}")
-    return {target: _product_rule(quantum_n_values, target.y_positions)
-            for target in enumerate_pole(n, Pole.S)}
 
 
 def find_contradictions(label: GhzLabel) -> list[ContradictionReport]:
@@ -265,29 +246,10 @@ def _contradictions(label: GhzLabel, mask: int) -> list[ContradictionReport]:
         if quantum is None:
             raise ConsistencyError(f"{target_kind} {swapped.letters} lost its eigenstate")
         positions = target.y_positions
-        lhv = _product_rule(generator_values, positions)
+        lhv = math.prod(map(generator_values.__getitem__, positions))
         if lhv != -quantum:
             raise ConsistencyError(
                 f"{swapped.letters}: predicted {lhv} does not oppose eigenvalue {quantum}")
         reports.append(ContradictionReport(
             n, swapped, lhv, quantum, tuple(map(generators.__getitem__, positions))))
     return reports
-
-
-def swap_conjugation_residual(op: PoleOperator, subset: Iterable[int]) -> float:
-    """Dense check that the swap is conjugation by the diagonal-axis half turn.
-
-    Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
-    U M U^dagger against the swapped string entrywise.
-    """
-    n = op.n
-    mask = _swap_mask(n, subset)
-    # materialize refuses above the matrix cap, before any kron below runs
-    original = oracle.materialize(op.op)
-    swapped = oracle.materialize(_swap(op, mask).op)
-    half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
-    unitary = np.eye(1, dtype=complex)
-    for k in range(1, n + 1):
-        unitary = np.kron(unitary, half_turn if (mask >> (n - k)) & 1 else oracle.PAULI_1Q["I"])
-    conjugated = unitary @ original @ unitary.conj().T
-    return float(np.max(np.abs(conjugated - swapped)))

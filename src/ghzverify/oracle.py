@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CapacityError, DimensionError
 from .pauli import PauliOperator, from_letters
-from .states import DENSE_VECTOR_CAP, GhzLabel, build_state, signed_bit_sums
+from .states import GhzLabel, build_state, check_vector_cap, signed_bit_sums
 
 #: Largest qubit count for which full 2**n x 2**n matrices are built.
 DENSE_MATRIX_CAP = 10
@@ -47,6 +47,11 @@ class CheckResult(NamedTuple):
     residual: float
 
 
+def _check_matrix_cap(n: int) -> None:
+    if n > DENSE_MATRIX_CAP:
+        raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {n})")
+
+
 def observable_factor(phi: float) -> np.ndarray:
     """Single-qubit X cos(phi) + Y sin(phi)."""
     return np.array([[0, math.cos(phi) - 1j * math.sin(phi)],
@@ -55,9 +60,7 @@ def observable_factor(phi: float) -> np.ndarray:
 
 def observable_matrix(angles: Sequence[float]) -> np.ndarray:
     """Kronecker product of the per-qubit rotated-X factors."""
-    n = len(angles)
-    if n > DENSE_MATRIX_CAP:
-        raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {n})")
+    _check_matrix_cap(len(angles))
     out = np.eye(1, dtype=complex)
     for phi in angles:
         out = np.kron(out, observable_factor(phi))
@@ -66,8 +69,7 @@ def observable_matrix(angles: Sequence[float]) -> np.ndarray:
 
 def materialize(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli string."""
-    if op.n > DENSE_MATRIX_CAP:
-        raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {op.n})")
+    _check_matrix_cap(op.n)
     out = np.eye(1, dtype=complex)
     for k in range(1, op.n + 1):
         out = np.kron(out, PAULI_1Q[op.letter(k)])
@@ -109,8 +111,7 @@ def apply_observable(vec: np.ndarray, angles: Sequence[float]) -> np.ndarray:
 def rotation_diagonal(angles: Sequence[float]) -> np.ndarray:
     """Diagonal of the per-qubit z-rotation product."""
     n = len(angles)
-    if n > DENSE_VECTOR_CAP:
-        raise CapacityError(f"dense statevectors are capped at {DENSE_VECTOR_CAP} qubits (got {n})")
+    check_vector_cap(n)
     return np.exp(-0.5j * signed_bit_sums(n, angles))
 
 

@@ -58,16 +58,6 @@ class GhzLabel:
         """Canonical form puts qubit 1's bit at 0."""
         return self.bits < (1 << (self.n - 1))
 
-    def canonical(self) -> GhzLabel:
-        """The canonical label of the same pair.
-
-        For sign -1 the complement pattern names the negated vector; callers
-        comparing states rather than rays must track that sign themselves.
-        """
-        if self.is_canonical:
-            return self
-        return GhzLabel(self.n, self.complement_bits, self.sign)
-
     def bit(self, k: int) -> int:
         """Bit of qubit k (1-based, qubit 1 most significant)."""
         if not 1 <= k <= self.n:
@@ -92,14 +82,15 @@ def parse_label(text: str, n: int | None = None) -> GhzLabel:
     return GhzLabel(len(bits_str), int(bits_str, 2), 1 if sign_str == "+" else -1)
 
 
-def _check_dense_cap(n: int) -> None:
+def check_vector_cap(n: int) -> None:
+    """Refuse a dense statevector of more than DENSE_VECTOR_CAP qubits."""
     if n > DENSE_VECTOR_CAP:
         raise CapacityError(f"dense statevectors are capped at {DENSE_VECTOR_CAP} qubits (got {n})")
 
 
 def build_state(label: GhzLabel) -> np.ndarray:
     """Dense amplitudes of (|bits> + sign |~bits>)/sqrt(2)."""
-    _check_dense_cap(label.n)
+    check_vector_cap(label.n)
     vec = np.zeros(1 << label.n, dtype=complex)
     amp = 1.0 / math.sqrt(2.0)
     vec[label.bits] = amp
@@ -152,20 +143,11 @@ def pihalf_state(label: GhzLabel) -> np.ndarray:
     Equals :func:`apply_rotations` on :func:`build_state` for any angle set
     whose collective angle is pi/2, global phase included.
     """
-    _check_dense_cap(label.n)
+    check_vector_cap(label.n)
     vec = np.zeros(1 << label.n, dtype=complex)
     vec[label.bits] = (1 - 1j) / 2
     vec[label.complement_bits] = label.sign * 1j * (1 - 1j) / 2
     return vec
-
-
-def inner_product(a: np.ndarray, b: np.ndarray) -> complex:
-    """<a|b>, conjugate-linear in the first argument."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise DimensionError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
 
 
 def max_norm_diff(a: np.ndarray, b: np.ndarray) -> float:
@@ -174,23 +156,3 @@ def max_norm_diff(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionError(f"state dimensions differ: {a.shape} vs {b.shape}")
     return float(np.max(np.abs(a - b)))
-
-
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    """Phase-sensitive comparison in max norm."""
-    return max_norm_diff(a, b) <= tol
-
-
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> bool:
-    """Ray-level comparison: some unit phase aligns the two vectors."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise DimensionError(f"state dimensions differ: {a.shape} vs {b.shape}")
-    pivot = int(np.argmax(np.abs(a)))
-    if abs(a[pivot]) < tol:
-        return bool(np.max(np.abs(b)) <= tol)
-    phase = b[pivot] / a[pivot]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.max(np.abs(a * phase - b)) <= tol)

@@ -4,7 +4,9 @@ import csv
 import io
 import json
 
-from ghzverify import cli, lhv
+import pytest
+
+from ghzverify import checks, counting, lhv, oracle
 from ghzverify.cli import main
 
 
@@ -115,7 +117,7 @@ class TestVerify:
     def test_negative_seed_refused_before_any_work(self, capsys, monkeypatch):
         def not_called(label, seed):
             raise AssertionError("checks ran before the refusal")
-        monkeypatch.setattr(cli, "_verify_checks", not_called)
+        monkeypatch.setattr(checks, "verify", not_called)
         code, out, err = run_cli(capsys, "verify", "--n", "3", "--seed", "-1")
         assert code == 2
         assert out == ""
@@ -182,6 +184,13 @@ class TestIdentity:
         code, _, _ = run_cli(capsys, "identity", "--n", "13")
         assert code == 2
 
+    @pytest.mark.parametrize("subset", ["1,1,1", "3,1,1,2,2"])
+    def test_repeated_qubit_refused(self, capsys, subset):
+        code, out, err = run_cli(capsys, "identity", "--n", "5", "--subset", subset)
+        assert code == 2
+        assert out == ""
+        assert "subset lists qubit 1 more than once" in err
+
 
 class TestZeroQubits:
     """A command with nothing to check refuses instead of passing vacuously."""
@@ -211,3 +220,23 @@ class TestOneQubit:
         code, _, err = run_cli(capsys, "lhv", "--n", "1")
         assert code == 2
         assert "counts are defined for n >= 2 (got 1)" in err
+
+
+class TestCheckFailures:
+    """A disagreement between the tiers reaches the exit code."""
+
+    def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
+        apply_pauli = oracle.apply_pauli
+        monkeypatch.setattr(oracle, "apply_pauli", lambda op, vec: -apply_pauli(op, vec))
+        code, out, _ = run_cli(capsys, "verify", "--n", "3")
+        assert code == 1
+        assert "FAIL  eigenvalues_symbolic_vs_oracle[16]" in out
+        assert out.endswith("CHECK FAILURES PRESENT\n")
+
+    def test_count_routes_disagreeing_is_a_tool_failure(self, capsys, monkeypatch):
+        c_n_binomial = counting.c_n_binomial
+        monkeypatch.setattr(counting, "c_n_binomial", lambda n: c_n_binomial(n) + 1)
+        code, out, err = run_cli(capsys, "count", "--n-min", "3", "--n-max", "5")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("tool failure: count routes disagree at n=3")

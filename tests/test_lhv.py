@@ -13,9 +13,9 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        Pole, PoleOperator, ValueAssignment, c_n_closed,
                        enumerate_pole, ew_contradictions, ew_swap,
                        exhaustive_search, find_contradictions, from_letters,
-                       multiply, parse, predicted_s_values,
-                       single_y_generator, swap_conjugation_residual,
-                       value_of, verify_ks_identity)
+                       multiply, parse, single_y_generator,
+                       swap_conjugation_residual, value_of,
+                       verify_ks_identity)
 from ghzverify.lhv import ContradictionReport, _swapped_state
 from ghzverify.oracle import DENSE_MATRIX_CAP
 from ghzverify.pauli import QuarterPhase, PauliOperator
@@ -70,25 +70,6 @@ class TestValueOf:
                 for k in (1, 2, 3):
                     direct *= a.y_value(k) if k in positions else a.x_value(k)
                 assert value_of(a, op) == direct
-
-
-class TestPredictedSValues:
-    def test_all_plus_inputs(self):
-        values = predicted_s_values(3, {1: 1, 2: 1, 3: 1})
-        assert list(values.values()) == [1]
-
-    def test_four_qubit_all_plus(self):
-        values = predicted_s_values(4, {k: 1 for k in range(1, 5)})
-        assert len(values) == 4 and set(values.values()) == {1}
-
-    def test_single_minus_flips_products_containing_it(self):
-        values = predicted_s_values(3, {1: -1, 2: 1, 3: 1})
-        (yyy_value,) = values.values()
-        assert yyy_value == -1
-
-    def test_incomplete_map_rejected(self):
-        with pytest.raises(DomainError):
-            predicted_s_values(3, {1: 1, 2: 1})
 
 
 class TestFindContradictions:

@@ -1,0 +1,64 @@
+"""The two tiers never mix: read each module's imports and check the boundary.
+
+The symbolic modules reach neither the oracle nor dense states (GhzLabel,
+a plain label value, is the one name they share), and the oracle modules
+reach no symbolic module beyond the Pauli strings the oracle applies.
+Only ``checks`` and ``cli`` (and the package ``__init__``) use both tiers.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ghzverify"
+
+SYMBOLIC = ["pauli", "poles", "counting", "lhv", "rotations"]
+ORACLE = ["states", "oracle"]
+BOTH = {"checks", "cli", "__init__"}
+
+
+def _imports(module):
+    """(imported module, imported name or None) for each ghzverify import."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 0 and not (node.module or "").startswith("ghzverify"):
+                continue
+            target = (node.module or "").removeprefix("ghzverify").lstrip(".")
+            for alias in node.names:
+                if target:
+                    found.append((target, alias.name))
+                else:  # from . import oracle
+                    found.append((alias.name, None))
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("ghzverify."):
+                    found.append((alias.name.removeprefix("ghzverify."), None))
+    return found
+
+
+def test_every_module_is_placed():
+    modules = {path.stem for path in PACKAGE.glob("*.py")}
+    assert modules == set(SYMBOLIC) | set(ORACLE) | BOTH | {"errors", "__main__"}
+
+
+@pytest.mark.parametrize("module", SYMBOLIC)
+def test_symbolic_modules_stay_off_the_oracle(module):
+    for target, name in _imports(module):
+        assert target != "oracle", f"{module} reaches the oracle"
+        if target == "states":
+            assert name == "GhzLabel", f"{module} imports {name or 'states'} from states"
+
+
+@pytest.mark.parametrize("module", ORACLE)
+def test_oracle_modules_stay_off_the_symbolic_tier(module):
+    # the oracle applies Pauli strings, so pauli is the one symbolic import allowed
+    reached = {target for target, _ in _imports(module) if target in SYMBOLIC}
+    assert reached <= {"pauli"}
+
+
+def test_the_reader_finds_imports():
+    assert ("oracle", None) in _imports("checks")
+    assert ("pauli", "PauliOperator") in _imports("oracle")
