@@ -13,7 +13,7 @@ from .counting import CountReport, c_n_binomial, c_n_closed, compatible_count, t
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, GhzVerifyError, LetterError,
                      RuleNotApplicableError)
-from .lhv import (EXHAUSTIVE_CAP, ContradictionReport, ValueAssignment,
+from .lhv import (EXHAUSTIVE_CAP, Contradictions, ValueAssignment,
                   ew_contradictions, ew_swap, exhaustive_search,
                   find_contradictions, value_of, verify_ks_identity)
 from .pauli import (PauliOperator, QuarterPhase, commutes, from_letters,

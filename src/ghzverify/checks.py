@@ -157,7 +157,7 @@ def swap_conjugation_residual(op: poles.PoleOperator, subset: Iterable[int]) -> 
     Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
     U M U^dagger against :func:`lhv.ew_swap` of the string entrywise.
     """
-    subset = set(subset)
+    subset = tuple(subset)
     swapped = lhv.ew_swap(op, subset)
     # materialize refuses above the matrix cap, before any kron below runs
     original = oracle.materialize(op.op)

@@ -13,7 +13,9 @@ import io
 import itertools
 import json
 import sys
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import __version__, checks, counting, lhv, poles, states
 from .errors import ConsistencyError, GhzVerifyError
@@ -22,8 +24,43 @@ MAX_COUNT_N = 64
 IDENTITY_ALL_SUBSETS_CAP = 12
 
 
+#: Marks the one list of a payload that :func:`_print_json_streamed` writes
+#: chunk by chunk; json.dumps renders it as "\u0000", which no other value holds.
+_STREAMED = "\0"
+
+
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
+
+
+def _print_json_streamed(payload: dict, items: Iterable[str]) -> None:
+    """Print exactly ``json.dumps(payload, indent=2)``, with the list that the
+    payload marks as _STREAMED written chunk by chunk.
+
+    Each chunk of ``items`` holds whole list items, each indented by four
+    spaces and followed by ",\n"; the last item's comma is dropped.
+    """
+    head, tail = json.dumps(payload, indent=2).split(json.dumps(_STREAMED))
+    write = sys.stdout.write
+    write(head)
+    last = None
+    for chunk in items:
+        write("[\n" if last is None else last)
+        last = chunk
+    write("[]" if last is None else last[:-2] + "\n  ]")
+    write(tail + "\n")
+
+
+def _letter_rows(rows: int, *parts: bytes | np.ndarray) -> str:
+    """Text of ``rows`` lines of one fixed width, joined from their parts.
+
+    A bytes part repeats on every row; an array part is a (rows, width)
+    uint8 matrix of per-row bytes.
+    """
+    matrix = np.concatenate(
+        [np.broadcast_to(np.frombuffer(part, np.uint8), (rows, len(part)))
+         if isinstance(part, bytes) else part for part in parts], axis=1)
+    return matrix.tobytes().decode("ascii")
 
 
 def _default_label(n: int) -> str:
@@ -65,22 +102,23 @@ def cmd_count(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ enumerate
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
-    pole = poles.Pole[args.pole]
-    operators = poles.enumerate_pole(args.n, pole)
-    payload = poles.pole_to_json(args.n, pole, operators)
+    n, pole = args.n, poles.Pole[args.pole]
+    chunks = poles.pole_masks(n, pole)
+    total = poles.pole_size(n, pole)
     if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "pole", "operator"])
-        for op in operators:
-            writer.writerow([args.n, pole.name, op.letters])
-        print(out.getvalue(), end="")
+        _print_json_streamed(
+            {"n": n, "pole": pole.name, "operators": _STREAMED, "count": total},
+            (_letter_rows(len(masks), b'    "', poles.xy_letter_matrix(n, masks), b'",\n')
+             for _, masks in chunks))
+        return 0
+    if args.format == "csv":
+        print("n,pole,operator")
+        prefix = f"{n},{pole.name},".encode()
     else:
-        print(f"pole {pole.name} operators for n={args.n} ({len(operators)} total)")
-        for op in operators:
-            print(f"  {op.letters}")
+        print(f"pole {pole.name} operators for n={n} ({total} total)")
+        prefix = b"  "
+    for _, masks in chunks:
+        sys.stdout.write(_letter_rows(len(masks), prefix, poles.xy_letter_matrix(n, masks), b"\n"))
     return 0
 
 
@@ -141,7 +179,7 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             "label": str(label),
             "expected_c_n": expected,
             "contradictions": len(reports),
-            "reports": [r.to_json() for r in reports],
+            "reports": _STREAMED,
             "pass": ok,
         }
         if satisfying is not None:
@@ -149,19 +187,54 @@ def cmd_lhv(args: argparse.Namespace) -> int:
                 "assignments": 1 << (2 * args.n),
                 "satisfying": satisfying,
             }
-        _print_json(payload)
+        _print_json_streamed(payload, _report_rows(reports, json_rows=True))
     else:
         print(f"lhv n={args.n} label={label} version={__version__}")
-        for r in reports:
-            gens = ",".join(g.letters for g in r.generators_used)
-            print(f"  {r.s_operator.letters}: local-realist {r.lhv_value:+d} "
-                  f"vs quantum {r.quantum_value:+d} (from {gens})")
+        for text in _report_rows(reports, json_rows=False):
+            sys.stdout.write(text)
         print(f"contradictions: {len(reports)} (expected {expected})")
         if satisfying is not None:
             print(f"satisfying assignments: {satisfying} of {1 << (2 * args.n)}"
                   + (" (expected 0)" if args.n >= 3 else " (expected > 0)"))
         print("all checks passed" if ok else "CHECK FAILURES PRESENT")
     return 0 if ok else 1
+
+
+#: The (lhv = +1, lhv = -1) signs of a row, as the table prints them and as
+#: its json holds them.  find_contradictions has checked that lhv = -quantum
+#: on every row, so the lhv sign picks both, and a json row keeps one width
+#: either way.
+_TABLE_SIGNS = (b"+1 vs quantum -1", b"-1 vs quantum +1")
+_JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
+
+
+def _report_rows(reports: lhv.Contradictions, json_rows: bool) -> Iterator[str]:
+    """Rendered report rows, one fixed-width block per run of equal Y counts."""
+    n = reports.n
+    signs, separator = (_JSON_SIGNS, b'",\n        "') if json_rows else (_TABLE_SIGNS, b",")
+    plus, minus = (np.frombuffer(text, np.uint8) for text in signs)
+    generator_table = np.frombuffer(
+        b"".join(g.letters.encode() + separator for g in reports.generators),
+        np.uint8).reshape(n, -1)
+    y_masks = reports.targets ^ np.uint64(reports.swap_mask)
+    counts = np.bitwise_count(y_masks)
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(y_masks)]
+    for low, high in itertools.pairwise(edges):
+        for start in range(low, high, poles.CHUNK_ROWS):
+            rows = slice(start, min(start + poles.CHUNK_ROWS, high))
+            size = rows.stop - rows.start
+            targets = poles.xy_letter_matrix(n, reports.targets[rows])
+            generators = generator_table[poles.y_columns(n, y_masks[rows])]
+            generators = generators.reshape(size, -1)[:, :-len(separator)]
+            values = np.where(reports.lhv[rows, None] > 0, plus, minus)
+            if json_rows:
+                yield _letter_rows(
+                    size, b'    {\n      "n": %d,\n      "s_operator": "' % n, targets,
+                    b'",\n      "lhv": ', values, b',\n      "generators": [\n        "',
+                    generators, b'"\n      ]\n    },\n')
+            else:
+                yield _letter_rows(size, b"  ", targets, b": local-realist ", values,
+                                   b" (from ", generators, b")\n")
 
 
 # ------------------------------------------------------------- identity

@@ -15,7 +15,6 @@ survivors.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
@@ -26,7 +25,7 @@ from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, QuarterPhase, multiply
 from .poles import (Pole, PoleOperator, enumerate_pole, eigenvalue_symbolic,
-                    single_y_generator, xy_string)
+                    pole_masks, single_y_generator)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
@@ -66,24 +65,28 @@ class ValueAssignment:
         return -1 if (self.vy >> (self.n - k)) & 1 else 1
 
 
-@dataclass(frozen=True)
-class ContradictionReport:
-    """One S-pole (or swap-transported) string whose predicted value is wrong."""
+@dataclass(frozen=True, eq=False)
+class Contradictions:
+    """Every contradiction of one analysis, as columns with one row per S string.
+
+    Row i is the target X/Y string with z mask ``targets[i]`` (its x mask is
+    all ones): the product rule predicts ``lhv[i]`` for it and its exact
+    eigenvalue is ``quantum[i]``.  The untransported S string of the row is
+    ``targets[i] ^ swap_mask``, and its Y positions k pick the generators
+    ``generators[k - 1]`` that the prediction multiplies.  Rows run in
+    :func:`poles.pole_masks` order for the S pole, and the arrays are
+    read-only.
+    """
 
     n: int
-    s_operator: PoleOperator
-    lhv_value: int
-    quantum_value: int
-    generators_used: tuple[PoleOperator, ...]
+    swap_mask: int
+    generators: tuple[PoleOperator, ...]
+    targets: np.ndarray
+    lhv: np.ndarray
+    quantum: np.ndarray
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "s_operator": self.s_operator.letters,
-            "lhv": self.lhv_value,
-            "quantum": self.quantum_value,
-            "generators": [g.letters for g in self.generators_used],
-        }
+    def __len__(self) -> int:
+        return len(self.targets)
 
 
 def value_of(assignment: ValueAssignment, op: PauliOperator) -> int:
@@ -99,7 +102,7 @@ def value_of(assignment: ValueAssignment, op: PauliOperator) -> int:
     return -sign if flips % 2 else sign
 
 
-def find_contradictions(label: GhzLabel) -> list[ContradictionReport]:
+def find_contradictions(label: GhzLabel) -> Contradictions:
     """All S-pole contradictions on the label's quarter-turn state.
 
     The quantum side is always the exact symbolic eigenvalue; the prediction
@@ -153,26 +156,35 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     equal the multi-Y string at those positions with sign + for sizes
     1 mod 4 and - for sizes 3 mod 4.
     """
-    positions = sorted(set(y_positions))
-    if len(positions) % 2 == 0:
-        raise DomainError(f"need an odd number of Y positions, got {len(positions)}")
+    mask = _qubit_mask(n, y_positions)
+    size = mask.bit_count()
+    if size % 2 == 0:
+        raise DomainError(f"need an odd number of Y positions, got {size}")
+    positions = [k for k in range(1, n + 1) if mask >> (n - k) & 1]
     product = reduce(multiply, (single_y_generator(n, k).op for k in positions))
-    target = xy_string(n, positions)
-    expected_exponent = 0 if len(positions) % 4 == 1 else 2
-    expected = PauliOperator(n, target.x_bits, target.z_bits, QuarterPhase(expected_exponent))
+    expected_exponent = 0 if size % 4 == 1 else 2
+    expected = PauliOperator(n, (1 << n) - 1, mask, QuarterPhase(expected_exponent))
     return product == expected
 
 
-def _swap_mask(n: int, subset: Iterable[int]) -> int:
-    """Bit mask of an odd set of 1-based qubit indices, each within 1..n."""
-    subset = set(subset)
-    if len(subset) % 2 == 0:
-        raise DomainError(f"swap subset must have odd size, got {len(subset)}")
+def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """Bit mask of distinct 1-based qubit indices, each within 1..n."""
     mask = 0
-    for k in subset:
+    for k in qubits:
         if not 1 <= k <= n:
             raise DomainError(f"qubit index {k} out of range 1..{n}")
-        mask |= 1 << (n - k)
+        bit = 1 << (n - k)
+        if mask & bit:
+            raise DomainError(f"subset lists qubit {k} more than once")
+        mask |= bit
+    return mask
+
+
+def _swap_mask(n: int, subset: Iterable[int]) -> int:
+    """Bit mask of an odd set of distinct 1-based qubit indices within 1..n."""
+    mask = _qubit_mask(n, subset)
+    if mask.bit_count() % 2 == 0:
+        raise DomainError(f"swap subset must have odd size, got {mask.bit_count()}")
     return mask
 
 
@@ -204,7 +216,7 @@ def _swapped_state(label: GhzLabel, mask: int) -> tuple[GhzLabel, int]:
     return GhzLabel(label.n, label.bits ^ mask, label.sign), quarter
 
 
-def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> list[ContradictionReport]:
+def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> Contradictions:
     """Transport the N/S contradiction analysis through an odd X<->Y swap.
 
     The swapped generators keep their values on the swapped state, the
@@ -218,38 +230,48 @@ def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> list[Contradict
     return _contradictions(label, mask)
 
 
-def _contradictions(label: GhzLabel, mask: int) -> list[ContradictionReport]:
+def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     """Contradictions of the S-pole analysis swapped X<->Y on ``mask``.
 
     Mask 0 is the untransported analysis itself: :func:`_swapped_state`
     then returns the label at quarter 1 and :func:`_swap` is the identity.
-    The S pole is enumerated once; each target's prediction is the product
-    rule over its own Y positions, checked against its exact eigenvalue.
+    The generator values come from :func:`eigenvalue_symbolic`; each row's
+    prediction is their product over its Y positions, (-1)**popcount(y &
+    negative generators), and its eigenvalue is the closed form sign *
+    i**(y0 - y1 - q) of that function over the whole column.  Every row is
+    checked to oppose before the value is returned.
     """
     n = label.n
+    chunks = pole_masks(n, Pole.S)
     carrier, quarter = _swapped_state(label, mask)
     generator_kind, target_kind = (("swapped generator", "swapped target") if mask
                                    else ("single-Y generator", "S operator"))
-    generators = {}
-    generator_values = {}
-    for k in range(1, n + 1):
-        gen = _swap(single_y_generator(n, k), mask)
+    generators = tuple(_swap(single_y_generator(n, k), mask) for k in range(1, n + 1))
+    negative = 0
+    for k, gen in enumerate(generators, 1):
         value = eigenvalue_symbolic(carrier, quarter, gen)
         if value is None:
             raise ConsistencyError(f"{generator_kind} {gen.letters} lost its eigenstate")
-        generators[k] = gen
-        generator_values[k] = value
-    reports = []
-    for target in enumerate_pole(n, Pole.S):
-        swapped = _swap(target, mask)
-        quantum = eigenvalue_symbolic(carrier, quarter, swapped)
-        if quantum is None:
-            raise ConsistencyError(f"{target_kind} {swapped.letters} lost its eigenstate")
-        positions = target.y_positions
-        lhv = math.prod(map(generator_values.__getitem__, positions))
-        if lhv != -quantum:
-            raise ConsistencyError(
-                f"{swapped.letters}: predicted {lhv} does not oppose eigenvalue {quantum}")
-        reports.append(ContradictionReport(
-            n, swapped, lhv, quantum, tuple(map(generators.__getitem__, positions))))
-    return reports
+        if value < 0:
+            negative |= 1 << (n - k)
+    y_masks = np.concatenate([masks for _, masks in chunks] or [np.empty(0, np.uint64)])
+    targets = y_masks ^ np.uint64(mask)
+    lhv = (1 - 2 * (np.bitwise_count(y_masks & np.uint64(negative)) & 1)).astype(np.int8)
+    over_zeros = np.bitwise_count(targets & np.uint64(carrier.complement_bits)).astype(np.int8)
+    over_ones = np.bitwise_count(targets & np.uint64(carrier.bits)).astype(np.int8)
+    exponent = (over_zeros - over_ones - quarter) % 4
+    quantum = carrier.sign * (1 - exponent)
+
+    def witness(rows: np.ndarray) -> str:
+        target = int(targets[np.argmax(rows)])
+        return PauliOperator(n, (1 << n) - 1, target).letters()
+
+    if (odd := exponent % 2 == 1).any():
+        raise ConsistencyError(f"{target_kind} {witness(odd)} lost its eigenstate")
+    if (same := lhv == quantum).any():
+        value = int(lhv[np.argmax(same)])
+        raise ConsistencyError(
+            f"{witness(same)}: predicted {value} does not oppose eigenvalue {value}")
+    for column in (targets, lhv, quantum):
+        column.flags.writeable = False
+    return Contradictions(n, mask, generators, targets, lhv, quantum)

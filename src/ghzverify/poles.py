@@ -6,18 +6,37 @@ Every X/Y string sits at one of four poles according to its Y count modulo
 eigenstates of same- and opposite-pole strings, and the eigenvalue follows
 from applying the string to the pair's two kets with X|0> = |1>, X|1> = |0>,
 Y|0> = i|1>, Y|1> = -i|0>.
+
+A whole pole is also produced as columns: for n <= 63 an X/Y string is its z
+mask alone (the x mask is all ones), so :func:`pole_masks` yields the pole's
+strings as uint64 masks in bounded chunks, and :func:`xy_letter_matrix` and
+:func:`y_columns` read letters and Y positions for a chunk at once.  This is
+the symplectic bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196)
+in the bit-packed layout of Stim (arXiv:2103.02202).
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from typing import Iterator
 
-from .errors import DimensionError, DomainError, RuleNotApplicableError
+import numpy as np
+
+from .errors import CapacityError, DimensionError, DomainError, RuleNotApplicableError
 from .pauli import PauliOperator, multiply, y_count
 from .states import GhzLabel
+
+#: Widest string that :func:`pole_masks` produces: every z mask stays below
+#: 2**63, so it fits a uint64 and converts to a Python int unchanged.
+MASK_QUBITS = 63
+
+#: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
+#: the column and rendering passes and never changes their output.
+CHUNK_ROWS = 1 << 13
 
 
 class Pole(enum.Enum):
@@ -55,18 +74,6 @@ class PoleOperator:
         """The rendered string, computed once per instance."""
         return self.op.letters()
 
-    @property
-    def y_positions(self) -> tuple[int, ...]:
-        """1-based positions of the Y letters, read from the set bits of y_bits."""
-        n = self.op.n
-        y_bits = self.op.y_bits
-        positions = []
-        while y_bits:
-            top = y_bits.bit_length()
-            positions.append(n - top + 1)
-            y_bits ^= 1 << (top - 1)
-        return tuple(positions)
-
 
 def xy_string(n: int, y_positions) -> PauliOperator:
     """Phase +1 string with Y at the given 1-based positions, X elsewhere."""
@@ -83,15 +90,59 @@ def single_y_generator(n: int, k: int) -> PoleOperator:
     return PoleOperator(xy_string(n, (k,)))
 
 
-def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
-    """All X/Y strings at a pole, by increasing Y count then position order."""
+def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+    """The z masks of every X/Y string at a pole, as (Y count, uint64 chunk) pairs.
+
+    Strings come by increasing Y count, then in position order; within one Y
+    count that is descending mask order, because qubit 1 is the top bit.  A
+    chunk holds at most CHUNK_ROWS masks of a single Y count, so no array
+    grows with the size of the pole.  The qubit count is checked here, before
+    the first chunk is asked for.
+    """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    found = []
+    if n > MASK_QUBITS:
+        raise CapacityError(f"pole masks are capped at {MASK_QUBITS} qubits (got {n})")
+    return _mask_chunks(n, pole)
+
+
+def _mask_chunks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+    qubit_bits = [1 << (n - k) for k in range(1, n + 1)]
     for count in range(pole.value, n + 1, 4):
-        for positions in itertools.combinations(range(1, n + 1), count):
-            found.append(PoleOperator(xy_string(n, positions)))
-    return found
+        masks = map(sum, itertools.combinations(qubit_bits, count))
+        while (chunk := np.fromiter(itertools.islice(masks, CHUNK_ROWS), np.uint64)).size:
+            yield count, chunk
+
+
+def pole_size(n: int, pole: Pole) -> int:
+    """How many X/Y strings sit at a pole: the binomial sum over its Y counts."""
+    return sum(math.comb(n, count) for count in range(pole.value, n + 1, 4))
+
+
+def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
+    """(rows, n) uint8 matrix of the masks' bits, qubit 1 (the top bit) first."""
+    octets = masks.astype(">u8").view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n:]
+
+
+def xy_letter_matrix(n: int, masks: np.ndarray) -> np.ndarray:
+    """(rows, n) ASCII letters of the X/Y strings with these z masks."""
+    return _mask_bits(n, masks) + np.uint8(ord("X"))  # "Y" is the next byte
+
+
+def y_columns(n: int, masks: np.ndarray) -> np.ndarray:
+    """(rows, count) 0-based qubit indices of the Y letters, qubit 1 first.
+
+    Every mask must hold the same number of Y letters, as in one chunk of
+    :func:`pole_masks`.
+    """
+    return np.nonzero(_mask_bits(n, masks))[1].reshape(len(masks), -1)
+
+
+def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
+    """All X/Y strings at a pole, in :func:`pole_masks` order."""
+    return [PoleOperator(PauliOperator(n, (1 << n) - 1, z))
+            for _, masks in pole_masks(n, pole) for z in masks.tolist()]
 
 
 def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int,
@@ -150,12 +201,3 @@ def compatible_family(n: int) -> list[PauliOperator]:
         for combo in itertools.combinations(range(n), size):
             family.append(reduce(multiply, (generators[i] for i in combo)))
     return family
-
-
-def pole_to_json(n: int, pole: Pole, operators: list[PoleOperator]) -> dict:
-    return {
-        "n": n,
-        "pole": pole.name,
-        "operators": [p.letters for p in operators],
-        "count": len(operators),
-    }

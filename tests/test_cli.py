@@ -222,8 +222,39 @@ class TestOneQubit:
         assert "counts are defined for n >= 2 (got 1)" in err
 
 
+class TestMaskCapacity:
+    """Past 63 qubits a string's z mask no longer fits the uint64 columns."""
+
+    def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
+        def not_called(*args):
+            raise AssertionError("generators evaluated before the refusal")
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
+        code, out, err = run_cli(capsys, "lhv", "--n", "64")
+        assert (code, out) == (2, "")
+        assert "pole masks are capped at 63 qubits (got 64)" in err
+
+    def test_enumerate(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "64", "--pole", "N")
+        assert (code, out) == (2, "")
+        assert "pole masks are capped at 63 qubits (got 64)" in err
+
+
 class TestCheckFailures:
     """A disagreement between the tiers reaches the exit code."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_disagreeing_row_is_named_before_any_output(self, capsys, monkeypatch, fmt):
+        eigenvalue_symbolic = lhv.eigenvalue_symbolic
+
+        def flipped_generator(label, quarter, op):
+            value = eigenvalue_symbolic(label, quarter, op)
+            return -value if op.letters == "XYXXX" else value
+
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", flipped_generator)
+        code, out, err = run_cli(capsys, "lhv", "--n", "5", "--format", fmt)
+        assert code == 1
+        assert out == ""
+        assert err == "tool failure: YYYXX: predicted -1 does not oppose eigenvalue -1\n"
 
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
         apply_pauli = oracle.apply_pauli

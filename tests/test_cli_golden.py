@@ -13,16 +13,26 @@ from ghzverify.cli import main
 GOLDEN = {
     "count --n-min 2 --n-max 64 --format csv":
         "ce582edad956060748840eb8847d26da32580e3bc4a00ff4bcb64466cf27bb0c",
+    "enumerate --n 12 --pole S":
+        "b68e7c4d139a7b1291917ecc6343dd1fb3aa3f994426f43bbcac91d76f6066f7",
+    "enumerate --n 12 --pole S --format json":
+        "97489c0f4fff2afa7a743437ef7092968da9319169ca2f795be2f5c79b15efa6",
     "enumerate --n 12 --pole S --format csv":
         "c990ef9833d8f048b1673f1c6867ad828a124c23703eb53909c05830ec7be227",
     "identity --n 12":
         "6becf58354f6a76ad3aa9a4ee175f2ac13658027b1121f458e1e1f0878fb27ad",
+    "lhv --n 2 --format json":
+        "5cf41ebad5974b3c173a1ebe4027772b7683288eff2bbee0d9e52c7cd74b4a3f",
     "lhv --n 10 --exhaustive":
         "f952006fa35513e609e1e33713323a4572c351e26519bca8ea8f00050d1caffa",
     "lhv --n 10 --exhaustive --label 0110100111- --format json":
         "6f167924acc59b65c885f0c8cd93a6e0a75ce1595f85963a8aee2076b1b1b66f",
     "lhv --n 12 --label 011010011010- --format json":
         "58c4dba59d158a80c4d7c948894345dc50871d0339710978ecaaea8d47ceff7e",
+    "lhv --n 13 --label 0101101001011+":
+        "5ab355558b1b29650cd131abe2868fe80793a5031c09f534caaa7571d634ebb1",
+    "lhv --n 13 --label 0110100110110- --format json":
+        "071c6caf9c9cd21be212a216c87b8468b97ffaa5e1cbe664554a1b492612e3ad",
 }
 
 

@@ -1,6 +1,7 @@
 """Value assignments, contradiction detection, and the swap transport."""
 
 import itertools
+import json
 import re
 from functools import reduce
 
@@ -16,7 +17,8 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        multiply, parse, single_y_generator,
                        swap_conjugation_residual, value_of,
                        verify_ks_identity)
-from ghzverify.lhv import ContradictionReport, _swapped_state
+from ghzverify.cli import main
+from ghzverify.lhv import _swapped_state
 from ghzverify.oracle import DENSE_MATRIX_CAP
 from ghzverify.pauli import QuarterPhase, PauliOperator
 from ghzverify.poles import eigenvalue_symbolic
@@ -72,25 +74,46 @@ class TestValueOf:
                 assert value_of(a, op) == direct
 
 
+def _rows(result, indices=None):
+    """(target, lhv, quantum, generators) of each row, read from the columns.
+
+    A row's generators are read bit by bit from its untransported S mask.
+    """
+    n = result.n
+    rows = []
+    for i in range(len(result)) if indices is None else indices:
+        target = int(result.targets[i])
+        y_mask = target ^ result.swap_mask
+        generators = tuple(result.generators[k - 1].letters
+                           for k in range(1, n + 1) if y_mask >> (n - k) & 1)
+        rows.append((PauliOperator(n, (1 << n) - 1, target).letters(),
+                     int(result.lhv[i]), int(result.quantum[i]), generators))
+    return rows
+
+
+def _target_poles(result):
+    return {PoleOperator(PauliOperator(result.n, (1 << result.n) - 1, int(t))).pole
+            for t in result.targets}
+
+
 class TestFindContradictions:
     def test_three_qubits(self):
-        (report,) = find_contradictions(GhzLabel(3, 0, 1))
-        assert report.s_operator.letters == "YYY"
-        assert (report.lhv_value, report.quantum_value) == (1, -1)
-        assert [g.letters for g in report.generators_used] == ["YXX", "XYX", "XXY"]
+        result = find_contradictions(GhzLabel(3, 0, 1))
+        assert _rows(result) == [("YYY", 1, -1, ("YXX", "XYX", "XXY"))]
+        with pytest.raises(ValueError):
+            result.lhv[0] = -1
 
-    def test_report_json(self):
-        (report,) = find_contradictions(GhzLabel(3, 0, 1))
-        assert report.to_json() == {
+    def test_report_json(self, capsys):
+        assert main(["lhv", "--n", "3", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["reports"] == [{
             "n": 3, "s_operator": "YYY", "lhv": 1, "quantum": -1,
-            "generators": ["YXX", "XYX", "XXY"]}
+            "generators": ["YXX", "XYX", "XXY"]}]
 
     @pytest.mark.parametrize("n,count", [(3, 1), (4, 4), (5, 10)])
     def test_counts_on_zero_pattern(self, n, count):
         reports = find_contradictions(GhzLabel(n, 0, 1))
         assert len(reports) == count
-        for report in reports:
-            assert report.lhv_value == -report.quantum_value
+        assert (reports.lhv == -reports.quantum).all()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_counts_over_all_canonical_labels(self, n):
@@ -99,7 +122,7 @@ class TestFindContradictions:
             for sign in (1, -1):
                 reports = find_contradictions(GhzLabel(n, bits, sign))
                 assert len(reports) == expected
-                assert all(r.lhv_value == -r.quantum_value for r in reports)
+                assert (reports.lhv == -reports.quantum).all()
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_counts_sampled_labels(self, n):
@@ -111,7 +134,7 @@ class TestFindContradictions:
                              1 if rng.integers(0, 2) else -1)
             reports = find_contradictions(label)
             assert len(reports) == expected
-            assert all(r.lhv_value == -r.quantum_value for r in reports)
+            assert (reports.lhv == -reports.quantum).all()
 
     def test_non_canonical_rejected(self):
         with pytest.raises(DomainError):
@@ -177,6 +200,10 @@ class TestKsIdentity:
         with pytest.raises(DomainError):
             verify_ks_identity(4, (1, 2))
 
+    def test_repeated_position_rejected(self):
+        with pytest.raises(DomainError, match="subset lists qubit 1 more than once"):
+            verify_ks_identity(5, [1, 1, 1])
+
     @pytest.mark.parametrize("n", range(3, 11))
     def test_all_odd_subsets(self, n):
         for size in range(1, n + 1, 2):
@@ -223,15 +250,14 @@ class TestEwContradictions:
     def test_three_qubits_single_swap(self):
         reports = ew_contradictions(GhzLabel(3, 0, 1), {1})
         assert len(reports) == 1
-        report = reports[0]
-        assert report.s_operator.pole in (Pole.E, Pole.W)
-        assert report.lhv_value == -report.quantum_value
+        assert _target_poles(reports) <= {Pole.E, Pole.W}
+        assert (reports.lhv == -reports.quantum).all()
 
     def test_four_qubits(self):
         assert len(ew_contradictions(GhzLabel(4, 0, 1), {3})) == 4
 
     def test_two_qubits_empty(self):
-        assert ew_contradictions(GhzLabel(2, 0, 1), {1}) == []
+        assert len(ew_contradictions(GhzLabel(2, 0, 1), {1})) == 0
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_every_odd_subset_transports_all_contradictions(self, n):
@@ -241,16 +267,15 @@ class TestEwContradictions:
             for subset in itertools.combinations(range(1, n + 1), size):
                 reports = ew_contradictions(label, subset)
                 assert len(reports) == expected
-                for report in reports:
-                    assert report.s_operator.pole in (Pole.E, Pole.W)
-                    assert report.lhv_value == -report.quantum_value
+                assert _target_poles(reports) <= {Pole.E, Pole.W}
+                assert (reports.lhv == -reports.quantum).all()
 
     def test_nontrivial_labels(self):
         for bits in range(4):
             for sign in (1, -1):
                 reports = ew_contradictions(GhzLabel(3, bits, sign), {2})
                 assert len(reports) == 1
-                assert reports[0].lhv_value == -reports[0].quantum_value
+                assert (reports.lhv == -reports.quantum).all()
 
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
@@ -266,16 +291,20 @@ class TestEwContradictions:
     ({1, 2}, "swap subset must have odd size, got 2"),
     ({1, 2, 4}, "qubit index 4 out of range 1..3"),
     ({0}, "qubit index 0 out of range 1..3"),
+    ([2, 2, 2], "subset lists qubit 2 more than once"),
 ])
 def test_swap_subset_checked_alike(swap, subset, message):
     with pytest.raises(DomainError, match=re.escape(message)):
         swap(subset)
 
 
-def _reference_reports(label, subset):
+def _reference_reports(label, subset, indices=None):
     """The per-letter route: Y positions and strings read letter by letter.
 
-    An empty subset is the untransported S-pole analysis.
+    Yields (target, lhv, quantum, generators) for the S strings of
+    ``enumerate_pole`` at ``indices`` (all of them by default), each value
+    from the scalar ``eigenvalue_symbolic``.  An empty subset is the
+    untransported S-pole analysis.
     """
     n = label.n
     mask = sum(1 << (n - k) for k in subset)
@@ -284,33 +313,22 @@ def _reference_reports(label, subset):
     def swap(op):
         return ew_swap(op, subset) if subset else op
 
+    def text(op):
+        return "".join(op.op.letter(k) for k in range(1, n + 1))
+
     def y_positions(op):
         return [k for k in range(1, n + 1) if op.op.letter(k) == "Y"]
 
     generators = {k: swap(single_y_generator(n, k)) for k in range(1, n + 1)}
     values = {k: eigenvalue_symbolic(carrier, quarter, g) for k, g in generators.items()}
-    reports = []
-    for target in enumerate_pole(n, Pole.S):
+    targets = enumerate_pole(n, Pole.S)
+    for target in targets if indices is None else [targets[i] for i in indices]:
         lhv = 1
         for k in y_positions(target):
             lhv *= values[k]
         swapped = swap(target)
-        reports.append(ContradictionReport(
-            n, swapped, lhv, eigenvalue_symbolic(carrier, quarter, swapped),
-            tuple(generators[k] for k in y_positions(target))))
-    return reports
-
-
-def _rows(reports):
-    return [(r.s_operator.letters, r.lhv_value, r.quantum_value,
-             tuple(g.letters for g in r.generators_used)) for r in reports]
-
-
-def _rows_per_letter(reports):
-    def text(op):
-        return "".join(op.op.letter(k) for k in range(1, op.n + 1))
-    return [(text(r.s_operator), r.lhv_value, r.quantum_value,
-             tuple(text(g) for g in r.generators_used)) for r in reports]
+        yield (text(swapped), lhv, eigenvalue_symbolic(carrier, quarter, swapped),
+               tuple(text(generators[k]) for k in y_positions(target)))
 
 
 def _contradictions_for(label, subset):
@@ -330,16 +348,15 @@ class TestMergedRoutineAgainstReference:
                 label = GhzLabel(n, bits, sign)
                 for subset in [()] + _odd_subsets(n):
                     reports = _contradictions_for(label, subset)
-                    reference = _reference_reports(label, subset)
-                    assert reports == reference
-                    assert _rows(reports) == _rows_per_letter(reference)
+                    assert _rows(reports) == list(_reference_reports(label, subset))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_every_label_unswapped(self, n):
         for bits in range(1 << (n - 1)):
             for sign in (1, -1):
                 label = GhzLabel(n, bits, sign)
-                assert find_contradictions(label) == _reference_reports(label, ())
+                reports = find_contradictions(label)
+                assert _rows(reports) == list(_reference_reports(label, ()))
 
     @given(st.data())
     @settings(deadline=None, max_examples=60)
@@ -349,9 +366,21 @@ class TestMergedRoutineAgainstReference:
                          data.draw(st.sampled_from((1, -1))))
         subset = data.draw(st.sampled_from([()] + _odd_subsets(n)))
         reports = _contradictions_for(label, subset)
-        reference = _reference_reports(label, subset)
-        assert reports == reference
-        assert _rows(reports) == _rows_per_letter(reference)
+        assert _rows(reports) == list(_reference_reports(label, subset))
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=8)
+    def test_sampled_rows_up_to_twenty(self, data):
+        n = data.draw(st.integers(11, 20))
+        label = GhzLabel(n, data.draw(st.integers(0, (1 << (n - 1)) - 1)),
+                         data.draw(st.sampled_from((1, -1))))
+        odd_subsets = st.sets(st.integers(1, n), min_size=1).filter(lambda s: len(s) % 2)
+        subset = tuple(sorted(data.draw(st.one_of(st.just(()), odd_subsets))))
+        reports = _contradictions_for(label, subset)
+        assert len(reports) == c_n_closed(n)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        indices = sorted(rng.choice(len(reports), size=200, replace=False).tolist())
+        assert _rows(reports, indices) == list(_reference_reports(label, subset, indices))
 
 
 class TestSwapConjugation:

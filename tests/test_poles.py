@@ -1,17 +1,20 @@
 """Pole classification, enumeration order, and exact eigenvalues."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
-from ghzverify import (DomainError, GhzLabel, LetterError, Pole, PoleOperator,
-                       RuleNotApplicableError, classify, commutes,
+from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
+                       Pole, PoleOperator, RuleNotApplicableError, classify, commutes,
                        compatible_family, c_n_binomial, enumerate_pole,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters,
                        pihalf_state, single_y_generator, y_count)
+from ghzverify.cli import main
 from ghzverify.oracle import apply_pauli, check_eigen
-from ghzverify.poles import pole_to_json, xy_string
+from ghzverify.poles import (CHUNK_ROWS, pole_masks, pole_size, xy_letter_matrix,
+                             xy_string, y_columns)
 from ghzverify.states import rotated_dense
 import math
 
@@ -64,12 +67,52 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_poles_partition_all_xy_strings(self, n):
-        total = sum(len(enumerate_pole(n, pole)) for pole in Pole)
-        assert total == 1 << n
+        sizes = [len(enumerate_pole(n, pole)) for pole in Pole]
+        assert sizes == [pole_size(n, pole) for pole in Pole]
+        assert sum(sizes) == 1 << n
 
-    def test_json_shape(self):
-        payload = pole_to_json(3, Pole.S, enumerate_pole(3, Pole.S))
-        assert payload == {"n": 3, "pole": "S", "operators": ["YYY"], "count": 1}
+    def test_json_shape(self, capsys):
+        for n, operators in ((3, ["YYY"]), (2, [])):
+            assert main(["enumerate", "--n", str(n), "--pole", "S", "--format", "json"]) == 0
+            assert json.loads(capsys.readouterr().out) == {
+                "n": n, "pole": "S", "operators": operators, "count": len(operators)}
+
+    def test_capacity(self):
+        count, masks = next(pole_masks(63, Pole.N))
+        assert count == 1 and masks[0] == 1 << 62
+        with pytest.raises(CapacityError, match="capped at 63 qubits"):
+            pole_masks(64, Pole.N)
+
+
+class TestPoleMasks:
+    @pytest.mark.parametrize("n", [1, 2, 5, 9])
+    def test_order_is_position_order(self, n):
+        for pole in Pole:
+            expected = [(count, sum(1 << (n - k) for k in positions))
+                        for count in range(pole.value, n + 1, 4)
+                        for positions in itertools.combinations(range(1, n + 1), count)]
+            got = [(count, z) for count, masks in pole_masks(n, pole) for z in masks.tolist()]
+            assert got == expected
+
+    def test_chunks_are_bounded_and_hold_one_y_count(self):
+        n = 17
+        chunks = list(pole_masks(n, Pole.S))
+        assert max(len(masks) for _, masks in chunks) == CHUNK_ROWS
+        for count, masks in chunks:
+            assert masks.dtype == np.uint64 and masks.size
+            assert (np.bitwise_count(masks) == count).all()
+            assert (np.diff(masks.astype(np.int64)) < 0).all()
+        assert sum(len(masks) for _, masks in chunks) == c_n_binomial(n)
+
+    @pytest.mark.parametrize("n", [1, 4, 7, 63])
+    def test_letter_matrix_matches_scalar_letters(self, n):
+        rng = np.random.default_rng(n)
+        masks = rng.integers(0, 1 << n, size=50, dtype=np.uint64)
+        rows = xy_letter_matrix(n, masks)
+        assert rows.shape == (50, n)
+        assert [row.tobytes().decode() for row in rows] == [
+            PoleOperator(xy_string(n, [k for k in range(1, n + 1) if int(z) >> (n - k) & 1])).letters
+            for z in masks]
 
 
 class TestEigenvalueSymbolic:
@@ -215,13 +258,17 @@ class TestPoleOperatorRendering:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_y_positions_match_letter_scan(self, n):
         for pole in Pole:
-            for op in enumerate_pole(n, pole):
-                scanned = tuple(k for k in range(1, n + 1) if op.op.letter(k) == "Y")
-                assert op.y_positions == scanned
+            ops = iter(enumerate_pole(n, pole))
+            for count, masks in pole_masks(n, pole):
+                columns = y_columns(n, masks)
+                assert columns.shape == (len(masks), count)
+                for row, op in zip(columns.tolist(), ops):
+                    scanned = [k for k in range(1, n + 1) if op.op.letter(k) == "Y"]
+                    assert [k + 1 for k in row] == scanned
 
     def test_y_positions_wide(self):
-        op = PoleOperator(xy_string(64, (1, 2, 40, 64)))
-        assert op.y_positions == (1, 2, 40, 64)
+        masks = np.array([xy_string(63, (1, 2, 40, 63)).z_bits], np.uint64)
+        assert (y_columns(63, masks) + 1).tolist() == [[1, 2, 40, 63]]
 
     def test_cached_letters_leave_equality_and_hash_alone(self):
         first = single_y_generator(5, 2)
