@@ -13,9 +13,13 @@ once, and check_eigen compares that image with the expected sign times the
 state.
 
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
-Conjugation checks above the matrix cap exploit that both sides map each
-computational basis vector to a phase times its bit-complement, so columns
-can be compared without materializing anything quadratic.
+A conjugation check takes all its angle sets in one call.  Up to the matrix
+cap it builds the all-X matrix once per check and compares the two sides a
+block of rows at a time, so no full-size temporary is built beyond the
+all-X matrix and each set's observable matrix.  Above the matrix cap it
+exploits that both sides map each computational basis vector to a phase
+times its bit-complement, so columns can be compared without materializing
+anything quadratic.
 """
 
 from __future__ import annotations
@@ -25,9 +29,10 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError
+from .errors import CapacityError, DimensionError, DomainError
 from .pauli import PauliOperator, from_letters
-from .states import GhzLabel, build_state, check_vector_cap, signed_bit_sums
+from .states import (DENSE_VECTOR_CAP, GhzLabel, build_state, check_vector_cap,
+                     signed_bit_sums)
 
 #: Largest qubit count for which full 2**n x 2**n matrices are built.
 DENSE_MATRIX_CAP = 10
@@ -130,27 +135,46 @@ def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> CheckRes
     return CheckResult(residual < EIGEN_TOL, residual)
 
 
-def check_conjugation(angles: Sequence[float]) -> CheckResult:
+def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> CheckResult:
     """Compare rotating the all-X string by conjugation against the factored form.
 
     Left side: R diag-conjugates the all-X matrix; right side: the product
-    observable built directly from the angles.  Above the matrix cap the two
-    antidiagonals are compared column by column.
+    observable built directly from the angles.  Every set must have the same
+    length; the result carries the worst residual over the sets.  Up to the
+    matrix cap the all-X matrix is built once and the sides are compared a
+    block of rows at a time, a block holding at most one vector-cap state's
+    worth of entries.  Above the matrix cap the two antidiagonals are
+    compared column by column.
     """
-    n = len(angles)
-    diag = rotation_diagonal(angles)
+    if not angle_sets:
+        raise DomainError("need at least one angle set")
+    n = len(angle_sets[0])
+    if any(len(angles) != n for angles in angle_sets):
+        lengths = sorted({len(angles) for angles in angle_sets})
+        raise DimensionError(f"angle sets differ in length: {lengths}")
+    # np.maximum, not max(), so that a NaN residual fails the check
+    worst = 0.0
     if n <= DENSE_MATRIX_CAP:
         all_x = materialize(from_letters("X" * n))
-        lhs = (diag[:, None] * all_x) * np.conj(diag)[None, :]
-        rhs = observable_matrix(angles)
-        residual = float(np.max(np.abs(lhs - rhs)))
+        rows = (1 << DENSE_VECTOR_CAP) >> n
+        for angles in angle_sets:
+            diag = rotation_diagonal(angles)
+            conj_diag = np.conj(diag)[None, :]
+            rhs = observable_matrix(angles)
+            for lo in range(0, 1 << n, rows):
+                blk = slice(lo, lo + rows)
+                lhs = (diag[blk, None] * all_x[blk]) * conj_diag
+                worst = np.maximum(worst, np.max(np.abs(lhs - rhs[blk])))
+            del rhs  # freed before the next set's kron chain builds another
     else:
-        # Column b of R O R^-1 is d[~b] conj(d[b]) e_{~b}; same shape as the
-        # factored observable's column phase exp(i sum (-1)^{b_k} angle_k).
-        lhs_phase = diag[::-1] * np.conj(diag)
-        rhs_phase = np.exp(1j * signed_bit_sums(n, angles))
-        residual = float(np.max(np.abs(lhs_phase - rhs_phase)))
-    return CheckResult(residual < EIGEN_TOL, residual)
+        for angles in angle_sets:
+            diag = rotation_diagonal(angles)
+            # Column b of R O R^-1 is d[~b] conj(d[b]) e_{~b}; same shape as the
+            # factored observable's column phase exp(i sum (-1)^{b_k} angle_k).
+            lhs_phase = diag[::-1] * np.conj(diag)
+            rhs_phase = np.exp(1j * signed_bit_sums(n, angles))
+            worst = np.maximum(worst, np.max(np.abs(lhs_phase - rhs_phase)))
+    return CheckResult(bool(worst < EIGEN_TOL), float(worst))
 
 
 def expectation(vec: np.ndarray, op: PauliOperator) -> complex:

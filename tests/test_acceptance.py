@@ -180,10 +180,9 @@ def test_criterion_8_conjugation_identity(capsys):
         rng = np.random.default_rng(8)
         passed = True
         for n in (3, 4):
-            for _ in range(50):
-                angles = tuple(rng.uniform(-math.pi, math.pi, size=n))
-                result = check_conjugation(angles)
-                passed &= result.passed and result.residual < TOL
+            angle_sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(50)]
+            result = check_conjugation(angle_sets)
+            passed &= result.passed and result.residual < TOL
         crit.finish(passed)
 
 

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from ghzverify import (CapacityError, DimensionError, GhzLabel, build_state,
-                       from_letters, parse, pihalf_state)
-from ghzverify.oracle import (DENSE_MATRIX_CAP, apply_pauli, apply_observable,
-                              check_conjugation, check_eigen, expectation,
-                              materialize, observable_matrix,
+from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
+                       build_state, from_letters, oracle, parse, pihalf_state)
+from ghzverify.checks import conjugation_identity
+from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_pauli,
+                              apply_observable, check_conjugation, check_eigen,
+                              expectation, materialize, observable_matrix,
                               rotation_diagonal, two_dim_invariance_residual)
 
 
@@ -85,12 +86,12 @@ class TestCheckEigen:
 
 class TestCheckConjugation:
     def test_zero_angles_exact(self):
-        result = check_conjugation((0.0, 0.0, 0.0))
+        result = check_conjugation([(0.0, 0.0, 0.0)])
         assert result.passed and result.residual == 0.0
 
     def test_quarter_turns_match_symbolic(self):
         from ghzverify import co_rotate_quarter
-        result = check_conjugation((math.pi / 2, 0.0, math.pi))
+        result = check_conjugation([(math.pi / 2, 0.0, math.pi)])
         assert result.passed
         dense = materialize(co_rotate_quarter((1, 0, 2)))
         general = observable_matrix((math.pi / 2, 0.0, math.pi))
@@ -100,16 +101,86 @@ class TestCheckConjugation:
         rng = np.random.default_rng(42)
         for _ in range(50):
             n = int(rng.integers(2, 5))
-            assert check_conjugation(tuple(rng.uniform(-math.pi, math.pi, size=n))).passed
+            assert check_conjugation([tuple(rng.uniform(-math.pi, math.pi, size=n))]).passed
 
     def test_streaming_path_above_matrix_cap(self):
         rng = np.random.default_rng(8)
         angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP + 1))
-        assert check_conjugation(angles).passed
+        assert check_conjugation([angles]).passed
 
     def test_vector_cap(self):
         with pytest.raises(CapacityError):
-            check_conjugation((0.1,) * 15)
+            check_conjugation([(0.1,) * 15])
+
+    def test_no_angle_set_is_refused(self):
+        with pytest.raises(DomainError, match="need at least one angle set"):
+            check_conjugation([])
+
+    def test_ragged_sets_refused_before_any_matrix(self, monkeypatch):
+        def no_matrix(*_):
+            raise AssertionError("matrix built before the refusal")
+        monkeypatch.setattr(oracle, "materialize", no_matrix)
+        monkeypatch.setattr(oracle, "observable_matrix", no_matrix)
+        with pytest.raises(DimensionError):
+            check_conjugation([(0.1, 0.2), (0.1, 0.2, 0.3)])
+
+    @pytest.mark.parametrize("n", [3, DENSE_MATRIX_CAP + 1])
+    def test_nan_in_a_later_set_fails(self, n):
+        result = check_conjugation([(0.1,) * n, (math.nan,) + (0.1,) * (n - 1)])
+        assert not result.passed and math.isnan(result.residual)
+
+    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+    def test_blocks_match_whole_matrix_reference(self, n):
+        # the whole-matrix comparison the row blocks replace, entry for entry
+        def reference(angles):
+            d = rotation_diagonal(angles)
+            lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
+            return float(np.max(np.abs(lhs - observable_matrix(angles))))
+
+        all_x = materialize(from_letters("X" * n))
+        rng = np.random.default_rng(100 + n)
+        for _ in range(3):
+            angles = tuple(rng.uniform(-math.pi, math.pi, size=n))
+            assert check_conjugation([angles]).residual == reference(angles)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
+        assert check_conjugation(sets).residual == max(reference(a) for a in sets)
+
+    def test_one_entry_off_in_seventh_set_fails(self, monkeypatch):
+        # last row, off the antidiagonal, of only one set of ten
+        n = DENSE_MATRIX_CAP
+        calls = 0
+
+        def perturbed(angles):
+            nonlocal calls
+            calls += 1
+            out = observable_matrix(angles)
+            if calls == 7:
+                out[-1, 1] += 1e-9
+            return out
+
+        monkeypatch.setattr(oracle, "observable_matrix", perturbed)
+        rng = np.random.default_rng(5)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
+        result = check_conjugation(sets)
+        assert calls == 10
+        assert not result.passed and result.residual >= EIGEN_TOL
+
+    def test_all_x_built_once_per_check(self, monkeypatch):
+        counts = {"materialize": 0, "observable_matrix": 0}
+
+        def counting(name):
+            original = getattr(oracle, name)
+
+            def wrapper(*args):
+                counts[name] += 1
+                return original(*args)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(oracle, name, counting(name))
+        check = conjugation_identity(DENSE_MATRIX_CAP, np.random.default_rng(0))
+        assert check.passed
+        assert counts == {"materialize": 1, "observable_matrix": 10}
 
 
 class TestRotationProperties:
