@@ -1,8 +1,13 @@
-"""The check engine: case counts and the tolerance every residual is judged by."""
+"""The check engine: case counts, the tolerance every residual is judged by,
+and NaN, which must fail every check."""
 
+import math
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from ghzverify import GhzLabel, checks, oracle
+from ghzverify import GhzLabel, checks, oracle, poles, states
 
 
 def test_cases_per_check_at_three_qubits():
@@ -29,3 +34,94 @@ def test_tolerance_is_strict(monkeypatch, residual, passed):
                 if c.name == "pair_subspace_invariance"]
     assert check.passed is passed
     assert check.residual == residual
+
+
+def _nan_on_call(monkeypatch, owner, name, call):
+    """Make the given call (1-based) of owner.name return its result filled with NaN."""
+    original = getattr(owner, name)
+    calls = 0
+
+    def poisoned(*args):
+        nonlocal calls
+        calls += 1
+        out = np.asarray(original(*args), dtype=complex)
+        return np.full_like(out, np.nan) if calls == call else out
+    monkeypatch.setattr(owner, name, poisoned)
+
+
+LABEL = GhzLabel(4, 0b0110, -1)
+ANGLE_SETS = [(0.3, -1.2, 2.0, 0.7), (1.1, 0.4, -0.9, 2.5), (-2.2, 0.8, 0.1, -0.6)]
+
+
+def _assert_nan_fails(check):
+    assert not check.passed
+    assert math.isnan(check.residual)
+
+
+def test_nan_in_a_later_quarter_fails_eigenvalues(monkeypatch):
+    _nan_on_call(monkeypatch, states, "rotated_dense", 2)
+    _assert_nan_fails(checks.eigenvalues(LABEL, np.random.default_rng(0)))
+
+
+@pytest.mark.parametrize("column", [0, 1])
+def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
+    # the pool's first string, XXX, is no eigen string at quarter 1, and a NaN
+    # residual must not pass for "not an eigenstate"
+    label = GhzLabel(3, 0, 1)
+    assert poles.eigenvalue_symbolic(label, 1, poles.enumerate_pole(3, poles.Pole.E)[0]) is None
+    eigen_residuals = oracle.eigen_residuals
+    quarters = 0
+
+    def poisoned(ops, vec):
+        nonlocal quarters
+        quarters += 1
+        out = eigen_residuals(ops, vec)
+        if quarters == 2:
+            out[0, column] = np.nan
+        return out
+    monkeypatch.setattr(oracle, "eigen_residuals", poisoned)
+    check = checks.eigenvalues(label, np.random.default_rng(0))
+    assert not check.passed
+    assert check.residual < oracle.EIGEN_TOL
+
+
+def test_nan_in_a_later_trial_fails_collapse(monkeypatch):
+    _nan_on_call(monkeypatch, states, "apply_rotations", 7)
+    _assert_nan_fails(checks.collective_angle_collapse(LABEL, np.random.default_rng(0)))
+
+
+def test_nan_in_a_later_probe_fails_quarter_turns(monkeypatch):
+    _nan_on_call(monkeypatch, oracle, "apply_observable", 5)
+    _assert_nan_fails(checks.quarter_turn_consistency(4, np.random.default_rng(0)))
+
+
+def test_nan_in_a_later_set_fails_unitarity():
+    _assert_nan_fails(checks.rotation_unitarity(ANGLE_SETS + [(math.nan, 0.1, 0.2, 0.3)]))
+
+
+def test_nan_in_a_later_set_fails_pair_invariance():
+    _assert_nan_fails(checks.pair_subspace_invariance(
+        LABEL, ANGLE_SETS + [(math.nan, 0.1, 0.2, 0.3)]))
+
+
+def test_eigen_pool_stays_small_at_the_vector_cap():
+    # a guard on verify's peak memory at n = 14: the pool is judged in
+    # bounded blocks, never as one (strings x amplitudes) array
+    label = GhzLabel(states.DENSE_VECTOR_CAP, 0b01101001011010, -1)
+    tracemalloc.start()
+    try:
+        checks.eigenvalues(label, np.random.default_rng(3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
+
+
+@pytest.mark.parametrize("n", range(1, states.DENSE_VECTOR_CAP + 1))
+def test_every_residual_keeps_a_decade_below_the_tolerance(n):
+    # the product-built rotation phases round differently from the
+    # exponentiated angle sums; neither may eat into the tolerance
+    label = GhzLabel(n, (0b1011001110100 << 1) % (1 << n), 1 if n % 2 else -1)
+    for check in checks.verify(label, 40 + n):
+        assert check.passed
+        assert check.residual < oracle.EIGEN_TOL / 10, check.name

@@ -257,8 +257,10 @@ class TestCheckFailures:
         assert err == "tool failure: YYYXX: predicted -1 does not oppose eigenvalue -1\n"
 
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
-        apply_pauli = oracle.apply_pauli
-        monkeypatch.setattr(oracle, "apply_pauli", lambda op, vec: -apply_pauli(op, vec))
+        # negating every image swaps its residuals against +vec and -vec
+        eigen_residuals = oracle.eigen_residuals
+        monkeypatch.setattr(oracle, "eigen_residuals",
+                            lambda ops, vec: eigen_residuals(ops, vec)[:, ::-1])
         code, out, _ = run_cli(capsys, "verify", "--n", "3")
         assert code == 1
         assert "FAIL  eigenvalues_symbolic_vs_oracle[16]" in out

@@ -10,8 +10,10 @@ from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
 from ghzverify.checks import conjugation_identity
 from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_pauli,
                               apply_observable, check_conjugation, check_eigen,
-                              expectation, materialize, observable_matrix,
-                              rotation_diagonal, two_dim_invariance_residual)
+                              eigen_residuals, expectation, materialize,
+                              observable_matrix, rotation_diagonal,
+                              two_dim_invariance_residual)
+from ghzverify.pauli import PauliOperator, QuarterPhase
 
 
 class TestMaterialize:
@@ -82,6 +84,55 @@ class TestCheckEigen:
         state = build_state(GhzLabel(2, 0, 1))
         with pytest.raises(DimensionError):
             check_eigen(state, build_state(GhzLabel(3, 0, 1)), 1)
+
+
+def _random_strings(rng, n, count):
+    """Strings with any letters (any x and z masks) and any phase."""
+    return [PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
+                          QuarterPhase(int(rng.integers(0, 4)))) for _ in range(count)]
+
+
+def _per_string_residuals(ops, vec):
+    """The per-operator route the kernel replaces: one image, then both signs."""
+    rows = []
+    for op in ops:
+        image = apply_pauli(op, vec)
+        rows.append([check_eigen(vec, image, 1).residual, check_eigen(vec, image, -1).residual])
+    return np.array(rows).reshape(len(ops), 2)
+
+
+class TestEigenResiduals:
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_bitwise_equal_to_apply_pauli_and_check_eigen(self, monkeypatch, n):
+        # blocks of 5 strings, so that 23 strings end on a partial block
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 << n)
+        rng = np.random.default_rng(200 + n)
+        for _ in range(4):
+            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            ops = _random_strings(rng, n, 23)
+            assert np.array_equal(eigen_residuals(ops, vec), _per_string_residuals(ops, vec))
+
+    def test_bitwise_equal_with_the_real_block(self):
+        # at 12 qubits a block holds 4 strings; 4 * 9 + 3 strings end on a partial one
+        n = 12
+        assert oracle._BLOCK_ENTRIES >> n == 4
+        rng = np.random.default_rng(212)
+        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        ops = _random_strings(rng, n, 39)
+        ops += [PauliOperator(n, (1 << n) - 1, int(z)) for z in rng.integers(0, 1 << n, 9)]
+        assert np.array_equal(eigen_residuals(ops, vec), _per_string_residuals(ops, vec))
+
+    def test_eigenstates_read_zero_on_their_sign(self):
+        state = build_state(GhzLabel(3, 0, -1))
+        residuals = eigen_residuals([from_letters("XXX"), parse("-XXX")], state)
+        assert residuals.tolist() == [[2 / math.sqrt(2), 0.0], [0.0, 2 / math.sqrt(2)]]
+
+    def test_empty_pool(self):
+        assert eigen_residuals([], np.ones(4)).shape == (0, 2)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            eigen_residuals([from_letters("XX"), from_letters("XXX")], np.ones(4))
 
 
 class TestCheckConjugation:
@@ -163,6 +214,21 @@ class TestCheckConjugation:
         sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
         result = check_conjugation(sets)
         assert calls == 10
+        assert not result.passed and result.residual >= EIGEN_TOL
+
+    def test_one_diagonal_entry_off_fails_above_the_matrix_cap(self, monkeypatch):
+        # the product-built diagonal and the exponentiated angle sums are
+        # separate routes: a 1e-9 error in one entry of the first shows
+        def perturbed(angles):
+            out = rotation_diagonal(angles)
+            out[37] += 1e-9
+            return out
+
+        rng = np.random.default_rng(9)
+        angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP + 1))
+        assert check_conjugation([angles]).passed
+        monkeypatch.setattr(oracle, "rotation_diagonal", perturbed)
+        result = check_conjugation([angles])
         assert not result.passed and result.residual >= EIGEN_TOL
 
     def test_all_x_built_once_per_check(self, monkeypatch):

@@ -5,6 +5,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        Pole, PoleOperator, RuleNotApplicableError, classify, commutes,
@@ -12,7 +14,8 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters,
                        pihalf_state, single_y_generator, y_count)
 from ghzverify.cli import main
-from ghzverify.oracle import apply_pauli, check_eigen
+from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
+from ghzverify.pauli import PauliOperator
 from ghzverify.poles import (CHUNK_ROWS, pole_masks, pole_size, xy_letter_matrix,
                              xy_string, y_columns)
 from ghzverify.states import rotated_dense
@@ -204,6 +207,25 @@ class TestEigenvalueAgainstOracle:
                 for op in enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S):
                     value = eigenvalue_symbolic(label, 1, op)
                     assert check_eigen(vec, apply_pauli(op.op, vec), value).passed
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=200)
+def test_symbolic_eigenvalue_agrees_with_the_per_string_dense_route(data):
+    # the exact tier against apply_pauli + check_eigen on the dense state
+    n = data.draw(st.integers(1, 10))
+    label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
+                     data.draw(st.sampled_from((1, -1))))
+    quarter = data.draw(st.integers(0, 3))
+    op = PoleOperator(PauliOperator(n, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))))
+    vec = rotated_dense(label, quarter * math.pi / 2)
+    image = apply_pauli(op.op, vec)
+    value = eigenvalue_symbolic(label, quarter, op)
+    if value is None:
+        assert check_eigen(vec, image, 1).residual >= EIGEN_TOL
+        assert check_eigen(vec, image, -1).residual >= EIGEN_TOL
+    else:
+        assert check_eigen(vec, image, value).residual < EIGEN_TOL
 
 
 class TestCompatibleFamily:

@@ -1,5 +1,6 @@
 """State construction, labeling, and the collective-angle rotation law."""
 
+import cmath
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
                        apply_rotations, build_state, collective_angle,
                        max_norm_diff, parse_label, pihalf_state, rotated_dense)
-from ghzverify.states import signed_bit_sums
+from ghzverify.states import rotation_phases, signed_bit_sums
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -98,21 +99,42 @@ class TestRotate2d:
         assert max_norm_diff(rotated_dense(GhzLabel(3, 0, 1), 2 * math.pi), expected) <= 1e-12
 
 
+def _per_index_sums(n, phis):
+    """sum_k (-1)^{b_k} phi_k for each index b, one index at a time."""
+    sums = []
+    for b in range(1 << n):
+        total = 0.0
+        for k, phi in enumerate(phis, start=1):
+            total += -phi if (b >> (n - k)) & 1 else phi
+        sums.append(total)
+    return sums
+
+
 class TestSignedBitSums:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_matches_per_index_sum(self, n):
         phis = np.random.default_rng(n).uniform(-2 * math.pi, 2 * math.pi, size=n)
-        expected = []
-        for b in range(1 << n):
-            total = 0.0
-            for k, phi in enumerate(phis, start=1):
-                total += -phi if (b >> (n - k)) & 1 else phi
-            expected.append(total)
-        assert np.array_equal(signed_bit_sums(n, phis), np.array(expected))
+        assert np.array_equal(signed_bit_sums(n, phis), np.array(_per_index_sums(n, phis)))
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             signed_bit_sums(3, (0.0, 0.0))
+
+
+class TestRotationPhases:
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_matches_per_index_exponential(self, n):
+        phis = np.random.default_rng(300 + n).uniform(-2 * math.pi, 2 * math.pi, size=n)
+        expected = np.array([cmath.exp(-0.5j * total) for total in _per_index_sums(n, phis)])
+        assert np.max(np.abs(rotation_phases(n, phis) - expected)) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 5, 14])
+    def test_exact_at_zero_angles(self, n):
+        assert np.array_equal(rotation_phases(n, (0.0,) * n), np.ones(1 << n))
+
+    def test_length_mismatch(self):
+        with pytest.raises(DimensionError):
+            rotation_phases(3, (0.0, 0.0))
 
 
 class TestApplyRotations:
