@@ -16,11 +16,10 @@ import numpy as np
 
 from . import lhv, oracle, poles, rotations, states
 from .errors import ConsistencyError
-from .pauli import PauliOperator
 from .states import GhzLabel
 
-#: Above the dense-matrix cap, ``verify`` samples this many all-X/Y strings
-#: instead of enumerating every pole.
+#: Above the dense-matrix cap, ``verify`` samples this many X/Y strings
+#: instead of checking every one.
 VERIFY_SAMPLED_OPS = 256
 
 #: Angle sums within this distance of a pole (0 or pi from the state's angle)
@@ -50,31 +49,26 @@ def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
     """Symbolic eigenvalues against the dense oracle, on the label's
     unrotated and quarter-turn states.
 
-    Up to the dense-matrix cap every pole string is checked; above it,
-    VERIFY_SAMPLED_OPS all-X/Y strings are drawn.  A string the symbolic
+    The pool is a column of X/Y z masks: up to the dense-matrix cap every
+    string, above it VERIFY_SAMPLED_OPS drawn ones.  A string the symbolic
     tier calls a non-eigenstate must fail the dense test for both signs.
     """
     n = label.n
     if n <= oracle.DENSE_MATRIX_CAP:
-        op_pool = [op for pole in poles.Pole for op in poles.enumerate_pole(n, pole)]
+        z_masks = np.arange(1 << n, dtype=np.uint64)
     else:
-        zmasks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS)
-        op_pool = [poles.PoleOperator(PauliOperator(n, (1 << n) - 1, int(z)))
-                   for z in zmasks]
-    strings = [op.op for op in op_pool]
+        z_masks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS).astype(np.uint64)
     eigen_rows = []
     non_eigen_fail = True
     for quarter in (0, 1):
         vec = states.rotated_dense(label, quarter * math.pi / 2)
-        residuals = oracle.eigen_residuals(strings, vec)
-        for op, (plus, minus) in zip(op_pool, residuals.tolist()):
-            value = poles.eigenvalue_symbolic(label, quarter, op)
-            if value is None:
-                # >= rather than not <, so that a NaN is never taken for a failed test
-                non_eigen_fail &= plus >= oracle.EIGEN_TOL and minus >= oracle.EIGEN_TOL
-            else:
-                eigen_rows.append(plus if value == 1 else minus)
-    check = _within_tol("eigenvalues_symbolic_vs_oracle", 2 * len(op_pool), eigen_rows)
+        residuals = oracle.eigen_residuals(z_masks, vec)
+        values = poles.eigenvalue_column(label, quarter, z_masks)
+        eigen_rows += [residuals[values == 1, 0], residuals[values == -1, 1]]
+        # >= rather than not <, so that a NaN is never taken for a failed test
+        non_eigen_fail &= bool(np.all(residuals[values == 0] >= oracle.EIGEN_TOL))
+    check = _within_tol("eigenvalues_symbolic_vs_oracle", 2 * len(z_masks),
+                        np.concatenate(eigen_rows))
     return check._replace(passed=check.passed and non_eigen_fail)
 
 

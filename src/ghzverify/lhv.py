@@ -24,12 +24,17 @@ import numpy as np
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, QuarterPhase, multiply
-from .poles import (Pole, PoleOperator, enumerate_pole, eigenvalue_symbolic,
+from .poles import (Pole, PoleOperator, eigenvalue_column, eigenvalue_symbolic,
                     pole_masks, single_y_generator)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
 EXHAUSTIVE_CAP = 10
+
+#: Above this qubit count contradiction reports are refused: their columns
+#: are held whole before any row is checked, and n = 24 already holds 2**22
+#: rows (137 MB peak, a 1.5 GB table); each further qubit doubles both.
+REPORT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -113,19 +118,6 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
     return _contradictions(label, 0)
 
 
-def _constraints(label: GhzLabel, require_s: bool) -> list[tuple[PoleOperator, int]]:
-    ops = list(enumerate_pole(label.n, Pole.N))
-    if require_s:
-        ops += enumerate_pole(label.n, Pole.S)
-    out = []
-    for op in ops:
-        expected = eigenvalue_symbolic(label, 1, op)
-        if expected is None:
-            raise ConsistencyError(f"{op.letters} lost its eigenstate")
-        out.append((op, expected))
-    return out
-
-
 def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     """Count assignments matching every N (and optionally S) eigenvalue.
 
@@ -136,12 +128,19 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     n = label.n
     if n > EXHAUSTIVE_CAP:
         raise CapacityError(f"exhaustive search is capped at {EXHAUSTIVE_CAP} qubits (got {n})")
+    full = (1 << n) - 1
+    constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
+    z_masks = np.concatenate([masks for pole in constrained for _, masks in pole_masks(n, pole)])
+    values = eigenvalue_column(label, 1, z_masks)
+    if (lost := values == 0).any():
+        z = int(z_masks[np.argmax(lost)])
+        raise ConsistencyError(f"{PauliOperator(n, full, z).letters()} lost its eigenstate")
     index = np.arange(1 << (2 * n), dtype=np.uint32)
     vx = index >> n
-    vy = index & ((1 << n) - 1)
-    for op, expected in _constraints(label, require_s):
-        x_mask = op.op.x_bits & ~op.op.z_bits
-        flips = (np.bitwise_count(vx & x_mask) + np.bitwise_count(vy & op.op.y_bits)) & 1
+    vy = index & full
+    for z, expected in zip(z_masks.tolist(), values.tolist()):
+        # the string has its X letters on full ^ z and its Y letters on z
+        flips = (np.bitwise_count(vx & (full ^ z)) + np.bitwise_count(vy & z)) & 1
         keep = flips == (1 - expected) // 2
         vx, vy = vx[keep], vy[keep]
         if not vx.size:
@@ -237,12 +236,14 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     then returns the label at quarter 1 and :func:`_swap` is the identity.
     The generator values come from :func:`eigenvalue_symbolic`; each row's
     prediction is their product over its Y positions, (-1)**popcount(y &
-    negative generators), and its eigenvalue is the closed form sign *
-    i**(y0 - y1 - q) of that function over the whole column.  Every row is
-    checked to oppose before the value is returned.
+    negative generators), and its eigenvalue comes from
+    :func:`eigenvalue_column`, so the two stay separate routes.  Every row
+    is checked to oppose before the value is returned.
     """
     n = label.n
     chunks = pole_masks(n, Pole.S)
+    if n > REPORT_CAP:
+        raise CapacityError(f"contradiction reports are capped at {REPORT_CAP} qubits (got {n})")
     carrier, quarter = _swapped_state(label, mask)
     generator_kind, target_kind = (("swapped generator", "swapped target") if mask
                                    else ("single-Y generator", "S operator"))
@@ -257,17 +258,14 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     y_masks = np.concatenate([masks for _, masks in chunks] or [np.empty(0, np.uint64)])
     targets = y_masks ^ np.uint64(mask)
     lhv = (1 - 2 * (np.bitwise_count(y_masks & np.uint64(negative)) & 1)).astype(np.int8)
-    over_zeros = np.bitwise_count(targets & np.uint64(carrier.complement_bits)).astype(np.int8)
-    over_ones = np.bitwise_count(targets & np.uint64(carrier.bits)).astype(np.int8)
-    exponent = (over_zeros - over_ones - quarter) % 4
-    quantum = carrier.sign * (1 - exponent)
+    quantum = eigenvalue_column(carrier, quarter, targets)
 
     def witness(rows: np.ndarray) -> str:
         target = int(targets[np.argmax(rows)])
         return PauliOperator(n, (1 << n) - 1, target).letters()
 
-    if (odd := exponent % 2 == 1).any():
-        raise ConsistencyError(f"{target_kind} {witness(odd)} lost its eigenstate")
+    if (lost := quantum == 0).any():
+        raise ConsistencyError(f"{target_kind} {witness(lost)} lost its eigenstate")
     if (same := lhv == quantum).any():
         value = int(lhv[np.argmax(same)])
         raise ConsistencyError(

@@ -10,14 +10,13 @@ double precision.
 An eigen check judges an image: each caller applies its own operator (a
 Pauli string through apply_pauli, an angle tuple through apply_observable)
 once, and check_eigen compares that image with the expected sign times the
-state.  A whole pool of Pauli strings is judged in one call to
-eigen_residuals, which reports each string's residual against both signs
-without building any image: entry t of a string's image is
-c * (-1)**parity((t ^ x) & z) * vec[t ^ x], with c = phase * i**#Y an exact
-fourth root of unity, so the two candidate residuals |c w - vec| and
-|c w + vec| (w = vec[t ^ x]) are built once per distinct (x, c) and each
-string only selects between them by its parity.  The residuals are bitwise
-those of apply_pauli followed by check_eigen.
+state.  A whole pool of X/Y strings, given as z masks, is judged in one
+call to eigen_residuals without building any image.  Their x mask is all
+ones, so entry t of a string's image is c * (-1)**parity((t ^ x) & z) * w[t]
+with w = vec[::-1] and c = i**#Y one of four exact coefficients: the two
+candidate residuals |c w - vec| and |c w + vec| are built once per
+coefficient, and each string only selects between them by its parity.  The
+residuals are bitwise those of apply_pauli followed by check_eigen.
 
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
 A conjugation check takes all its angle sets in one call.  Up to the matrix
@@ -148,37 +147,37 @@ def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> CheckRes
     return CheckResult(residual < EIGEN_TOL, residual)
 
 
-def eigen_residuals(ops: Sequence[PauliOperator], vec: np.ndarray) -> np.ndarray:
-    """Residuals of every string's image against +vec and -vec, in one pass.
+def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Residuals of every X/Y string's image against +vec and -vec, in one pass.
 
-    Row j is (max|op_j vec - vec|, max|op_j vec + vec|), bitwise what
-    check_eigen reports at signs +1 and -1 for the apply_pauli image.  The
-    per-sign residual vectors are built once per distinct x mask and phase
-    (see the module docstring); the strings of a group are then judged a
-    block at a time, each block holding at most _BLOCK_ENTRIES parities.
+    Row j, for the string with z mask ``z_masks[j]``, is (max|op_j vec - vec|,
+    max|op_j vec + vec|): bitwise what check_eigen reports at signs +1 and -1
+    for the apply_pauli image.  Strings are grouped by their coefficient
+    i**#Y (see the module docstring) and judged a block of at most
+    _BLOCK_ENTRIES parities at a time.
     """
     vec = np.asarray(vec, dtype=complex)
-    groups: dict[tuple[int, complex], list[int]] = {}
-    for row, op in enumerate(ops):
-        if vec.shape != (1 << op.n,):
-            raise DimensionError(f"state has dimension {vec.shape}, expected ({1 << op.n},)")
-        coeff = op.phase.value * (1j) ** (op.y_bits.bit_count() % 4)
-        groups.setdefault((op.x_bits, coeff), []).append(row)
-    out = np.empty((len(ops), 2))
-    idx = np.arange(vec.size)
+    z_masks = np.asarray(z_masks, dtype=np.uint64)
+    if vec.ndim != 1 or not vec.size or vec.size & (vec.size - 1):
+        raise DimensionError(f"state has dimension {vec.shape}, expected a power of two")
+    if z_masks.size and int(z_masks.max()) >= vec.size:
+        raise DimensionError(f"z mask {int(z_masks.max())} does not fit {vec.size} amplitudes")
+    out = np.empty((len(z_masks), 2))
+    source = np.arange(vec.size, dtype=np.uint64)[::-1]  # t ^ x for x all ones
     block = max(1, _BLOCK_ENTRIES // vec.size)
-    for (x_bits, coeff), rows in groups.items():
-        source = idx ^ x_bits
-        image = coeff * vec[source]  # the image of an even-parity index
+    y_counts = np.bitwise_count(z_masks) & 3
+    for y in range(4):
+        rows = np.flatnonzero(y_counts == y)
+        if not rows.size:
+            continue
+        image = (1j) ** y * vec[::-1]  # the image of an even-parity index
         near = np.abs(image - vec)
         far = np.abs(image + vec)
-        rows = np.array(rows)
-        z_bits = np.array([ops[row].z_bits for row in rows])
         for lo in range(0, len(rows), block):
-            blk = slice(lo, lo + block)
-            odd = (np.bitwise_count(source & z_bits[blk, None]) & 1).view(bool)
-            out[rows[blk], 0] = np.where(odd, far, near).max(axis=1)
-            out[rows[blk], 1] = np.where(odd, near, far).max(axis=1)
+            blk = rows[lo:lo + block]
+            odd = (np.bitwise_count(source & z_masks[blk, None]) & 1).view(bool)
+            out[blk, 0] = np.where(odd, far, near).max(axis=1)
+            out[blk, 1] = np.where(odd, near, far).max(axis=1)
     return out
 
 

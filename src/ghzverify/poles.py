@@ -9,10 +9,11 @@ Y|0> = i|1>, Y|1> = -i|0>.
 
 A whole pole is also produced as columns: for n <= 63 an X/Y string is its z
 mask alone (the x mask is all ones), so :func:`pole_masks` yields the pole's
-strings as uint64 masks in bounded chunks, and :func:`xy_letter_matrix` and
-:func:`y_columns` read letters and Y positions for a chunk at once.  This is
-the symplectic bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196)
-in the bit-packed layout of Stim (arXiv:2103.02202).
+strings as uint64 masks in bounded chunks, and :func:`xy_letter_matrix`,
+:func:`y_columns` and :func:`eigenvalue_column` read a chunk's letters, Y
+positions and eigenvalues at once: the symplectic bit-mask idiom of Aaronson
+and Gottesman (quant-ph/0406196) in the bit-packed layout of Stim
+(arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -166,6 +167,22 @@ def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int,
     if exponent % 2:
         return None
     return label.sign * (1 if exponent == 0 else -1)
+
+
+def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
+                      masks: np.ndarray) -> np.ndarray:
+    """:func:`eigenvalue_symbolic` over a uint64 column of X/Y z masks, as int8 with 0 for None."""
+    if state_phi_quarter not in (0, 1, 2, 3):
+        raise DomainError(f"quarter angle must lie in 0..3, got {state_phi_quarter}")
+    masks = np.asarray(masks, dtype=np.uint64)
+    if masks.size and int(masks.max()) >> label.n:
+        raise DimensionError(f"z mask {int(masks.max())} does not fit {label.n} qubits")
+    over_zeros = np.bitwise_count(masks & np.uint64(label.complement_bits)).astype(np.int8)
+    over_ones = np.bitwise_count(masks & np.uint64(label.bits)).astype(np.int8)
+    exponent = (over_zeros - over_ones - state_phi_quarter) % 4
+    values = label.sign * (1 - exponent)
+    values[exponent % 2 == 1] = 0
+    return values
 
 
 def eigenvalue_rule(label: GhzLabel, op: PoleOperator) -> int:

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzverify import GhzLabel, checks, oracle, poles, states
+from ghzverify import GhzLabel, checks, lhv, oracle, poles, states
 
 
 def test_cases_per_check_at_three_qubits():
@@ -115,6 +115,17 @@ def test_eigen_pool_stays_small_at_the_vector_cap():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+def test_no_per_string_objects(monkeypatch):
+    # the eigen pool and the exhaustive sweep stay z-mask columns throughout
+    def not_called(*args, **kwargs):
+        raise AssertionError("a per-string object was built")
+    monkeypatch.setattr(poles, "enumerate_pole", not_called)
+    monkeypatch.setattr(poles.PoleOperator, "__post_init__", not_called)
+    for n in (oracle.DENSE_MATRIX_CAP, states.DENSE_VECTOR_CAP):
+        assert all(check.passed for check in checks.verify(GhzLabel(n, 0b0110100110, -1), 1))
+    assert lhv.exhaustive_search(GhzLabel(lhv.EXHAUSTIVE_CAP, 0b0110100110, 1)) == 0
 
 
 @pytest.mark.parametrize("n", range(1, states.DENSE_VECTOR_CAP + 1))

@@ -177,8 +177,15 @@ class TestIdentity:
         assert check["sign"] == "-" and check["pass"] is True
 
     def test_even_subset_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "identity", "--n", "4", "--subset", "1,2")
-        assert code == 2
+        code, out, err = run_cli(capsys, "identity", "--n", "4", "--subset", "1,2")
+        assert (code, out) == (2, "")
+        assert "need an odd number of Y positions, got 2" in err
+
+    @pytest.mark.parametrize("subset,qubit", [("0,1,2", 0), ("1,2,5", 5)])
+    def test_out_of_range_qubit_refused(self, capsys, subset, qubit):
+        code, out, err = run_cli(capsys, "identity", "--n", "4", "--subset", subset)
+        assert (code, out) == (2, "")
+        assert f"qubit index {qubit} out of range 1..4" in err
 
     def test_all_subsets_cap(self, capsys):
         code, _, _ = run_cli(capsys, "identity", "--n", "13")
@@ -237,6 +244,18 @@ class TestMaskCapacity:
         code, out, err = run_cli(capsys, "enumerate", "--n", "64", "--pole", "N")
         assert (code, out) == (2, "")
         assert "pole masks are capped at 63 qubits (got 64)" in err
+
+
+class TestReportCapacity:
+    """Past REPORT_CAP qubits the contradiction columns would outgrow any budget."""
+
+    def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
+        def not_called(*args):
+            raise AssertionError("generators evaluated before the refusal")
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
+        code, out, err = run_cli(capsys, "lhv", "--n", str(lhv.REPORT_CAP + 1))
+        assert (code, out) == (2, "")
+        assert "contradiction reports are capped at 24 qubits (got 25)" in err
 
 
 class TestCheckFailures:

@@ -13,7 +13,7 @@ from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_pauli,
                               eigen_residuals, expectation, materialize,
                               observable_matrix, rotation_diagonal,
                               two_dim_invariance_residual)
-from ghzverify.pauli import PauliOperator, QuarterPhase
+from ghzverify.pauli import PauliOperator
 
 
 class TestMaterialize:
@@ -86,53 +86,57 @@ class TestCheckEigen:
             check_eigen(state, build_state(GhzLabel(3, 0, 1)), 1)
 
 
-def _random_strings(rng, n, count):
-    """Strings with any letters (any x and z masks) and any phase."""
-    return [PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
-                          QuarterPhase(int(rng.integers(0, 4)))) for _ in range(count)]
+def _random_masks(rng, n, count):
+    """Z masks of random X/Y strings (the x mask is all ones)."""
+    return rng.integers(0, 1 << n, size=count).astype(np.uint64)
 
 
-def _per_string_residuals(ops, vec):
+def _per_string_residuals(n, z_masks, vec):
     """The per-operator route the kernel replaces: one image, then both signs."""
     rows = []
-    for op in ops:
-        image = apply_pauli(op, vec)
+    for z in z_masks.tolist():
+        image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
         rows.append([check_eigen(vec, image, 1).residual, check_eigen(vec, image, -1).residual])
-    return np.array(rows).reshape(len(ops), 2)
+    return np.array(rows).reshape(len(z_masks), 2)
 
 
 class TestEigenResiduals:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_bitwise_equal_to_apply_pauli_and_check_eigen(self, monkeypatch, n):
-        # blocks of 5 strings, so that 23 strings end on a partial block
+        # blocks of 5 strings: 23 strings in Y-count groups cannot all end on a full block
         monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 << n)
         rng = np.random.default_rng(200 + n)
         for _ in range(4):
             vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-            ops = _random_strings(rng, n, 23)
-            assert np.array_equal(eigen_residuals(ops, vec), _per_string_residuals(ops, vec))
+            z_masks = _random_masks(rng, n, 23)
+            assert np.array_equal(eigen_residuals(z_masks, vec),
+                                  _per_string_residuals(n, z_masks, vec))
 
     def test_bitwise_equal_with_the_real_block(self):
-        # at 12 qubits a block holds 4 strings; 4 * 9 + 3 strings end on a partial one
+        # at 12 qubits a block holds 4 strings, and 47 strings in Y-count
+        # groups cannot all end on a full block
         n = 12
         assert oracle._BLOCK_ENTRIES >> n == 4
         rng = np.random.default_rng(212)
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        ops = _random_strings(rng, n, 39)
-        ops += [PauliOperator(n, (1 << n) - 1, int(z)) for z in rng.integers(0, 1 << n, 9)]
-        assert np.array_equal(eigen_residuals(ops, vec), _per_string_residuals(ops, vec))
+        z_masks = _random_masks(rng, n, 47)
+        assert np.array_equal(eigen_residuals(z_masks, vec),
+                              _per_string_residuals(n, z_masks, vec))
 
     def test_eigenstates_read_zero_on_their_sign(self):
+        # XXX and YYX on |000> - |111>: eigenvalues -1 and +1
         state = build_state(GhzLabel(3, 0, -1))
-        residuals = eigen_residuals([from_letters("XXX"), parse("-XXX")], state)
+        residuals = eigen_residuals(np.array([0b000, 0b110], np.uint64), state)
         assert residuals.tolist() == [[2 / math.sqrt(2), 0.0], [0.0, 2 / math.sqrt(2)]]
 
     def test_empty_pool(self):
-        assert eigen_residuals([], np.ones(4)).shape == (0, 2)
+        assert eigen_residuals(np.empty(0, np.uint64), np.ones(4)).shape == (0, 2)
 
     def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            eigen_residuals([from_letters("XX"), from_letters("XXX")], np.ones(4))
+        # a mask past the state's qubits, and states of no power-of-two length
+        for z_mask, size in [(0b100, 4), (0, 3), (0, 0)]:
+            with pytest.raises(DimensionError):
+                eigen_residuals(np.array([z_mask], np.uint64), np.ones(size))
 
 
 class TestCheckConjugation:

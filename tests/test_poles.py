@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
+from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel, LetterError,
                        Pole, PoleOperator, RuleNotApplicableError, classify, commutes,
                        compatible_family, c_n_binomial, enumerate_pole,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters,
@@ -16,8 +16,8 @@ from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
 from ghzverify.cli import main
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator
-from ghzverify.poles import (CHUNK_ROWS, pole_masks, pole_size, xy_letter_matrix,
-                             xy_string, y_columns)
+from ghzverify.poles import (CHUNK_ROWS, eigenvalue_column, pole_masks, pole_size,
+                             xy_letter_matrix, xy_string, y_columns)
 from ghzverify.states import rotated_dense
 import math
 
@@ -226,6 +226,28 @@ def test_symbolic_eigenvalue_agrees_with_the_per_string_dense_route(data):
         assert check_eigen(vec, image, -1).residual >= EIGEN_TOL
     else:
         assert check_eigen(vec, image, value).residual < EIGEN_TOL
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=300)
+def test_eigenvalue_column_is_the_scalar_eigenvalue_per_row(data):
+    n = data.draw(st.one_of(st.just(63), st.integers(1, 63)))
+    full = (1 << n) - 1
+    label = GhzLabel(n, data.draw(st.integers(0, full)), data.draw(st.sampled_from((1, -1))))
+    quarter = data.draw(st.integers(0, 3))
+    masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=20))
+    column = eigenvalue_column(label, quarter, np.array(masks, np.uint64))
+    assert column.dtype == np.int8
+    assert column.tolist() == [
+        eigenvalue_symbolic(label, quarter, PoleOperator(PauliOperator(n, full, z))) or 0
+        for z in masks]
+
+
+def test_eigenvalue_column_refuses_what_the_scalar_refuses():
+    with pytest.raises(DomainError):
+        eigenvalue_column(GhzLabel(3, 0, 1), 4, np.zeros(1, np.uint64))
+    with pytest.raises(DimensionError):
+        eigenvalue_column(GhzLabel(3, 0, 1), 1, np.array([0b1000], np.uint64))
 
 
 class TestCompatibleFamily:
