@@ -17,10 +17,9 @@ from .lhv import (EXHAUSTIVE_CAP, Contradictions, ValueAssignment,
                   ew_contradictions, ew_swap, exhaustive_search,
                   find_contradictions, value_of, verify_ks_identity)
 from .pauli import (PauliOperator, QuarterPhase, commutes, from_letters,
-                    identity, multiply, parse, render, single, y_count)
-from .poles import (Pole, PoleOperator, classify, compatible_family,
-                    enumerate_pole, eigenvalue_rule, eigenvalue_symbolic,
-                    single_y_generator, xy_string)
+                    identity, multiply, parse, render, single)
+from .poles import (Pole, compatible_family, enumerate_pole, eigenvalue_rule,
+                    eigenvalue_symbolic, xy_string)
 from .rotations import co_rotate_quarter
 from .states import (DENSE_VECTOR_CAP, GhzLabel, apply_rotations, build_state,
                      collective_angle, max_norm_diff, parse_label, pihalf_state,

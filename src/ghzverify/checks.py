@@ -16,6 +16,7 @@ import numpy as np
 
 from . import lhv, oracle, poles, rotations, states
 from .errors import ConsistencyError
+from .pauli import PauliOperator
 from .states import GhzLabel
 
 #: Above the dense-matrix cap, ``verify`` samples this many X/Y strings
@@ -142,20 +143,21 @@ def verify(label: GhzLabel, seed: int) -> list[Check]:
     return checks
 
 
-def swap_conjugation_residual(op: poles.PoleOperator, subset: Iterable[int]) -> float:
+def swap_conjugation_residual(n: int, z: int, subset: Iterable[int]) -> float:
     """Dense check that the X<->Y swap is conjugation by the diagonal-axis half turn.
 
     Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
-    U M U^dagger against :func:`lhv.ew_swap` of the string entrywise.
+    U M U^dagger, for M the X/Y string with z mask ``z``, against the string
+    of :func:`lhv.ew_swap` entrywise.
     """
     subset = tuple(subset)
-    swapped = lhv.ew_swap(op, subset)
+    swapped = lhv.ew_swap(n, z, subset)
     # materialize refuses above the matrix cap, before any kron below runs
-    original = oracle.materialize(op.op)
-    target = oracle.materialize(swapped.op)
+    original = oracle.materialize(PauliOperator(n, (1 << n) - 1, z))
+    target = oracle.materialize(PauliOperator(n, (1 << n) - 1, swapped))
     half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
     unitary = np.eye(1, dtype=complex)
-    for k in range(1, op.n + 1):
+    for k in range(1, n + 1):
         unitary = np.kron(unitary, half_turn if k in subset else oracle.PAULI_1Q["I"])
     conjugated = unitary @ original @ unitary.conj().T
     return float(np.max(np.abs(conjugated - target)))

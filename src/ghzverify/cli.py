@@ -104,6 +104,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 def cmd_enumerate(args: argparse.Namespace) -> int:
     n, pole = args.n, poles.Pole[args.pole]
     chunks = poles.pole_masks(n, pole)
+    if n > poles.REPORT_CAP:
+        raise GhzVerifyError(f"pole listings are capped at {poles.REPORT_CAP} qubits (got {n})")
     total = poles.pole_size(n, pole)
     if args.format == "json":
         _print_json_streamed(
@@ -213,9 +215,9 @@ def _report_rows(reports: lhv.Contradictions, json_rows: bool) -> Iterator[str]:
     n = reports.n
     signs, separator = (_JSON_SIGNS, b'",\n        "') if json_rows else (_TABLE_SIGNS, b",")
     plus, minus = (np.frombuffer(text, np.uint8) for text in signs)
-    generator_table = np.frombuffer(
-        b"".join(g.letters.encode() + separator for g in reports.generators),
-        np.uint8).reshape(n, -1)
+    generator_table = np.concatenate(
+        [poles.xy_letter_matrix(n, reports.generators),
+         np.broadcast_to(np.frombuffer(separator, np.uint8), (n, len(separator)))], axis=1)
     y_masks = reports.targets ^ np.uint64(reports.swap_mask)
     counts = np.bitwise_count(y_masks)
     edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(y_masks)]

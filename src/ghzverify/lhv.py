@@ -24,17 +24,13 @@ import numpy as np
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, QuarterPhase, multiply
-from .poles import (Pole, PoleOperator, eigenvalue_column, eigenvalue_symbolic,
-                    pole_masks, single_y_generator)
+from .poles import (REPORT_CAP, Pole, check_mask, eigenvalue_column,
+                    eigenvalue_symbolic, enumerate_pole, pole_masks,
+                    xy_letter_matrix, xy_string)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
 EXHAUSTIVE_CAP = 10
-
-#: Above this qubit count contradiction reports are refused: their columns
-#: are held whole before any row is checked, and n = 24 already holds 2**22
-#: rows (137 MB peak, a 1.5 GB table); each further qubit doubles both.
-REPORT_CAP = 24
 
 
 @dataclass(frozen=True)
@@ -74,18 +70,20 @@ class ValueAssignment:
 class Contradictions:
     """Every contradiction of one analysis, as columns with one row per S string.
 
-    Row i is the target X/Y string with z mask ``targets[i]`` (its x mask is
-    all ones): the product rule predicts ``lhv[i]`` for it and its exact
-    eigenvalue is ``quantum[i]``.  The untransported S string of the row is
-    ``targets[i] ^ swap_mask``, and its Y positions k pick the generators
-    ``generators[k - 1]`` that the prediction multiplies.  Rows run in
-    :func:`poles.pole_masks` order for the S pole, and the arrays are
-    read-only.
+    Every X/Y string here is a z mask (see :mod:`poles`).  Row i is the
+    target string ``targets[i]``: the product rule predicts ``lhv[i]`` for
+    it and its exact eigenvalue is ``quantum[i]``.  The untransported S
+    string of the row is ``targets[i] ^ swap_mask``, and its Y positions k
+    pick the generators ``generators[k - 1]`` that the prediction
+    multiplies; generator k is ``(1 << (n - k)) ^ swap_mask``, the single-Y
+    string swapped like the targets.  Rows run in :func:`poles.pole_masks`
+    order for the S pole, and the arrays are read-only uint64 (masks) and
+    int8 (values) columns.
     """
 
     n: int
     swap_mask: int
-    generators: tuple[PoleOperator, ...]
+    generators: np.ndarray
     targets: np.ndarray
     lhv: np.ndarray
     quantum: np.ndarray
@@ -130,11 +128,10 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
         raise CapacityError(f"exhaustive search is capped at {EXHAUSTIVE_CAP} qubits (got {n})")
     full = (1 << n) - 1
     constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
-    z_masks = np.concatenate([masks for pole in constrained for _, masks in pole_masks(n, pole)])
+    z_masks = np.concatenate([enumerate_pole(n, pole) for pole in constrained])
     values = eigenvalue_column(label, 1, z_masks)
     if (lost := values == 0).any():
-        z = int(z_masks[np.argmax(lost)])
-        raise ConsistencyError(f"{PauliOperator(n, full, z).letters()} lost its eigenstate")
+        raise ConsistencyError(f"{_letters(n, z_masks[np.argmax(lost)])} lost its eigenstate")
     index = np.arange(1 << (2 * n), dtype=np.uint32)
     vx = index >> n
     vy = index & full
@@ -160,7 +157,7 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     if size % 2 == 0:
         raise DomainError(f"need an odd number of Y positions, got {size}")
     positions = [k for k in range(1, n + 1) if mask >> (n - k) & 1]
-    product = reduce(multiply, (single_y_generator(n, k).op for k in positions))
+    product = reduce(multiply, (xy_string(n, (k,)) for k in positions))
     expected_exponent = 0 if size % 4 == 1 else 2
     expected = PauliOperator(n, (1 << n) - 1, mask, QuarterPhase(expected_exponent))
     return product == expected
@@ -187,19 +184,14 @@ def _swap_mask(n: int, subset: Iterable[int]) -> int:
     return mask
 
 
-def ew_swap(op: PoleOperator, subset: Iterable[int]) -> PoleOperator:
-    """Interchange X and Y on an odd set of qubits.
+def ew_swap(n: int, z: int, subset: Iterable[int]) -> int:
+    """Z mask of the X/Y string ``z`` with X and Y interchanged on an odd set
+    of qubits.
 
     Flips the Y-count parity, carrying N/S strings to E/W and back.
     """
-    return _swap(op, _swap_mask(op.n, subset))
-
-
-def _swap(op: PoleOperator, mask: int) -> PoleOperator:
-    """Interchange X and Y on the qubits of ``mask``; mask 0 is the identity."""
-    if not mask:
-        return op
-    return PoleOperator(PauliOperator(op.n, op.op.x_bits, op.op.z_bits ^ mask))
+    check_mask(n, z)
+    return z ^ _swap_mask(n, subset)
 
 
 def _swapped_state(label: GhzLabel, mask: int) -> tuple[GhzLabel, int]:
@@ -233,43 +225,44 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     """Contradictions of the S-pole analysis swapped X<->Y on ``mask``.
 
     Mask 0 is the untransported analysis itself: :func:`_swapped_state`
-    then returns the label at quarter 1 and :func:`_swap` is the identity.
-    The generator values come from :func:`eigenvalue_symbolic`; each row's
-    prediction is their product over its Y positions, (-1)**popcount(y &
-    negative generators), and its eigenvalue comes from
+    then returns the label at quarter 1 and the swap leaves every mask as it
+    is.  The generator values come from :func:`eigenvalue_symbolic`; each
+    row's prediction is their product over its Y positions, (-1)**popcount(y
+    & negative generators), and its eigenvalue comes from
     :func:`eigenvalue_column`, so the two stay separate routes.  Every row
     is checked to oppose before the value is returned.
     """
     n = label.n
-    chunks = pole_masks(n, Pole.S)
+    pole_masks(n, Pole.S)  # the mask cap refuses first, before the report cap
     if n > REPORT_CAP:
         raise CapacityError(f"contradiction reports are capped at {REPORT_CAP} qubits (got {n})")
     carrier, quarter = _swapped_state(label, mask)
     generator_kind, target_kind = (("swapped generator", "swapped target") if mask
                                    else ("single-Y generator", "S operator"))
-    generators = tuple(_swap(single_y_generator(n, k), mask) for k in range(1, n + 1))
+    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64) ^ np.uint64(mask)
     negative = 0
-    for k, gen in enumerate(generators, 1):
+    for k, gen in enumerate(generators.tolist(), 1):
         value = eigenvalue_symbolic(carrier, quarter, gen)
         if value is None:
-            raise ConsistencyError(f"{generator_kind} {gen.letters} lost its eigenstate")
+            raise ConsistencyError(f"{generator_kind} {_letters(n, gen)} lost its eigenstate")
         if value < 0:
             negative |= 1 << (n - k)
-    y_masks = np.concatenate([masks for _, masks in chunks] or [np.empty(0, np.uint64)])
+    y_masks = enumerate_pole(n, Pole.S)
     targets = y_masks ^ np.uint64(mask)
     lhv = (1 - 2 * (np.bitwise_count(y_masks & np.uint64(negative)) & 1)).astype(np.int8)
     quantum = eigenvalue_column(carrier, quarter, targets)
-
-    def witness(rows: np.ndarray) -> str:
-        target = int(targets[np.argmax(rows)])
-        return PauliOperator(n, (1 << n) - 1, target).letters()
-
     if (lost := quantum == 0).any():
-        raise ConsistencyError(f"{target_kind} {witness(lost)} lost its eigenstate")
-    if (same := lhv == quantum).any():
-        value = int(lhv[np.argmax(same)])
         raise ConsistencyError(
-            f"{witness(same)}: predicted {value} does not oppose eigenvalue {value}")
-    for column in (targets, lhv, quantum):
+            f"{target_kind} {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
+    if (same := lhv == quantum).any():
+        row = np.argmax(same)
+        raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
+                               f"does not oppose eigenvalue {lhv[row]}")
+    for column in (generators, targets, lhv, quantum):
         column.flags.writeable = False
     return Contradictions(n, mask, generators, targets, lhv, quantum)
+
+
+def _letters(n: int, z: int) -> str:
+    """Letters of one X/Y string, for a witness in an error message."""
+    return xy_letter_matrix(n, np.array([z], np.uint64)).tobytes().decode()

@@ -223,12 +223,6 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> CheckResult:
     return CheckResult(bool(worst < EIGEN_TOL), float(worst))
 
 
-def expectation(vec: np.ndarray, op: PauliOperator) -> complex:
-    """<vec| op |vec> through the matrix-free Pauli application."""
-    vec = np.asarray(vec, dtype=complex)
-    return complex(np.vdot(vec, apply_pauli(op, vec)))
-
-
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:
     """How far rotation leaks out of the labeled pair's two-dimensional span."""
     plus = build_state(GhzLabel(label.n, label.bits, 1))

@@ -177,13 +177,6 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
     return overlap % 2 == 0
 
 
-def y_count(op: PauliOperator) -> int:
-    """Number of Y letters in an X/Y string; rejects I and Z letters."""
-    if not op.is_xy_string:
-        raise LetterError(f"{op.letters()} contains I or Z letters")
-    return op.y_bits.bit_count()
-
-
 def render(op: PauliOperator) -> str:
     """Text form "(sign)(i?)letters", e.g. "-YYY" or "+iXZ"."""
     return f"{op.phase}{op.letters()}"

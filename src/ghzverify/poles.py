@@ -1,19 +1,22 @@
 """Quarter-turn operator families and their exact eigenvalues.
 
-Every X/Y string sits at one of four poles according to its Y count modulo
-4 (each Y letter is a quarter turn of that factor): 0 -> E, 1 -> N, 2 -> W,
-3 -> S.  The labeled basis states at the quarter-turn angles are exact +/-1
-eigenstates of same- and opposite-pole strings, and the eigenvalue follows
-from applying the string to the pair's two kets with X|0> = |1>, X|1> = |0>,
-Y|0> = i|1>, Y|1> = -i|0>.
+An X/Y string is its z mask alone: the x mask is all ones and the phase is
++1, so bit n - k of the mask set means Y on qubit k, clear means X (only a
+product of strings needs the :class:`PauliOperator` of :func:`xy_string`).
+Every string sits at one of four poles according to its Y count (the mask's
+popcount) modulo 4, each Y letter being a quarter turn of that factor:
+0 -> E, 1 -> N, 2 -> W, 3 -> S.  The labeled basis states at the
+quarter-turn angles are exact +/-1 eigenstates of same- and opposite-pole
+strings, and the eigenvalue follows from applying the string to the pair's
+two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 
-A whole pole is also produced as columns: for n <= 63 an X/Y string is its z
-mask alone (the x mask is all ones), so :func:`pole_masks` yields the pole's
-strings as uint64 masks in bounded chunks, and :func:`xy_letter_matrix`,
-:func:`y_columns` and :func:`eigenvalue_column` read a chunk's letters, Y
-positions and eigenvalues at once: the symplectic bit-mask idiom of Aaronson
-and Gottesman (quant-ph/0406196) in the bit-packed layout of Stim
-(arXiv:2103.02202).
+One string is an int mask; many are a uint64 column, which holds any
+string of up to 63 qubits.  :func:`pole_masks` yields a pole's strings in
+bounded chunks, :func:`enumerate_pole` as one column, and
+:func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
+read a chunk's letters, Y positions and eigenvalues at once: the symplectic
+bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in the
+bit-packed layout of Stim (arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -21,19 +24,24 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError, RuleNotApplicableError
-from .pauli import PauliOperator, multiply, y_count
+from .pauli import PauliOperator, multiply
 from .states import GhzLabel
 
 #: Widest string that :func:`pole_masks` produces: every z mask stays below
 #: 2**63, so it fits a uint64 and converts to a Python int unchanged.
 MASK_QUBITS = 63
+
+#: Widest pole listing, the contradiction reports of ``lhv`` and the strings
+#: of ``enumerate``: at n = 24 the reports already hold 2**22 rows whole (137
+#: MB peak, a 1.5 GB table) and the streamed listing takes 2 s, and each
+#: further qubit doubles both.
+REPORT_CAP = 24
 
 #: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
 #: the column and rendering passes and never changes their output.
@@ -49,33 +57,6 @@ class Pole(enum.Enum):
     S = 3
 
 
-def classify(op: PauliOperator) -> Pole:
-    """Pole of a phase-free X/Y string, from its Y count modulo 4."""
-    if op.phase.exponent != 0:
-        raise DomainError(f"pole classification expects phase +1, got {op.phase}")
-    return Pole(y_count(op) % 4)
-
-
-@dataclass(frozen=True)
-class PoleOperator:
-    """A phase +1 X/Y string together with the pole its Y count fixes."""
-
-    op: PauliOperator
-    pole: Pole = field(init=False)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "pole", classify(self.op))
-
-    @property
-    def n(self) -> int:
-        return self.op.n
-
-    @cached_property
-    def letters(self) -> str:
-        """The rendered string, computed once per instance."""
-        return self.op.letters()
-
-
 def xy_string(n: int, y_positions) -> PauliOperator:
     """Phase +1 string with Y at the given 1-based positions, X elsewhere."""
     z = 0
@@ -84,11 +65,6 @@ def xy_string(n: int, y_positions) -> PauliOperator:
             raise DomainError(f"qubit index {k} out of range 1..{n}")
         z |= 1 << (n - k)
     return PauliOperator(n, (1 << n) - 1, z)
-
-
-def single_y_generator(n: int, k: int) -> PoleOperator:
-    """The N-pole string with its single Y on qubit k."""
-    return PoleOperator(xy_string(n, (k,)))
 
 
 def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
@@ -140,15 +116,21 @@ def y_columns(n: int, masks: np.ndarray) -> np.ndarray:
     return np.nonzero(_mask_bits(n, masks))[1].reshape(len(masks), -1)
 
 
-def enumerate_pole(n: int, pole: Pole) -> list[PoleOperator]:
-    """All X/Y strings at a pole, in :func:`pole_masks` order."""
-    return [PoleOperator(PauliOperator(n, (1 << n) - 1, z))
-            for _, masks in pole_masks(n, pole) for z in masks.tolist()]
+def enumerate_pole(n: int, pole: Pole) -> np.ndarray:
+    """The z masks of every X/Y string at a pole as one uint64 column, in
+    :func:`pole_masks` order."""
+    return np.concatenate([masks for _, masks in pole_masks(n, pole)] or [np.empty(0, np.uint64)])
 
 
-def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int,
-                        op: PoleOperator) -> int | None:
-    """Exact eigenvalue of ``op`` on the labeled state at a quarter-turn angle.
+def check_mask(n: int, z: int) -> None:
+    """Refuse a z mask that does not fit n qubits."""
+    if z >> n:  # a negative mask shifts to -1, so it is refused too
+        raise DimensionError(f"z mask {z} does not fit {n} qubits")
+
+
+def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int, z: int) -> int | None:
+    """Exact eigenvalue of the X/Y string with z mask ``z`` on the labeled
+    state at a quarter-turn angle.
 
     The state at quarter q is |bits> + sign * i**q |~bits> up to overall
     normalization.  The string maps |bits> to i**(y0 - y1) |~bits| where y0
@@ -156,13 +138,11 @@ def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int,
     an eigenpair exactly when y0 - y1 - q is even, with eigenvalue
     sign * i**(y0 - y1 - q).  Returns None (not an eigenstate) otherwise.
     """
-    if op.op.n != label.n:
-        raise DimensionError(f"operator acts on {op.op.n} qubits, state on {label.n}")
+    check_mask(label.n, z)
     if state_phi_quarter not in (0, 1, 2, 3):
         raise DomainError(f"quarter angle must lie in 0..3, got {state_phi_quarter}")
-    y_mask = op.op.y_bits
-    y_over_ones = (y_mask & label.bits).bit_count()
-    y_over_zeros = (y_mask & label.complement_bits).bit_count()
+    y_over_ones = (z & label.bits).bit_count()
+    y_over_zeros = (z & label.complement_bits).bit_count()
     exponent = (y_over_zeros - y_over_ones - state_phi_quarter) % 4
     if exponent % 2:
         return None
@@ -175,8 +155,7 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     if state_phi_quarter not in (0, 1, 2, 3):
         raise DomainError(f"quarter angle must lie in 0..3, got {state_phi_quarter}")
     masks = np.asarray(masks, dtype=np.uint64)
-    if masks.size and int(masks.max()) >> label.n:
-        raise DimensionError(f"z mask {int(masks.max())} does not fit {label.n} qubits")
+    check_mask(label.n, int(masks.max()) if masks.size else 0)
     over_zeros = np.bitwise_count(masks & np.uint64(label.complement_bits)).astype(np.int8)
     over_ones = np.bitwise_count(masks & np.uint64(label.bits)).astype(np.int8)
     exponent = (over_zeros - over_ones - state_phi_quarter) % 4
@@ -185,23 +164,20 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     return values
 
 
-def eigenvalue_rule(label: GhzLabel, op: PoleOperator) -> int:
+def eigenvalue_rule(label: GhzLabel, z: int) -> int:
     """Shortcut rule for N/S strings on the label's quarter-turn state.
 
     Start at the label's sign, flip once per Y letter sitting on a 1 bit of
     the pattern, and flip once more for S strings.  Must agree with
     :func:`eigenvalue_symbolic` at quarter angle 1 on the same inputs.
     """
-    if op.pole not in (Pole.N, Pole.S):
+    check_mask(label.n, z)
+    pole = Pole(z.bit_count() % 4)
+    if pole not in (Pole.N, Pole.S):
         raise RuleNotApplicableError(
-            f"the rule covers N and S operators only, got pole {op.pole.name}")
-    if op.op.n != label.n:
-        raise DimensionError(f"operator acts on {op.op.n} qubits, state on {label.n}")
-    flips = (op.op.y_bits & label.bits).bit_count()
-    value = -1 if flips % 2 else 1
-    if op.pole is Pole.S:
-        value = -value
-    return label.sign * value
+            f"the rule covers N and S operators only, got pole {pole.name}")
+    flips = (z & label.bits).bit_count() + (pole is Pole.S)
+    return label.sign * (-1 if flips % 2 else 1)
 
 
 def compatible_family(n: int) -> list[PauliOperator]:
@@ -212,7 +188,7 @@ def compatible_family(n: int) -> list[PauliOperator]:
     """
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    generators = [single_y_generator(n, k).op for k in range(1, n + 1)]
+    generators = [xy_string(n, (k,)) for k in range(1, n + 1)]
     family = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(range(n), size):

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzverify import GhzLabel, checks, lhv, oracle, poles, states
+from ghzverify import GhzLabel, PauliOperator, checks, lhv, oracle, poles, states
+from ghzverify.cli import main
 
 
 def test_cases_per_check_at_three_qubits():
@@ -68,7 +69,7 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
     # the pool's first string, XXX, is no eigen string at quarter 1, and a NaN
     # residual must not pass for "not an eigenstate"
     label = GhzLabel(3, 0, 1)
-    assert poles.eigenvalue_symbolic(label, 1, poles.enumerate_pole(3, poles.Pole.E)[0]) is None
+    assert poles.eigenvalue_symbolic(label, 1, 0) is None
     eigen_residuals = oracle.eigen_residuals
     quarters = 0
 
@@ -117,15 +118,35 @@ def test_eigen_pool_stays_small_at_the_vector_cap():
     assert peak <= 2 * 2**20
 
 
-def test_no_per_string_objects(monkeypatch):
-    # the eigen pool and the exhaustive sweep stay z-mask columns throughout
-    def not_called(*args, **kwargs):
-        raise AssertionError("a per-string object was built")
-    monkeypatch.setattr(poles, "enumerate_pole", not_called)
-    monkeypatch.setattr(poles.PoleOperator, "__post_init__", not_called)
-    for n in (oracle.DENSE_MATRIX_CAP, states.DENSE_VECTOR_CAP):
-        assert all(check.passed for check in checks.verify(GhzLabel(n, 0b0110100110, -1), 1))
-    assert lhv.exhaustive_search(GhzLabel(lhv.EXHAUSTIVE_CAP, 0b0110100110, 1)) == 0
+def test_no_per_string_objects(monkeypatch, capsys):
+    # the eigen pool, the exhaustive sweep and the lhv reports stay z-mask
+    # columns throughout: no Pauli string object per pool string or report row
+    built = 0
+    post_init = PauliOperator.__post_init__
+
+    def counted(self):
+        nonlocal built
+        built += 1
+        post_init(self)
+    monkeypatch.setattr(PauliOperator, "__post_init__", counted)
+
+    def strings_built(run):
+        nonlocal built
+        built = 0
+        result = run()
+        return built, result
+
+    label = GhzLabel(lhv.EXHAUSTIVE_CAP, 0b0110100110, 1)
+    assert strings_built(lambda: lhv.exhaustive_search(label)) == (0, 0)
+    for fmt in ("table", "json"):
+        argv = ["lhv", "--n", "12", "--label", "011010011001+", "--format", fmt]
+        assert strings_built(lambda: main(argv)) == (0, 0)
+    capsys.readouterr()
+    # the 16 quarter-turn probes and the all-X string, not the 2,048 or 512 pool cases
+    for n, most in ((oracle.DENSE_MATRIX_CAP, 17), (states.DENSE_VECTOR_CAP, 16)):
+        count, result = strings_built(lambda: checks.verify(GhzLabel(n, 0b0110100110, -1), 1))
+        assert count <= most
+        assert all(check.passed for check in result)
 
 
 @pytest.mark.parametrize("n", range(1, states.DENSE_VECTOR_CAP + 1))

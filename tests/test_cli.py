@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from ghzverify import checks, counting, lhv, oracle
+from ghzverify import checks, counting, lhv, oracle, poles
 from ghzverify.cli import main
 
 
@@ -247,15 +247,24 @@ class TestMaskCapacity:
 
 
 class TestReportCapacity:
-    """Past REPORT_CAP qubits the contradiction columns would outgrow any budget."""
+    """Past REPORT_CAP qubits a pole listing would outgrow any budget."""
 
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
         def not_called(*args):
             raise AssertionError("generators evaluated before the refusal")
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
-        code, out, err = run_cli(capsys, "lhv", "--n", str(lhv.REPORT_CAP + 1))
+        code, out, err = run_cli(capsys, "lhv", "--n", str(poles.REPORT_CAP + 1))
         assert (code, out) == (2, "")
         assert "contradiction reports are capped at 24 qubits (got 25)" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_enumerate_refuses_before_any_rendering(self, capsys, monkeypatch, fmt):
+        def not_called(*args):
+            raise AssertionError("strings rendered before the refusal")
+        monkeypatch.setattr(poles, "xy_letter_matrix", not_called)
+        code, out, err = run_cli(capsys, "enumerate", "--n", "25", "--pole", "S", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: pole listings are capped at 24 qubits (got 25)\n"
 
 
 class TestCheckFailures:
@@ -265,9 +274,9 @@ class TestCheckFailures:
     def test_disagreeing_row_is_named_before_any_output(self, capsys, monkeypatch, fmt):
         eigenvalue_symbolic = lhv.eigenvalue_symbolic
 
-        def flipped_generator(label, quarter, op):
-            value = eigenvalue_symbolic(label, quarter, op)
-            return -value if op.letters == "XYXXX" else value
+        def flipped_generator(label, quarter, z):
+            value = eigenvalue_symbolic(label, quarter, z)
+            return -value if z == 0b01000 else value  # XYXXX
 
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", flipped_generator)
         code, out, err = run_cli(capsys, "lhv", "--n", "5", "--format", fmt)

@@ -10,18 +10,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (CapacityError, DomainError, GhzLabel, LetterError,
-                       Pole, PoleOperator, ValueAssignment, c_n_closed,
+from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
+                       LetterError, Pole, ValueAssignment, c_n_closed,
                        enumerate_pole, ew_contradictions, ew_swap,
                        exhaustive_search, find_contradictions, from_letters,
-                       multiply, parse, single_y_generator,
-                       swap_conjugation_residual, value_of,
-                       verify_ks_identity)
+                       multiply, parse, swap_conjugation_residual, value_of,
+                       verify_ks_identity, xy_string)
 from ghzverify.cli import main
 from ghzverify.lhv import _swapped_state
-from ghzverify.oracle import DENSE_MATRIX_CAP
+from ghzverify.oracle import DENSE_MATRIX_CAP, EIGEN_TOL
 from ghzverify.pauli import QuarterPhase, PauliOperator
 from ghzverify.poles import eigenvalue_symbolic
+
+
+def _xy(n, z):
+    """The X/Y string with z mask ``z`` as a PauliOperator."""
+    return PauliOperator(n, (1 << n) - 1, z)
 
 
 def _assignment(n, minus_x=(), minus_y=()):
@@ -84,24 +88,26 @@ def _rows(result, indices=None):
     for i in range(len(result)) if indices is None else indices:
         target = int(result.targets[i])
         y_mask = target ^ result.swap_mask
-        generators = tuple(result.generators[k - 1].letters
+        generators = tuple(_xy(n, int(result.generators[k - 1])).letters()
                            for k in range(1, n + 1) if y_mask >> (n - k) & 1)
-        rows.append((PauliOperator(n, (1 << n) - 1, target).letters(),
+        rows.append((_xy(n, target).letters(),
                      int(result.lhv[i]), int(result.quantum[i]), generators))
     return rows
 
 
 def _target_poles(result):
-    return {PoleOperator(PauliOperator(result.n, (1 << result.n) - 1, int(t))).pole
-            for t in result.targets}
+    return {Pole(_xy(result.n, int(t)).letters().count("Y") % 4) for t in result.targets}
 
 
 class TestFindContradictions:
     def test_three_qubits(self):
         result = find_contradictions(GhzLabel(3, 0, 1))
         assert _rows(result) == [("YYY", 1, -1, ("YXX", "XYX", "XXY"))]
-        with pytest.raises(ValueError):
-            result.lhv[0] = -1
+        assert result.generators.dtype == np.uint64
+        assert result.generators.tolist() == [0b100, 0b010, 0b001]
+        for column in (result.generators, result.targets, result.lhv):
+            with pytest.raises(ValueError):
+                column[0] = 0
 
     def test_report_json(self, capsys):
         assert main(["lhv", "--n", "3", "--format", "json"]) == 0
@@ -173,13 +179,13 @@ class TestExhaustiveSearch:
     def test_pure_python_cross_check_small(self, label, require_s):
         # independent reference: explicit loop over all assignments
         constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
-        constraints = [(op, eigenvalue_symbolic(label, 1, op))
+        constraints = [(_xy(label.n, z), eigenvalue_symbolic(label, 1, z))
                        for pole in constrained
-                       for op in enumerate_pole(label.n, pole)]
+                       for z in enumerate_pole(label.n, pole).tolist()]
         brute = 0
         for idx in range(1 << (2 * label.n)):
             a = ValueAssignment.from_index(label.n, idx)
-            if all(value_of(a, op.op) == expected for op, expected in constraints):
+            if all(value_of(a, op) == expected for op, expected in constraints):
                 brute += 1
         assert exhaustive_search(label, require_s=require_s) == brute
 
@@ -192,7 +198,7 @@ class TestKsIdentity:
         assert verify_ks_identity(4, (2,))
 
     def test_five_generators_positive_sign(self):
-        product = reduce(multiply, (single_y_generator(5, k).op for k in range(1, 6)))
+        product = reduce(multiply, (xy_string(5, (k,)) for k in range(1, 6)))
         assert product == from_letters("YYYYY")
         assert verify_ks_identity(5, (1, 2, 3, 4, 5))
 
@@ -219,30 +225,32 @@ class TestEwSwap:
         ("YXY", (1, 2, 3), "XYX", Pole.N),
     ])
     def test_examples(self, letters, subset, result, pole):
-        swapped = ew_swap(PoleOperator(from_letters(letters)), subset)
-        assert swapped.letters == result
-        assert swapped.pole is pole
+        n = len(letters)
+        swapped = ew_swap(n, from_letters(letters).z_bits, subset)
+        assert _xy(n, swapped).letters() == result
+        assert swapped in enumerate_pole(n, pole).tolist()
 
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
-            ew_swap(PoleOperator(from_letters("YYY")), (1, 2))
+            ew_swap(3, 0b111, (1, 2))
+
+    @pytest.mark.parametrize("z", [0b1000, -1])
+    def test_mask_that_does_not_fit_rejected(self, z):
+        with pytest.raises(DimensionError, match=f"z mask {z} does not fit 3 qubits"):
+            ew_swap(3, z, (1,))
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_swap_preserves_product_identity(self, n):
         for swap_size in range(1, n + 1, 2):
             for subset in itertools.combinations(range(1, n + 1), swap_size):
-                gens = {k: ew_swap(single_y_generator(n, k), subset).op
+                gens = {k: _xy(n, ew_swap(n, xy_string(n, (k,)).z_bits, subset))
                         for k in range(1, n + 1)}
                 for target_size in range(1, n + 1, 2):
                     for positions in itertools.combinations(range(1, n + 1), target_size):
                         product = reduce(multiply, (gens[k] for k in positions))
-                        target = ew_swap(
-                            PoleOperator(from_letters("".join(
-                                "Y" if k in positions else "X" for k in range(1, n + 1)))),
-                            subset).op
+                        target = ew_swap(n, xy_string(n, positions).z_bits, subset)
                         exponent = 0 if target_size % 4 == 1 else 2
-                        expected = PauliOperator(n, target.x_bits, target.z_bits,
-                                                 QuarterPhase(exponent))
+                        expected = PauliOperator(n, (1 << n) - 1, target, QuarterPhase(exponent))
                         assert product == expected
 
 
@@ -283,9 +291,9 @@ class TestEwContradictions:
 
 
 @pytest.mark.parametrize("swap", [
-    lambda subset: ew_swap(single_y_generator(3, 1), subset),
+    lambda subset: ew_swap(3, 0b100, subset),
     lambda subset: ew_contradictions(GhzLabel(3, 0, 1), subset),
-    lambda subset: swap_conjugation_residual(single_y_generator(3, 1), subset),
+    lambda subset: swap_conjugation_residual(3, 0b100, subset),
 ], ids=["ew_swap", "ew_contradictions", "swap_conjugation_residual"])
 @pytest.mark.parametrize("subset,message", [
     ({1, 2}, "swap subset must have odd size, got 2"),
@@ -310,18 +318,18 @@ def _reference_reports(label, subset, indices=None):
     mask = sum(1 << (n - k) for k in subset)
     carrier, quarter = _swapped_state(label, mask)
 
-    def swap(op):
-        return ew_swap(op, subset) if subset else op
+    def swap(z):
+        return ew_swap(n, z, subset) if subset else z
 
-    def text(op):
-        return "".join(op.op.letter(k) for k in range(1, n + 1))
+    def text(z):
+        return "".join(_xy(n, z).letter(k) for k in range(1, n + 1))
 
-    def y_positions(op):
-        return [k for k in range(1, n + 1) if op.op.letter(k) == "Y"]
+    def y_positions(z):
+        return [k for k in range(1, n + 1) if _xy(n, z).letter(k) == "Y"]
 
-    generators = {k: swap(single_y_generator(n, k)) for k in range(1, n + 1)}
+    generators = {k: swap(xy_string(n, (k,)).z_bits) for k in range(1, n + 1)}
     values = {k: eigenvalue_symbolic(carrier, quarter, g) for k, g in generators.items()}
-    targets = enumerate_pole(n, Pole.S)
+    targets = enumerate_pole(n, Pole.S).tolist()
     for target in targets if indices is None else [targets[i] for i in indices]:
         lhv = 1
         for k in y_positions(target):
@@ -386,17 +394,17 @@ class TestMergedRoutineAgainstReference:
 class TestSwapConjugation:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_every_odd_subset_and_string(self, n):
-        ops = enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S)
+        masks = np.concatenate([enumerate_pole(n, Pole.N), enumerate_pole(n, Pole.S)]).tolist()
         for size in range(1, n + 1, 2):
             for subset in itertools.combinations(range(1, n + 1), size):
-                for op in ops:
-                    assert swap_conjugation_residual(op, subset) < 1e-12
+                for z in masks:
+                    assert swap_conjugation_residual(n, z, subset) < 1e-12
 
     def test_five_qubit_sample(self):
-        ops = enumerate_pole(5, Pole.S)
+        masks = enumerate_pole(5, Pole.S).tolist()
         for subset in [(1,), (2, 3, 4), (1, 2, 3, 4, 5)]:
-            for op in ops[:3]:
-                assert swap_conjugation_residual(op, subset) < 1e-12
+            for z in masks[:3]:
+                assert swap_conjugation_residual(5, z, subset) < 1e-12
 
     def test_refuses_above_matrix_cap_before_building_the_unitary(self, monkeypatch):
         def no_kron(*args, **kwargs):
@@ -404,4 +412,15 @@ class TestSwapConjugation:
 
         monkeypatch.setattr(np, "kron", no_kron)
         with pytest.raises(CapacityError):
-            swap_conjugation_residual(single_y_generator(DENSE_MATRIX_CAP + 1, 1), (1,))
+            swap_conjugation_residual(DENSE_MATRIX_CAP + 1, 1, (1,))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=100)
+def test_swap_is_dense_half_turn_conjugation_and_flips_the_y_parity(data):
+    # any X/Y string and odd subset up to six qubits, not only N and S strings
+    n = data.draw(st.integers(1, 6))
+    z = data.draw(st.integers(0, (1 << n) - 1))
+    subset = data.draw(st.sets(st.integers(1, n), min_size=1).filter(lambda s: len(s) % 2))
+    assert swap_conjugation_residual(n, z, subset) < EIGEN_TOL
+    assert (ew_swap(n, z, subset).bit_count() - z.bit_count()) % 2 == 1

@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzverify import (DimensionError, LetterError, PauliOperator,
-                       QuarterPhase, commutes, from_letters, identity,
-                       multiply, parse, render, y_count)
+                       QuarterPhase, ValueAssignment, commutes, from_letters,
+                       identity, multiply, parse, render, value_of)
 from ghzverify.oracle import materialize
 
 
@@ -66,14 +66,21 @@ class TestCommutes:
 
 
 class TestYCount:
+    """An X/Y string's Y count is the popcount of its z mask, which is how
+    every pole and eigenvalue reads it."""
+
     @pytest.mark.parametrize("letters,count", [("YXX", 1), ("YYY", 3), ("XXXX", 0)])
     def test_counts(self, letters, count):
-        assert y_count(from_letters(letters)) == count
+        op = from_letters(letters)
+        assert op.is_xy_string and op.y_bits == op.z_bits
+        assert op.z_bits.bit_count() == count
 
     @pytest.mark.parametrize("letters", ["XIZ", "XZ", "IY"])
     def test_rejects_i_and_z(self, letters):
+        op = from_letters(letters)
+        assert not op.is_xy_string
         with pytest.raises(LetterError):
-            y_count(from_letters(letters))
+            value_of(ValueAssignment(op.n, 0, 0), op)
 
 
 class TestConstruction:
@@ -176,6 +183,19 @@ def test_letters_at_mask_extremes(n):
 def _random_op(rng, n):
     return PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
                          QuarterPhase(int(rng.integers(0, 4))))
+
+
+@st.composite
+def small_op_pairs(draw):
+    return _ops(draw, draw(st.integers(1, 6)), 2)
+
+
+@given(small_op_pairs())
+@settings(deadline=None, max_examples=150)
+def test_multiply_is_the_dense_matrix_product(ops):
+    # any letters and phases; every entry is 0 or a fourth root of unity, so exact
+    a, b = ops
+    assert np.array_equal(materialize(multiply(a, b)), materialize(a) @ materialize(b))
 
 
 class TestMatrixFaithfulness:

@@ -8,11 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel, LetterError,
-                       Pole, PoleOperator, RuleNotApplicableError, classify, commutes,
+from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
+                       Pole, RuleNotApplicableError, commutes,
                        compatible_family, c_n_binomial, enumerate_pole,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters,
-                       pihalf_state, single_y_generator, y_count)
+                       pihalf_state)
 from ghzverify.cli import main
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator
@@ -26,41 +26,52 @@ def _all_raw_labels(n):
     return [GhzLabel(n, bits, sign) for bits in range(1 << n) for sign in (1, -1)]
 
 
+def _mask(letters):
+    """Z mask of an X/Y string written as letters."""
+    op = from_letters(letters)
+    assert op.is_xy_string
+    return op.z_bits
+
+
+def _pole_letters(n, pole):
+    return [PauliOperator(n, (1 << n) - 1, z).letters() for z in enumerate_pole(n, pole).tolist()]
+
+
+def _xy_masks(n, poles=tuple(Pole)):
+    return [z for pole in poles for z in enumerate_pole(n, pole).tolist()]
+
+
 class TestClassify:
     @pytest.mark.parametrize("letters,pole", [
         ("XXX", Pole.E), ("YXX", Pole.N), ("YYX", Pole.W), ("YYY", Pole.S),
         ("YYYY", Pole.E), ("XXXXX", Pole.E),
     ])
     def test_examples(self, letters, pole):
-        assert classify(from_letters(letters)) is pole
-
-    def test_rejects_z(self):
-        with pytest.raises(LetterError):
-            classify(from_letters("XZ"))
-
-    def test_rejects_signed(self):
-        from ghzverify import parse
-        with pytest.raises(DomainError):
-            classify(parse("-XXX"))
+        sitting = [p for p in Pole if _mask(letters) in enumerate_pole(len(letters), p).tolist()]
+        assert sitting == [pole]
 
 
 class TestEnumerate:
     def test_n3_north_order(self):
-        assert [p.letters for p in enumerate_pole(3, Pole.N)] == ["YXX", "XYX", "XXY"]
+        assert _pole_letters(3, Pole.N) == ["YXX", "XYX", "XXY"]
 
     def test_n3_south(self):
-        assert [p.letters for p in enumerate_pole(3, Pole.S)] == ["YYY"]
+        assert _pole_letters(3, Pole.S) == ["YYY"]
 
     def test_n4_south_order(self):
-        assert [p.letters for p in enumerate_pole(4, Pole.S)] == [
-            "YYYX", "YYXY", "YXYY", "XYYY"]
+        assert _pole_letters(4, Pole.S) == ["YYYX", "YYXY", "YXYY", "XYYY"]
 
     def test_n3_east(self):
-        assert [p.letters for p in enumerate_pole(3, Pole.E)] == ["XXX"]
+        assert _pole_letters(3, Pole.E) == ["XXX"]
+
+    def test_column(self):
+        column = enumerate_pole(9, Pole.S)
+        assert column.dtype == np.uint64 and column.shape == (pole_size(9, Pole.S),)
+        assert enumerate_pole(2, Pole.S).dtype == np.uint64
 
     def test_higher_counts_included(self):
         # at n=5 the N pole holds the 1-Y and 5-Y strings
-        letters = [p.letters for p in enumerate_pole(5, Pole.N)]
+        letters = _pole_letters(5, Pole.N)
         assert len(letters) == 5 + 1
         assert letters[-1] == "YYYYY"
 
@@ -114,36 +125,35 @@ class TestPoleMasks:
         rows = xy_letter_matrix(n, masks)
         assert rows.shape == (50, n)
         assert [row.tobytes().decode() for row in rows] == [
-            PoleOperator(xy_string(n, [k for k in range(1, n + 1) if int(z) >> (n - k) & 1])).letters
+            xy_string(n, [k for k in range(1, n + 1) if int(z) >> (n - k) & 1]).letters()
             for z in masks]
 
 
 class TestEigenvalueSymbolic:
     def test_north_on_zero_pattern_is_plus(self):
         label = GhzLabel(4, 0, 1)
-        for op in enumerate_pole(4, Pole.N):
-            assert eigenvalue_symbolic(label, 1, op) == 1
+        for z in _xy_masks(4, [Pole.N]):
+            assert eigenvalue_symbolic(label, 1, z) == 1
 
     def test_south_on_zero_pattern_is_minus(self):
         label = GhzLabel(4, 0, 1)
-        for op in enumerate_pole(4, Pole.S):
-            assert eigenvalue_symbolic(label, 1, op) == -1
+        for z in _xy_masks(4, [Pole.S]):
+            assert eigenvalue_symbolic(label, 1, z) == -1
 
     def test_pattern_bit_flips_generator_value(self):
         label = GhzLabel(3, 0b100, 1)
-        assert eigenvalue_symbolic(label, 1, single_y_generator(3, 1)) == -1
-        assert eigenvalue_symbolic(label, 1, single_y_generator(3, 2)) == 1
+        assert eigenvalue_symbolic(label, 1, _mask("YXX")) == -1
+        assert eigenvalue_symbolic(label, 1, _mask("XYX")) == 1
 
     def test_perpendicular_pole_is_not_eigenstate(self):
         label = GhzLabel(3, 0, 1)
-        assert eigenvalue_symbolic(label, 0, single_y_generator(3, 1)) is None
-        east = enumerate_pole(3, Pole.E)[0]
-        assert eigenvalue_symbolic(label, 1, east) is None
+        assert eigenvalue_symbolic(label, 0, _mask("YXX")) is None
+        assert eigenvalue_symbolic(label, 1, _mask("XXX")) is None
 
     def test_unrotated_states_under_east_west(self):
         plus, minus = GhzLabel(3, 0, 1), GhzLabel(3, 0, -1)
-        east = enumerate_pole(3, Pole.E)[0]
-        west = enumerate_pole(3, Pole.W)[0]
+        east = _mask("XXX")
+        west = _mask("YYX")
         assert eigenvalue_symbolic(plus, 0, east) == 1
         assert eigenvalue_symbolic(minus, 0, east) == -1
         assert eigenvalue_symbolic(plus, 0, west) == -1
@@ -158,42 +168,50 @@ class TestEigenvalueRule:
     ])
     def test_examples(self, bits, letters, expected):
         label = GhzLabel(3, bits, 1)
-        op = PoleOperator(from_letters(letters))
-        assert eigenvalue_rule(label, op) == expected
-        assert eigenvalue_symbolic(label, 1, op) == expected
+        assert eigenvalue_rule(label, _mask(letters)) == expected
+        assert eigenvalue_symbolic(label, 1, _mask(letters)) == expected
 
     def test_east_west_rejected(self):
-        with pytest.raises(RuleNotApplicableError):
-            eigenvalue_rule(GhzLabel(3, 0, 1), PoleOperator(from_letters("XXX")))
+        for letters in ("XXX", "YYX"):
+            with pytest.raises(RuleNotApplicableError):
+                eigenvalue_rule(GhzLabel(3, 0, 1), _mask(letters))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_rule_equals_symbolic_exhaustively(self, n):
-        ops = enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S)
+        masks = _xy_masks(n, [Pole.N, Pole.S])
         for label in _all_raw_labels(n):
-            for op in ops:
-                assert eigenvalue_rule(label, op) == eigenvalue_symbolic(label, 1, op)
+            for z in masks:
+                assert eigenvalue_rule(label, z) == eigenvalue_symbolic(label, 1, z)
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_rule_equals_symbolic_sampled(self, n):
         rng = np.random.default_rng(60 + n)
-        ops = enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S)
+        masks = _xy_masks(n, [Pole.N, Pole.S])
         for _ in range(3000):
             label = GhzLabel(n, int(rng.integers(0, 1 << n)),
                              1 if rng.integers(0, 2) else -1)
-            op = ops[int(rng.integers(0, len(ops)))]
-            assert eigenvalue_rule(label, op) == eigenvalue_symbolic(label, 1, op)
+            z = masks[int(rng.integers(0, len(masks)))]
+            assert eigenvalue_rule(label, z) == eigenvalue_symbolic(label, 1, z)
+
+
+@pytest.mark.parametrize("z", [0b1000, 0b10000, -1])
+def test_a_mask_that_does_not_fit_is_refused(z):
+    label = GhzLabel(3, 0, 1)
+    for scalar in (lambda: eigenvalue_symbolic(label, 1, z), lambda: eigenvalue_rule(label, z)):
+        with pytest.raises(DimensionError, match=f"z mask {z} does not fit 3 qubits"):
+            scalar()
 
 
 class TestEigenvalueAgainstOracle:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_all_quarters_all_ops(self, n):
-        ops = [op for pole in Pole for op in enumerate_pole(n, pole)]
+        masks = _xy_masks(n)
         for label in _all_raw_labels(n):
             for quarter in range(4):
                 vec = rotated_dense(label, quarter * math.pi / 2)
-                for op in ops:
-                    value = eigenvalue_symbolic(label, quarter, op)
-                    image = apply_pauli(op.op, vec)
+                for z in masks:
+                    value = eigenvalue_symbolic(label, quarter, z)
+                    image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
                     if value is None:
                         assert not check_eigen(vec, image, 1).passed
                         assert not check_eigen(vec, image, -1).passed
@@ -204,9 +222,10 @@ class TestEigenvalueAgainstOracle:
         for n in (2, 3):
             for label in _all_raw_labels(n):
                 vec = pihalf_state(label)
-                for op in enumerate_pole(n, Pole.N) + enumerate_pole(n, Pole.S):
-                    value = eigenvalue_symbolic(label, 1, op)
-                    assert check_eigen(vec, apply_pauli(op.op, vec), value).passed
+                for z in _xy_masks(n, [Pole.N, Pole.S]):
+                    value = eigenvalue_symbolic(label, 1, z)
+                    image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
+                    assert check_eigen(vec, image, value).passed
 
 
 @given(st.data())
@@ -217,10 +236,10 @@ def test_symbolic_eigenvalue_agrees_with_the_per_string_dense_route(data):
     label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
                      data.draw(st.sampled_from((1, -1))))
     quarter = data.draw(st.integers(0, 3))
-    op = PoleOperator(PauliOperator(n, (1 << n) - 1, data.draw(st.integers(0, (1 << n) - 1))))
+    z = data.draw(st.integers(0, (1 << n) - 1))
     vec = rotated_dense(label, quarter * math.pi / 2)
-    image = apply_pauli(op.op, vec)
-    value = eigenvalue_symbolic(label, quarter, op)
+    image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
+    value = eigenvalue_symbolic(label, quarter, z)
     if value is None:
         assert check_eigen(vec, image, 1).residual >= EIGEN_TOL
         assert check_eigen(vec, image, -1).residual >= EIGEN_TOL
@@ -238,9 +257,7 @@ def test_eigenvalue_column_is_the_scalar_eigenvalue_per_row(data):
     masks = [0, full] + data.draw(st.lists(st.integers(0, full), max_size=20))
     column = eigenvalue_column(label, quarter, np.array(masks, np.uint64))
     assert column.dtype == np.int8
-    assert column.tolist() == [
-        eigenvalue_symbolic(label, quarter, PoleOperator(PauliOperator(n, full, z))) or 0
-        for z in masks]
+    assert column.tolist() == [eigenvalue_symbolic(label, quarter, z) or 0 for z in masks]
 
 
 def test_eigenvalue_column_refuses_what_the_scalar_refuses():
@@ -269,11 +286,10 @@ class TestCompatibleFamily:
     @pytest.mark.parametrize("n", [3, 4, 5, 7])
     def test_three_mod_four_products_are_signed_south_strings(self, n):
         family = compatible_family(n)
-        south = {op.letters for op in enumerate_pole(n, Pole.S)}
+        south = set(_pole_letters(n, Pole.S))
         negatives = set()
         for member in family:
-            if member.is_xy_string and y_count(
-                    from_letters(member.letters())) % 4 == 3:
+            if member.is_xy_string and member.y_bits.bit_count() % 4 == 3:
                 assert member.phase.exponent == 2
                 negatives.add(member.letters())
         assert negatives == south
@@ -283,43 +299,32 @@ class TestPoleDerivation:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_enumerated_strings_sit_at_their_pole(self, n):
         for pole in Pole:
-            for op in enumerate_pole(n, pole):
-                assert op.pole is pole
+            for z in enumerate_pole(n, pole).tolist():
+                letters = PauliOperator(n, (1 << n) - 1, z).letters()
+                assert Pole(letters.count("Y") % 4) is pole
+        north = enumerate_pole(n, Pole.N).tolist()
         for k in range(1, n + 1):
-            assert single_y_generator(n, k).pole is Pole.N
-
-    def test_rejects_z(self):
-        with pytest.raises(LetterError):
-            PoleOperator(from_letters("XZ"))
-
-    def test_rejects_signed(self):
-        from ghzverify import parse
-        with pytest.raises(DomainError):
-            PoleOperator(parse("-XXX"))
+            assert xy_string(n, (k,)).z_bits in north
 
 
 class TestPoleOperatorRendering:
+    """Letters and Y positions of a pole's strings, read from their z masks."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_y_positions_match_letter_scan(self, n):
         for pole in Pole:
-            ops = iter(enumerate_pole(n, pole))
+            masks_in_order = iter(enumerate_pole(n, pole).tolist())
             for count, masks in pole_masks(n, pole):
                 columns = y_columns(n, masks)
                 assert columns.shape == (len(masks), count)
-                for row, op in zip(columns.tolist(), ops):
-                    scanned = [k for k in range(1, n + 1) if op.op.letter(k) == "Y"]
+                for row, z in zip(columns.tolist(), masks_in_order):
+                    op = PauliOperator(n, (1 << n) - 1, z)
+                    scanned = [k for k in range(1, n + 1) if op.letter(k) == "Y"]
                     assert [k + 1 for k in row] == scanned
 
     def test_y_positions_wide(self):
         masks = np.array([xy_string(63, (1, 2, 40, 63)).z_bits], np.uint64)
         assert (y_columns(63, masks) + 1).tolist() == [[1, 2, 40, 63]]
-
-    def test_cached_letters_leave_equality_and_hash_alone(self):
-        first = single_y_generator(5, 2)
-        second = single_y_generator(5, 2)
-        assert first.letters == "XYXXX"
-        assert first == second and hash(first) == hash(second)
-        assert first.letters is first.letters
 
 
 def test_xy_string_positions():

@@ -62,3 +62,31 @@ def test_oracle_modules_stay_off_the_symbolic_tier(module):
 def test_the_reader_finds_imports():
     assert ("oracle", None) in _imports("checks")
     assert ("pauli", "PauliOperator") in _imports("oracle")
+
+
+#: The package's public names.  Test-only helpers that were deleted stay out.
+PUBLIC = {
+    # modules
+    "checks", "counting", "errors", "lhv", "oracle", "pauli", "poles", "rotations", "states",
+    # errors
+    "CapacityError", "ConsistencyError", "DimensionError", "DomainError", "GhzVerifyError",
+    "LetterError", "RuleNotApplicableError",
+    # symbolic tier
+    "PauliOperator", "QuarterPhase", "commutes", "from_letters", "identity", "multiply",
+    "parse", "render", "single",
+    "Pole", "compatible_family", "enumerate_pole", "eigenvalue_rule", "eigenvalue_symbolic",
+    "xy_string",
+    "CountReport", "c_n_binomial", "c_n_closed", "compatible_count", "table1",
+    "EXHAUSTIVE_CAP", "Contradictions", "ValueAssignment", "ew_contradictions", "ew_swap",
+    "exhaustive_search", "find_contradictions", "value_of", "verify_ks_identity",
+    "co_rotate_quarter",
+    # oracle tier and the check engine
+    "DENSE_VECTOR_CAP", "GhzLabel", "apply_rotations", "build_state", "collective_angle",
+    "max_norm_diff", "parse_label", "pihalf_state", "rotated_dense",
+    "POLE_SNAP_TOL", "eigen_check_general", "swap_conjugation_residual",
+}
+
+
+def test_public_surface_is_pinned():
+    import ghzverify
+    assert set(ghzverify.__all__) == PUBLIC
