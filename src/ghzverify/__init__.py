@@ -22,7 +22,6 @@ from .poles import (Pole, compatible_family, enumerate_pole, eigenvalue_rule,
                     eigenvalue_symbolic, xy_string)
 from .rotations import co_rotate_quarter
 from .states import (DENSE_VECTOR_CAP, GhzLabel, apply_rotations, build_state,
-                     collective_angle, max_norm_diff, parse_label, pihalf_state,
-                     rotated_dense)
+                     collective_angle, max_norm_diff, parse_label, rotated_dense)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

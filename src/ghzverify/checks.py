@@ -132,6 +132,7 @@ def pair_subspace_invariance(label: GhzLabel,
 def verify(label: GhzLabel, seed: int) -> list[Check]:
     """Every check of the ``verify`` command, all drawing from one generator."""
     n = label.n
+    states.check_vector_cap(n)  # before any check draws from rng or builds a vector
     rng = np.random.default_rng(seed)
     checks = [eigenvalues(label, rng),
               collective_angle_collapse(label, rng),

@@ -12,6 +12,9 @@ from dataclasses import dataclass
 
 from .errors import ConsistencyError, DomainError
 
+#: Widest qubit count that :func:`table1` reports.
+MAX_COUNT_N = 64
+
 
 @dataclass(frozen=True)
 class CountReport:
@@ -62,8 +65,8 @@ def compatible_count(n: int) -> int:
 
 def table1(n_min: int, n_max: int) -> list[CountReport]:
     """One report per qubit count, both count routes cross-checked."""
-    if not 2 <= n_min <= n_max:
-        raise DomainError(f"need 2 <= n_min <= n_max, got {n_min}..{n_max}")
+    if not 2 <= n_min <= n_max <= MAX_COUNT_N:
+        raise DomainError(f"need 2 <= n_min <= n_max <= {MAX_COUNT_N}, got {n_min}..{n_max}")
     reports = []
     for n in range(n_min, n_max + 1):
         closed = c_n_closed(n)

@@ -24,9 +24,8 @@ import numpy as np
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, QuarterPhase, multiply
-from .poles import (REPORT_CAP, Pole, check_mask, eigenvalue_column,
-                    eigenvalue_symbolic, enumerate_pole, pole_masks,
-                    xy_letter_matrix, xy_string)
+from .poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
+                    enumerate_pole, qubit_mask, xy_letter_matrix, xy_string)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
@@ -152,7 +151,7 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     equal the multi-Y string at those positions with sign + for sizes
     1 mod 4 and - for sizes 3 mod 4.
     """
-    mask = _qubit_mask(n, y_positions)
+    mask = qubit_mask(n, y_positions)
     size = mask.bit_count()
     if size % 2 == 0:
         raise DomainError(f"need an odd number of Y positions, got {size}")
@@ -163,22 +162,9 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     return product == expected
 
 
-def _qubit_mask(n: int, qubits: Iterable[int]) -> int:
-    """Bit mask of distinct 1-based qubit indices, each within 1..n."""
-    mask = 0
-    for k in qubits:
-        if not 1 <= k <= n:
-            raise DomainError(f"qubit index {k} out of range 1..{n}")
-        bit = 1 << (n - k)
-        if mask & bit:
-            raise DomainError(f"subset lists qubit {k} more than once")
-        mask |= bit
-    return mask
-
-
 def _swap_mask(n: int, subset: Iterable[int]) -> int:
     """Bit mask of an odd set of distinct 1-based qubit indices within 1..n."""
-    mask = _qubit_mask(n, subset)
+    mask = qubit_mask(n, subset)
     if mask.bit_count() % 2 == 0:
         raise DomainError(f"swap subset must have odd size, got {mask.bit_count()}")
     return mask
@@ -233,9 +219,7 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     is checked to oppose before the value is returned.
     """
     n = label.n
-    pole_masks(n, Pole.S)  # the mask cap refuses first, before the report cap
-    if n > REPORT_CAP:
-        raise CapacityError(f"contradiction reports are capped at {REPORT_CAP} qubits (got {n})")
+    y_masks = enumerate_pole(n, Pole.S)  # refuses an oversized listing before any work
     carrier, quarter = _swapped_state(label, mask)
     generator_kind, target_kind = (("swapped generator", "swapped target") if mask
                                    else ("single-Y generator", "S operator"))
@@ -247,7 +231,6 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
             raise ConsistencyError(f"{generator_kind} {_letters(n, gen)} lost its eigenstate")
         if value < 0:
             negative |= 1 << (n - k)
-    y_masks = enumerate_pole(n, Pole.S)
     targets = y_masks ^ np.uint64(mask)
     lhv = (1 - 2 * (np.bitwise_count(y_masks & np.uint64(negative)) & 1)).astype(np.int8)
     quantum = eigenvalue_column(carrier, quarter, targets)
@@ -257,7 +240,7 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     if (same := lhv == quantum).any():
         row = np.argmax(same)
         raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
-                               f"does not oppose eigenvalue {lhv[row]}")
+                               f"does not oppose eigenvalue {quantum[row]}")
     for column in (generators, targets, lhv, quantum):
         column.flags.writeable = False
     return Contradictions(n, mask, generators, targets, lhv, quantum)

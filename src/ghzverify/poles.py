@@ -10,10 +10,9 @@ quarter-turn angles are exact +/-1 eigenstates of same- and opposite-pole
 strings, and the eigenvalue follows from applying the string to the pair's
 two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 
-One string is an int mask; many are a uint64 column, which holds any
-string of up to 63 qubits.  :func:`pole_masks` yields a pole's strings in
-bounded chunks, :func:`enumerate_pole` as one column, and
-:func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
+One string is an int mask; many are a uint64 column.  :func:`pole_masks`
+yields a pole's strings in bounded chunks, :func:`enumerate_pole` as one
+column, and :func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
 read a chunk's letters, Y positions and eigenvalues at once: the symplectic
 bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in the
 bit-packed layout of Stim (arXiv:2103.02202).
@@ -25,7 +24,7 @@ import enum
 import itertools
 import math
 from functools import reduce
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -33,12 +32,9 @@ from .errors import CapacityError, DimensionError, DomainError, RuleNotApplicabl
 from .pauli import PauliOperator, multiply
 from .states import GhzLabel
 
-#: Widest string that :func:`pole_masks` produces: every z mask stays below
-#: 2**63, so it fits a uint64 and converts to a Python int unchanged.
-MASK_QUBITS = 63
-
-#: Widest pole listing, the contradiction reports of ``lhv`` and the strings
-#: of ``enumerate``: at n = 24 the reports already hold 2**22 rows whole (137
+#: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
+#: bounds the contradiction reports of ``lhv`` and the strings of
+#: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (137
 #: MB peak, a 1.5 GB table) and the streamed listing takes 2 s, and each
 #: further qubit doubles both.
 REPORT_CAP = 24
@@ -57,14 +53,22 @@ class Pole(enum.Enum):
     S = 3
 
 
-def xy_string(n: int, y_positions) -> PauliOperator:
-    """Phase +1 string with Y at the given 1-based positions, X elsewhere."""
-    z = 0
-    for k in y_positions:
+def qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """Bit mask of distinct 1-based qubit indices, each within 1..n."""
+    mask = 0
+    for k in qubits:
         if not 1 <= k <= n:
             raise DomainError(f"qubit index {k} out of range 1..{n}")
-        z |= 1 << (n - k)
-    return PauliOperator(n, (1 << n) - 1, z)
+        bit = 1 << (n - k)
+        if mask & bit:
+            raise DomainError(f"subset lists qubit {k} more than once")
+        mask |= bit
+    return mask
+
+
+def xy_string(n: int, y_positions: Iterable[int]) -> PauliOperator:
+    """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
+    return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
 
 
 def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
@@ -78,8 +82,8 @@ def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > MASK_QUBITS:
-        raise CapacityError(f"pole masks are capped at {MASK_QUBITS} qubits (got {n})")
+    if n > REPORT_CAP:
+        raise CapacityError(f"pole listings are capped at {REPORT_CAP} qubits (got {n})")
     return _mask_chunks(n, pole)
 
 

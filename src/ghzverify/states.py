@@ -44,7 +44,7 @@ class GhzLabel:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DimensionError("label needs at least one qubit")
-        if not 0 <= self.bits < (1 << self.n):
+        if self.bits < 0 or self.bits >> self.n:  # no 2**n is built for a large n
             raise DomainError("label bits out of range for qubit count")
         if self.sign not in (1, -1):
             raise DomainError("label sign must be +1 or -1")
@@ -152,19 +152,6 @@ def apply_rotations(state: np.ndarray, label: GhzLabel, phis: Sequence[float]) -
     if state.shape != (1 << label.n,):
         raise DimensionError(f"state has dimension {state.shape}, expected ({1 << label.n},)")
     return state * rotation_phases(label.n, phis)
-
-
-def pihalf_state(label: GhzLabel) -> np.ndarray:
-    """The quarter-turn basis state ((1-i)/2)(|bits> + sign*i |~bits>).
-
-    Equals :func:`apply_rotations` on :func:`build_state` for any angle set
-    whose collective angle is pi/2, global phase included.
-    """
-    check_vector_cap(label.n)
-    vec = np.zeros(1 << label.n, dtype=complex)
-    vec[label.bits] = (1 - 1j) / 2
-    vec[label.complement_bits] = label.sign * 1j * (1 - 1j) / 2
-    return vec
 
 
 def max_norm_diff(a: np.ndarray, b: np.ndarray) -> float:

@@ -7,7 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzverify import GhzLabel, PauliOperator, checks, lhv, oracle, poles, states
+from ghzverify import (CapacityError, GhzLabel, PauliOperator, checks, lhv, oracle, poles,
+                       states)
 from ghzverify.cli import main
 
 
@@ -103,6 +104,16 @@ def test_nan_in_a_later_set_fails_unitarity():
 def test_nan_in_a_later_set_fails_pair_invariance():
     _assert_nan_fails(checks.pair_subspace_invariance(
         LABEL, ANGLE_SETS + [(math.nan, 0.1, 0.2, 0.3)]))
+
+
+@pytest.mark.parametrize("n", [states.DENSE_VECTOR_CAP + 1, 63, 64])
+def test_verify_refuses_past_the_vector_cap_before_any_check(monkeypatch, n):
+    def not_called(*args):
+        raise AssertionError("a check ran before the refusal")
+    monkeypatch.setattr(checks, "eigenvalues", not_called)
+    with pytest.raises(CapacityError,
+                       match=f"dense statevectors are capped at 14 qubits \\(got {n}\\)"):
+        checks.verify(GhzLabel(n, 0, 1), 0)
 
 
 def test_eigen_pool_stays_small_at_the_vector_cap():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -113,6 +114,27 @@ class TestVerify:
     def test_cap_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--n", "15")
         assert code == 2
+
+    @pytest.mark.parametrize("n", ["63", "64"])
+    def test_cap_refuses_where_no_mask_can_be_drawn(self, capsys, n):
+        # past 62 qubits rng.integers cannot draw a z mask: the cap must come first
+        code, out, err = run_cli(capsys, "verify", "--n", n)
+        assert (code, out) == (2, "")
+        assert f"capped at 14 qubits (got {n})" in err
+        assert "Traceback" not in err
+
+    def test_cap_refuses_a_large_n_before_building_its_label(self, capsys):
+        # the default label of n qubits must cost nothing that grows with n
+        n = 10**7
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "verify", "--n", str(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"capped at 14 qubits (got {n})" in err
+        assert peak < 2**20
 
     def test_negative_seed_refused_before_any_work(self, capsys, monkeypatch):
         def not_called(label, seed):
@@ -230,7 +252,8 @@ class TestOneQubit:
 
 
 class TestMaskCapacity:
-    """Past 63 qubits a string's z mask no longer fits the uint64 columns."""
+    """Past 63 qubits a string's z mask would no longer fit a uint64 column;
+    the listing cap refuses long before that."""
 
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
         def not_called(*args):
@@ -238,12 +261,12 @@ class TestMaskCapacity:
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, out, err = run_cli(capsys, "lhv", "--n", "64")
         assert (code, out) == (2, "")
-        assert "pole masks are capped at 63 qubits (got 64)" in err
+        assert "pole listings are capped at 24 qubits (got 64)" in err
 
     def test_enumerate(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--n", "64", "--pole", "N")
         assert (code, out) == (2, "")
-        assert "pole masks are capped at 63 qubits (got 64)" in err
+        assert "pole listings are capped at 24 qubits (got 64)" in err
 
 
 class TestReportCapacity:
@@ -255,7 +278,7 @@ class TestReportCapacity:
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, out, err = run_cli(capsys, "lhv", "--n", str(poles.REPORT_CAP + 1))
         assert (code, out) == (2, "")
-        assert "contradiction reports are capped at 24 qubits (got 25)" in err
+        assert "pole listings are capped at 24 qubits (got 25)" in err
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_enumerate_refuses_before_any_rendering(self, capsys, monkeypatch, fmt):

@@ -74,6 +74,10 @@ class TestTable:
         with pytest.raises(DomainError):
             table1(6, 5)
 
+    def test_range_is_capped(self):
+        with pytest.raises(DomainError, match="need 2 <= n_min <= n_max <= 64, got 2..65"):
+            table1(2, 65)
+
 
 @pytest.mark.parametrize("n", range(2, 17))
 def test_south_enumeration_cross_check(n):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       build_state, from_letters, oracle, parse, pihalf_state)
+                       build_state, from_letters, oracle, parse, rotated_dense)
 from ghzverify.checks import conjugation_identity
 from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_pauli,
                               apply_observable, check_conjugation, check_eigen,
@@ -67,7 +67,7 @@ class TestCheckEigen:
         assert check_eigen(state, apply_pauli(from_letters("XXX"), state), -1).passed
 
     def test_quarter_state_under_all_y(self):
-        state = pihalf_state(GhzLabel(3, 0, 1))
+        state = rotated_dense(GhzLabel(3, 0, 1), math.pi / 2)
         assert check_eigen(state, apply_pauli(from_letters("YYY"), state), -1).passed
 
     def test_wrong_sign_reports_residual(self):

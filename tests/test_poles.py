@@ -11,12 +11,11 @@ from hypothesis import strategies as st
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
                        Pole, RuleNotApplicableError, commutes,
                        compatible_family, c_n_binomial, enumerate_pole,
-                       eigenvalue_rule, eigenvalue_symbolic, from_letters,
-                       pihalf_state)
+                       eigenvalue_rule, eigenvalue_symbolic, from_letters)
 from ghzverify.cli import main
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator
-from ghzverify.poles import (CHUNK_ROWS, eigenvalue_column, pole_masks, pole_size,
+from ghzverify.poles import (CHUNK_ROWS, REPORT_CAP, eigenvalue_column, pole_masks, pole_size,
                              xy_letter_matrix, xy_string, y_columns)
 from ghzverify.states import rotated_dense
 import math
@@ -92,10 +91,12 @@ class TestEnumerate:
                 "n": n, "pole": "S", "operators": operators, "count": len(operators)}
 
     def test_capacity(self):
-        count, masks = next(pole_masks(63, Pole.N))
-        assert count == 1 and masks[0] == 1 << 62
-        with pytest.raises(CapacityError, match="capped at 63 qubits"):
-            pole_masks(64, Pole.N)
+        count, masks = next(pole_masks(REPORT_CAP, Pole.N))
+        assert count == 1 and masks[0] == 1 << (REPORT_CAP - 1)
+        for n in (REPORT_CAP + 1, 64):
+            with pytest.raises(CapacityError,
+                               match=f"pole listings are capped at 24 qubits \\(got {n}\\)"):
+                pole_masks(n, Pole.N)
 
 
 class TestPoleMasks:
@@ -221,7 +222,7 @@ class TestEigenvalueAgainstOracle:
     def test_pihalf_state_is_the_quarter_one_state(self):
         for n in (2, 3):
             for label in _all_raw_labels(n):
-                vec = pihalf_state(label)
+                vec = rotated_dense(label, math.pi / 2)
                 for z in _xy_masks(n, [Pole.N, Pole.S]):
                     value = eigenvalue_symbolic(label, 1, z)
                     image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
@@ -331,3 +332,9 @@ def test_xy_string_positions():
     assert xy_string(4, (2, 4)).letters() == "XYXY"
     with pytest.raises(DomainError):
         xy_string(3, (0,))
+
+
+def test_xy_string_refuses_a_repeated_qubit():
+    # a repeated position is refused, not collapsed into a single Y
+    with pytest.raises(DomainError, match="qubit 1 more than once"):
+        xy_string(3, (1, 1))

@@ -8,7 +8,7 @@ import pytest
 
 from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
                        apply_rotations, build_state, collective_angle,
-                       max_norm_diff, parse_label, pihalf_state, rotated_dense)
+                       max_norm_diff, parse_label, rotated_dense)
 from ghzverify.states import rotation_phases, signed_bit_sums
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -41,6 +41,8 @@ class TestGhzLabel:
     def test_validation(self):
         with pytest.raises(DomainError):
             GhzLabel(2, 4, 1)
+        with pytest.raises(DomainError):
+            GhzLabel(2, -1, 1)
         with pytest.raises(DomainError):
             GhzLabel(2, 0, 2)
 
@@ -191,34 +193,27 @@ class TestApplyRotations:
 
 
 class TestPihalfState:
-    def test_all_zero_pattern(self):
-        vec = pihalf_state(GhzLabel(3, 0, 1))
-        expected = np.zeros(8, dtype=complex)
-        expected[0] = (1 - 1j) / 2
-        expected[7] = (1 + 1j) / 2
-        assert max_norm_diff(vec, expected) <= 0.0
-
     def test_matches_quarter_rotation_exactly(self):
         for label in _all_canonical_labels(4):
             angles = [(1 - 2 * label.bit(1)) * math.pi / 2] + [0.0] * 3
             rotated = apply_rotations(build_state(label), label, angles)
-            assert max_norm_diff(pihalf_state(label), rotated) <= 1e-12
+            assert max_norm_diff(rotated_dense(label, math.pi / 2), rotated) <= 1e-12
 
     def test_orthonormal_family(self):
         for n in (2, 3, 4):
-            vectors = [pihalf_state(label) for label in _all_canonical_labels(n)]
+            vectors = [rotated_dense(label, math.pi / 2) for label in _all_canonical_labels(n)]
             gram = np.array([[np.vdot(a, b) for b in vectors] for a in vectors])
             assert np.max(np.abs(gram - np.eye(1 << n))) < 1e-12
 
     def test_complement_label_is_same_ray(self):
         label = GhzLabel(3, 0b001, 1)
         raw_complement = GhzLabel(3, 0b110, 1)
-        a = pihalf_state(label)
+        a = rotated_dense(label, math.pi / 2)
         # complement pattern with + sign equals i times the - sign state
-        b = pihalf_state(GhzLabel(3, 0b001, -1))
-        assert max_norm_diff(pihalf_state(raw_complement), 1j * b) <= 1e-12
+        b = rotated_dense(GhzLabel(3, 0b001, -1), math.pi / 2)
+        assert max_norm_diff(rotated_dense(raw_complement, math.pi / 2), 1j * b) <= 1e-12
         # unit vectors lie on one ray exactly when their overlap has modulus 1
-        assert abs(abs(np.vdot(pihalf_state(raw_complement), b)) - 1.0) <= 1e-12
+        assert abs(abs(np.vdot(rotated_dense(raw_complement, math.pi / 2), b)) - 1.0) <= 1e-12
         assert abs(abs(np.vdot(a, b)) - 1.0) > 1e-12
 
 
@@ -234,7 +229,8 @@ class TestInnerProduct:
 
     def test_quarter_state_overlap_matches_hand_expansion(self):
         # <pihalf|plus> = conj((1-i)/2)/sqrt(2) + conj((1+i)/2)/sqrt(2) = 1/sqrt(2)
-        overlap = np.vdot(pihalf_state(GhzLabel(3, 0, 1)), build_state(GhzLabel(3, 0, 1)))
+        overlap = np.vdot(rotated_dense(GhzLabel(3, 0, 1), math.pi / 2),
+                          build_state(GhzLabel(3, 0, 1)))
         assert overlap == pytest.approx(SQRT_HALF)
 
 

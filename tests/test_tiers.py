@@ -82,7 +82,7 @@ PUBLIC = {
     "co_rotate_quarter",
     # oracle tier and the check engine
     "DENSE_VECTOR_CAP", "GhzLabel", "apply_rotations", "build_state", "collective_angle",
-    "max_norm_diff", "parse_label", "pihalf_state", "rotated_dense",
+    "max_norm_diff", "parse_label", "rotated_dense",
     "POLE_SNAP_TOL", "eigen_check_general", "swap_conjugation_residual",
 }
 
@@ -90,3 +90,19 @@ PUBLIC = {
 def test_public_surface_is_pinned():
     import ghzverify
     assert set(ghzverify.__all__) == PUBLIC
+
+
+def test_cli_copies_no_library_cap():
+    # each limit is refused once, by the library function that does the
+    # work; the CLI keeps only the caps of work it does itself or must
+    # refuse in a set order (the exhaustive sweep before the reports)
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    caps = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.endswith("_CAP"):
+            caps.add(f"{ast.unparse(node.value)}.{node.attr}")
+        elif isinstance(node, ast.Name) and node.id.endswith("_CAP"):
+            caps.add(node.id)
+        elif isinstance(node, ast.alias) and node.name.endswith("_CAP"):
+            caps.add(node.name)
+    assert caps == {"lhv.EXHAUSTIVE_CAP", "IDENTITY_ALL_SUBSETS_CAP"}
