@@ -3,6 +3,10 @@
 Every command is flag-driven and deterministic; seeded randomness is the
 only randomness, and the seed is echoed in the output header.  Exit codes:
 0 all checks passed, 1 a check failed, 2 usage or domain error.
+
+Only ``enumerate``, ``verify`` and ``lhv`` use numpy, so this module loads
+the stdlib and the package's numpy-free core alone, and those commands and
+their render helpers import the numpy-backed modules when they run.
 """
 
 from __future__ import annotations
@@ -13,12 +17,15 @@ import io
 import itertools
 import json
 import sys
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
-import numpy as np
-
-from . import __version__, checks, counting, lhv, poles, states
+from . import __version__, counting, pauli
 from .errors import ConsistencyError, GhzVerifyError
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from . import lhv, states
 
 IDENTITY_ALL_SUBSETS_CAP = 12
 
@@ -60,6 +67,8 @@ def _letter_rows(rows: int, *parts: bytes | np.ndarray) -> str:
     A bytes part repeats on every row; an array part is a (rows, width)
     uint8 matrix of per-row bytes.
     """
+    import numpy as np
+
     matrix = np.concatenate(
         [np.broadcast_to(np.frombuffer(part, np.uint8), (rows, len(part)))
          if isinstance(part, bytes) else part for part in parts], axis=1)
@@ -68,6 +77,8 @@ def _letter_rows(rows: int, *parts: bytes | np.ndarray) -> str:
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
     """The parsed --label, or the all-zeros + label, built without an n-character string."""
+    from . import states
+
     return states.parse_label(text, n) if text else states.GhzLabel(n, 0, 1)
 
 
@@ -103,6 +114,8 @@ def cmd_count(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------ enumerate
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    from . import poles
+
     n, pole = args.n, poles.Pole[args.pole]
     chunks = poles.pole_masks(n, pole)
     total = poles.pole_size(n, pole)
@@ -126,6 +139,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- verify
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import checks
+
     _require_qubits(args.n)
     if args.seed < 0:
         raise GhzVerifyError(f"need seed >= 0, got {args.seed}")
@@ -155,6 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ lhv
 
 def cmd_lhv(args: argparse.Namespace) -> int:
+    from . import lhv
+
     _require_qubits(args.n)
     label = _label(args.label, args.n)
     if args.exhaustive and args.n > lhv.EXHAUSTIVE_CAP:
@@ -207,6 +224,10 @@ _JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
 
 def _report_rows(reports: lhv.Contradictions, json_rows: bool) -> Iterator[str]:
     """Rendered report rows, one fixed-width block per run of equal Y counts."""
+    import numpy as np
+
+    from . import poles
+
     n = reports.n
     signs, separator = (_JSON_SIGNS, b'",\n        "') if json_rows else (_TABLE_SIGNS, b",")
     plus, minus = (np.frombuffer(text, np.uint8) for text in signs)
@@ -259,7 +280,7 @@ def cmd_identity(args: argparse.Namespace) -> int:
     rows = []
     all_pass = True
     for subset in subsets:
-        ok = lhv.verify_ks_identity(n, subset)
+        ok = pauli.verify_ks_identity(n, subset)
         sign = "+" if len(subset) % 4 == 1 else "-"
         rows.append({"subset": subset, "sign": sign, "pass": ok})
         all_pass &= ok

@@ -16,16 +16,16 @@ survivors.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable
 
 import numpy as np
 
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
-from .pauli import PauliOperator, QuarterPhase, multiply
+from .pauli import PauliOperator, qubit_mask
+from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
 from .poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
-                    enumerate_pole, qubit_mask, xy_letter_matrix, xy_string)
+                    enumerate_pole, xy_letter_matrix)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
@@ -142,24 +142,6 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
         if not vx.size:
             return 0
     return int(vx.size)
-
-
-def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
-    """Exact product identity for an odd set of single-Y generators.
-
-    The ordered product of the generators at the given Y positions must
-    equal the multi-Y string at those positions with sign + for sizes
-    1 mod 4 and - for sizes 3 mod 4.
-    """
-    mask = qubit_mask(n, y_positions)
-    size = mask.bit_count()
-    if size % 2 == 0:
-        raise DomainError(f"need an odd number of Y positions, got {size}")
-    positions = [k for k in range(1, n + 1) if mask >> (n - k) & 1]
-    product = reduce(multiply, (xy_string(n, (k,)) for k in positions))
-    expected_exponent = 0 if size % 4 == 1 else 2
-    expected = PauliOperator(n, (1 << n) - 1, mask, QuarterPhase(expected_exponent))
-    return product == expected
 
 
 def _swap_mask(n: int, subset: Iterable[int]) -> int:

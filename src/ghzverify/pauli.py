@@ -10,7 +10,8 @@ by its (x, z) bit pair:
 The product convention is the cyclic one: X*Y = iZ, Y*Z = iX, Z*X = iY.
 Every operation below is integer arithmetic on masks and phase exponents,
 so products, commutators and equality checks are exact; nothing in this
-module touches floating point.
+module touches floating point, and nothing imports numpy, so the
+generator product identities (:func:`verify_ks_identity`) run without it.
 
 Text rendering is "(sign)(i?)letters", e.g. "+XXX", "-YYY", "+iXZ", "-iY".
 :meth:`PauliOperator.letters` renders the whole string from the two masks
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Iterable
 
 from .errors import DimensionError, DomainError, LetterError
@@ -147,6 +149,24 @@ def single(n: int, k: int, letter: str) -> PauliOperator:
     return from_letters("I" * (k - 1) + letter + "I" * (n - k))
 
 
+def qubit_mask(n: int, qubits: Iterable[int]) -> int:
+    """Bit mask of distinct 1-based qubit indices, each within 1..n."""
+    mask = 0
+    for k in qubits:
+        if not 1 <= k <= n:
+            raise DomainError(f"qubit index {k} out of range 1..{n}")
+        bit = 1 << (n - k)
+        if mask & bit:
+            raise DomainError(f"subset lists qubit {k} more than once")
+        mask |= bit
+    return mask
+
+
+def xy_string(n: int, y_positions: Iterable[int]) -> PauliOperator:
+    """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
+    return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
+
+
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Exact operator product a*b with the accumulated power of i.
 
@@ -190,3 +210,22 @@ def parse(text: str) -> PauliOperator:
     sign, imag, letters = match.groups()
     exponent = (2 if sign == "-" else 0) + (1 if imag else 0)
     return replace(from_letters(letters), phase=QuarterPhase(exponent))
+
+
+def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
+    """Exact product identity for an odd set of single-Y generators.
+
+    The ordered product of the generators at the given Y positions must
+    equal the multi-Y string at those positions with sign + for sizes
+    1 mod 4 and - for sizes 3 mod 4.  The positions are checked once, by
+    :func:`qubit_mask`; each generator is then built from its bit alone.
+    """
+    mask = qubit_mask(n, y_positions)
+    size = mask.bit_count()
+    if size % 2 == 0:
+        raise DomainError(f"need an odd number of Y positions, got {size}")
+    full = (1 << n) - 1
+    product = reduce(multiply, (PauliOperator(n, full, 1 << (n - k))
+                                for k in range(1, n + 1) if mask >> (n - k) & 1))
+    expected_exponent = 0 if size % 4 == 1 else 2
+    return product == PauliOperator(n, full, mask, QuarterPhase(expected_exponent))

@@ -2,7 +2,7 @@
 
 An X/Y string is its z mask alone: the x mask is all ones and the phase is
 +1, so bit n - k of the mask set means Y on qubit k, clear means X (only a
-product of strings needs the :class:`PauliOperator` of :func:`xy_string`).
+product of strings needs the :class:`PauliOperator` of :func:`pauli.xy_string`).
 Every string sits at one of four poles according to its Y count (the mask's
 popcount) modulo 4, each Y letter being a quarter turn of that factor:
 0 -> E, 1 -> N, 2 -> W, 3 -> S.  The labeled basis states at the
@@ -24,12 +24,12 @@ import enum
 import itertools
 import math
 from functools import reduce
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError, RuleNotApplicableError
-from .pauli import PauliOperator, multiply
+from .pauli import PauliOperator, multiply, xy_string
 from .states import GhzLabel
 
 #: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
@@ -51,24 +51,6 @@ class Pole(enum.Enum):
     N = 1
     W = 2
     S = 3
-
-
-def qubit_mask(n: int, qubits: Iterable[int]) -> int:
-    """Bit mask of distinct 1-based qubit indices, each within 1..n."""
-    mask = 0
-    for k in qubits:
-        if not 1 <= k <= n:
-            raise DomainError(f"qubit index {k} out of range 1..{n}")
-        bit = 1 << (n - k)
-        if mask & bit:
-            raise DomainError(f"subset lists qubit {k} more than once")
-        mask |= bit
-    return mask
-
-
-def xy_string(n: int, y_positions: Iterable[int]) -> PauliOperator:
-    """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
-    return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
 
 
 def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:

@@ -14,9 +14,9 @@ from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
                        eigenvalue_rule, eigenvalue_symbolic, from_letters)
 from ghzverify.cli import main
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
-from ghzverify.pauli import PauliOperator
+from ghzverify.pauli import PauliOperator, xy_string
 from ghzverify.poles import (CHUNK_ROWS, REPORT_CAP, eigenvalue_column, pole_masks, pole_size,
-                             xy_letter_matrix, xy_string, y_columns)
+                             xy_letter_matrix, y_columns)
 from ghzverify.states import rotated_dense
 import math
 

@@ -4,9 +4,15 @@ The symbolic modules reach neither the oracle nor dense states (GhzLabel,
 a plain label value, is the one name they share), and the oracle modules
 reach no symbolic module beyond the Pauli strings the oracle applies.
 Only ``checks`` and ``cli`` (and the package ``__init__``) use both tiers.
+
+Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
+``pauli``, ``rotations``) is all that ``import ghzverify`` and the CLI
+module load, so the integer-only commands start without numpy.
 """
 
 import ast
+import importlib
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,15 +22,23 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ghzverify"
 SYMBOLIC = ["pauli", "poles", "counting", "lhv", "rotations"]
 ORACLE = ["states", "oracle"]
 BOTH = {"checks", "cli", "__init__"}
+CORE = ["errors", "counting", "pauli", "rotations"]
+NUMPY_BACKED = (set(SYMBOLIC) | set(ORACLE) | {"checks"}) - set(CORE)
 
 
-def _imports(module):
-    """(imported module, imported name or None) for each ghzverify import."""
+def _imports(module, top_level=False):
+    """(imported module, imported name or None) for each import.
+
+    A ghzverify module is named without its package prefix, any other by
+    its full name.  ``top_level`` keeps only the imports that run when the
+    module loads: none inside a function or an ``if TYPE_CHECKING`` block.
+    """
     tree = ast.parse((PACKAGE / f"{module}.py").read_text())
     found = []
-    for node in ast.walk(tree):
+    for node in tree.body if top_level else ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             if node.level == 0 and not (node.module or "").startswith("ghzverify"):
+                found.extend((node.module, alias.name) for alias in node.names)
                 continue
             target = (node.module or "").removeprefix("ghzverify").lstrip(".")
             for alias in node.names:
@@ -34,8 +48,7 @@ def _imports(module):
                     found.append((alias.name, None))
         elif isinstance(node, ast.Import):
             for alias in node.names:
-                if alias.name.startswith("ghzverify."):
-                    found.append((alias.name.removeprefix("ghzverify."), None))
+                found.append((alias.name.removeprefix("ghzverify."), None))
     return found
 
 
@@ -59,9 +72,29 @@ def test_oracle_modules_stay_off_the_symbolic_tier(module):
     assert reached <= {"pauli"}
 
 
+@pytest.mark.parametrize("module", CORE)
+def test_core_modules_import_no_numpy(module):
+    reached = {target.split(".")[0] for target, _ in _imports(module)}
+    assert "numpy" not in reached
+    assert not reached & NUMPY_BACKED, f"{module} reaches {reached & NUMPY_BACKED}"
+
+
+def test_cli_loads_only_the_stdlib_and_the_core():
+    for target, name in _imports("cli", top_level=True):
+        top = target.split(".")[0]
+        # from . import __version__ reads as a module named __version__
+        assert top in sys.stdlib_module_names or top in CORE or top == "__version__", \
+            f"cli imports {target} when it loads"
+
+
 def test_the_reader_finds_imports():
     assert ("oracle", None) in _imports("checks")
     assert ("pauli", "PauliOperator") in _imports("oracle")
+    assert ("numpy", None) in _imports("poles")
+    # cli imports numpy only inside the commands and helpers that use it
+    assert ("numpy", None) in _imports("cli")
+    assert ("numpy", None) not in _imports("cli", top_level=True)
+    assert ("counting", None) in _imports("cli", top_level=True)
 
 
 #: The package's public names.  Test-only helpers that were deleted stay out.
@@ -90,6 +123,37 @@ PUBLIC = {
 def test_public_surface_is_pinned():
     import ghzverify
     assert set(ghzverify.__all__) == PUBLIC
+
+
+MODULES = {name for name in PUBLIC if (PACKAGE / f"{name}.py").exists()}
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC))
+def test_public_name_resolves_to_its_home(name):
+    import ghzverify
+    value = getattr(ghzverify, name)
+    if name in MODULES:
+        assert value is importlib.import_module(f"ghzverify.{name}")
+        return
+    homes = [importlib.import_module(f"ghzverify.{module}") for module in sorted(MODULES)]
+    bound = [vars(home)[name] for home in homes if name in vars(home)]
+    assert bound, f"no ghzverify module defines {name}"
+    assert all(other is value for other in bound)
+
+
+def test_dir_and_star_import_cover_the_public_names():
+    import ghzverify
+    assert PUBLIC <= set(dir(ghzverify))
+    namespace = {}
+    exec("from ghzverify import *", namespace)
+    assert PUBLIC <= set(namespace)
+
+
+def test_unknown_name_is_an_attribute_error():
+    import ghzverify
+    with pytest.raises(AttributeError, match="no_such_name"):
+        ghzverify.no_such_name
+    assert not hasattr(ghzverify, "qubit_mask")
 
 
 def test_cli_copies_no_library_cap():
