@@ -12,8 +12,6 @@ their render helpers import the numpy-backed modules when they run.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import sys
@@ -98,12 +96,9 @@ def cmd_count(args: argparse.Namespace) -> int:
             "reports": [vars(r) for r in reports],
         })
     elif args.format == "csv":
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["n", "c_n", "compatible", "closed_form_value", "binomial_value"])
-        for r in reports:
-            writer.writerow([r.n, r.c_n, r.compatible, r.closed_form_value, r.binomial_value])
-        print(out.getvalue(), end="")
+        print("n,c_n,compatible,closed_form_value,binomial_value")
+        for r in reports:  # every field is an int, so none needs quoting
+            print(f"{r.n},{r.c_n},{r.compatible},{r.closed_form_value},{r.binomial_value}")
     else:
         print(f"{'n':>4} {'contradictions':>16} {'compatible':>12}")
         for r in reports:
@@ -176,8 +171,8 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     label = _label(args.label, args.n)
     if args.exhaustive and args.n > lhv.EXHAUSTIVE_CAP:
         raise GhzVerifyError(f"exhaustive mode is capped at {lhv.EXHAUSTIVE_CAP} qubits (got {args.n})")
+    reports = lhv.find_contradictions(label)  # refuses n < 2 and an oversized listing first
     expected = counting.c_n_closed(args.n)
-    reports = lhv.find_contradictions(label)
     count_ok = len(reports) == expected
     satisfying = None
     search_ok = True

@@ -25,20 +25,21 @@ class CountReport:
     binomial_value: int
 
 
-def _check_n(n: int) -> None:
+def check_n(n: int) -> None:
+    """Refuse a qubit count for which no contradiction count is defined."""
     if n < 2:
         raise DomainError(f"counts are defined for n >= 2 (got {n})")
 
 
 def c_n_binomial(n: int) -> int:
     """sum_j binom(n, 3 + 4j)."""
-    _check_n(n)
+    check_n(n)
     return sum(math.comb(n, k) for k in range(3, n + 1, 4))
 
 
 def oscillation_term(n: int) -> int:
     """The signed integer sqrt(2**(n-2)) sin(n pi/4); sqrt(2) factors cancel."""
-    _check_n(n)
+    check_n(n)
     r = n % 8
     if r in (0, 4):
         return 0
@@ -53,13 +54,13 @@ def oscillation_term(n: int) -> int:
 
 def c_n_closed(n: int) -> int:
     """2**(n-2) minus the oscillation term, always an exact integer."""
-    _check_n(n)
+    check_n(n)
     return (1 << (n - 2)) - oscillation_term(n)
 
 
 def compatible_count(n: int) -> int:
     """Size of the commuting family generated by the single-Y operators."""
-    _check_n(n)
+    check_n(n)
     return (1 << n) - 1
 
 

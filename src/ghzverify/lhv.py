@@ -20,6 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
+from .counting import check_n
 from .errors import (CapacityError, ConsistencyError, DimensionError,
                      DomainError, LetterError)
 from .pauli import PauliOperator, qubit_mask
@@ -110,8 +111,6 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
     The quantum side is always the exact symbolic eigenvalue; the prediction
     side is the product rule over the single-Y generator values.
     """
-    if not label.is_canonical:
-        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
     return _contradictions(label, 0)
 
 
@@ -183,10 +182,7 @@ def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> Contradictions:
     its prediction, so exactly as many contradictions appear among E/W
     strings as at the S pole.
     """
-    mask = _swap_mask(label.n, subset)
-    if not label.is_canonical:
-        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    return _contradictions(label, mask)
+    return _contradictions(label, _swap_mask(label.n, subset))
 
 
 def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
@@ -198,10 +194,14 @@ def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
     row's prediction is their product over its Y positions, (-1)**popcount(y
     & negative generators), and its eigenvalue comes from
     :func:`eigenvalue_column`, so the two stay separate routes.  Every row
-    is checked to oppose before the value is returned.
+    is checked to oppose before the value is returned; n < 2, a label that
+    is not canonical and an oversized listing are refused before any work.
     """
     n = label.n
-    y_masks = enumerate_pole(n, Pole.S)  # refuses an oversized listing before any work
+    check_n(n)
+    if not label.is_canonical:
+        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
+    y_masks = enumerate_pole(n, Pole.S)
     carrier, quarter = _swapped_state(label, mask)
     generator_kind, target_kind = (("swapped generator", "swapped target") if mask
                                    else ("single-Y generator", "S operator"))

@@ -56,7 +56,7 @@ class GhzLabel:
     @property
     def is_canonical(self) -> bool:
         """Canonical form puts qubit 1's bit at 0."""
-        return self.bits < (1 << (self.n - 1))
+        return not self.bits >> (self.n - 1)  # no 2**(n-1) is built for a large n
 
     def bit(self, k: int) -> int:
         """Bit of qubit k (1-based, qubit 1 most significant)."""

@@ -11,14 +11,15 @@ import time
 
 import numpy as np
 
-from ghzverify import (GhzLabel, PauliOperator, Pole, build_state, c_n_binomial,
-                       c_n_closed, collective_angle, ew_contradictions,
-                       enumerate_pole, eigenvalue_rule, eigenvalue_symbolic,
-                       exhaustive_search, find_contradictions, single,
-                       swap_conjugation_residual, verify_ks_identity)
+from ghzverify.checks import swap_conjugation_residual
 from ghzverify.cli import main
+from ghzverify.counting import c_n_binomial, c_n_closed
+from ghzverify.lhv import ew_contradictions, exhaustive_search, find_contradictions
 from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen
-from ghzverify.states import apply_rotations, max_norm_diff, rotated_dense
+from ghzverify.pauli import PauliOperator, single, verify_ks_identity
+from ghzverify.poles import Pole, eigenvalue_rule, eigenvalue_symbolic, enumerate_pole
+from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
+                              max_norm_diff, rotated_dense)
 
 TOL = 1e-12
 

@@ -7,9 +7,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from ghzverify import (CapacityError, GhzLabel, PauliOperator, checks, lhv, oracle, poles,
-                       states)
+from ghzverify import checks, lhv, oracle, poles, states
 from ghzverify.cli import main
+from ghzverify.errors import CapacityError
+from ghzverify.pauli import PauliOperator
+from ghzverify.states import GhzLabel
 
 
 def test_cases_per_check_at_three_qubits():

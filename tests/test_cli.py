@@ -243,9 +243,10 @@ class TestZeroQubits:
 
 class TestOneQubit:
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
-        def not_called(label):
+        def not_called(*args):
             raise AssertionError("contradictions built before the refusal")
-        monkeypatch.setattr(lhv, "find_contradictions", not_called)
+        monkeypatch.setattr(lhv, "enumerate_pole", not_called)
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, _, err = run_cli(capsys, "lhv", "--n", "1")
         assert code == 2
         assert "counts are defined for n >= 2 (got 1)" in err
@@ -279,6 +280,19 @@ class TestReportCapacity:
         code, out, err = run_cli(capsys, "lhv", "--n", str(poles.REPORT_CAP + 1))
         assert (code, out) == (2, "")
         assert "pole listings are capped at 24 qubits (got 25)" in err
+
+    def test_lhv_refuses_a_large_n_before_any_work_that_grows_with_it(self, capsys):
+        # neither the expected count 2**(n-2) nor the label's 2**(n-1) is built
+        n = 10**7
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, "lhv", "--n", str(n))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert f"pole listings are capped at 24 qubits (got {n})" in err
+        assert peak < 2**20
 
     @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
     def test_enumerate_refuses_before_any_rendering(self, capsys, monkeypatch, fmt):

@@ -2,9 +2,9 @@
 
 import pytest
 
-from ghzverify import (DomainError, Pole, c_n_binomial, c_n_closed,
-                       compatible_count, enumerate_pole, table1)
-from ghzverify.counting import oscillation_term
+from ghzverify.counting import c_n_binomial, c_n_closed, compatible_count, oscillation_term, table1
+from ghzverify.errors import DomainError
+from ghzverify.poles import Pole, enumerate_pole
 
 # published reference rows for qubit counts 3..10
 REFERENCE_CONTRADICTIONS = [1, 4, 10, 20, 36, 64, 120, 240]

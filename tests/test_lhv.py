@@ -10,17 +10,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       LetterError, Pole, ValueAssignment, c_n_closed,
-                       enumerate_pole, ew_contradictions, ew_swap,
-                       exhaustive_search, find_contradictions, from_letters,
-                       multiply, parse, swap_conjugation_residual, value_of,
-                       verify_ks_identity, xy_string)
+from ghzverify.checks import swap_conjugation_residual
 from ghzverify.cli import main
-from ghzverify.lhv import _swapped_state
+from ghzverify.counting import c_n_closed
+from ghzverify.errors import CapacityError, DimensionError, DomainError, LetterError
+from ghzverify.lhv import (ValueAssignment, _swapped_state, ew_contradictions, ew_swap,
+                           exhaustive_search, find_contradictions, value_of)
 from ghzverify.oracle import DENSE_MATRIX_CAP, EIGEN_TOL
-from ghzverify.pauli import QuarterPhase, PauliOperator
-from ghzverify.poles import eigenvalue_symbolic
+from ghzverify.pauli import (PauliOperator, QuarterPhase, from_letters, multiply, parse,
+                             verify_ks_identity, xy_string)
+from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
+from ghzverify.states import GhzLabel
 
 
 def _xy(n, z):
@@ -145,6 +145,14 @@ class TestFindContradictions:
     def test_non_canonical_rejected(self):
         with pytest.raises(DomainError):
             find_contradictions(GhzLabel(3, 0b100, 1))
+
+    @pytest.mark.parametrize("analysis", [
+        find_contradictions, lambda label: ew_contradictions(label, {1})],
+        ids=["find_contradictions", "ew_contradictions"])
+    def test_one_qubit_refused(self, analysis):
+        # no contradiction count is defined below two qubits
+        with pytest.raises(DomainError, match=r"counts are defined for n >= 2 \(got 1\)"):
+            analysis(GhzLabel(1, 0, 1))
 
 
 class TestExhaustiveSearch:

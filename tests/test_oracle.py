@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       build_state, from_letters, oracle, parse, rotated_dense)
+from ghzverify import oracle
 from ghzverify.checks import conjugation_identity
-from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_pauli,
-                              apply_observable, check_conjugation, check_eigen,
-                              eigen_residuals, materialize,
-                              observable_matrix, rotation_diagonal,
-                              two_dim_invariance_residual)
-from ghzverify.pauli import PauliOperator
+from ghzverify.errors import CapacityError, DimensionError, DomainError
+from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_observable, apply_pauli,
+                              check_conjugation, check_eigen, eigen_residuals, materialize,
+                              observable_matrix, rotation_diagonal, two_dim_invariance_residual)
+from ghzverify.pauli import PauliOperator, from_letters, parse
+from ghzverify.rotations import co_rotate_quarter
+from ghzverify.states import GhzLabel, build_state, rotated_dense
 
 
 class TestMaterialize:
@@ -145,7 +145,6 @@ class TestCheckConjugation:
         assert result.passed and result.residual == 0.0
 
     def test_quarter_turns_match_symbolic(self):
-        from ghzverify import co_rotate_quarter
         result = check_conjugation([(math.pi / 2, 0.0, math.pi)])
         assert result.passed
         dense = materialize(co_rotate_quarter((1, 0, 2)))

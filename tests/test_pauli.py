@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (DimensionError, LetterError, PauliOperator,
-                       QuarterPhase, ValueAssignment, commutes, from_letters,
-                       identity, multiply, parse, render, value_of)
+from ghzverify.errors import DimensionError, LetterError
+from ghzverify.lhv import ValueAssignment, value_of
 from ghzverify.oracle import materialize
+from ghzverify.pauli import (PauliOperator, QuarterPhase, commutes, from_letters, identity,
+                             multiply, parse, render)
 
 
 class TestQuarterPhase:

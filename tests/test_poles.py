@@ -8,16 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       Pole, RuleNotApplicableError, commutes,
-                       compatible_family, c_n_binomial, enumerate_pole,
-                       eigenvalue_rule, eigenvalue_symbolic, from_letters)
 from ghzverify.cli import main
+from ghzverify.counting import c_n_binomial
+from ghzverify.errors import CapacityError, DimensionError, DomainError, RuleNotApplicableError
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
-from ghzverify.pauli import PauliOperator, xy_string
-from ghzverify.poles import (CHUNK_ROWS, REPORT_CAP, eigenvalue_column, pole_masks, pole_size,
-                             xy_letter_matrix, y_columns)
-from ghzverify.states import rotated_dense
+from ghzverify.pauli import PauliOperator, commutes, from_letters, xy_string
+from ghzverify.poles import (CHUNK_ROWS, Pole, REPORT_CAP, compatible_family, eigenvalue_column,
+                             eigenvalue_rule, eigenvalue_symbolic, enumerate_pole, pole_masks,
+                             pole_size, xy_letter_matrix, y_columns)
+from ghzverify.states import GhzLabel, rotated_dense
 import math
 
 

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import (POLE_SNAP_TOL, DomainError, GhzLabel, build_state,
-                       co_rotate_quarter, eigen_check_general,
-                       eigenvalue_symbolic, render)
-from ghzverify.oracle import (EIGEN_TOL, apply_observable, apply_pauli,
-                              materialize, observable_matrix, rotation_diagonal)
-from ghzverify.pauli import single
-from ghzverify.states import apply_rotations, parse_label
+from ghzverify.checks import POLE_SNAP_TOL, eigen_check_general
+from ghzverify.errors import DomainError
+from ghzverify.oracle import (EIGEN_TOL, apply_observable, apply_pauli, materialize,
+                              observable_matrix, rotation_diagonal)
+from ghzverify.pauli import from_letters, render, single
+from ghzverify.poles import eigenvalue_symbolic
+from ghzverify.rotations import co_rotate_quarter
+from ghzverify.states import GhzLabel, apply_rotations, build_state, parse_label
 
 
 class TestQuarterTurns:
@@ -48,17 +49,14 @@ class TestCoRotateQuarter:
 class TestCoRotateGeneral:
     def test_zero_angles_reduce_to_all_x(self):
         obs = observable_matrix((0.0, 0.0, 0.0))
-        from ghzverify import from_letters
         assert np.max(np.abs(obs - materialize(from_letters("XXX")))) < 1e-12
 
     def test_quarter_angle_reduces_to_single_y(self):
-        from ghzverify import from_letters
         obs = observable_matrix((math.pi / 2, 0.0, 0.0))
         assert np.max(np.abs(obs - materialize(from_letters("YXX")))) < 1e-12
 
     def test_conjugation_identity_random_angles(self):
         # both sides of the conjugation computed densely, 8x8
-        from ghzverify import from_letters
         rng = np.random.default_rng(101)
         all_x = materialize(from_letters("XXX"))
         for _ in range(25):

@@ -6,10 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from ghzverify import (CapacityError, DimensionError, DomainError, GhzLabel,
-                       apply_rotations, build_state, collective_angle,
-                       max_norm_diff, parse_label, rotated_dense)
-from ghzverify.states import rotation_phases, signed_bit_sums
+from ghzverify.errors import CapacityError, DimensionError, DomainError
+from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
+                              max_norm_diff, parse_label, rotated_dense, rotation_phases,
+                              signed_bit_sums)
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 

@@ -7,8 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ghzverify import GhzLabel, Pole, lhv, oracle, poles, states
+from ghzverify import lhv, oracle, poles, states
 from ghzverify.pauli import from_letters
+from ghzverify.poles import Pole
+from ghzverify.states import GhzLabel
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
