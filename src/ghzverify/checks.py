@@ -3,8 +3,9 @@
 Each check states a claim in the integer-only tier (or as an exact law of
 the rotated states), confirms it densely, and returns a :class:`Check` with
 its case count, its worst residual, and whether that residual stayed under
-``oracle.EIGEN_TOL``.  This module and the CLI are the only ones that use
-both tiers.
+``oracle.EIGEN_TOL``.  The oracle returns bare residuals, so every verdict
+against that tolerance is taken here.  This module and the CLI are the only
+ones that use both tiers.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import lhv, oracle, poles, rotations, states
-from .errors import ConsistencyError
+from .errors import ConsistencyError, DomainError
 from .pauli import PauliOperator
 from .states import GhzLabel
 
@@ -97,8 +98,7 @@ def collective_angle_collapse(label: GhzLabel, rng: np.random.Generator) -> Chec
 def conjugation_identity(n: int, rng: np.random.Generator) -> Check:
     """Conjugating the all-X string must reproduce the factored observable."""
     angle_sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
-    return _within_tol("conjugation_identity", 10,
-                       [oracle.check_conjugation(angle_sets).residual])
+    return _within_tol("conjugation_identity", 10, [oracle.check_conjugation(angle_sets)])
 
 
 def quarter_turn_consistency(n: int, rng: np.random.Generator) -> Check:
@@ -173,7 +173,12 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     at angle phi is the plus label at phi + pi up to phase, which shifts the
     comparison point accordingly.  Every returned sign is confirmed against
     the dense state; disagreement beyond rounding raises ConsistencyError.
+    A NaN or infinite angle is refused before any vector is built: its
+    dense residual would be NaN, which confirms no verdict.
     """
+    if not all(map(math.isfinite, (state_phi, *angles))):
+        raise DomainError(f"angles must be finite, got state angle {state_phi!r} "
+                          f"and setting angles {tuple(angles)!r}")
     observable_angle = states.collective_angle(label, angles)
     effective = state_phi if label.sign > 0 else state_phi + math.pi
     delta = (observable_angle - effective) % _TWO_PI
@@ -196,14 +201,13 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     image = oracle.apply_observable(vec, angles)
     if predicted is None:
         for sign in (1, -1):
-            result = oracle.check_eigen(vec, image, sign)
-            if result.residual < oracle.EIGEN_TOL - margin:
+            if oracle.check_eigen(vec, image, sign) < oracle.EIGEN_TOL - margin:
                 raise ConsistencyError(
                     f"angle sum {observable_angle!r} is off-pole but the dense state "
                     f"is an eigenstate with sign {sign}")
         return None
-    result = oracle.check_eigen(vec, image, predicted)
-    if result.residual >= oracle.EIGEN_TOL + margin:
+    residual = oracle.check_eigen(vec, image, predicted)
+    if residual >= oracle.EIGEN_TOL + margin:
         raise ConsistencyError(
-            f"predicted eigenvalue {predicted} fails densely (residual {result.residual:.3e})")
+            f"predicted eigenvalue {predicted} fails densely (residual {residual:.3e})")
     return predicted

@@ -77,7 +77,7 @@ def _label(text: str | None, n: int) -> states.GhzLabel:
     """The parsed --label, or the all-zeros + label, built without an n-character string."""
     from . import states
 
-    return states.parse_label(text, n) if text else states.GhzLabel(n, 0, 1)
+    return states.GhzLabel(n, 0, 1) if text is None else states.parse_label(text, n)
 
 
 def _require_qubits(n: int) -> None:
@@ -262,7 +262,7 @@ def _parse_subset(text: str) -> list[int]:
 def cmd_identity(args: argparse.Namespace) -> int:
     n = args.n
     _require_qubits(n)
-    if args.subset:
+    if args.subset is not None:
         subsets = [_parse_subset(args.subset)]
     else:
         if n > IDENTITY_ALL_SUBSETS_CAP:

@@ -28,9 +28,5 @@ class CapacityError(GhzVerifyError, ValueError):
     """The request exceeds a hard size cap (dense or exhaustive)."""
 
 
-class RuleNotApplicableError(GhzVerifyError, ValueError):
-    """The shortcut eigenvalue rule was asked about an operator it does not cover."""
-
-
 class ConsistencyError(GhzVerifyError, RuntimeError):
     """Symbolic and oracle results disagree; this is a tool failure."""

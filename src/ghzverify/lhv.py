@@ -1,16 +1,18 @@
-"""Noncontextual value assignments, sign contradictions, and the swap argument.
+"""Sign contradictions of noncontextual assignments, and the swap argument.
 
 A hidden-variable assignment gives every single-qubit X and Y a definite
-value +/-1, so any +/-1-phased X/Y string inherits the product of its factor
-values.  On a quarter-turn basis state, the values of the n single-Y strings
-fix (by the product rule) the predicted value of every S-pole string, and
-each prediction has the opposite sign from the exact eigenvalue: one
-absolute contradiction per S string.
+value +/-1, so an X/Y string inherits the product of its factor values.  On
+a quarter-turn basis state, the values of the n single-Y strings fix (by the
+product rule) the predicted value of every S-pole string, and each
+prediction has the opposite sign from the exact eigenvalue: one absolute
+contradiction per S string.
 
 The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
 simultaneously, while dropping the S constraints leaves exactly 2**n
-survivors.
+survivors.  An assignment is the bit pair (vx, vy), bit n - k set meaning
+v(X_k) = -1 or v(Y_k) = -1, and the sweep holds all of them as two uint32
+columns.
 """
 
 from __future__ import annotations
@@ -21,9 +23,8 @@ from typing import Iterable
 import numpy as np
 
 from .counting import check_n
-from .errors import (CapacityError, ConsistencyError, DimensionError,
-                     DomainError, LetterError)
-from .pauli import PauliOperator, qubit_mask
+from .errors import CapacityError, ConsistencyError, DomainError
+from .pauli import qubit_mask
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
 from .poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
                     enumerate_pole, xy_letter_matrix)
@@ -31,39 +32,6 @@ from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
 EXHAUSTIVE_CAP = 10
-
-
-@dataclass(frozen=True)
-class ValueAssignment:
-    """Definite +/-1 values for every X_k and Y_k.
-
-    Bit k of ``vx`` (qubit 1 most significant) set means v(X_k) = -1, clear
-    means +1; ``vy`` likewise for v(Y_k).
-    """
-
-    n: int
-    vx: int
-    vy: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError("assignment needs at least one qubit")
-        full = (1 << self.n) - 1
-        if not 0 <= self.vx <= full or not 0 <= self.vy <= full:
-            raise DomainError("assignment mask out of range for qubit count")
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> ValueAssignment:
-        """Decode 0 <= index < 2**(2n): high n bits are vx, low n bits vy."""
-        if not 0 <= index < (1 << (2 * n)):
-            raise DomainError(f"assignment index {index} out of range for n={n}")
-        return cls(n, index >> n, index & ((1 << n) - 1))
-
-    def x_value(self, k: int) -> int:
-        return -1 if (self.vx >> (self.n - k)) & 1 else 1
-
-    def y_value(self, k: int) -> int:
-        return -1 if (self.vy >> (self.n - k)) & 1 else 1
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,19 +58,6 @@ class Contradictions:
 
     def __len__(self) -> int:
         return len(self.targets)
-
-
-def value_of(assignment: ValueAssignment, op: PauliOperator) -> int:
-    """Product of the assigned factor values, times the string's sign."""
-    if op.n != assignment.n:
-        raise DimensionError(f"operator acts on {op.n} qubits, assignment on {assignment.n}")
-    if not op.is_xy_string:
-        raise LetterError(f"{op.letters()} contains I or Z letters")
-    sign = op.phase.sign
-    x_mask = op.x_bits & ~op.z_bits
-    y_mask = op.y_bits
-    flips = (assignment.vx & x_mask).bit_count() + (assignment.vy & y_mask).bit_count()
-    return -sign if flips % 2 else sign
 
 
 def find_contradictions(label: GhzLabel) -> Contradictions:

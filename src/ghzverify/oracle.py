@@ -1,11 +1,12 @@
 """Dense numeric cross-checks for every symbolic claim.
 
 This module is the independent second route: operators become explicit
-matrices (or matrix-free actions on amplitude vectors) and claims are judged
-by residuals in max norm.  Tolerance is 1e-12 throughout; amplitudes are
-O(1) and all matrix entries are exact fourth roots of unity times exact
-cosines, which leaves at least three orders of magnitude of headroom in
-double precision.
+matrices (or matrix-free actions on amplitude vectors) and each claim is
+measured by a residual in max norm.  The functions here return residuals
+and pass no verdict; only :mod:`checks` compares them with EIGEN_TOL, 1e-12
+throughout.  Amplitudes are O(1) and all matrix entries are exact fourth
+roots of unity times exact cosines, which leaves at least three orders of
+magnitude of headroom in double precision.
 
 An eigen check judges an image: each caller applies its own operator (a
 Pauli string through apply_pauli, an angle tuple through apply_observable)
@@ -34,7 +35,7 @@ strings, holds at most one vector-cap state's worth of entries.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -51,17 +52,15 @@ EIGEN_TOL = 1e-12
 #: Most entries in one block of check_conjugation or eigen_residuals.
 _BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP
 
+#: i**phase for the int phase of a PauliOperator.
+_PHASE_VALUE = (1, 1j, -1, -1j)
+
 PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-
-class CheckResult(NamedTuple):
-    passed: bool
-    residual: float
 
 
 def _check_matrix_cap(n: int) -> None:
@@ -90,14 +89,14 @@ def materialize(op: PauliOperator) -> np.ndarray:
     out = np.eye(1, dtype=complex)
     for k in range(1, op.n + 1):
         out = np.kron(out, PAULI_1Q[op.letter(k)])
-    return op.phase.value * out
+    return _PHASE_VALUE[op.phase] * out
 
 
 def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
     """Matrix-free action of a Pauli string on an amplitude vector.
 
     The string maps basis index b to b xor x_bits with phase
-    i**(exponent + #Y) * (-1)**popcount(b & z_bits).
+    i**(phase + #Y) * (-1)**popcount(b & z_bits).
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (1 << op.n,):
@@ -105,7 +104,7 @@ def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
     idx = np.arange(1 << op.n)
     # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
     parity = (np.bitwise_count(idx & op.z_bits) & 1).astype(np.int8)
-    coeff = op.phase.value * (1j) ** (op.y_bits.bit_count() % 4) * (1 - 2 * parity)
+    coeff = _PHASE_VALUE[op.phase] * (1j) ** (op.y_bits.bit_count() % 4) * (1 - 2 * parity)
     out = np.empty_like(vec)
     out[idx ^ op.x_bits] = coeff * vec
     return out
@@ -132,8 +131,8 @@ def rotation_diagonal(angles: Sequence[float]) -> np.ndarray:
     return rotation_phases(n, angles)
 
 
-def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> CheckResult:
-    """Residual test of image = expected * state in max norm.
+def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> float:
+    """Residual of image = expected * state in max norm.
 
     ``image`` is op|state>, applied by the caller (apply_pauli,
     apply_observable or a dense matrix product), so one image serves
@@ -143,8 +142,7 @@ def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> CheckRes
     image = np.asarray(image, dtype=complex)
     if image.shape != state.shape:
         raise DimensionError(f"image shape {image.shape} does not match state {state.shape}")
-    residual = float(np.max(np.abs(image - expected * state)))
-    return CheckResult(residual < EIGEN_TOL, residual)
+    return float(np.max(np.abs(image - expected * state)))
 
 
 def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
@@ -181,12 +179,12 @@ def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
     return out
 
 
-def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> CheckResult:
+def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     """Compare rotating the all-X string by conjugation against the factored form.
 
     Left side: R diag-conjugates the all-X matrix; right side: the product
     observable built directly from the angles.  Every set must have the same
-    length; the result carries the worst residual over the sets.  Up to the
+    length; the result is the worst residual over the sets.  Up to the
     matrix cap the all-X matrix is built once and the sides are compared a
     block of rows at a time, a block holding at most one vector-cap state's
     worth of entries.  Above the matrix cap the two antidiagonals are
@@ -220,7 +218,7 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> CheckResult:
             lhs_phase = diag[::-1] * np.conj(diag)
             rhs_phase = np.exp(1j * signed_bit_sums(n, angles))
             worst = np.maximum(worst, np.max(np.abs(lhs_phase - rhs_phase)))
-    return CheckResult(bool(worst < EIGEN_TOL), float(worst))
+    return float(worst)
 
 
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:

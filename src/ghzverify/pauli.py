@@ -1,6 +1,7 @@
 """Exact algebra of phase-tracked multi-qubit Pauli strings.
 
-Operators are stored in symplectic form: two n-bit masks plus a power of i.
+Operators are stored in symplectic form: two n-bit masks plus a phase, the
+int exponent e of i**e, kept modulo 4.
 Qubit 1 occupies the most significant bit of each mask, so rendered strings
 read left to right ("qubit 1 first").  The letter on qubit k is determined
 by its (x, z) bit pair:
@@ -42,49 +43,23 @@ _PAIR_BYTE_LETTER = bytes.maketrans(bytes(range(0x90, 0x94)), b"IZXY")
 
 
 @dataclass(frozen=True)
-class QuarterPhase:
-    """A fourth root of unity i**exponent, with the exponent kept modulo 4."""
-
-    exponent: int = 0
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "exponent", self.exponent % 4)
-
-    def __mul__(self, other: QuarterPhase) -> QuarterPhase:
-        return QuarterPhase(self.exponent + other.exponent)
-
-    @property
-    def value(self) -> complex:
-        return (1, 1j, -1, -1j)[self.exponent]
-
-    @property
-    def sign(self) -> int:
-        """The phase as an integer +1/-1; imaginary phases have no sign."""
-        if self.exponent == 0:
-            return 1
-        if self.exponent == 2:
-            return -1
-        raise DomainError(f"phase {self} is imaginary, not a sign")
-
-    def __str__(self) -> str:
-        return _PHASE_TEXT[self.exponent]
-
-
-@dataclass(frozen=True)
 class PauliOperator:
     """A phase-tracked tensor product of I/X/Y/Z over ``n`` qubits.
 
     ``x_bits`` marks the qubits whose letter anticommutes with Z (X or Y);
     ``z_bits`` marks those anticommuting with X (Z or Y).  Bit k sits at
-    position n - k, i.e. qubit 1 is the most significant bit.
+    position n - k, i.e. qubit 1 is the most significant bit.  The operator
+    carries the factor i**phase, and ``phase`` is stored modulo 4, so equal
+    operators compare and hash equal.
     """
 
     n: int
     x_bits: int
     z_bits: int
-    phase: QuarterPhase = QuarterPhase(0)
+    phase: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "phase", self.phase % 4)
         if self.n < 1:
             raise DimensionError("operator needs at least one qubit")
         full = (1 << self.n) - 1
@@ -109,20 +84,8 @@ class PauliOperator:
     def y_bits(self) -> int:
         return self.x_bits & self.z_bits
 
-    @property
-    def is_xy_string(self) -> bool:
-        """True when every letter is X or Y (no I, no Z)."""
-        return self.x_bits == (1 << self.n) - 1
-
-    def __mul__(self, other: PauliOperator) -> PauliOperator:
-        return multiply(self, other)
-
     def __str__(self) -> str:
         return render(self)
-
-
-def identity(n: int) -> PauliOperator:
-    return PauliOperator(n, 0, 0)
 
 
 def from_letters(letters: Iterable[str]) -> PauliOperator:
@@ -142,11 +105,6 @@ def from_letters(letters: Iterable[str]) -> PauliOperator:
         x = (x << 1) | xb
         z = (z << 1) | zb
     return PauliOperator(len(seq), x, z)
-
-
-def single(n: int, k: int, letter: str) -> PauliOperator:
-    """The operator that is ``letter`` on qubit k and identity elsewhere."""
-    return from_letters("I" * (k - 1) + letter + "I" * (n - k))
 
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
@@ -178,15 +136,15 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
     x = a.x_bits ^ b.x_bits
     z = a.z_bits ^ b.z_bits
-    exponent = (
-        a.phase.exponent
-        + b.phase.exponent
+    phase = (
+        a.phase
+        + b.phase
         + (a.x_bits & a.z_bits).bit_count()
         + (b.x_bits & b.z_bits).bit_count()
         + 2 * (a.z_bits & b.x_bits).bit_count()
         - (x & z).bit_count()
     )
-    return PauliOperator(a.n, x, z, QuarterPhase(exponent))
+    return PauliOperator(a.n, x, z, phase)
 
 
 def commutes(a: PauliOperator, b: PauliOperator) -> bool:
@@ -199,7 +157,7 @@ def commutes(a: PauliOperator, b: PauliOperator) -> bool:
 
 def render(op: PauliOperator) -> str:
     """Text form "(sign)(i?)letters", e.g. "-YYY" or "+iXZ"."""
-    return f"{op.phase}{op.letters()}"
+    return f"{_PHASE_TEXT[op.phase]}{op.letters()}"
 
 
 def parse(text: str) -> PauliOperator:
@@ -208,8 +166,7 @@ def parse(text: str) -> PauliOperator:
     if match is None:
         raise LetterError(f"cannot parse operator text {text!r}")
     sign, imag, letters = match.groups()
-    exponent = (2 if sign == "-" else 0) + (1 if imag else 0)
-    return replace(from_letters(letters), phase=QuarterPhase(exponent))
+    return replace(from_letters(letters), phase=(2 if sign == "-" else 0) + (1 if imag else 0))
 
 
 def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
@@ -227,5 +184,4 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     full = (1 << n) - 1
     product = reduce(multiply, (PauliOperator(n, full, 1 << (n - k))
                                 for k in range(1, n + 1) if mask >> (n - k) & 1))
-    expected_exponent = 0 if size % 4 == 1 else 2
-    return product == PauliOperator(n, full, mask, QuarterPhase(expected_exponent))
+    return product == PauliOperator(n, full, mask, 0 if size % 4 == 1 else 2)

@@ -1,8 +1,9 @@
 """Quarter-turn operator families and their exact eigenvalues.
 
 An X/Y string is its z mask alone: the x mask is all ones and the phase is
-+1, so bit n - k of the mask set means Y on qubit k, clear means X (only a
-product of strings needs the :class:`PauliOperator` of :func:`pauli.xy_string`).
++1, so bit n - k of the mask set means Y on qubit k, clear means X.  No
+product of strings is built here, so neither is the commuting family that
+the single-Y generators span; :func:`counting.compatible_count` gives its size.
 Every string sits at one of four poles according to its Y count (the mask's
 popcount) modulo 4, each Y letter being a quarter turn of that factor:
 0 -> E, 1 -> N, 2 -> W, 3 -> S.  The labeled basis states at the
@@ -23,13 +24,11 @@ from __future__ import annotations
 import enum
 import itertools
 import math
-from functools import reduce
 from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError, RuleNotApplicableError
-from .pauli import PauliOperator, multiply, xy_string
+from .errors import CapacityError, DimensionError, DomainError
 from .states import GhzLabel
 
 #: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
@@ -148,35 +147,3 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     values = label.sign * (1 - exponent)
     values[exponent % 2 == 1] = 0
     return values
-
-
-def eigenvalue_rule(label: GhzLabel, z: int) -> int:
-    """Shortcut rule for N/S strings on the label's quarter-turn state.
-
-    Start at the label's sign, flip once per Y letter sitting on a 1 bit of
-    the pattern, and flip once more for S strings.  Must agree with
-    :func:`eigenvalue_symbolic` at quarter angle 1 on the same inputs.
-    """
-    check_mask(label.n, z)
-    pole = Pole(z.bit_count() % 4)
-    if pole not in (Pole.N, Pole.S):
-        raise RuleNotApplicableError(
-            f"the rule covers N and S operators only, got pole {pole.name}")
-    flips = (z & label.bits).bit_count() + (pole is Pole.S)
-    return label.sign * (-1 if flips % 2 else 1)
-
-
-def compatible_family(n: int) -> list[PauliOperator]:
-    """All 2**n - 1 nonempty products of the single-Y generators.
-
-    Phases are tracked; odd-size products are +/- X/Y strings and even-size
-    products are Z-type strings.  Every pair commutes.
-    """
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    generators = [xy_string(n, (k,)) for k in range(1, n + 1)]
-    family = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(range(n), size):
-            family.append(reduce(multiply, (generators[i] for i in combo)))
-    return family

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .errors import DomainError
-from .pauli import PauliOperator, QuarterPhase
+from .pauli import PauliOperator
 
 
 def co_rotate_quarter(turns: Sequence[int]) -> PauliOperator:
@@ -35,4 +35,4 @@ def co_rotate_quarter(turns: Sequence[int]) -> PauliOperator:
             z |= 1 << (n - k)
         if t in (2, 3):
             flips += 1
-    return PauliOperator(n, x, z, QuarterPhase(2 * flips))
+    return PauliOperator(n, x, z, 2 * flips)

@@ -221,6 +221,22 @@ class TestIdentity:
         assert "subset lists qubit 1 more than once" in err
 
 
+class TestEmptyArguments:
+    """An explicitly empty --label or --subset is refused, not read as absent."""
+
+    @pytest.mark.parametrize("command", ["lhv", "verify"])
+    def test_empty_label(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--n", "3", "--label", "")
+        assert (code, out) == (2, "")
+        assert "cannot parse state label ''" in err
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_empty_subset(self, capsys, fmt):
+        code, out, err = run_cli(capsys, "identity", "--n", "3", "--subset", "", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert "need an odd number of Y positions, got 0" in err
+
+
 class TestZeroQubits:
     """A command with nothing to check refuses instead of passing vacuously."""
 

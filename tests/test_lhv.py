@@ -1,4 +1,4 @@
-"""Value assignments, contradiction detection, and the swap transport."""
+"""The assignment sweep, contradiction detection, and the swap transport."""
 
 import itertools
 import json
@@ -13,14 +13,15 @@ from hypothesis import strategies as st
 from ghzverify.checks import swap_conjugation_residual
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
-from ghzverify.errors import CapacityError, DimensionError, DomainError, LetterError
-from ghzverify.lhv import (ValueAssignment, _swapped_state, ew_contradictions, ew_swap,
-                           exhaustive_search, find_contradictions, value_of)
+from ghzverify.errors import CapacityError, DimensionError, DomainError
+from ghzverify.lhv import (_swapped_state, ew_contradictions, ew_swap, exhaustive_search,
+                           find_contradictions)
 from ghzverify.oracle import DENSE_MATRIX_CAP, EIGEN_TOL
-from ghzverify.pauli import (PauliOperator, QuarterPhase, from_letters, multiply, parse,
-                             verify_ks_identity, xy_string)
+from ghzverify.pauli import (PauliOperator, from_letters, multiply, verify_ks_identity,
+                             xy_string)
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 from ghzverify.states import GhzLabel
+from references import assignment_value, satisfying_assignments
 
 
 def _xy(n, z):
@@ -28,54 +29,24 @@ def _xy(n, z):
     return PauliOperator(n, (1 << n) - 1, z)
 
 
-def _assignment(n, minus_x=(), minus_y=()):
-    vx = sum(1 << (n - k) for k in minus_x)
-    vy = sum(1 << (n - k) for k in minus_y)
-    return ValueAssignment(n, vx, vy)
-
-
-class TestValueAssignment:
-    def test_index_decoding(self):
-        a = ValueAssignment.from_index(2, 0b1101)
-        assert (a.vx, a.vy) == (0b11, 0b01)
-        assert a.x_value(1) == -1 and a.x_value(2) == -1
-        assert a.y_value(1) == 1 and a.y_value(2) == -1
-
-    def test_index_guard(self):
-        with pytest.raises(DomainError):
-            ValueAssignment.from_index(2, 16)
-
-
 class TestValueOf:
-    def test_all_plus(self):
-        assert value_of(_assignment(3), from_letters("XXX")) == 1
+    """The product rule of the test-side sweep (references.assignment_value)."""
 
-    def test_phase_sign_multiplies(self):
-        assert value_of(_assignment(3), parse("-YYY")) == -1
+    def test_all_plus(self):
+        assert assignment_value(3, 0, 0, from_letters("XXX").z_bits) == 1
 
     def test_single_minus_factor(self):
-        assert value_of(_assignment(3, minus_y=(2,)), from_letters("XYX")) == -1
-
-    def test_rejects_identity_letters(self):
-        with pytest.raises(LetterError):
-            value_of(_assignment(3), from_letters("XIX"))
-
-    def test_rejects_imaginary_phase(self):
-        op = PauliOperator(3, 0b111, 0b100, QuarterPhase(1))
-        with pytest.raises(DomainError):
-            value_of(_assignment(3), op)
+        assert assignment_value(3, 0, 0b010, from_letters("XYX").z_bits) == -1
 
     def test_product_rule_against_factor_products(self):
         # independent route: multiply the per-qubit values directly
-        for idx in range(64):
-            a = ValueAssignment.from_index(3, idx)
+        for vx, vy in itertools.product(range(8), repeat=2):
             for positions in [(), (1,), (2, 3), (1, 2, 3)]:
-                letters = "".join("Y" if k in positions else "X" for k in (1, 2, 3))
-                op = from_letters(letters)
                 direct = 1
                 for k in (1, 2, 3):
-                    direct *= a.y_value(k) if k in positions else a.x_value(k)
-                assert value_of(a, op) == direct
+                    bits = vy if k in positions else vx
+                    direct *= -1 if bits >> (3 - k) & 1 else 1
+                assert assignment_value(3, vx, vy, xy_string(3, positions).z_bits) == direct
 
 
 def _rows(result, indices=None):
@@ -186,16 +157,8 @@ class TestExhaustiveSearch:
                                        for sign in (1, -1)], ids=str)
     def test_pure_python_cross_check_small(self, label, require_s):
         # independent reference: explicit loop over all assignments
-        constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
-        constraints = [(_xy(label.n, z), eigenvalue_symbolic(label, 1, z))
-                       for pole in constrained
-                       for z in enumerate_pole(label.n, pole).tolist()]
-        brute = 0
-        for idx in range(1 << (2 * label.n)):
-            a = ValueAssignment.from_index(label.n, idx)
-            if all(value_of(a, op) == expected for op, expected in constraints):
-                brute += 1
-        assert exhaustive_search(label, require_s=require_s) == brute
+        assert (exhaustive_search(label, require_s=require_s)
+                == satisfying_assignments(label, require_s))
 
 
 class TestKsIdentity:
@@ -258,7 +221,7 @@ class TestEwSwap:
                         product = reduce(multiply, (gens[k] for k in positions))
                         target = ew_swap(n, xy_string(n, positions).z_bits, subset)
                         exponent = 0 if target_size % 4 == 1 else 2
-                        expected = PauliOperator(n, (1 << n) - 1, target, QuarterPhase(exponent))
+                        expected = PauliOperator(n, (1 << n) - 1, target, exponent)
                         assert product == expected
 
 

@@ -6,27 +6,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzverify.errors import DimensionError, LetterError
-from ghzverify.lhv import ValueAssignment, value_of
 from ghzverify.oracle import materialize
-from ghzverify.pauli import (PauliOperator, QuarterPhase, commutes, from_letters, identity,
-                             multiply, parse, render)
+from ghzverify.pauli import PauliOperator, commutes, from_letters, multiply, parse, render
 
 
-class TestQuarterPhase:
-    def test_exponent_normalized(self):
-        assert QuarterPhase(7).exponent == 3
-        assert QuarterPhase(-1).exponent == 3
-
-    def test_multiplication_adds_exponents(self):
-        assert (QuarterPhase(3) * QuarterPhase(2)).exponent == 1
-
-    @pytest.mark.parametrize("exp,value", [(0, 1), (1, 1j), (2, -1), (3, -1j)])
-    def test_values(self, exp, value):
-        assert QuarterPhase(exp).value == value
-
-    def test_sign_of_imaginary_phase_rejected(self):
-        with pytest.raises(Exception):
-            QuarterPhase(1).sign
+@given(st.data())
+@settings(deadline=None)
+def test_phase_is_a_power_of_i_kept_mod_4(data):
+    n = data.draw(st.integers(1, 4))
+    x, z = (data.draw(st.integers(0, (1 << n) - 1)) for _ in range(2))
+    e, k = data.draw(st.integers(0, 3)), data.draw(st.integers(-3, 3))
+    op = PauliOperator(n, x, z, e)
+    shifted = PauliOperator(n, x, z, e + 4 * k)
+    assert shifted == op and hash(shifted) == hash(op) and shifted.phase == e
+    assert parse(render(op)) == op
+    unphased = materialize(PauliOperator(n, x, z))
+    assert np.array_equal(materialize(shifted), 1j ** e * unphased)
 
 
 class TestMultiply:
@@ -38,7 +33,7 @@ class TestMultiply:
         assert render(multiply(from_letters("Z"), from_letters("X"))) == "+iY"
 
     def test_xx_is_identity(self):
-        assert multiply(from_letters("X"), from_letters("X")) == identity(1)
+        assert multiply(from_letters("X"), from_letters("X")) == PauliOperator(1, 0, 0)
 
     def test_three_generator_product(self):
         # hand multiplication per qubit: (YXX)(XYX) = +ZZI, then (ZZI)(XXY) = -YYY
@@ -73,15 +68,14 @@ class TestYCount:
     @pytest.mark.parametrize("letters,count", [("YXX", 1), ("YYY", 3), ("XXXX", 0)])
     def test_counts(self, letters, count):
         op = from_letters(letters)
-        assert op.is_xy_string and op.y_bits == op.z_bits
+        assert op.x_bits == (1 << op.n) - 1 and op.y_bits == op.z_bits
         assert op.z_bits.bit_count() == count
 
     @pytest.mark.parametrize("letters", ["XIZ", "XZ", "IY"])
     def test_rejects_i_and_z(self, letters):
+        # an I or Z letter clears its x bit, so no z mask stands for the string
         op = from_letters(letters)
-        assert not op.is_xy_string
-        with pytest.raises(LetterError):
-            value_of(ValueAssignment(op.n, 0, 0), op)
+        assert op.x_bits != (1 << op.n) - 1
 
 
 class TestConstruction:
@@ -109,7 +103,7 @@ def _ops(draw, n, count):
     return [PauliOperator(n,
                           draw(st.integers(0, (1 << n) - 1)),
                           draw(st.integers(0, (1 << n) - 1)),
-                          QuarterPhase(draw(st.integers(0, 3))))
+                          draw(st.integers(0, 3)))
             for _ in range(count)]
 
 
@@ -141,8 +135,7 @@ def test_anticommutation_parity(ops):
     if commutes(a, b):
         assert ab == ba
     else:
-        flipped = PauliOperator(ba.n, ba.x_bits, ba.z_bits,
-                                QuarterPhase(ba.phase.exponent + 2))
+        flipped = PauliOperator(ba.n, ba.x_bits, ba.z_bits, ba.phase + 2)
         assert ab == flipped
 
 
@@ -150,7 +143,7 @@ def test_anticommutation_parity(ops):
 @settings(deadline=None)
 def test_involution(letters):
     op = from_letters(letters)
-    assert multiply(op, op) == identity(op.n)
+    assert multiply(op, op) == PauliOperator(op.n, 0, 0)
 
 
 @st.composite
@@ -183,7 +176,7 @@ def test_letters_at_mask_extremes(n):
 
 def _random_op(rng, n):
     return PauliOperator(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)),
-                         QuarterPhase(int(rng.integers(0, 4))))
+                         int(rng.integers(0, 4)))
 
 
 @st.composite
@@ -201,7 +194,7 @@ def test_multiply_is_the_dense_matrix_product(ops):
 
 class TestMatrixFaithfulness:
     def test_exhaustive_single_qubit(self):
-        singles = [PauliOperator(1, x, z, QuarterPhase(e))
+        singles = [PauliOperator(1, x, z, e)
                    for x in (0, 1) for z in (0, 1) for e in range(4)]
         for a in singles:
             for b in singles:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzverify import states
 from ghzverify.checks import POLE_SNAP_TOL, eigen_check_general
 from ghzverify.errors import DomainError
 from ghzverify.oracle import (EIGEN_TOL, apply_observable, apply_pauli, materialize,
                               observable_matrix, rotation_diagonal)
-from ghzverify.pauli import from_letters, render, single
+from ghzverify.pauli import from_letters, render
 from ghzverify.poles import eigenvalue_symbolic
 from ghzverify.rotations import co_rotate_quarter
 from ghzverify.states import GhzLabel, apply_rotations, build_state, parse_label
@@ -119,6 +120,18 @@ class TestEigenCheckGeneral:
                 angles[-1] += quarter * math.pi / 2 - angles.sum()
                 assert eigen_check_general(label, 0.0, angles) == expected
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["state", "setting"])
+    def test_non_finite_angle_refused_before_any_vector(self, monkeypatch, bad, where):
+        # a NaN residual would read as "not an eigenstate", confirmed densely
+        def no_vector(*_):
+            raise AssertionError("a dense vector was built before the refusal")
+
+        monkeypatch.setattr(states, "rotated_dense", no_vector)
+        state_phi, angles = (bad, (0.0, 0.0, 0.0)) if where == "state" else (0.0, (0.0, bad, 0.0))
+        with pytest.raises(DomainError, match="angles must be finite"):
+            eigen_check_general(GhzLabel(3, 0, 1), state_phi, angles)
+
     def test_offset_past_snap_is_not_a_tool_failure(self):
         # dense residual 7.07e-12 > EIGEN_TOL: off the pole in both tiers
         assert eigen_check_general(GhzLabel(3, 0, 1), 0.0, (1e-11, 0, 0)) is None
@@ -166,7 +179,8 @@ def test_general_angles_agree_with_the_quarter_turn_tier(data):
     quarter = data.draw(st.integers(0, 3))
     string = co_rotate_quarter(turns)
     symbolic = eigenvalue_symbolic(label, quarter, string.z_bits)
-    expected = None if symbolic is None else string.phase.sign * symbolic
+    # a quarter-turn setting carries phase 0 or 2, the sign +1 or -1
+    expected = None if symbolic is None else (1 - string.phase) * symbolic
     angles = [t * math.pi / 2 for t in turns]
     assert eigen_check_general(label, quarter * math.pi / 2, angles) == expected
 
@@ -181,7 +195,8 @@ class TestUntraceability:
             rotated = apply_rotations(base, label, rng.uniform(-6, 6, size=n))
             for k in range(1, n + 1):
                 for letter in ("X", "Y"):
-                    value = np.vdot(rotated, apply_pauli(single(n, k, letter), rotated))
+                    single = from_letters("I" * (k - 1) + letter + "I" * (n - k))
+                    value = np.vdot(rotated, apply_pauli(single, rotated))
                     assert abs(value) < 1e-12
 
 
