@@ -24,6 +24,18 @@ def test_phase_is_a_power_of_i_kept_mod_4(data):
     assert np.array_equal(materialize(shifted), 1j ** e * unphased)
 
 
+class TestQuarterPhase:
+    """The phase is the exponent e of i**e, held as an int modulo 4."""
+
+    def test_exponent_normalized(self):
+        assert PauliOperator(1, 0, 0, 7).phase == 3
+        assert PauliOperator(1, 0, 0, -1).phase == 3
+
+    @pytest.mark.parametrize("exp,value", [(0, 1), (1, 1j), (2, -1), (3, -1j)])
+    def test_values(self, exp, value):
+        assert np.array_equal(materialize(PauliOperator(1, 0, 0, exp)), value * np.eye(2))
+
+
 class TestMultiply:
     def test_xy_is_iz(self):
         assert render(multiply(from_letters("X"), from_letters("Y"))) == "+iZ"
