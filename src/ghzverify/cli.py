@@ -253,8 +253,12 @@ def _report_rows(reports: lhv.Contradictions, json_rows: bool) -> Iterator[str]:
 # ------------------------------------------------------------- identity
 
 def _parse_subset(text: str) -> list[int]:
+    """Sorted qubit positions; a blank --subset is the empty subset, and a
+    blank item inside a nonblank one is refused."""
+    if not text.strip():
+        return []
     try:
-        return sorted(int(part) for part in text.split(",") if part.strip())
+        return sorted(int(part) for part in text.split(","))
     except ValueError:
         raise GhzVerifyError(f"cannot parse subset {text!r} (want e.g. '1,2,3')") from None
 

@@ -11,8 +11,8 @@ The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
 simultaneously, while dropping the S constraints leaves exactly 2**n
 survivors.  An assignment is the bit pair (vx, vy), bit n - k set meaning
-v(X_k) = -1 or v(Y_k) = -1, and the sweep holds all of them as two uint32
-columns.
+v(X_k) = -1 or v(Y_k) = -1, and the sweep holds all of them as two uint16
+columns (n <= EXHAUSTIVE_CAP = 10 bits each), with no index column.
 """
 
 from __future__ import annotations
@@ -85,9 +85,10 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     values = eigenvalue_column(label, 1, z_masks)
     if (lost := values == 0).any():
         raise ConsistencyError(f"{_letters(n, z_masks[np.argmax(lost)])} lost its eigenstate")
-    index = np.arange(1 << (2 * n), dtype=np.uint32)
-    vx = index >> n
-    vy = index & full
+    # every (vx, vy) pair once, vx major; n <= EXHAUSTIVE_CAP bits fit uint16
+    masks = np.arange(1 << n, dtype=np.uint16)
+    vx = np.repeat(masks, 1 << n)
+    vy = np.tile(masks, 1 << n)
     for z, expected in zip(z_masks.tolist(), values.tolist()):
         # the string has its X letters on full ^ z and its Y letters on z
         flips = (np.bitwise_count(vx & (full ^ z)) + np.bitwise_count(vy & z)) & 1

@@ -20,13 +20,16 @@ coefficient, and each string only selects between them by its parity.  The
 residuals are bitwise those of apply_pauli followed by check_eigen.
 
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
-A conjugation check takes all its angle sets in one call.  Up to the matrix
-cap it builds the all-X matrix once per check and compares the two sides a
-block of rows at a time, so no full-size temporary is built beyond the
-all-X matrix and each set's observable matrix.  Above the matrix cap it
-exploits that both sides map each computational basis vector to a phase
-times its bit-complement, so columns can be compared without materializing
-anything quadratic.  Its left side takes the rotation diagonal as a product
+Every matrix is a Kronecker chain of 2x2 factors, and _kron_rows builds any
+block of its rows from the matching rows of a shorter chain, entry for entry
+as np.kron would.  A conjugation check takes all its angle sets in one call.
+Up to the matrix cap it builds no whole matrix: it builds each set's head,
+the chain over the leading factors, once, and then, a block of rows at a
+time, the all-X rows once for all sets and each set's observable rows from
+its head, and compares the two sides.  Above the matrix cap it exploits
+that both sides map each computational basis vector to a phase times its
+bit-complement, so columns can be compared without materializing anything
+quadratic.  Its left side takes the rotation diagonal as a product
 of per-qubit phases; its right side exponentiates the signed angle sums, so
 the two sides share no arithmetic.  Every block, of matrix rows or of
 strings, holds at most one vector-cap state's worth of entries.
@@ -40,7 +43,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import CapacityError, DimensionError, DomainError
-from .pauli import PauliOperator, from_letters
+from .pauli import PauliOperator
 from .states import (DENSE_VECTOR_CAP, GhzLabel, build_state, check_vector_cap,
                      rotation_phases, signed_bit_sums)
 
@@ -74,22 +77,36 @@ def observable_factor(phi: float) -> np.ndarray:
                      [math.cos(phi) + 1j * math.sin(phi), 0]], dtype=complex)
 
 
+def _kron_rows(rows: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
+    """Rows of rows (x) factors[0] (x) factors[1] ..., for 2x2 factors.
+
+    ``rows`` is a block of rows of a Kronecker chain, and the result holds
+    exactly the rows of the extended chain that they expand to.  Row 2r + k,
+    column 2c + l of each step is rows[r, c] * f[k, l]: the single product
+    np.kron forms, so every entry equals np.kron's bitwise, signed zeros
+    included.
+    """
+    for f in factors:
+        r, c = rows.shape
+        out = np.empty((r, 2, c, 2), dtype=complex)
+        for k in range(2):
+            for l in range(2):
+                np.multiply(rows, f[k, l], out=out[:, k, :, l])
+        rows = out.reshape(2 * r, 2 * c)
+    return rows
+
+
 def observable_matrix(angles: Sequence[float]) -> np.ndarray:
     """Kronecker product of the per-qubit rotated-X factors."""
     _check_matrix_cap(len(angles))
-    out = np.eye(1, dtype=complex)
-    for phi in angles:
-        out = np.kron(out, observable_factor(phi))
-    return out
+    return _kron_rows(np.eye(1, dtype=complex), [observable_factor(phi) for phi in angles])
 
 
 def materialize(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli string."""
     _check_matrix_cap(op.n)
-    out = np.eye(1, dtype=complex)
-    for k in range(1, op.n + 1):
-        out = np.kron(out, PAULI_1Q[op.letter(k)])
-    return _PHASE_VALUE[op.phase] * out
+    factors = [PAULI_1Q[op.letter(k)] for k in range(1, op.n + 1)]
+    return _PHASE_VALUE[op.phase] * _kron_rows(np.eye(1, dtype=complex), factors)
 
 
 def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
@@ -185,9 +202,11 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     Left side: R diag-conjugates the all-X matrix; right side: the product
     observable built directly from the angles.  Every set must have the same
     length; the result is the worst residual over the sets.  Up to the
-    matrix cap the all-X matrix is built once and the sides are compared a
-    block of rows at a time, a block holding at most one vector-cap state's
-    worth of entries.  Above the matrix cap the two antidiagonals are
+    matrix cap the sides are compared a block of rows at a time, a block
+    holding at most one vector-cap state's worth of entries: each block's
+    all-X rows are built once for all sets, and each set's observable rows
+    are extended from its head (see the module docstring), so no whole
+    matrix is built.  Above the matrix cap the two antidiagonals are
     compared column by column.
     """
     if not angle_sets:
@@ -199,17 +218,28 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     # np.maximum, not max(), so that a NaN residual fails the check
     worst = 0.0
     if n <= DENSE_MATRIX_CAP:
-        all_x = materialize(from_letters("X" * n))
         rows = _BLOCK_ENTRIES >> n
+        # each block extends the last `tail` factors from whole head rows:
+        # 2**tail is the largest power of two that divides rows, up to 2**n
+        tail = min(n, (rows & -rows).bit_length() - 1)
+        head_rows = rows >> tail
+        eye = np.eye(1, dtype=complex)
+        x_factors = [PAULI_1Q["X"]] * n
+        x_head = _kron_rows(eye, x_factors[:n - tail])
+        sets = []
         for angles in angle_sets:
             diag = rotation_diagonal(angles)
-            conj_diag = np.conj(diag)[None, :]
-            rhs = observable_matrix(angles)
-            for lo in range(0, 1 << n, rows):
-                blk = slice(lo, lo + rows)
-                lhs = (diag[blk, None] * all_x[blk]) * conj_diag
-                worst = np.maximum(worst, np.max(np.abs(lhs - rhs[blk])))
-            del rhs  # freed before the next set's kron chain builds another
+            factors = [observable_factor(phi) for phi in angles]
+            sets.append((diag, np.conj(diag)[None, :], _kron_rows(eye, factors[:n - tail]),
+                         factors[n - tail:]))
+        for lo in range(0, 1 << (n - tail), head_rows):
+            head_blk = slice(lo, lo + head_rows)
+            all_x = _kron_rows(x_head[head_blk], x_factors[n - tail:])
+            blk = slice(lo << tail, (lo + head_rows) << tail)
+            for diag, conj_diag, head, tail_factors in sets:
+                lhs = (diag[blk, None] * all_x) * conj_diag
+                rhs = _kron_rows(head[head_blk], tail_factors)
+                worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
     else:
         for angles in angle_sets:
             diag = rotation_diagonal(angles)

@@ -120,11 +120,6 @@ def qubit_mask(n: int, qubits: Iterable[int]) -> int:
     return mask
 
 
-def xy_string(n: int, y_positions: Iterable[int]) -> PauliOperator:
-    """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
-    return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
-
-
 def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
     """Exact operator product a*b with the accumulated power of i.
 

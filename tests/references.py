@@ -1,15 +1,21 @@
 """Slow, obvious routes that tests compare the library's answers against.
 
 No command reaches these, so they live beside the tests and not in the
-package: the shortcut eigenvalue rule, the brute-force assignment sweep and
-the commuting family of generator products.
+package: the X/Y string with Y at given positions, the shortcut eigenvalue
+rule, the brute-force assignment sweep and the commuting family of generator
+products.
 """
 
 import itertools
 from functools import reduce
 
-from ghzverify.pauli import multiply, xy_string
+from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
+
+
+def xy_string(n, y_positions):
+    """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
+    return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
 
 
 def eigenvalue_rule(label, z):

@@ -213,6 +213,12 @@ class TestIdentity:
         code, _, _ = run_cli(capsys, "identity", "--n", "13")
         assert code == 2
 
+    @pytest.mark.parametrize("subset", [",1,", "1,,3", "1,3,", " , 1"])
+    def test_empty_item_refused(self, capsys, subset):
+        code, out, err = run_cli(capsys, "identity", "--n", "3", "--subset", subset)
+        assert (code, out) == (2, "")
+        assert f"cannot parse subset {subset!r}" in err
+
     @pytest.mark.parametrize("subset", ["1,1,1", "3,1,1,2,2"])
     def test_repeated_qubit_refused(self, capsys, subset):
         code, out, err = run_cli(capsys, "identity", "--n", "5", "--subset", subset)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -14,14 +15,13 @@ from ghzverify.checks import swap_conjugation_residual
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.lhv import (_swapped_state, ew_contradictions, ew_swap, exhaustive_search,
-                           find_contradictions)
+from ghzverify.lhv import (EXHAUSTIVE_CAP, _swapped_state, ew_contradictions, ew_swap,
+                           exhaustive_search, find_contradictions)
 from ghzverify.oracle import DENSE_MATRIX_CAP, EIGEN_TOL
-from ghzverify.pauli import (PauliOperator, from_letters, multiply, verify_ks_identity,
-                             xy_string)
+from ghzverify.pauli import PauliOperator, from_letters, multiply, verify_ks_identity
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 from ghzverify.states import GhzLabel
-from references import assignment_value, satisfying_assignments
+from references import assignment_value, satisfying_assignments, xy_string
 
 
 def _xy(n, z):
@@ -136,7 +136,7 @@ class TestExhaustiveSearch:
     def test_four_qubits(self):
         assert exhaustive_search(GhzLabel(4, 0, 1)) == 0
 
-    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("n", [3, 4, 5, EXHAUSTIVE_CAP])
     def test_north_only_constraints_leave_exactly_2_to_n(self, n):
         # choosing v(X_k) freely forces each v(Y_k) uniquely
         assert exhaustive_search(GhzLabel(n, 0, 1), require_s=False) == 1 << n
@@ -149,6 +149,17 @@ class TestExhaustiveSearch:
     def test_cap(self):
         with pytest.raises(CapacityError):
             exhaustive_search(GhzLabel(11, 0, 1))
+
+    def test_traced_peak_at_the_cap(self):
+        # an index column and two uint32 columns held 12 MiB before the
+        # first constraint; two uint16 columns hold 4 MiB
+        tracemalloc.start()
+        try:
+            assert exhaustive_search(GhzLabel(EXHAUSTIVE_CAP, 0, 1)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 << 20
 
     @pytest.mark.parametrize("require_s", [True, False])
     @pytest.mark.parametrize("label", [GhzLabel(n, bits, sign)

@@ -1,6 +1,7 @@
 """Dense-matrix oracle behavior and its matrix-free fast paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -169,8 +170,7 @@ class TestCheckConjugation:
     def test_ragged_sets_refused_before_any_matrix(self, monkeypatch):
         def no_matrix(*_):
             raise AssertionError("matrix built before the refusal")
-        monkeypatch.setattr(oracle, "materialize", no_matrix)
-        monkeypatch.setattr(oracle, "observable_matrix", no_matrix)
+        monkeypatch.setattr(oracle, "_kron_rows", no_matrix)
         with pytest.raises(DimensionError):
             check_conjugation([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
@@ -195,23 +195,27 @@ class TestCheckConjugation:
         assert check_conjugation(sets) == max(reference(a) for a in sets)
 
     def test_one_entry_off_in_seventh_set_fails(self, monkeypatch):
-        # last row, off the antidiagonal, of only one set of ten
+        # last row, off the antidiagonal, of only one set of ten: the row
+        # block that ends in that set's last matrix row gets a 1e-9 error
         n = DENSE_MATRIX_CAP
-        calls = 0
+        rng = np.random.default_rng(5)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
+        last_row = observable_matrix(sets[6])[-1]
+        original = oracle._kron_rows
+        perturbed = 0
 
-        def perturbed(angles):
-            nonlocal calls
-            calls += 1
-            out = observable_matrix(angles)
-            if calls == 7:
+        def perturbing(rows, factors):
+            nonlocal perturbed
+            out = original(rows, factors)
+            if out.shape[1] == 1 << n and np.array_equal(out[-1], last_row):
+                perturbed += 1
                 out[-1, 1] += 1e-9
             return out
 
-        monkeypatch.setattr(oracle, "observable_matrix", perturbed)
-        rng = np.random.default_rng(5)
-        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
+        assert check_conjugation(sets) < EIGEN_TOL
+        monkeypatch.setattr(oracle, "_kron_rows", perturbing)
         residual = check_conjugation(sets)
-        assert calls == 10
+        assert perturbed == 1
         assert residual >= EIGEN_TOL
 
     def test_one_diagonal_entry_off_fails_above_the_matrix_cap(self, monkeypatch):
@@ -229,21 +233,89 @@ class TestCheckConjugation:
         assert check_conjugation([angles]) >= EIGEN_TOL
 
     def test_all_x_built_once_per_check(self, monkeypatch):
-        counts = {"materialize": 0, "observable_matrix": 0}
+        # every row of the all-X matrix is built once for all ten sets, and
+        # every row of each set's observable once for that set
+        n = DENSE_MATRIX_CAP
+        rows_built = {"all_x": 0, "observable": 0}
+        original = oracle._kron_rows
 
-        def counting(name):
-            original = getattr(oracle, name)
+        def counting(rows, factors):
+            out = original(rows, factors)
+            if out.shape[1] == 1 << n:
+                all_x = all(np.array_equal(f, oracle.PAULI_1Q["X"]) for f in factors)
+                rows_built["all_x" if all_x else "observable"] += len(out)
+            return out
 
-            def wrapper(*args):
-                counts[name] += 1
-                return original(*args)
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(oracle, name, counting(name))
-        check = conjugation_identity(DENSE_MATRIX_CAP, np.random.default_rng(0))
+        monkeypatch.setattr(oracle, "_kron_rows", counting)
+        check = conjugation_identity(n, np.random.default_rng(0))
         assert check.passed
-        assert counts == {"materialize": 1, "observable_matrix": 10}
+        assert rows_built == {"all_x": 1 << n, "observable": 10 << n}
+
+    @pytest.mark.parametrize("rows", [5, 12])
+    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+    def test_partial_last_block_matches_np_kron_reference(self, monkeypatch, n, rows):
+        # 2**n rows never split evenly into blocks of 5 or 12; 12-row blocks
+        # extend two factors from 3-row head blocks, 5-row blocks none
+        def reference(angles):
+            d = rotation_diagonal(angles)
+            all_x = np.fliplr(np.eye(1 << n, dtype=complex))
+            lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
+            return float(np.max(np.abs(lhs - _kron_chain(
+                [oracle.observable_factor(phi) for phi in angles]))))
+
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", rows << n)
+        rng = np.random.default_rng(300 + n)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(3)]
+        assert check_conjugation(sets) == max(reference(a) for a in sets)
+
+    def test_traced_peak_at_the_matrix_cap(self):
+        # the whole-matrix route held the all-X matrix and one observable
+        # matrix, 16 MiB each, at once
+        rng = np.random.default_rng(6)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP)) for _ in range(10)]
+        tracemalloc.start()
+        try:
+            assert check_conjugation(sets) < EIGEN_TOL
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 << 20
+
+
+def _kron_chain(factors):
+    out = np.eye(1, dtype=complex)
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+class TestKronRows:
+    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+    def test_bitwise_equal_to_np_kron_chain(self, n):
+        # observable factors at 0 and pi give exact zeros, and with them
+        # zeros of both signs in the chain
+        rng = np.random.default_rng(400 + n)
+        angles = rng.uniform(-math.pi, math.pi, size=n)
+        angles[rng.integers(n)] = 0.0
+        angles[rng.integers(n)] = math.pi
+        letters = "".join(rng.choice(list("IXYZ"), size=n))
+        for factors in ([oracle.observable_factor(phi) for phi in angles],
+                        [oracle.PAULI_1Q[letter] for letter in letters]):
+            whole = _kron_chain(factors)
+            got = oracle._kron_rows(np.eye(1, dtype=complex), factors)
+            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
+
+    @pytest.mark.parametrize("tail", range(0, 5))
+    def test_head_rows_extend_to_their_rows_of_the_chain(self, tail):
+        n = 7
+        rng = np.random.default_rng(500 + tail)
+        factors = [oracle.observable_factor(phi) for phi in rng.uniform(-math.pi, math.pi, n)]
+        whole = _kron_chain(factors)
+        head = _kron_chain(factors[:n - tail])
+        for lo in range(0, len(head), 3):
+            got = oracle._kron_rows(head[lo:lo + 3], factors[n - tail:])
+            expected = whole[lo << tail:(lo + 3) << tail]
+            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRotationProperties:

@@ -12,12 +12,12 @@ from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
-from ghzverify.pauli import PauliOperator, commutes, from_letters, xy_string
+from ghzverify.pauli import PauliOperator, commutes, from_letters
 from ghzverify.poles import (CHUNK_ROWS, Pole, REPORT_CAP, eigenvalue_column,
                              eigenvalue_symbolic, enumerate_pole, pole_masks,
                              pole_size, xy_letter_matrix, y_columns)
 from ghzverify.states import GhzLabel, rotated_dense
-from references import compatible_family, eigenvalue_rule
+from references import compatible_family, eigenvalue_rule, xy_string
 import math
 
 
