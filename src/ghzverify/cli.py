@@ -2,7 +2,9 @@
 
 Every command is flag-driven and deterministic; seeded randomness is the
 only randomness, and the seed is echoed in the output header.  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage or domain error.
+0 all checks passed, 1 a check failed, 2 usage or domain error, and 141
+(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
+stdout is closed before the output is written, as by ``| head``.
 
 Only ``enumerate``, ``verify`` and ``lhv`` use numpy, so this module loads
 the stdlib and the package's numpy-free core alone, and those commands and
@@ -14,8 +16,9 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, counting, pauli
 from .errors import ConsistencyError, GhzVerifyError
@@ -27,50 +30,118 @@ if TYPE_CHECKING:
 
 IDENTITY_ALL_SUBSETS_CAP = 12
 
+#: Exit code when the reader closes stdout early: 128 + SIGPIPE.
+_CLOSED_PIPE_EXIT = 141
+
 
 #: Marks the one list of a payload that :func:`_print_json_streamed` writes
-#: chunk by chunk; json.dumps renders it as "\u0000", which no other value holds.
+#: block by block; json.dumps renders it as "\u0000", which no other value holds.
 _STREAMED = "\0"
+
+#: Most bytes in one rendered block of ``lhv`` reports or ``enumerate``
+#: strings (at least one row).  It stays under glibc's 128 KiB mmap
+#: threshold, so a row buffer comes from the heap instead of being mapped
+#: and returned per block, and it never changes the output.
+_BLOCK_BYTES = 1 << 16
 
 
 def _print_json(payload: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _print_json_streamed(payload: dict, items: Iterable[str]) -> None:
-    """Print exactly ``json.dumps(payload, indent=2)``, with the list that the
-    payload marks as _STREAMED written chunk by chunk.
+def _binary_stdout() -> Callable[[bytes | memoryview], object]:
+    """The write method of stdout's byte layer, once the text layer is flushed."""
+    sys.stdout.flush()
+    return sys.stdout.buffer.write
 
-    Each chunk of ``items`` holds whole list items, each indented by four
-    spaces and followed by ",\n"; the last item's comma is dropped.  A chunk
-    is written as it arrives, holding back only that ",\n", and released
-    before the next one is built.
+
+def _print_json_streamed(payload: dict, items: Iterable[memoryview]) -> None:
+    """Print exactly ``json.dumps(payload, indent=2)``, with the list that the
+    payload marks as _STREAMED written block by block.
+
+    Each block of ``items`` holds whole list items, each indented by four
+    spaces and followed by ",\n"; the last item's comma is dropped.  A block
+    is written as it arrives, holding back only that ",\n".
     """
     head, tail = json.dumps(payload, indent=2).split(json.dumps(_STREAMED))
-    write = sys.stdout.write
-    write(head)
-    separator = "[\n"
-    for chunk in items:
+    sys.stdout.write(head)
+    write = _binary_stdout()
+    separator = b"[\n"
+    for block in items:
         write(separator)
-        write(chunk[:-2])
-        separator = ",\n"
-        del chunk
-    write("[]" if separator == "[\n" else "\n  ]")
-    write(tail + "\n")
+        write(block[:-2])
+        separator = b",\n"
+    write(b"[]" if separator == b"[\n" else b"\n  ]")
+    sys.stdout.write(tail + "\n")
 
 
-def _letter_rows(rows: int, *parts: bytes | np.ndarray) -> str:
-    """Text of ``rows`` lines of one fixed width, joined from their parts.
+class _RowBuffer:
+    """Fixed-width ASCII rows, rendered into one reused uint8 buffer.
 
-    A bytes part repeats on every row; an array part is a (rows, width)
-    uint8 matrix of per-row bytes.
+    ``layout`` lists the parts of a row in order.  A bytes part is the same
+    on every row, so it is written once, here.  An int part is a field of
+    that many bytes, and a ``(count, width, separator)`` part is ``count``
+    fields of ``width`` bytes joined by ``separator``, which is written here
+    too.  :attr:`fields` holds one writable view per field part, (rows,
+    width) or (rows, count, width), and the caller fills the first rows of
+    each before it asks :meth:`block` for their bytes.  The buffer holds
+    ``most`` rows, or as many as fit in _BLOCK_BYTES if fewer, but never
+    less than one.
     """
-    import numpy as np
 
-    matrix = np.concatenate(
-        [np.broadcast_to(np.frombuffer(part, np.uint8), (rows, len(part)))
-         if isinstance(part, bytes) else part for part in parts], axis=1)
-    return matrix.tobytes().decode("ascii")
+    def __init__(self, most: int, layout: Sequence[bytes | int | tuple[int, int, bytes]]):
+        import numpy as np
+
+        starts = list(itertools.accumulate(map(_part_width, layout), initial=0))
+        self.width = starts.pop()
+        self.rows = max(1, min(most, _BLOCK_BYTES // self.width))
+        flat = np.empty(self.rows * self.width, np.uint8)
+        matrix = flat.reshape(self.rows, self.width)
+        self.fields: list[np.ndarray] = []
+        for start, part in zip(starts, layout):
+            if isinstance(part, bytes):
+                matrix[:, start:start + len(part)] = np.frombuffer(part, np.uint8)
+            elif isinstance(part, int):
+                self.fields.append(matrix[:, start:start + part])
+            else:
+                count, width, separator = part
+                step = width + len(separator)
+                for gap in range(start + width, start + (count - 1) * step, step):
+                    matrix[:, gap:gap + len(separator)] = np.frombuffer(separator, np.uint8)
+                self.fields.append(np.ndarray((self.rows, count, width), np.uint8, flat, start,
+                                              (self.width, step, 1)))
+        self._bytes = memoryview(flat)
+
+    def block(self, size: int) -> memoryview:
+        """The first ``size`` rows, as a view valid only until the buffer is refilled."""
+        return self._bytes[:size * self.width]
+
+
+def _part_width(part: bytes | int | tuple[int, int, bytes]) -> int:
+    if isinstance(part, bytes):
+        return len(part)
+    if isinstance(part, int):
+        return part
+    count, width, separator = part
+    return count * width + (count - 1) * len(separator)
+
+
+def _listing_blocks(n: int, chunks: Iterable[tuple[int, np.ndarray]],
+                    prefix: bytes, suffix: bytes) -> Iterator[memoryview]:
+    """Rendered X/Y strings of ``pole_masks`` chunks, one per row between
+    ``prefix`` and ``suffix``, from one row buffer.
+
+    A yielded block is valid only until the next one is requested.
+    """
+    from . import poles
+
+    buffer = _RowBuffer(poles.CHUNK_ROWS, [prefix, n, suffix])
+    letters, = buffer.fields
+    for _, masks in chunks:
+        for start in range(0, len(masks), buffer.rows):
+            part = masks[start:start + buffer.rows]
+            letters[:len(part)] = poles.xy_letter_matrix(n, part)
+            yield buffer.block(len(part))
 
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
@@ -117,8 +188,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.format == "json":
         _print_json_streamed(
             {"n": n, "pole": pole.name, "operators": _STREAMED, "count": total},
-            (_letter_rows(len(masks), b'    "', poles.xy_letter_matrix(n, masks), b'",\n')
-             for _, masks in chunks))
+            _listing_blocks(n, chunks, b'    "', b'",\n'))
         return 0
     if args.format == "csv":
         print("n,pole,operator")
@@ -126,8 +196,9 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     else:
         print(f"pole {pole.name} operators for n={n} ({total} total)")
         prefix = b"  "
-    for _, masks in chunks:
-        sys.stdout.write(_letter_rows(len(masks), prefix, poles.xy_letter_matrix(n, masks), b"\n"))
+    write = _binary_stdout()
+    for block in _listing_blocks(n, chunks, prefix, b"\n"):
+        write(block)
     return 0
 
 
@@ -196,11 +267,12 @@ def cmd_lhv(args: argparse.Namespace) -> int:
                 "assignments": 1 << (2 * args.n),
                 "satisfying": satisfying,
             }
-        _print_json_streamed(payload, _report_rows(reports, json_rows=True))
+        _print_json_streamed(payload, _report_blocks(reports, json_rows=True))
     else:
         print(f"lhv n={args.n} label={label} version={__version__}")
-        # writelines drops each chunk before it asks for the next
-        sys.stdout.writelines(_report_rows(reports, json_rows=False))
+        write = _binary_stdout()
+        for block in _report_blocks(reports, json_rows=False):
+            write(block)
         print(f"contradictions: {len(reports)} (expected {expected})")
         if satisfying is not None:
             print(f"satisfying assignments: {satisfying} of {1 << (2 * args.n)}"
@@ -217,37 +289,48 @@ _TABLE_SIGNS = (b"+1 vs quantum -1", b"-1 vs quantum +1")
 _JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
 
 
-def _report_rows(reports: lhv.Contradictions, json_rows: bool) -> Iterator[str]:
-    """Rendered report rows, one fixed-width block per run of equal Y counts."""
+def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[memoryview]:
+    """Rendered report rows, from one row buffer per run of equal Y counts.
+
+    Each block fills only the target letters, the signs and the generator
+    letters of its rows; a yielded block is valid only until the next one
+    is requested.
+    """
     import numpy as np
 
     from . import poles
 
     n = reports.n
-    signs, separator = (_JSON_SIGNS, b'",\n        "') if json_rows else (_TABLE_SIGNS, b",")
-    plus, minus = (np.frombuffer(text, np.uint8) for text in signs)
-    generator_table = np.concatenate(
-        [poles.xy_letter_matrix(n, reports.generators),
-         np.broadcast_to(np.frombuffer(separator, np.uint8), (n, len(separator)))], axis=1)
+    if not len(reports):
+        return
+    if json_rows:
+        signs, separator = _JSON_SIGNS, b'",\n        "'
+        head, middle, before, tail = (b'    {\n      "n": %d,\n      "s_operator": "' % n,
+                                      b'",\n      "lhv": ', b',\n      "generators": [\n        "',
+                                      b'"\n      ]\n    },\n')
+    else:
+        signs, separator = _TABLE_SIGNS, b","
+        head, middle, before, tail = b"  ", b": local-realist ", b" (from ", b")\n"
+    sign_table = np.frombuffer(b"".join(signs), np.uint8).reshape(2, -1)
+    generator_letters = poles.xy_letter_matrix(n, reports.generators)
     y_masks = reports.targets ^ np.uint64(reports.swap_mask)
     counts = np.bitwise_count(y_masks)
     edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(y_masks)]
     for low, high in itertools.pairwise(edges):
-        for start in range(low, high, poles.CHUNK_ROWS):
-            rows = slice(start, min(start + poles.CHUNK_ROWS, high))
+        buffer = _RowBuffer(high - low, [head, n, middle, sign_table.shape[1], before,
+                                         (int(counts[low]), n, separator), tail])
+        targets, values, generators = buffer.fields
+        for start in range(low, high, buffer.rows):
+            rows = slice(start, min(start + buffer.rows, high))
             size = rows.stop - rows.start
-            targets = poles.xy_letter_matrix(n, reports.targets[rows])
-            generators = generator_table[poles.y_columns(n, y_masks[rows])]
-            generators = generators.reshape(size, -1)[:, :-len(separator)]
-            values = np.where(reports.lhv[rows, None] > 0, plus, minus)
-            if json_rows:
-                yield _letter_rows(
-                    size, b'    {\n      "n": %d,\n      "s_operator": "' % n, targets,
-                    b'",\n      "lhv": ', values, b',\n      "generators": [\n        "',
-                    generators, b'"\n      ]\n    },\n')
-            else:
-                yield _letter_rows(size, b"  ", targets, b": local-realist ", values,
-                                   b" (from ", generators, b")\n")
+            targets[:size] = poles.xy_letter_matrix(n, reports.targets[rows])
+            # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
+            # range, and mode="clip" lets take write into the buffer directly
+            np.take(sign_table, (1 - reports.lhv[rows]) >> 1, axis=0, out=values[:size],
+                    mode="clip")
+            np.take(generator_letters, poles.y_columns(n, y_masks[rows]), axis=0,
+                    out=generators[:size], mode="clip")
+            yield buffer.block(size)
 
 
 # ------------------------------------------------------------- identity
@@ -347,7 +430,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; with fd 1 on /dev/null the flush at shutdown stays silent
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return _CLOSED_PIPE_EXIT
     except ConsistencyError as exc:
         print(f"tool failure: {exc}", file=sys.stderr)
         return 1

@@ -232,14 +232,19 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
             factors = [observable_factor(phi) for phi in angles]
             sets.append((diag, np.conj(diag)[None, :], _kron_rows(eye, factors[:n - tail]),
                          factors[n - tail:]))
+        # one left-side block and one magnitude block serve every (block, set) pair
+        lhs_block = np.empty((min(head_rows << tail, 1 << n), 1 << n), dtype=complex)
+        mag_block = np.empty(lhs_block.shape)
         for lo in range(0, 1 << (n - tail), head_rows):
             head_blk = slice(lo, lo + head_rows)
             all_x = _kron_rows(x_head[head_blk], x_factors[n - tail:])
             blk = slice(lo << tail, (lo + head_rows) << tail)
+            lhs, mag = lhs_block[:len(all_x)], mag_block[:len(all_x)]
             for diag, conj_diag, head, tail_factors in sets:
-                lhs = (diag[blk, None] * all_x) * conj_diag
-                rhs = _kron_rows(head[head_blk], tail_factors)
-                worst = np.maximum(worst, np.max(np.abs(lhs - rhs)))
+                np.multiply(diag[blk, None], all_x, out=lhs)
+                lhs *= conj_diag
+                np.subtract(lhs, _kron_rows(head[head_blk], tail_factors), out=lhs)
+                worst = np.maximum(worst, np.max(np.abs(lhs, out=mag)))
     else:
         for angles in angle_sets:
             diag = rotation_diagonal(angles)

@@ -34,12 +34,16 @@ from .states import GhzLabel
 #: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
 #: bounds the contradiction reports of ``lhv`` and the strings of
 #: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (137
-#: MB peak, a 1.5 GB table) and the streamed listing takes 2 s, and each
-#: further qubit doubles both.
+#: MB peak) and the streamed listing takes 2 s, and each further qubit
+#: doubles both.  Rendering is bounded by bytes, not rows: the CLI writes
+#: the 1.5 GB table through one reused buffer of at most 64 KiB per run of
+#: equal Y counts.
 REPORT_CAP = 24
 
 #: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
-#: the column and rendering passes and never changes their output.
+#: the column passes and never changes their output.  Rendering is bounded
+#: by bytes instead: the CLI cuts each chunk into blocks of at most 64 KiB
+#: of text.
 CHUNK_ROWS = 1 << 13
 
 

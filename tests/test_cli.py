@@ -3,7 +3,11 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -360,3 +364,39 @@ class TestCheckFailures:
         assert code == 1
         assert out == ""
         assert err.startswith("tool failure: count routes disagree at n=3")
+
+
+class TestRenderingMemory:
+    """Rendering reuses one bounded row buffer, whatever the listing's size."""
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_traced_peak_of_lhv_at_18_qubits(self, monkeypatch, fmt):
+        # stdout is /dev/null, not capsys, whose buffer would hold the whole
+        # output in traced memory; lhv was imported above, outside the trace
+        with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["lhv", "--n", "18", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < 4 * 2**20
+
+
+class TestClosedPipe:
+    """A reader that stops early ends the command quietly, with exit 141."""
+
+    @pytest.mark.parametrize("command", ["lhv --n 18 --format json", "enumerate --n 20 --pole S"])
+    def test_exit_141_without_traceback(self, command):
+        # either output is megabytes, far more than a pipe holds after one line
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.Popen([sys.executable, "-m", "ghzverify", *command.split()],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 141
+        assert b"Traceback" not in err

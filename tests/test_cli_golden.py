@@ -8,6 +8,7 @@ import hashlib
 
 import pytest
 
+from ghzverify import cli
 from ghzverify.cli import main
 
 GOLDEN = {
@@ -41,3 +42,12 @@ def test_stdout_digest(capsys, command):
     assert main(command.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN[command]
+
+
+@pytest.mark.parametrize("block_bytes", [1, 1000])
+@pytest.mark.parametrize("command", [c for c in GOLDEN if c.split()[0] in ("lhv", "enumerate")])
+def test_block_boundaries_leave_bytes_unchanged(capsys, monkeypatch, command, block_bytes):
+    # 1 byte renders one row per block; 1000 bytes leaves partial last blocks,
+    # e.g. 220 three-Y strings at n = 12 in blocks of 66 rows of 15 bytes
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    test_stdout_digest(capsys, command)
