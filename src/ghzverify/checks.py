@@ -3,8 +3,8 @@
 Each check states a claim in the integer-only tier (or as an exact law of
 the rotated states), confirms it densely, and returns a :class:`Check` with
 its case count, its worst residual, and whether that residual stayed under
-``oracle.EIGEN_TOL``.  The oracle returns bare residuals, so every verdict
-against that tolerance is taken here.  This module and the CLI are the only
+:data:`EIGEN_TOL`.  The oracle returns bare residuals, so the tolerance and
+every verdict against it live here.  This module and the CLI are the only
 ones that use both tiers.
 """
 
@@ -20,16 +20,19 @@ from .errors import ConsistencyError, DomainError
 from .pauli import PauliOperator
 from .states import GhzLabel
 
+#: The one residual tolerance: a check passes when its worst residual is below it.
+EIGEN_TOL = 1e-12
+
 #: Above the dense-matrix cap, ``verify`` samples this many X/Y strings
 #: instead of checking every one.
 VERIFY_SAMPLED_OPS = 256
 
 #: Angle sums within this distance of a pole (0 or pi from the state's angle)
 #: snap to it.  An offset d leaves the dense residual sqrt(2) * |sin(d / 2)|,
-#: so this is the offset at which that residual reaches oracle.EIGEN_TOL:
+#: so this is the offset at which that residual reaches EIGEN_TOL:
 #: apart from rounding at the boundary itself, a snapped pole passes the
 #: dense check and an unsnapped one fails it.
-POLE_SNAP_TOL = 2.0 * math.asin(oracle.EIGEN_TOL / math.sqrt(2.0))
+POLE_SNAP_TOL = 2.0 * math.asin(EIGEN_TOL / math.sqrt(2.0))
 
 _TWO_PI = 2.0 * math.pi
 
@@ -44,7 +47,7 @@ class Check(NamedTuple):
 def _within_tol(name: str, cases: int, residuals: Sequence[float]) -> Check:
     # np.max, not max(), so that a NaN residual in any case fails the check
     worst = float(np.max(residuals))
-    return Check(name, cases, worst, worst < oracle.EIGEN_TOL)
+    return Check(name, cases, worst, worst < EIGEN_TOL)
 
 
 def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
@@ -68,7 +71,7 @@ def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
         values = poles.eigenvalue_column(label, quarter, z_masks)
         eigen_rows += [residuals[values == 1, 0], residuals[values == -1, 1]]
         # >= rather than not <, so that a NaN is never taken for a failed test
-        non_eigen_fail &= bool(np.all(residuals[values == 0] >= oracle.EIGEN_TOL))
+        non_eigen_fail &= bool(np.all(residuals[values == 0] >= EIGEN_TOL))
     check = _within_tol("eigenvalues_symbolic_vs_oracle", 2 * len(z_masks),
                         np.concatenate(eigen_rows))
     return check._replace(passed=check.passed and non_eigen_fail)
@@ -201,13 +204,13 @@ def eigen_check_general(label: GhzLabel, state_phi: float,
     image = oracle.apply_observable(vec, angles)
     if predicted is None:
         for sign in (1, -1):
-            if oracle.check_eigen(vec, image, sign) < oracle.EIGEN_TOL - margin:
+            if oracle.check_eigen(vec, image, sign) < EIGEN_TOL - margin:
                 raise ConsistencyError(
                     f"angle sum {observable_angle!r} is off-pole but the dense state "
                     f"is an eigenstate with sign {sign}")
         return None
     residual = oracle.check_eigen(vec, image, predicted)
-    if residual >= oracle.EIGEN_TOL + margin:
+    if residual >= EIGEN_TOL + margin:
         raise ConsistencyError(
             f"predicted eigenvalue {predicted} fails densely (residual {residual:.3e})")
     return predicted

@@ -28,8 +28,6 @@ if TYPE_CHECKING:
 
     from . import lhv, states
 
-IDENTITY_ALL_SUBSETS_CAP = 12
-
 #: Exit code when the reader closes stdout early: 128 + SIGPIPE.
 _CLOSED_PIPE_EXIT = 141
 
@@ -39,9 +37,9 @@ _CLOSED_PIPE_EXIT = 141
 _STREAMED = "\0"
 
 #: Most bytes in one rendered block of ``lhv`` reports or ``enumerate``
-#: strings (at least one row).  It stays under glibc's 128 KiB mmap
-#: threshold, so a row buffer comes from the heap instead of being mapped
-#: and returned per block, and it never changes the output.
+#: strings (at least one row).  Each block is rendered afresh and written
+#: before the next one, so the text never holds more than this at a time,
+#: and the block size never changes the output.
 _BLOCK_BYTES = 1 << 16
 
 
@@ -75,73 +73,27 @@ def _print_json_streamed(payload: dict, items: Iterable[memoryview]) -> None:
     sys.stdout.write(tail + "\n")
 
 
-class _RowBuffer:
-    """Fixed-width ASCII rows, rendered into one reused uint8 buffer.
+def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> memoryview:
+    """``size`` rows of bytes, each the parts in order: a bytes part is the
+    same on every row, and an array part holds its rows as ``size`` uint8 rows."""
+    import numpy as np
 
-    ``layout`` lists the parts of a row in order.  A bytes part is the same
-    on every row, so it is written once, here.  An int part is a field of
-    that many bytes, and a ``(count, width, separator)`` part is ``count``
-    fields of ``width`` bytes joined by ``separator``, which is written here
-    too.  :attr:`fields` holds one writable view per field part, (rows,
-    width) or (rows, count, width), and the caller fills the first rows of
-    each before it asks :meth:`block` for their bytes.  The buffer holds
-    ``most`` rows, or as many as fit in _BLOCK_BYTES if fewer, but never
-    less than one.
-    """
-
-    def __init__(self, most: int, layout: Sequence[bytes | int | tuple[int, int, bytes]]):
-        import numpy as np
-
-        starts = list(itertools.accumulate(map(_part_width, layout), initial=0))
-        self.width = starts.pop()
-        self.rows = max(1, min(most, _BLOCK_BYTES // self.width))
-        flat = np.empty(self.rows * self.width, np.uint8)
-        matrix = flat.reshape(self.rows, self.width)
-        self.fields: list[np.ndarray] = []
-        for start, part in zip(starts, layout):
-            if isinstance(part, bytes):
-                matrix[:, start:start + len(part)] = np.frombuffer(part, np.uint8)
-            elif isinstance(part, int):
-                self.fields.append(matrix[:, start:start + part])
-            else:
-                count, width, separator = part
-                step = width + len(separator)
-                for gap in range(start + width, start + (count - 1) * step, step):
-                    matrix[:, gap:gap + len(separator)] = np.frombuffer(separator, np.uint8)
-                self.fields.append(np.ndarray((self.rows, count, width), np.uint8, flat, start,
-                                              (self.width, step, 1)))
-        self._bytes = memoryview(flat)
-
-    def block(self, size: int) -> memoryview:
-        """The first ``size`` rows, as a view valid only until the buffer is refilled."""
-        return self._bytes[:size * self.width]
+    columns = [np.frombuffer(part * size, np.uint8).reshape(size, -1) if isinstance(part, bytes)
+               else part.reshape(size, -1) for part in parts]
+    return memoryview(np.hstack(columns).ravel())
 
 
-def _part_width(part: bytes | int | tuple[int, int, bytes]) -> int:
-    if isinstance(part, bytes):
-        return len(part)
-    if isinstance(part, int):
-        return part
-    count, width, separator = part
-    return count * width + (count - 1) * len(separator)
-
-
-def _listing_blocks(n: int, chunks: Iterable[tuple[int, np.ndarray]],
+def _listing_blocks(n: int, chunks: Iterable[np.ndarray],
                     prefix: bytes, suffix: bytes) -> Iterator[memoryview]:
     """Rendered X/Y strings of ``pole_masks`` chunks, one per row between
-    ``prefix`` and ``suffix``, from one row buffer.
-
-    A yielded block is valid only until the next one is requested.
-    """
+    ``prefix`` and ``suffix``, in blocks of at most _BLOCK_BYTES (at least one row)."""
     from . import poles
 
-    buffer = _RowBuffer(poles.CHUNK_ROWS, [prefix, n, suffix])
-    letters, = buffer.fields
-    for _, masks in chunks:
-        for start in range(0, len(masks), buffer.rows):
-            part = masks[start:start + buffer.rows]
-            letters[:len(part)] = poles.xy_letter_matrix(n, part)
-            yield buffer.block(len(part))
+    step = max(1, _BLOCK_BYTES // (len(prefix) + n + len(suffix)))
+    for masks in chunks:
+        for start in range(0, len(masks), step):
+            part = masks[start:start + step]
+            yield _rows(len(part), [prefix, poles.xy_letter_matrix(n, part), suffix])
 
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
@@ -290,12 +242,8 @@ _JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
 
 
 def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[memoryview]:
-    """Rendered report rows, from one row buffer per run of equal Y counts.
-
-    Each block fills only the target letters, the signs and the generator
-    letters of its rows; a yielded block is valid only until the next one
-    is requested.
-    """
+    """Rendered report rows, in blocks of at most _BLOCK_BYTES (at least one
+    row) that each hold rows of one Y count."""
     import numpy as np
 
     from . import poles
@@ -312,25 +260,26 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
         signs, separator = _TABLE_SIGNS, b","
         head, middle, before, tail = b"  ", b": local-realist ", b" (from ", b")\n"
     sign_table = np.frombuffer(b"".join(signs), np.uint8).reshape(2, -1)
-    generator_letters = poles.xy_letter_matrix(n, reports.generators)
+    # row k - 1 is generator k's letters, then the separator
+    cells = np.frombuffer(_rows(n, [poles.xy_letter_matrix(n, reports.generators), separator]),
+                          np.uint8).reshape(n, -1)
+    # a row's width apart from its generators, whose count varies by run
+    width = len(head) + n + len(middle) + sign_table.shape[1] + len(before) + len(tail)
     y_masks = reports.targets ^ np.uint64(reports.swap_mask)
     counts = np.bitwise_count(y_masks)
     edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(y_masks)]
     for low, high in itertools.pairwise(edges):
-        buffer = _RowBuffer(high - low, [head, n, middle, sign_table.shape[1], before,
-                                         (int(counts[low]), n, separator), tail])
-        targets, values, generators = buffer.fields
-        for start in range(low, high, buffer.rows):
-            rows = slice(start, min(start + buffer.rows, high))
+        step = max(1, _BLOCK_BYTES // (width + int(counts[low]) * cells.shape[1] - len(separator)))
+        for start in range(low, high, step):
+            rows = slice(start, min(start + step, high))
             size = rows.stop - rows.start
-            targets[:size] = poles.xy_letter_matrix(n, reports.targets[rows])
             # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
-            # range, and mode="clip" lets take write into the buffer directly
-            np.take(sign_table, (1 - reports.lhv[rows]) >> 1, axis=0, out=values[:size],
-                    mode="clip")
-            np.take(generator_letters, poles.y_columns(n, y_masks[rows]), axis=0,
-                    out=generators[:size], mode="clip")
-            yield buffer.block(size)
+            # range, so mode="clip" only skips the bounds check
+            values = np.take(sign_table, (1 - reports.lhv[rows]) >> 1, axis=0, mode="clip")
+            generators = np.take(cells, poles.y_columns(n, y_masks[rows]), axis=0, mode="clip")
+            yield _rows(size, [head, poles.xy_letter_matrix(n, reports.targets[rows]), middle,
+                               values, before, generators.reshape(size, -1)[:, :-len(separator)],
+                               tail])
 
 
 # ------------------------------------------------------------- identity
@@ -349,23 +298,14 @@ def _parse_subset(text: str) -> list[int]:
 def cmd_identity(args: argparse.Namespace) -> int:
     n = args.n
     _require_qubits(n)
-    if args.subset is not None:
-        subsets = [_parse_subset(args.subset)]
+    if args.subset is None:
+        verdicts = pauli.odd_subset_identities(n)
     else:
-        if n > IDENTITY_ALL_SUBSETS_CAP:
-            raise GhzVerifyError(
-                f"checking all odd subsets is capped at {IDENTITY_ALL_SUBSETS_CAP} qubits; "
-                f"pass --subset for larger n")
-        subsets = [list(combo)
-                   for size in range(1, n + 1, 2)
-                   for combo in itertools.combinations(range(1, n + 1), size)]
-    rows = []
-    all_pass = True
-    for subset in subsets:
-        ok = pauli.verify_ks_identity(n, subset)
-        sign = "+" if len(subset) % 4 == 1 else "-"
-        rows.append({"subset": subset, "sign": sign, "pass": ok})
-        all_pass &= ok
+        subset = _parse_subset(args.subset)
+        verdicts = [(subset, pauli.verify_ks_identity(n, subset))]
+    rows = [{"subset": list(subset), "sign": "+" if len(subset) % 4 == 1 else "-", "pass": ok}
+            for subset, ok in verdicts]
+    all_pass = all(row["pass"] for row in rows)
     if args.format == "json":
         _print_json({
             "command": "identity",

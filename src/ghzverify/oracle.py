@@ -3,10 +3,10 @@
 This module is the independent second route: operators become explicit
 matrices (or matrix-free actions on amplitude vectors) and each claim is
 measured by a residual in max norm.  The functions here return residuals
-and pass no verdict; only :mod:`checks` compares them with EIGEN_TOL, 1e-12
-throughout.  Amplitudes are O(1) and all matrix entries are exact fourth
-roots of unity times exact cosines, which leaves at least three orders of
-magnitude of headroom in double precision.
+and pass no verdict: the tolerance, ``checks.EIGEN_TOL`` (1e-12 throughout),
+lives with the checks that judge them.  Amplitudes are O(1) and all matrix
+entries are exact fourth roots of unity times exact cosines, which leaves
+at least three orders of magnitude of headroom under it in double precision.
 
 An eigen check judges an image: each caller applies its own operator (a
 Pauli string through apply_pauli, an angle tuple through apply_observable)
@@ -49,8 +49,6 @@ from .states import (DENSE_VECTOR_CAP, GhzLabel, build_state, check_vector_cap,
 
 #: Largest qubit count for which full 2**n x 2**n matrices are built.
 DENSE_MATRIX_CAP = 10
-
-EIGEN_TOL = 1e-12
 
 #: Most entries in one block of check_conjugation or eigen_residuals.
 _BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP

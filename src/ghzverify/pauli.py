@@ -12,7 +12,8 @@ The product convention is the cyclic one: X*Y = iZ, Y*Z = iX, Z*X = iY.
 Every operation below is integer arithmetic on masks and phase exponents,
 so products, commutators and equality checks are exact; nothing in this
 module touches floating point, and nothing imports numpy, so the
-generator product identities (:func:`verify_ks_identity`) run without it.
+generator product identities (:func:`verify_ks_identity`, swept over every
+odd subset by :func:`odd_subset_identities`) run without it.
 
 Text rendering is "(sign)(i?)letters", e.g. "+XXX", "-YYY", "+iXZ", "-iY".
 :meth:`PauliOperator.letters` renders the whole string from the two masks
@@ -27,12 +28,16 @@ qubits; bytes have no such limit.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable
 
-from .errors import DimensionError, DomainError, LetterError
+from .errors import CapacityError, DimensionError, DomainError, LetterError
+
+#: Above this qubit count :func:`odd_subset_identities` refuses the sweep.
+IDENTITY_ALL_SUBSETS_CAP = 12
 
 _PHASE_TEXT = ("+", "+i", "-", "-i")
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
@@ -180,3 +185,18 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     product = reduce(multiply, (PauliOperator(n, full, 1 << (n - k))
                                 for k in range(1, n + 1) if mask >> (n - k) & 1))
     return product == PauliOperator(n, full, mask, 0 if size % 4 == 1 else 2)
+
+
+def odd_subset_identities(n: int) -> list[tuple[tuple[int, ...], bool]]:
+    """(subset, :func:`verify_ks_identity` verdict) for every odd subset of
+    qubits 1..n, by size and then in position order.
+
+    The 2**(n - 1) subsets are refused above IDENTITY_ALL_SUBSETS_CAP
+    qubits, before the first is checked.
+    """
+    if n > IDENTITY_ALL_SUBSETS_CAP:
+        raise CapacityError(f"checking all odd subsets is capped at {IDENTITY_ALL_SUBSETS_CAP} "
+                            f"qubits; pass --subset for larger n")
+    return [(subset, verify_ks_identity(n, subset))
+            for size in range(1, n + 1, 2)
+            for subset in itertools.combinations(range(1, n + 1), size)]

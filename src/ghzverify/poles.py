@@ -36,14 +36,13 @@ from .states import GhzLabel
 #: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (137
 #: MB peak) and the streamed listing takes 2 s, and each further qubit
 #: doubles both.  Rendering is bounded by bytes, not rows: the CLI writes
-#: the 1.5 GB table through one reused buffer of at most 64 KiB per run of
-#: equal Y counts.
+#: the 1.5 GB table in blocks of at most 64 KiB, each rendered afresh.
 REPORT_CAP = 24
 
 #: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
 #: the column passes and never changes their output.  Rendering is bounded
-#: by bytes instead: the CLI cuts each chunk into blocks of at most 64 KiB
-#: of text.
+#: by bytes instead: the CLI renders each chunk as blocks of at most 64 KiB
+#: of text, one after another.
 CHUNK_ROWS = 1 << 13
 
 
@@ -56,8 +55,8 @@ class Pole(enum.Enum):
     S = 3
 
 
-def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
-    """The z masks of every X/Y string at a pole, as (Y count, uint64 chunk) pairs.
+def pole_masks(n: int, pole: Pole) -> Iterator[np.ndarray]:
+    """The z masks of every X/Y string at a pole, as uint64 chunks.
 
     Strings come by increasing Y count, then in position order; within one Y
     count that is descending mask order, because qubit 1 is the top bit.  A
@@ -72,12 +71,12 @@ def pole_masks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
     return _mask_chunks(n, pole)
 
 
-def _mask_chunks(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+def _mask_chunks(n: int, pole: Pole) -> Iterator[np.ndarray]:
     qubit_bits = [1 << (n - k) for k in range(1, n + 1)]
     for count in range(pole.value, n + 1, 4):
         masks = map(sum, itertools.combinations(qubit_bits, count))
         while (chunk := np.fromiter(itertools.islice(masks, CHUNK_ROWS), np.uint64)).size:
-            yield count, chunk
+            yield chunk
 
 
 def pole_size(n: int, pole: Pole) -> int:
@@ -108,7 +107,7 @@ def y_columns(n: int, masks: np.ndarray) -> np.ndarray:
 def enumerate_pole(n: int, pole: Pole) -> np.ndarray:
     """The z masks of every X/Y string at a pole as one uint64 column, in
     :func:`pole_masks` order."""
-    return np.concatenate([masks for _, masks in pole_masks(n, pole)] or [np.empty(0, np.uint64)])
+    return np.concatenate(list(pole_masks(n, pole)) or [np.empty(0, np.uint64)])
 
 
 def check_mask(n: int, z: int) -> None:

@@ -2,13 +2,17 @@
 
 No command reaches these, so they live beside the tests and not in the
 package: the X/Y string with Y at given positions, the shortcut eigenvalue
-rule, the brute-force assignment sweep and the commuting family of generator
-products.
+rule, the brute-force assignment sweep, the commuting family of generator
+products, and the stdout of ``lhv`` and ``enumerate`` rendered one row at a
+time.
 """
 
 import itertools
+import json
 from functools import reduce
 
+from ghzverify import __version__
+from ghzverify.counting import c_n_closed
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 
@@ -51,3 +55,51 @@ def compatible_family(n):
     generators = [xy_string(n, (k,)) for k in range(1, n + 1)]
     return [reduce(multiply, (generators[i] for i in combo))
             for size in range(1, n + 1) for combo in itertools.combinations(range(n), size)]
+
+
+def xy_letters(n, z):
+    """Letters of the X/Y string with z mask ``z``, qubit 1 (the top bit) first."""
+    return format(z, f"0{n}b").replace("0", "X").replace("1", "Y")
+
+
+def lhv_stdout(label, reports, fmt):
+    """Stdout of ``lhv`` without --exhaustive, given the label and its reports."""
+    n, expected = label.n, c_n_closed(label.n)
+    rows = []
+    for target, lhv, quantum in zip(reports.targets.tolist(), reports.lhv.tolist(),
+                                    reports.quantum.tolist()):
+        y = target ^ reports.swap_mask
+        generators = [xy_letters(n, reports.generators[k - 1].item())
+                      for k in range(1, n + 1) if y >> (n - k) & 1]
+        rows.append((xy_letters(n, target), lhv, quantum, generators))
+    ok = len(rows) == expected
+    if fmt == "json":
+        return json.dumps({
+            "command": "lhv", "version": __version__, "n": n, "label": str(label),
+            "expected_c_n": expected, "contradictions": len(rows),
+            "reports": [{"n": n, "s_operator": target, "lhv": lhv, "quantum": quantum,
+                         "generators": generators}
+                        for target, lhv, quantum, generators in rows],
+            "pass": ok}, indent=2) + "\n"
+    lines = [f"lhv n={n} label={label} version={__version__}"]
+    lines += [f"  {target}: local-realist {lhv:+d} vs quantum {quantum:+d} "
+              f"(from {','.join(generators)})" for target, lhv, quantum, generators in rows]
+    lines.append(f"contradictions: {len(rows)} (expected {expected})")
+    lines.append("all checks passed" if ok else "CHECK FAILURES PRESENT")
+    return "".join(line + "\n" for line in lines)
+
+
+def enumerate_stdout(n, pole, fmt):
+    """Stdout of ``enumerate``, its strings listed by Y count, then position."""
+    strings = ["".join("Y" if k in positions else "X" for k in range(1, n + 1))
+               for count in range(pole.value, n + 1, 4)
+               for positions in itertools.combinations(range(1, n + 1), count)]
+    if fmt == "json":
+        return json.dumps({"n": n, "pole": pole.name, "operators": strings,
+                           "count": len(strings)}, indent=2) + "\n"
+    if fmt == "csv":
+        lines = ["n,pole,operator"] + [f"{n},{pole.name},{s}" for s in strings]
+    else:
+        lines = [f"pole {pole.name} operators for n={n} ({len(strings)} total)"]
+        lines += [f"  {s}" for s in strings]
+    return "".join(line + "\n" for line in lines)

@@ -367,7 +367,7 @@ class TestCheckFailures:
 
 
 class TestRenderingMemory:
-    """Rendering reuses one bounded row buffer, whatever the listing's size."""
+    """Rendering holds one bounded block at a time, whatever the listing's size."""
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_traced_peak_of_lhv_at_18_qubits(self, monkeypatch, fmt):

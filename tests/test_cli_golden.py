@@ -1,15 +1,27 @@
 """Byte-exact CLI output for the commands whose stdout holds no floats.
 
 ``verify`` stays out: its residuals depend on the platform's libm.  The json
-digests include ``"version"``, so a version bump must update them.
+digests include ``"version"``, so a version bump must update them.  Beside
+the digests, ``lhv`` and ``enumerate`` are compared on random labels and
+block sizes with the row-at-a-time renderers of ``references``.
 """
 
+import contextlib
 import hashlib
+import io
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import cli
 from ghzverify.cli import main
+from ghzverify.lhv import find_contradictions
+from ghzverify.poles import Pole, pole_masks, pole_size
+from ghzverify.states import GhzLabel, parse_label
+
+from references import enumerate_stdout, lhv_stdout
 
 GOLDEN = {
     "count --n-min 2 --n-max 64 --format csv":
@@ -51,3 +63,58 @@ def test_block_boundaries_leave_bytes_unchanged(capsys, monkeypatch, command, bl
     # e.g. 220 three-Y strings at n = 12 in blocks of 66 rows of 15 bytes
     monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
     test_stdout_digest(capsys, command)
+
+
+def _stdout_of(argv, block_bytes):
+    """Exit code and stdout of one in-process run, with blocks of ``block_bytes``."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
+    with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes), contextlib.redirect_stdout(out):
+        code = main(argv)
+    out.flush()
+    return code, out.buffer.getvalue().decode()
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_lhv_matches_the_row_at_a_time_reference(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    label = GhzLabel(n, data.draw(st.integers(0, (1 << (n - 1)) - 1), label="bits"),
+                     data.draw(st.sampled_from([1, -1]), label="sign"))
+    fmt = data.draw(st.sampled_from(["table", "json"]), label="format")
+    block_bytes = data.draw(st.integers(1, 4096), label="block_bytes")
+    code, out = _stdout_of(["lhv", "--n", str(n), "--label", str(label), "--format", fmt],
+                           block_bytes)
+    assert (code, out) == (0, lhv_stdout(label, find_contradictions(label), fmt))
+
+
+@given(st.data())
+@settings(deadline=None, max_examples=60)
+def test_enumerate_matches_the_row_at_a_time_reference(data):
+    n = data.draw(st.integers(2, 12), label="n")
+    pole = data.draw(st.sampled_from(list(Pole)), label="pole")
+    fmt = data.draw(st.sampled_from(["table", "csv", "json"]), label="format")
+    block_bytes = data.draw(st.integers(1, 4096), label="block_bytes")
+    code, out = _stdout_of(["enumerate", "--n", str(n), "--pole", pole.name, "--format", fmt],
+                           block_bytes)
+    assert (code, out) == (0, enumerate_stdout(n, pole, fmt))
+
+
+def test_report_blocks_outlive_the_next_block(monkeypatch):
+    # 200 bytes hold two table rows at n = 10, so a run of equal Y counts
+    # spans many blocks; each must keep its bytes once the next is rendered
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
+    reports = find_contradictions(parse_label("0110100110+"))
+    streamed = b"".join(bytes(block) for block in cli._report_blocks(reports, json_rows=False))
+    assert b"".join(list(cli._report_blocks(reports, json_rows=False))) == streamed
+    assert streamed.count(b"\n") == len(reports)
+
+
+def test_listing_blocks_outlive_the_next_block(monkeypatch):
+    monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
+
+    def blocks():
+        return cli._listing_blocks(10, pole_masks(10, Pole.S), b"  ", b"\n")
+
+    streamed = b"".join(bytes(block) for block in blocks())
+    assert b"".join(list(blocks())) == streamed
+    assert streamed.count(b"\n") == pole_size(10, Pole.S)

@@ -11,14 +11,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify.checks import swap_conjugation_residual
+from ghzverify.checks import EIGEN_TOL, swap_conjugation_residual
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.lhv import (EXHAUSTIVE_CAP, _swapped_state, ew_contradictions, ew_swap,
                            exhaustive_search, find_contradictions)
-from ghzverify.oracle import DENSE_MATRIX_CAP, EIGEN_TOL
-from ghzverify.pauli import PauliOperator, from_letters, multiply, verify_ks_identity
+from ghzverify.oracle import DENSE_MATRIX_CAP
+from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, from_letters, multiply,
+                             odd_subset_identities, verify_ks_identity)
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 from ghzverify.states import GhzLabel
 from references import assignment_value, satisfying_assignments, xy_string
@@ -197,6 +198,16 @@ class TestKsIdentity:
         for size in range(1, n + 1, 2):
             for subset in itertools.combinations(range(1, n + 1), size):
                 assert verify_ks_identity(n, subset)
+
+    def test_sweep_takes_every_odd_subset_in_order(self):
+        verdicts = odd_subset_identities(6)
+        assert [subset for subset, _ in verdicts] == [
+            subset for size in (1, 3, 5) for subset in itertools.combinations(range(1, 7), size)]
+        assert all(ok for _, ok in verdicts)
+
+    def test_sweep_refused_above_its_cap(self):
+        with pytest.raises(CapacityError, match="checking all odd subsets is capped at 12 qubits"):
+            odd_subset_identities(IDENTITY_ALL_SUBSETS_CAP + 1)
 
 
 class TestEwSwap:

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ghzverify import oracle
-from ghzverify.checks import conjugation_identity
+from ghzverify.checks import EIGEN_TOL, conjugation_identity
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.oracle import (DENSE_MATRIX_CAP, EIGEN_TOL, apply_observable, apply_pauli,
+from ghzverify.oracle import (DENSE_MATRIX_CAP, apply_observable, apply_pauli,
                               check_conjugation, check_eigen, eigen_residuals, materialize,
                               observable_matrix, rotation_diagonal, two_dim_invariance_residual)
 from ghzverify.pauli import PauliOperator, from_letters, parse

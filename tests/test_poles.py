@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.oracle import EIGEN_TOL, apply_pauli, check_eigen
+from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, commutes, from_letters
 from ghzverify.poles import (CHUNK_ROWS, Pole, REPORT_CAP, eigenvalue_column,
                              eigenvalue_symbolic, enumerate_pole, pole_masks,
@@ -91,8 +92,8 @@ class TestEnumerate:
                 "n": n, "pole": "S", "operators": operators, "count": len(operators)}
 
     def test_capacity(self):
-        count, masks = next(pole_masks(REPORT_CAP, Pole.N))
-        assert count == 1 and masks[0] == 1 << (REPORT_CAP - 1)
+        masks = next(pole_masks(REPORT_CAP, Pole.N))
+        assert np.bitwise_count(masks[0]) == 1 and masks[0] == 1 << (REPORT_CAP - 1)
         for n in (REPORT_CAP + 1, 64):
             with pytest.raises(CapacityError,
                                match=f"pole listings are capped at 24 qubits \\(got {n}\\)"):
@@ -106,18 +107,20 @@ class TestPoleMasks:
             expected = [(count, sum(1 << (n - k) for k in positions))
                         for count in range(pole.value, n + 1, 4)
                         for positions in itertools.combinations(range(1, n + 1), count)]
-            got = [(count, z) for count, masks in pole_masks(n, pole) for z in masks.tolist()]
+            got = [(count, z) for masks in pole_masks(n, pole)
+                   for count, z in zip(np.bitwise_count(masks).tolist(), masks.tolist())]
             assert got == expected
 
     def test_chunks_are_bounded_and_hold_one_y_count(self):
         n = 17
         chunks = list(pole_masks(n, Pole.S))
-        assert max(len(masks) for _, masks in chunks) == CHUNK_ROWS
-        for count, masks in chunks:
+        assert max(len(masks) for masks in chunks) == CHUNK_ROWS
+        for masks in chunks:
             assert masks.dtype == np.uint64 and masks.size
-            assert (np.bitwise_count(masks) == count).all()
+            counts = np.bitwise_count(masks)
+            assert (counts == counts[0]).all()
             assert (np.diff(masks.astype(np.int64)) < 0).all()
-        assert sum(len(masks) for _, masks in chunks) == c_n_binomial(n)
+        assert sum(len(masks) for masks in chunks) == c_n_binomial(n)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 63])
     def test_letter_matrix_matches_scalar_letters(self, n):
@@ -307,9 +310,9 @@ class TestPoleOperatorRendering:
     def test_y_positions_match_letter_scan(self, n):
         for pole in Pole:
             masks_in_order = iter(enumerate_pole(n, pole).tolist())
-            for count, masks in pole_masks(n, pole):
+            for masks in pole_masks(n, pole):
                 columns = y_columns(n, masks)
-                assert columns.shape == (len(masks), count)
+                assert columns.shape == (len(masks), np.bitwise_count(masks[0]))
                 for row, z in zip(columns.tolist(), masks_in_order):
                     op = PauliOperator(n, (1 << n) - 1, z)
                     scanned = [k for k in range(1, n + 1) if op.letter(k) == "Y"]

@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ghzverify import states
-from ghzverify.checks import POLE_SNAP_TOL, eigen_check_general
+from ghzverify.checks import EIGEN_TOL, POLE_SNAP_TOL, eigen_check_general
 from ghzverify.errors import DomainError
-from ghzverify.oracle import (EIGEN_TOL, apply_observable, apply_pauli, materialize,
-                              observable_matrix, rotation_diagonal)
+from ghzverify.oracle import (apply_observable, apply_pauli, materialize, observable_matrix,
+                              rotation_diagonal)
 from ghzverify.pauli import from_letters, render
 from ghzverify.poles import eigenvalue_symbolic
 from ghzverify.rotations import co_rotate_quarter
