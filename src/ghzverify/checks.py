@@ -45,6 +45,8 @@ class Check(NamedTuple):
 
 
 def _within_tol(name: str, cases: int, residuals: Sequence[float]) -> Check:
+    if not len(residuals):
+        raise DomainError(f"{name} needs at least one case")
     # np.max, not max(), so that a NaN residual in any case fails the check
     worst = float(np.max(residuals))
     return Check(name, cases, worst, worst < EIGEN_TOL)

@@ -16,8 +16,13 @@ call to eigen_residuals without building any image.  Their x mask is all
 ones, so entry t of a string's image is c * (-1)**parity((t ^ x) & z) * w[t]
 with w = vec[::-1] and c = i**#Y one of four exact coefficients: the two
 candidate residuals |c w - vec| and |c w + vec| are built once per
-coefficient, and each string only selects between them by its parity.  The
-residuals are bitwise those of apply_pauli followed by check_eigen.
+coefficient, and each string only selects between them by its parity.  Only
+the support, the indices t where vec[t] or vec[~t] is nonzero, is judged:
+elsewhere the state and every image are 0, so both candidates are exactly
+|0 -+ 0| = 0 and cannot raise a maximum (a NaN or infinite amplitude is
+nonzero and stays judged).  A GHZ state has a support of two indices, so a
+string costs two entries instead of 2**n.  The residuals are bitwise those
+of apply_pauli followed by check_eigen.
 
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
 Every matrix is a Kronecker chain of 2x2 factors, and _kron_rows builds any
@@ -165,9 +170,11 @@ def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
 
     Row j, for the string with z mask ``z_masks[j]``, is (max|op_j vec - vec|,
     max|op_j vec + vec|): bitwise what check_eigen reports at signs +1 and -1
-    for the apply_pauli image.  Strings are grouped by their coefficient
-    i**#Y (see the module docstring) and judged a block of at most
-    _BLOCK_ENTRIES parities at a time.
+    for the apply_pauli image.  Only the support, where vec or its
+    complement is nonzero, is judged (see the module docstring): elsewhere
+    both candidates are exactly 0, so a zero vector reads 0 throughout.
+    Strings are grouped by their coefficient i**#Y and judged a block of at
+    most _BLOCK_ENTRIES parities at a time.
     """
     vec = np.asarray(vec, dtype=complex)
     z_masks = np.asarray(z_masks, dtype=np.uint64)
@@ -175,17 +182,21 @@ def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
         raise DimensionError(f"state has dimension {vec.shape}, expected a power of two")
     if z_masks.size and int(z_masks.max()) >= vec.size:
         raise DimensionError(f"z mask {int(z_masks.max())} does not fit {vec.size} amplitudes")
+    support = np.flatnonzero((vec != 0) | (vec[::-1] != 0))
+    if not support.size:
+        return np.zeros((len(z_masks), 2))
     out = np.empty((len(z_masks), 2))
-    source = np.arange(vec.size, dtype=np.uint64)[::-1]  # t ^ x for x all ones
-    block = max(1, _BLOCK_ENTRIES // vec.size)
+    source = support.astype(np.uint64) ^ np.uint64(vec.size - 1)  # t ^ x for x all ones
+    state, partner = vec[support], vec[::-1][support]
+    block = max(1, _BLOCK_ENTRIES // support.size)
     y_counts = np.bitwise_count(z_masks) & 3
     for y in range(4):
         rows = np.flatnonzero(y_counts == y)
         if not rows.size:
             continue
-        image = (1j) ** y * vec[::-1]  # the image of an even-parity index
-        near = np.abs(image - vec)
-        far = np.abs(image + vec)
+        image = (1j) ** y * partner  # the image of an even-parity index
+        near = np.abs(image - state)
+        far = np.abs(image + state)
         for lo in range(0, len(rows), block):
             blk = rows[lo:lo + block]
             odd = (np.bitwise_count(source & z_masks[blk, None]) & 1).view(bool)
@@ -256,6 +267,8 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
 
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:
     """How far rotation leaks out of the labeled pair's two-dimensional span."""
+    if len(angles) != label.n:
+        raise DimensionError(f"expected {label.n} angles, got {len(angles)}")
     plus = build_state(GhzLabel(label.n, label.bits, 1))
     minus = build_state(GhzLabel(label.n, label.bits, -1))
     diag = rotation_diagonal(angles)

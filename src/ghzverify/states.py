@@ -120,7 +120,10 @@ def signed_bit_sums(n: int, phis: Sequence[float]) -> np.ndarray:
     for phi in phis:
         # Each qubit doubles the table: its 0 bit adds +phi, its 1 bit -phi,
         # and qubit 1 added first ends up most significant.
-        total = np.add.outer(total, (phi, -phi)).ravel()
+        pairs = np.empty((total.size, 2))
+        np.add(total, phi, out=pairs[:, 0])
+        np.add(total, -phi, out=pairs[:, 1])
+        total = pairs.ravel()
     return total
 
 
@@ -130,6 +133,9 @@ def rotation_phases(n: int, phis: Sequence[float]) -> np.ndarray:
     Built as a product of per-qubit factors: each qubit doubles the table
     with one complex multiply per new entry, where exponentiating
     :func:`signed_bit_sums` would take one complex exponential per entry.
+    The doubling writes the two new columns, the 0-bit and the 1-bit
+    products, with one strided multiply each and then reads the (size, 2)
+    table row by row; both builders double this way.
     """
     if len(phis) != n:
         raise DimensionError(f"expected {n} angles, got {len(phis)}")
@@ -137,7 +143,10 @@ def rotation_phases(n: int, phis: Sequence[float]) -> np.ndarray:
     for phi in phis:
         # qubit 1 first, as in signed_bit_sums: a 0 bit turns by -phi/2, a 1 bit by +phi/2
         half = np.exp(-0.5j * phi)
-        total = np.multiply.outer(total, (half, np.conj(half))).ravel()
+        pairs = np.empty((total.size, 2), dtype=complex)
+        np.multiply(total, half, out=pairs[:, 0])
+        np.multiply(total, np.conj(half), out=pairs[:, 1])
+        total = pairs.ravel()
     return total
 
 

@@ -3,16 +3,20 @@
 No command reaches these, so they live beside the tests and not in the
 package: the X/Y string with Y at given positions, the shortcut eigenvalue
 rule, the brute-force assignment sweep, the commuting family of generator
-products, and the stdout of ``lhv`` and ``enumerate`` rendered one row at a
-time.
+products, the stdout of ``lhv`` and ``enumerate`` rendered one row at a
+time, the eigen residuals of one Pauli image per string, and the phase
+tables doubled by ``ufunc.outer``.
 """
 
 import itertools
 import json
 from functools import reduce
 
+import numpy as np
+
 from ghzverify import __version__
 from ghzverify.counting import c_n_closed
+from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 
@@ -103,3 +107,32 @@ def enumerate_stdout(n, pole, fmt):
         lines = [f"pole {pole.name} operators for n={n} ({len(strings)} total)"]
         lines += [f"  {s}" for s in strings]
     return "".join(line + "\n" for line in lines)
+
+
+def per_string_residuals(z_masks, vec):
+    """Eigen residuals at signs +1 and -1, one apply_pauli image per X/Y string."""
+    n = len(vec).bit_length() - 1
+    rows = []
+    for z in np.asarray(z_masks).tolist():
+        image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
+        rows.append([check_eigen(vec, image, 1), check_eigen(vec, image, -1)])
+    return np.array(rows).reshape(len(rows), 2)
+
+
+def outer_signed_bit_sums(n, phis):
+    """signed_bit_sums doubled by np.add.outer, qubit 1 first."""
+    assert len(phis) == n
+    total = np.zeros(1)
+    for phi in phis:
+        total = np.add.outer(total, (phi, -phi)).ravel()
+    return total
+
+
+def outer_rotation_phases(n, phis):
+    """rotation_phases doubled by np.multiply.outer, qubit 1 first."""
+    assert len(phis) == n
+    total = np.ones(1, dtype=complex)
+    for phi in phis:
+        half = np.exp(-0.5j * phi)
+        total = np.multiply.outer(total, (half, np.conj(half))).ravel()
+    return total

@@ -9,9 +9,10 @@ import pytest
 
 from ghzverify import checks, lhv, oracle, poles, states
 from ghzverify.cli import main
-from ghzverify.errors import CapacityError
+from ghzverify.errors import CapacityError, DomainError
 from ghzverify.pauli import PauliOperator
 from ghzverify.states import GhzLabel
+from references import outer_rotation_phases, outer_signed_bit_sums, per_string_residuals
 
 
 def test_cases_per_check_at_three_qubits():
@@ -106,6 +107,38 @@ def test_nan_in_a_later_set_fails_unitarity():
 def test_nan_in_a_later_set_fails_pair_invariance():
     _assert_nan_fails(checks.pair_subspace_invariance(
         LABEL, ANGLE_SETS + [(math.nan, 0.1, 0.2, 0.3)]))
+
+
+@pytest.mark.parametrize("check", [lambda: checks.rotation_unitarity([]),
+                                   lambda: checks.pair_subspace_invariance(LABEL, [])])
+def test_zero_cases_are_refused(check):
+    with pytest.raises(DomainError, match="needs at least one case"):
+        check()
+
+
+@pytest.mark.parametrize("n", [3, 10, 11, 14])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_verify_equals_the_reference_kernels(monkeypatch, n, sign):
+    # both runs make the same libm calls, so the checks must match exactly
+    label = GhzLabel(n, int("01101001011010"[:n], 2), sign)
+    fast = checks.verify(label, 40 + n)
+    calls = set()
+
+    def traced(name, reference):
+        def call(*args):
+            calls.add(name)
+            return reference(*args)
+        return call
+
+    monkeypatch.setattr(oracle, "eigen_residuals",
+                        traced("eigen_residuals", per_string_residuals))
+    for module in (states, oracle):
+        monkeypatch.setattr(module, "rotation_phases",
+                            traced("rotation_phases", outer_rotation_phases))
+        monkeypatch.setattr(module, "signed_bit_sums",
+                            traced("signed_bit_sums", outer_signed_bit_sums))
+    assert checks.verify(label, 40 + n) == fast
+    assert calls == {"eigen_residuals", "rotation_phases", "signed_bit_sums"}
 
 
 @pytest.mark.parametrize("n", [states.DENSE_VECTOR_CAP + 1, 63, 64])

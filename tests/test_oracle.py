@@ -12,9 +12,10 @@ from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import (DENSE_MATRIX_CAP, apply_observable, apply_pauli,
                               check_conjugation, check_eigen, eigen_residuals, materialize,
                               observable_matrix, rotation_diagonal, two_dim_invariance_residual)
-from ghzverify.pauli import PauliOperator, from_letters, parse
+from ghzverify.pauli import from_letters, parse
 from ghzverify.rotations import co_rotate_quarter
 from ghzverify.states import GhzLabel, build_state, rotated_dense
+from references import per_string_residuals
 
 
 class TestMaterialize:
@@ -90,15 +91,6 @@ def _random_masks(rng, n, count):
     return rng.integers(0, 1 << n, size=count).astype(np.uint64)
 
 
-def _per_string_residuals(n, z_masks, vec):
-    """The per-operator route the kernel replaces: one image, then both signs."""
-    rows = []
-    for z in z_masks.tolist():
-        image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
-        rows.append([check_eigen(vec, image, 1), check_eigen(vec, image, -1)])
-    return np.array(rows).reshape(len(z_masks), 2)
-
-
 class TestEigenResiduals:
     @pytest.mark.parametrize("n", range(1, 13))
     def test_bitwise_equal_to_apply_pauli_and_check_eigen(self, monkeypatch, n):
@@ -109,7 +101,7 @@ class TestEigenResiduals:
             vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
             z_masks = _random_masks(rng, n, 23)
             assert np.array_equal(eigen_residuals(z_masks, vec),
-                                  _per_string_residuals(n, z_masks, vec))
+                                  per_string_residuals(z_masks, vec))
 
     def test_bitwise_equal_with_the_real_block(self):
         # at 12 qubits a block holds 4 strings, and 47 strings in Y-count
@@ -120,7 +112,41 @@ class TestEigenResiduals:
         vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
         z_masks = _random_masks(rng, n, 47)
         assert np.array_equal(eigen_residuals(z_masks, vec),
-                              _per_string_residuals(n, z_masks, vec))
+                              per_string_residuals(z_masks, vec))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_support_route_bitwise_equal_on_ghz_states(self, monkeypatch, n):
+        # a GHZ state has two nonzero amplitudes, so a block holds 5 strings,
+        # and 23 strings in Y-count groups cannot all end on a full block
+        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 10)
+        rng = np.random.default_rng(400 + n)
+        bits = int(rng.integers(0, 1 << n))
+        z_masks = _random_masks(rng, n, 23)
+        for sign in (1, -1):
+            for quarter in range(4):
+                vec = rotated_dense(GhzLabel(n, bits, sign), quarter * math.pi / 2)
+                assert np.count_nonzero(vec) == 2
+                assert np.array_equal(eigen_residuals(z_masks, vec),
+                                      per_string_residuals(z_masks, vec))
+
+    def test_zero_vector_reads_zero(self):
+        z_masks = np.arange(8, dtype=np.uint64)
+        assert np.array_equal(eigen_residuals(z_masks, np.zeros(8)), np.zeros((8, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
+                                     complex(math.nan, math.inf)])
+    def test_non_finite_off_the_support_is_judged(self, bad):
+        # index 2 and its complement 5 are zero in |001> + |110>; nan + inf j
+        # reads inf at its own index and nan at its complement's, so the
+        # complement must be judged too
+        z_masks = np.arange(8, dtype=np.uint64)
+        vec = build_state(GhzLabel(3, 0b001, 1))
+        vec[2] = bad
+        with np.errstate(invalid="ignore"):
+            got = eigen_residuals(z_masks, vec)
+            expected = per_string_residuals(z_masks, vec)
+        assert not (got < EIGEN_TOL).any()
+        assert np.array_equal(got, expected, equal_nan=True)
 
     def test_eigenstates_read_zero_on_their_sign(self):
         # XXX and YYX on |000> - |111>: eigenvalues -1 and +1
@@ -324,6 +350,13 @@ class TestRotationProperties:
         for _ in range(20):
             diag = rotation_diagonal(tuple(rng.uniform(-7, 7, size=4)))
             assert np.max(np.abs(np.abs(diag) - 1.0)) < 1e-12
+
+    def test_pair_invariance_refuses_wrong_angle_count(self, monkeypatch):
+        def not_called(*args):
+            raise AssertionError("a vector was built before the refusal")
+        monkeypatch.setattr(oracle, "build_state", not_called)
+        with pytest.raises(DimensionError, match="expected 3 angles, got 2"):
+            two_dim_invariance_residual(GhzLabel(3, 0, 1), (0.1, 0.2))
 
     def test_pair_subspace_invariant(self):
         rng = np.random.default_rng(56)

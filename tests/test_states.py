@@ -10,6 +10,7 @@ from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
                               max_norm_diff, parse_label, rotated_dense, rotation_phases,
                               signed_bit_sums)
+from references import outer_rotation_phases, outer_signed_bit_sums
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -101,6 +102,15 @@ class TestRotate2d:
         assert max_norm_diff(rotated_dense(GhzLabel(3, 0, 1), 2 * math.pi), expected) <= 1e-12
 
 
+def _angle_sets(n):
+    """Three random angle sets, each as an array and as a tuple of floats."""
+    rng = np.random.default_rng(600 + n)
+    for _ in range(3):
+        phis = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
+        yield phis
+        yield tuple(phis.tolist())
+
+
 def _per_index_sums(n, phis):
     """sum_k (-1)^{b_k} phi_k for each index b, one index at a time."""
     sums = []
@@ -118,6 +128,11 @@ class TestSignedBitSums:
         phis = np.random.default_rng(n).uniform(-2 * math.pi, 2 * math.pi, size=n)
         assert np.array_equal(signed_bit_sums(n, phis), np.array(_per_index_sums(n, phis)))
 
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bitwise_equal_to_outer_doubling(self, n):
+        for phis in _angle_sets(n):
+            assert signed_bit_sums(n, phis).tobytes() == outer_signed_bit_sums(n, phis).tobytes()
+
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             signed_bit_sums(3, (0.0, 0.0))
@@ -129,6 +144,11 @@ class TestRotationPhases:
         phis = np.random.default_rng(300 + n).uniform(-2 * math.pi, 2 * math.pi, size=n)
         expected = np.array([cmath.exp(-0.5j * total) for total in _per_index_sums(n, phis)])
         assert np.max(np.abs(rotation_phases(n, phis) - expected)) < 1e-13
+
+    @pytest.mark.parametrize("n", range(1, 15))
+    def test_bitwise_equal_to_outer_doubling(self, n):
+        for phis in _angle_sets(n):
+            assert rotation_phases(n, phis).tobytes() == outer_rotation_phases(n, phis).tobytes()
 
     @pytest.mark.parametrize("n", [1, 5, 14])
     def test_exact_at_zero_angles(self, n):
