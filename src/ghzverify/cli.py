@@ -103,11 +103,6 @@ def _label(text: str | None, n: int) -> states.GhzLabel:
     return states.GhzLabel(n, 0, 1) if text is None else states.parse_label(text, n)
 
 
-def _require_qubits(n: int) -> None:
-    if n < 1:
-        raise GhzVerifyError(f"need n >= 1, got {n}")
-
-
 # ---------------------------------------------------------------- count
 
 def cmd_count(args: argparse.Namespace) -> int:
@@ -159,7 +154,6 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from . import checks
 
-    _require_qubits(args.n)
     if args.seed < 0:
         raise GhzVerifyError(f"need seed >= 0, got {args.seed}")
     label = _label(args.label, args.n)
@@ -190,17 +184,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_lhv(args: argparse.Namespace) -> int:
     from . import lhv
 
-    _require_qubits(args.n)
     label = _label(args.label, args.n)
-    if args.exhaustive and args.n > lhv.EXHAUSTIVE_CAP:
-        raise GhzVerifyError(f"exhaustive mode is capped at {lhv.EXHAUSTIVE_CAP} qubits (got {args.n})")
+    # the sweep runs first, so its cap refuses before any report is built
+    satisfying = lhv.exhaustive_search(label) if args.exhaustive else None
     reports = lhv.find_contradictions(label)  # refuses n < 2 and an oversized listing first
     expected = counting.c_n_closed(args.n)
     count_ok = len(reports) == expected
-    satisfying = None
     search_ok = True
-    if args.exhaustive:
-        satisfying = lhv.exhaustive_search(label)
+    if satisfying is not None:
         search_ok = (satisfying == 0) if args.n >= 3 else (satisfying > 0)
     ok = count_ok and search_ok
     if args.format == "json":
@@ -297,7 +288,6 @@ def _parse_subset(text: str) -> list[int]:
 
 def cmd_identity(args: argparse.Namespace) -> int:
     n = args.n
-    _require_qubits(n)
     if args.subset is None:
         verdicts = pauli.odd_subset_identities(n)
     else:

@@ -16,14 +16,6 @@ generator product identities (:func:`verify_ks_identity`, swept over every
 odd subset by :func:`odd_subset_identities`) run without it.
 
 Text rendering is "(sign)(i?)letters", e.g. "+XXX", "-YYY", "+iXZ", "-iY".
-:meth:`PauliOperator.letters` renders the whole string from the two masks
-in a fixed handful of builtin calls, never qubit by qubit: each mask is
-written in binary as ASCII (one byte 0x30 + bit per qubit, qubit 1 first)
-and read back as a big-endian integer.  Then 2*x + z adds bytewise without
-a carry (no byte exceeds 0x93), so byte k is 0x90 + 2*x_k + z_k, and one
-byte translation maps 0x90..0x93 to I, Z, X, Y.  The same arithmetic on
-decimal digits would hit Python's limit on int/str conversion past 4300
-qubits; bytes have no such limit.
 """
 
 from __future__ import annotations
@@ -43,8 +35,6 @@ _PHASE_TEXT = ("+", "+i", "-", "-i")
 _LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
 _BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
 _TEXT_RE = re.compile(r"^([+-]?)(i?)([IXYZ]+)$")
-#: Byte 0x90 + 2x + z of the summed ASCII masks -> letter of the (x, z) pair.
-_PAIR_BYTE_LETTER = bytes.maketrans(bytes(range(0x90, 0x94)), b"IZXY")
 
 
 @dataclass(frozen=True)
@@ -79,11 +69,8 @@ class PauliOperator:
         return _BITS_LETTER[(self.x_bits >> pos) & 1, (self.z_bits >> pos) & 1]
 
     def letters(self) -> str:
-        """All n letters, qubit 1 first (see the module docstring)."""
-        width = f"0{self.n}b"
-        x = int.from_bytes(format(self.x_bits, width).encode(), "big")
-        z = int.from_bytes(format(self.z_bits, width).encode(), "big")
-        return (2 * x + z).to_bytes(self.n, "big").translate(_PAIR_BYTE_LETTER).decode()
+        """All n letters, qubit 1 first."""
+        return "".join(self.letter(k) for k in range(1, self.n + 1))
 
     @property
     def y_bits(self) -> int:
@@ -175,15 +162,16 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
     The ordered product of the generators at the given Y positions must
     equal the multi-Y string at those positions with sign + for sizes
     1 mod 4 and - for sizes 3 mod 4.  The positions are checked once, by
-    :func:`qubit_mask`; each generator is then built from its bit alone.
+    :func:`qubit_mask`, and only the subset's generators are built, in
+    position order, each from its own bit.
     """
-    mask = qubit_mask(n, y_positions)
-    size = mask.bit_count()
+    positions = sorted(y_positions)
+    mask = qubit_mask(n, positions)
+    size = len(positions)
     if size % 2 == 0:
         raise DomainError(f"need an odd number of Y positions, got {size}")
     full = (1 << n) - 1
-    product = reduce(multiply, (PauliOperator(n, full, 1 << (n - k))
-                                for k in range(1, n + 1) if mask >> (n - k) & 1))
+    product = reduce(multiply, (PauliOperator(n, full, 1 << (n - k)) for k in positions))
     return product == PauliOperator(n, full, mask, 0 if size % 4 == 1 else 2)
 
 
@@ -191,9 +179,12 @@ def odd_subset_identities(n: int) -> list[tuple[tuple[int, ...], bool]]:
     """(subset, :func:`verify_ks_identity` verdict) for every odd subset of
     qubits 1..n, by size and then in position order.
 
-    The 2**(n - 1) subsets are refused above IDENTITY_ALL_SUBSETS_CAP
+    Fewer than one qubit is refused, since the sweep would check nothing,
+    and the 2**(n - 1) subsets are refused above IDENTITY_ALL_SUBSETS_CAP
     qubits, before the first is checked.
     """
+    if n < 1:
+        raise DomainError(f"need n >= 1, got {n}")
     if n > IDENTITY_ALL_SUBSETS_CAP:
         raise CapacityError(f"checking all odd subsets is capped at {IDENTITY_ALL_SUBSETS_CAP} "
                             f"qubits; pass --subset for larger n")

@@ -43,7 +43,7 @@ class GhzLabel:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise DimensionError("label needs at least one qubit")
+            raise DimensionError(f"need n >= 1, got {self.n}")
         if self.bits < 0 or self.bits >> self.n:  # no 2**n is built for a large n
             raise DomainError("label bits out of range for qubit count")
         if self.sign not in (1, -1):

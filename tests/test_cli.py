@@ -177,6 +177,15 @@ class TestLhv:
         code, _, _ = run_cli(capsys, "lhv", "--n", "11", "--exhaustive")
         assert code == 2
 
+    @pytest.mark.parametrize("n", [11, 30])
+    def test_exhaustive_cap_refuses_before_any_report(self, capsys, monkeypatch, n):
+        def not_called(*args):
+            raise AssertionError("reports built before the refusal")
+        monkeypatch.setattr(lhv, "find_contradictions", not_called)
+        code, out, err = run_cli(capsys, "lhv", "--n", str(n), "--exhaustive")
+        assert (code, out) == (2, "")
+        assert f"exhaustive search is capped at 10 qubits (got {n})" in err
+
     def test_non_canonical_label_rejected(self, capsys):
         code, _, _ = run_cli(capsys, "lhv", "--n", "3", "--label", "100+")
         assert code == 2

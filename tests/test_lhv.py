@@ -3,6 +3,7 @@
 import itertools
 import json
 import re
+import time
 import tracemalloc
 from functools import reduce
 
@@ -208,6 +209,26 @@ class TestKsIdentity:
     def test_sweep_refused_above_its_cap(self):
         with pytest.raises(CapacityError, match="checking all odd subsets is capped at 12 qubits"):
             odd_subset_identities(IDENTITY_ALL_SUBSETS_CAP + 1)
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_sweep_refused_without_qubits(self, n):
+        # an empty sweep would pass after checking nothing
+        with pytest.raises(DomainError, match=f"need n >= 1, got {n}"):
+            odd_subset_identities(n)
+
+    def test_verdict_does_not_depend_on_input_order(self):
+        n = 7
+        for size in range(1, n + 1, 2):
+            for subset in itertools.combinations(range(1, n + 1), size):
+                expected = verify_ks_identity(n, subset)
+                for order in itertools.permutations(subset):
+                    assert verify_ks_identity(n, order) == expected
+                assert verify_ks_identity(n, iter(subset[::-1])) == expected
+
+    def test_subset_work_does_not_grow_with_n_squared(self):
+        start = time.perf_counter()
+        assert verify_ks_identity(10**6, (3, 1, 2))
+        assert time.perf_counter() - start < 2.0
 
 
 class TestEwSwap:

@@ -47,6 +47,11 @@ class TestGhzLabel:
         with pytest.raises(DomainError):
             GhzLabel(2, 0, 2)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_no_qubits_refused(self, n):
+        with pytest.raises(DimensionError, match=f"need n >= 1, got {n}"):
+            GhzLabel(n, 0, 1)
+
 
 class TestBuildState:
     def test_plus_state(self):
