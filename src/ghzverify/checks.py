@@ -11,13 +11,12 @@ ones that use both tiers.
 from __future__ import annotations
 
 import math
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import lhv, oracle, poles, rotations, states
+from . import oracle, poles, rotations, states
 from .errors import ConsistencyError, DomainError
-from .pauli import PauliOperator
 from .states import GhzLabel
 
 #: The one residual tolerance: a check passes when its worst residual is below it.
@@ -147,26 +146,6 @@ def verify(label: GhzLabel, seed: int) -> list[Check]:
     checks.append(rotation_unitarity(angle_sets))
     checks.append(pair_subspace_invariance(label, angle_sets))
     return checks
-
-
-def swap_conjugation_residual(n: int, z: int, subset: Iterable[int]) -> float:
-    """Dense check that the X<->Y swap is conjugation by the diagonal-axis half turn.
-
-    Builds U = prod over the subset of (X_k + Y_k)/sqrt(2) and compares
-    U M U^dagger, for M the X/Y string with z mask ``z``, against the string
-    of :func:`lhv.ew_swap` entrywise.
-    """
-    subset = tuple(subset)
-    swapped = lhv.ew_swap(n, z, subset)
-    # materialize refuses above the matrix cap, before any kron below runs
-    original = oracle.materialize(PauliOperator(n, (1 << n) - 1, z))
-    target = oracle.materialize(PauliOperator(n, (1 << n) - 1, swapped))
-    half_turn = (oracle.PAULI_1Q["X"] + oracle.PAULI_1Q["Y"]) / np.sqrt(2)
-    unitary = np.eye(1, dtype=complex)
-    for k in range(1, n + 1):
-        unitary = np.kron(unitary, half_turn if k in subset else oracle.PAULI_1Q["I"])
-    conjugated = unitary @ original @ unitary.conj().T
-    return float(np.max(np.abs(conjugated - target)))
 
 
 def eigen_check_general(label: GhzLabel, state_phi: float,

@@ -256,9 +256,8 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
                           np.uint8).reshape(n, -1)
     # a row's width apart from its generators, whose count varies by run
     width = len(head) + n + len(middle) + sign_table.shape[1] + len(before) + len(tail)
-    y_masks = reports.targets ^ np.uint64(reports.swap_mask)
-    counts = np.bitwise_count(y_masks)
-    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(y_masks)]
+    counts = np.bitwise_count(reports.targets)
+    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(reports)]
     for low, high in itertools.pairwise(edges):
         step = max(1, _BLOCK_BYTES // (width + int(counts[low]) * cells.shape[1] - len(separator)))
         for start in range(low, high, step):
@@ -267,7 +266,8 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
             # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
             # range, so mode="clip" only skips the bounds check
             values = np.take(sign_table, (1 - reports.lhv[rows]) >> 1, axis=0, mode="clip")
-            generators = np.take(cells, poles.y_columns(n, y_masks[rows]), axis=0, mode="clip")
+            generators = np.take(cells, poles.y_columns(n, reports.targets[rows]), axis=0,
+                                 mode="clip")
             yield _rows(size, [head, poles.xy_letter_matrix(n, reports.targets[rows]), middle,
                                values, before, generators.reshape(size, -1)[:, :-len(separator)],
                                tail])

@@ -16,10 +16,6 @@ class DimensionError(GhzVerifyError, ValueError):
     """Operands act on different qubit counts, or a sequence is empty."""
 
 
-class LetterError(GhzVerifyError, ValueError):
-    """An operator contains letters an operation does not support."""
-
-
 class DomainError(GhzVerifyError, ValueError):
     """A numeric argument lies outside an operation's domain."""
 

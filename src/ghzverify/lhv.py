@@ -1,4 +1,4 @@
-"""Sign contradictions of noncontextual assignments, and the swap argument.
+"""Sign contradictions of noncontextual assignments.
 
 A hidden-variable assignment gives every single-qubit X and Y a definite
 value +/-1, so an X/Y string inherits the product of its factor values.  On
@@ -18,16 +18,13 @@ columns (n <= EXHAUSTIVE_CAP = 10 bits each), with no index column.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
 from .counting import check_n
 from .errors import CapacityError, ConsistencyError, DomainError
-from .pauli import qubit_mask
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
-from .poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
-                    enumerate_pole, xy_letter_matrix)
+from .poles import Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, xy_letter_matrix
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
@@ -38,19 +35,16 @@ EXHAUSTIVE_CAP = 10
 class Contradictions:
     """Every contradiction of one analysis, as columns with one row per S string.
 
-    Every X/Y string here is a z mask (see :mod:`poles`).  Row i is the
-    target string ``targets[i]``: the product rule predicts ``lhv[i]`` for
-    it and its exact eigenvalue is ``quantum[i]``.  The untransported S
-    string of the row is ``targets[i] ^ swap_mask``, and its Y positions k
-    pick the generators ``generators[k - 1]`` that the prediction
-    multiplies; generator k is ``(1 << (n - k)) ^ swap_mask``, the single-Y
-    string swapped like the targets.  Rows run in :func:`poles.pole_masks`
-    order for the S pole, and the arrays are read-only uint64 (masks) and
-    int8 (values) columns.
+    Every X/Y string here is a z mask (see :mod:`poles`).  Row i is the S
+    string ``targets[i]``: the product rule predicts ``lhv[i]`` for it and
+    its exact eigenvalue is ``quantum[i]``.  Its Y positions k pick the
+    generators ``generators[k - 1]`` that the prediction multiplies;
+    generator k is ``1 << (n - k)``, the single-Y string on qubit k.  Rows
+    run in :func:`poles.pole_masks` order, and the arrays are read-only
+    uint64 (masks) and int8 (values) columns.
     """
 
     n: int
-    swap_mask: int
     generators: np.ndarray
     targets: np.ndarray
     lhv: np.ndarray
@@ -63,10 +57,38 @@ class Contradictions:
 def find_contradictions(label: GhzLabel) -> Contradictions:
     """All S-pole contradictions on the label's quarter-turn state.
 
-    The quantum side is always the exact symbolic eigenvalue; the prediction
-    side is the product rule over the single-Y generator values.
+    The generator values come from :func:`eigenvalue_symbolic`; each row's
+    prediction is their product over its Y positions, (-1)**popcount(y &
+    negative generators), and its eigenvalue comes from
+    :func:`eigenvalue_column`, so the two stay separate routes.  Every row
+    is checked to oppose before the value is returned; n < 2, a label that
+    is not canonical and an oversized listing are refused before any work.
     """
-    return _contradictions(label, 0)
+    n = label.n
+    check_n(n)
+    if not label.is_canonical:
+        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
+    targets = enumerate_pole(n, Pole.S)
+    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+    negative = 0
+    for k, gen in enumerate(generators.tolist(), 1):
+        value = eigenvalue_symbolic(label, 1, gen)
+        if value is None:
+            raise ConsistencyError(f"single-Y generator {_letters(n, gen)} lost its eigenstate")
+        if value < 0:
+            negative |= 1 << (n - k)
+    lhv = (1 - 2 * (np.bitwise_count(targets & np.uint64(negative)) & 1)).astype(np.int8)
+    quantum = eigenvalue_column(label, 1, targets)
+    if (lost := quantum == 0).any():
+        raise ConsistencyError(
+            f"S operator {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
+    if (same := lhv == quantum).any():
+        row = np.argmax(same)
+        raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
+                               f"does not oppose eigenvalue {quantum[row]}")
+    for column in (generators, targets, lhv, quantum):
+        column.flags.writeable = False
+    return Contradictions(n, generators, targets, lhv, quantum)
 
 
 def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
@@ -97,91 +119,6 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
         if not vx.size:
             return 0
     return int(vx.size)
-
-
-def _swap_mask(n: int, subset: Iterable[int]) -> int:
-    """Bit mask of an odd set of distinct 1-based qubit indices within 1..n."""
-    mask = qubit_mask(n, subset)
-    if mask.bit_count() % 2 == 0:
-        raise DomainError(f"swap subset must have odd size, got {mask.bit_count()}")
-    return mask
-
-
-def ew_swap(n: int, z: int, subset: Iterable[int]) -> int:
-    """Z mask of the X/Y string ``z`` with X and Y interchanged on an odd set
-    of qubits.
-
-    Flips the Y-count parity, carrying N/S strings to E/W and back.
-    """
-    check_mask(n, z)
-    return z ^ _swap_mask(n, subset)
-
-
-def _swapped_state(label: GhzLabel, mask: int) -> tuple[GhzLabel, int]:
-    """Image of the label's quarter-turn state under the swap unitary.
-
-    Per swapped qubit the unitary is (X + Y)/sqrt(2), which flips the bit and
-    contributes a phase exp(+/- i pi/4).  Collecting phases turns
-    |bits> + sign i |~bits> into |bits^mask> + sign i**(1 - z) |~(bits^mask)>
-    with z = (#swapped zeros) - (#swapped ones) of the original pattern.
-    """
-    z = (mask & label.complement_bits).bit_count() - (mask & label.bits).bit_count()
-    quarter = (1 - z) % 4
-    return GhzLabel(label.n, label.bits ^ mask, label.sign), quarter
-
-
-def ew_contradictions(label: GhzLabel, subset: Iterable[int]) -> Contradictions:
-    """Transport the N/S contradiction analysis through an odd X<->Y swap.
-
-    The swapped generators keep their values on the swapped state, the
-    product rule is form-invariant, and each swapped S target still opposes
-    its prediction, so exactly as many contradictions appear among E/W
-    strings as at the S pole.
-    """
-    return _contradictions(label, _swap_mask(label.n, subset))
-
-
-def _contradictions(label: GhzLabel, mask: int) -> Contradictions:
-    """Contradictions of the S-pole analysis swapped X<->Y on ``mask``.
-
-    Mask 0 is the untransported analysis itself: :func:`_swapped_state`
-    then returns the label at quarter 1 and the swap leaves every mask as it
-    is.  The generator values come from :func:`eigenvalue_symbolic`; each
-    row's prediction is their product over its Y positions, (-1)**popcount(y
-    & negative generators), and its eigenvalue comes from
-    :func:`eigenvalue_column`, so the two stay separate routes.  Every row
-    is checked to oppose before the value is returned; n < 2, a label that
-    is not canonical and an oversized listing are refused before any work.
-    """
-    n = label.n
-    check_n(n)
-    if not label.is_canonical:
-        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    y_masks = enumerate_pole(n, Pole.S)
-    carrier, quarter = _swapped_state(label, mask)
-    generator_kind, target_kind = (("swapped generator", "swapped target") if mask
-                                   else ("single-Y generator", "S operator"))
-    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64) ^ np.uint64(mask)
-    negative = 0
-    for k, gen in enumerate(generators.tolist(), 1):
-        value = eigenvalue_symbolic(carrier, quarter, gen)
-        if value is None:
-            raise ConsistencyError(f"{generator_kind} {_letters(n, gen)} lost its eigenstate")
-        if value < 0:
-            negative |= 1 << (n - k)
-    targets = y_masks ^ np.uint64(mask)
-    lhv = (1 - 2 * (np.bitwise_count(y_masks & np.uint64(negative)) & 1)).astype(np.int8)
-    quantum = eigenvalue_column(carrier, quarter, targets)
-    if (lost := quantum == 0).any():
-        raise ConsistencyError(
-            f"{target_kind} {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
-    if (same := lhv == quantum).any():
-        row = np.argmax(same)
-        raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
-                               f"does not oppose eigenvalue {quantum[row]}")
-    for column in (generators, targets, lhv, quantum):
-        column.flags.writeable = False
-    return Contradictions(n, mask, generators, targets, lhv, quantum)
 
 
 def _letters(n: int, z: int) -> str:

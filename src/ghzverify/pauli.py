@@ -2,7 +2,7 @@
 
 Operators are stored in symplectic form: two n-bit masks plus a phase, the
 int exponent e of i**e, kept modulo 4.
-Qubit 1 occupies the most significant bit of each mask, so rendered strings
+Qubit 1 occupies the most significant bit of each mask, so letter strings
 read left to right ("qubit 1 first").  The letter on qubit k is determined
 by its (x, z) bit pair:
 
@@ -10,31 +10,25 @@ by its (x, z) bit pair:
 
 The product convention is the cyclic one: X*Y = iZ, Y*Z = iX, Z*X = iY.
 Every operation below is integer arithmetic on masks and phase exponents,
-so products, commutators and equality checks are exact; nothing in this
-module touches floating point, and nothing imports numpy, so the
-generator product identities (:func:`verify_ks_identity`, swept over every
-odd subset by :func:`odd_subset_identities`) run without it.
-
-Text rendering is "(sign)(i?)letters", e.g. "+XXX", "-YYY", "+iXZ", "-iY".
+so products and equality checks are exact; nothing in this module touches
+floating point, and nothing imports numpy, so the generator product
+identities (:func:`verify_ks_identity`, swept over every odd subset by
+:func:`odd_subset_identities`) run without it.
 """
 
 from __future__ import annotations
 
 import itertools
-import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable
 
-from .errors import CapacityError, DimensionError, DomainError, LetterError
+from .errors import CapacityError, DimensionError, DomainError
 
 #: Above this qubit count :func:`odd_subset_identities` refuses the sweep.
 IDENTITY_ALL_SUBSETS_CAP = 12
 
-_PHASE_TEXT = ("+", "+i", "-", "-i")
-_LETTER_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_BITS_LETTER = {bits: letter for letter, bits in _LETTER_BITS.items()}
-_TEXT_RE = re.compile(r"^([+-]?)(i?)([IXYZ]+)$")
+_BITS_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
 @dataclass(frozen=True)
@@ -76,28 +70,6 @@ class PauliOperator:
     def y_bits(self) -> int:
         return self.x_bits & self.z_bits
 
-    def __str__(self) -> str:
-        return render(self)
-
-
-def from_letters(letters: Iterable[str]) -> PauliOperator:
-    """Build a phase +1 operator from a letter sequence such as "YXX".
-
-    Round-trips with :meth:`PauliOperator.letters`.
-    """
-    seq = list(letters)
-    if not seq:
-        raise DimensionError("empty letter sequence")
-    x = z = 0
-    for ch in seq:
-        try:
-            xb, zb = _LETTER_BITS[ch]
-        except KeyError:
-            raise LetterError(f"unknown Pauli letter {ch!r}") from None
-        x = (x << 1) | xb
-        z = (z << 1) | zb
-    return PauliOperator(len(seq), x, z)
-
 
 def qubit_mask(n: int, qubits: Iterable[int]) -> int:
     """Bit mask of distinct 1-based qubit indices, each within 1..n."""
@@ -132,28 +104,6 @@ def multiply(a: PauliOperator, b: PauliOperator) -> PauliOperator:
         - (x & z).bit_count()
     )
     return PauliOperator(a.n, x, z, phase)
-
-
-def commutes(a: PauliOperator, b: PauliOperator) -> bool:
-    """True iff the symplectic inner product of the two mask pairs is even."""
-    if a.n != b.n:
-        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
-    overlap = (a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()
-    return overlap % 2 == 0
-
-
-def render(op: PauliOperator) -> str:
-    """Text form "(sign)(i?)letters", e.g. "-YYY" or "+iXZ"."""
-    return f"{_PHASE_TEXT[op.phase]}{op.letters()}"
-
-
-def parse(text: str) -> PauliOperator:
-    """Inverse of :func:`render`; a missing sign means +1."""
-    match = _TEXT_RE.match(text.strip())
-    if match is None:
-        raise LetterError(f"cannot parse operator text {text!r}")
-    sign, imag, letters = match.groups()
-    return replace(from_letters(letters), phase=(2 if sign == "-" else 0) + (1 if imag else 0))
 
 
 def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:

@@ -33,7 +33,7 @@ from .states import GhzLabel
 
 #: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
 #: bounds the contradiction reports of ``lhv`` and the strings of
-#: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (137
+#: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (105
 #: MB peak) and the streamed listing takes 2 s, and each further qubit
 #: doubles both.  Rendering is bounded by bytes, not rows: the CLI writes
 #: the 1.5 GB table in blocks of at most 64 KiB, each rendered afresh.

@@ -1,24 +1,50 @@
 """Slow, obvious routes that tests compare the library's answers against.
 
 No command reaches these, so they live beside the tests and not in the
-package: the X/Y string with Y at given positions, the shortcut eigenvalue
-rule, the brute-force assignment sweep, the commuting family of generator
-products, the stdout of ``lhv`` and ``enumerate`` rendered one row at a
-time, the eigen residuals of one Pauli image per string, and the phase
-tables doubled by ``ufunc.outer``.
+package: strings from letters and the symplectic commutation rule, the X/Y
+string with Y at given positions, the shortcut eigenvalue rule, the
+brute-force assignment sweep, the commuting family of generator products,
+contradiction rows through an odd X<->Y swap and its dense half turn, the
+stdout of ``lhv`` and ``enumerate`` rendered one row at a time, the eigen
+residuals of one Pauli image per string, and the ``ufunc.outer`` phase tables.
 """
 
 import itertools
 import json
+from dataclasses import replace
 from functools import reduce
 
 import numpy as np
 
 from ghzverify import __version__
 from ghzverify.counting import c_n_closed
-from ghzverify.oracle import apply_pauli, check_eigen
+from ghzverify.errors import DimensionError, DomainError
+from ghzverify.lhv import find_contradictions
+from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
-from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
+from ghzverify.poles import Pole, check_mask, eigenvalue_column, eigenvalue_symbolic, enumerate_pole
+from ghzverify.states import GhzLabel
+
+class LetterError(ValueError):
+    """A letter sequence holds a character other than I, X, Y and Z."""
+
+
+def from_letters(letters, phase=0):
+    """i**phase times the string of the given letters, e.g. "YXX", qubit 1 first."""
+    if not letters:
+        raise DimensionError("empty letter sequence")
+    if unknown := set(letters) - set("IXYZ"):
+        raise LetterError(f"unknown Pauli letters {sorted(unknown)}")
+    x = int("".join("1" if letter in "XY" else "0" for letter in letters), 2)
+    z = int("".join("1" if letter in "YZ" else "0" for letter in letters), 2)
+    return PauliOperator(len(letters), x, z, phase)
+
+
+def commutes(a, b):
+    """True iff the symplectic inner product of the two mask pairs is even."""
+    if a.n != b.n:
+        raise DimensionError(f"qubit counts differ: {a.n} vs {b.n}")
+    return ((a.x_bits & b.z_bits).bit_count() + (a.z_bits & b.x_bits).bit_count()) % 2 == 0
 
 
 def xy_string(n, y_positions):
@@ -61,6 +87,64 @@ def compatible_family(n):
             for size in range(1, n + 1) for combo in itertools.combinations(range(n), size)]
 
 
+def ew_swap(n, z, subset):
+    """Z mask of the X/Y string ``z`` with X and Y interchanged on an odd
+    subset of qubits; the Y-count parity flips, carrying N/S strings to E/W."""
+    check_mask(n, z)
+    mask = qubit_mask(n, subset)
+    if mask.bit_count() % 2 == 0:
+        raise DomainError(f"swap subset must have odd size, got {mask.bit_count()}")
+    return z ^ mask
+
+
+def swapped_state(label, mask):
+    """(label, quarter) of the quarter-turn state's image under the swap unitary.
+
+    Per swapped qubit the unitary is (X + Y)/sqrt(2), which flips the bit and
+    contributes a phase exp(+/- i pi/4).  Collecting phases turns
+    |bits> + sign i |~bits> into |bits^mask> + sign i**(1 - z) |~(bits^mask)>
+    with z = (#swapped zeros) - (#swapped ones) of the original pattern.
+    """
+    z = (mask & label.complement_bits).bit_count() - (mask & label.bits).bit_count()
+    return GhzLabel(label.n, label.bits ^ mask, label.sign), (1 - z) % 4
+
+
+def ew_contradictions(label, subset):
+    """The rows of find_contradictions with targets and generators swapped on
+    ``subset``.  Each swapped generator keeps its value on the swapped state,
+    so the predictions stand; the eigenvalues are taken afresh there."""
+    mask = ew_swap(label.n, 0, subset)  # the all-X string swaps to the mask itself
+    reports = find_contradictions(label)
+    carrier, quarter = swapped_state(label, mask)
+    generators = reports.generators ^ np.uint64(mask)
+    assert np.array_equal(eigenvalue_column(carrier, quarter, generators),
+                          eigenvalue_column(label, 1, reports.generators))
+    targets = reports.targets ^ np.uint64(mask)
+    return replace(reports, generators=generators, targets=targets,
+                   quantum=eigenvalue_column(carrier, quarter, targets))
+
+
+def half_turn(n, subset):
+    """Dense product over the subset of (X_k + Y_k)/sqrt(2), I elsewhere."""
+    factor = (PAULI_1Q["X"] + PAULI_1Q["Y"]) / np.sqrt(2)
+    unitary = np.eye(1, dtype=complex)
+    for k in range(1, n + 1):
+        unitary = np.kron(unitary, factor if k in subset else PAULI_1Q["I"])
+    return unitary
+
+
+def swap_conjugation_residual(n, z, subset):
+    """Entrywise distance of U M U^dagger, for U the half turn on the subset
+    and M the X/Y string with z mask ``z``, from the string of :func:`ew_swap`."""
+    subset = tuple(subset)
+    swapped = ew_swap(n, z, subset)
+    # materialize refuses above the matrix cap, before half_turn builds anything
+    original = materialize(PauliOperator(n, (1 << n) - 1, z))
+    target = materialize(PauliOperator(n, (1 << n) - 1, swapped))
+    unitary = half_turn(n, subset)
+    return float(np.max(np.abs(unitary @ original @ unitary.conj().T - target)))
+
+
 def xy_letters(n, z):
     """Letters of the X/Y string with z mask ``z``, qubit 1 (the top bit) first."""
     return format(z, f"0{n}b").replace("0", "X").replace("1", "Y")
@@ -72,9 +156,8 @@ def lhv_stdout(label, reports, fmt):
     rows = []
     for target, lhv, quantum in zip(reports.targets.tolist(), reports.lhv.tolist(),
                                     reports.quantum.tolist()):
-        y = target ^ reports.swap_mask
         generators = [xy_letters(n, reports.generators[k - 1].item())
-                      for k in range(1, n + 1) if y >> (n - k) & 1]
+                      for k in range(1, n + 1) if target >> (n - k) & 1]
         rows.append((xy_letters(n, target), lhv, quantum, generators))
     ok = len(rows) == expected
     if fmt == "json":

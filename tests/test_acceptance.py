@@ -11,16 +11,15 @@ import time
 
 import numpy as np
 
-from ghzverify.checks import swap_conjugation_residual
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, c_n_closed
-from ghzverify.lhv import ew_contradictions, exhaustive_search, find_contradictions
+from ghzverify.lhv import exhaustive_search, find_contradictions
 from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen
-from ghzverify.pauli import PauliOperator, from_letters, verify_ks_identity
+from ghzverify.pauli import PauliOperator, verify_ks_identity
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
                               max_norm_diff, rotated_dense)
-from references import eigenvalue_rule
+from references import eigenvalue_rule, ew_contradictions, from_letters, swap_conjugation_residual
 
 TOL = 1e-12
 

@@ -46,6 +46,10 @@ GOLDEN = {
         "5ab355558b1b29650cd131abe2868fe80793a5031c09f534caaa7571d634ebb1",
     "lhv --n 13 --label 0110100110110- --format json":
         "071c6caf9c9cd21be212a216c87b8468b97ffaa5e1cbe664554a1b492612e3ad",
+    "lhv --n 18 --label 011010011001011010+":
+        "642d4317cf594bc6321d754a9129a594fd2108cf2793d1783bd73adff8f370c5",
+    "lhv --n 18 --label 011010011001011010+ --format json":
+        "35f7ef6aee723a2acb121707be3c0570666b48c1c723dd832838d0ab12a1d58e",
 }
 
 

@@ -1,7 +1,8 @@
-"""The assignment sweep, contradiction detection, and the swap transport."""
+"""The assignment sweep, contradiction detection, and the swap transport of its rows."""
 
 import itertools
 import json
+import math
 import re
 import time
 import tracemalloc
@@ -12,18 +13,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify.checks import EIGEN_TOL, swap_conjugation_residual
+from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.lhv import (EXHAUSTIVE_CAP, _swapped_state, ew_contradictions, ew_swap,
-                           exhaustive_search, find_contradictions)
+from ghzverify.lhv import EXHAUSTIVE_CAP, exhaustive_search, find_contradictions
 from ghzverify.oracle import DENSE_MATRIX_CAP
-from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, from_letters, multiply,
-                             odd_subset_identities, verify_ks_identity)
+from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, multiply,
+                             odd_subset_identities, qubit_mask, verify_ks_identity)
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
-from ghzverify.states import GhzLabel
-from references import assignment_value, satisfying_assignments, xy_string
+from ghzverify.states import GhzLabel, rotated_dense
+from references import (assignment_value, ew_contradictions, ew_swap, from_letters, half_turn,
+                        satisfying_assignments, swap_conjugation_residual, swapped_state,
+                        xy_string)
 
 
 def _xy(n, z):
@@ -51,16 +53,16 @@ class TestValueOf:
                 assert assignment_value(3, vx, vy, xy_string(3, positions).z_bits) == direct
 
 
-def _rows(result, indices=None):
+def _rows(result, indices=None, swap_mask=0):
     """(target, lhv, quantum, generators) of each row, read from the columns.
 
-    A row's generators are read bit by bit from its untransported S mask.
+    A row's generators are read bit by bit from its S mask, target ^ swap_mask.
     """
     n = result.n
     rows = []
     for i in range(len(result)) if indices is None else indices:
         target = int(result.targets[i])
-        y_mask = target ^ result.swap_mask
+        y_mask = target ^ swap_mask
         generators = tuple(_xy(n, int(result.generators[k - 1])).letters()
                            for k in range(1, n + 1) if y_mask >> (n - k) & 1)
         rows.append((_xy(n, target).letters(),
@@ -105,7 +107,6 @@ class TestFindContradictions:
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_counts_sampled_labels(self, n):
-        import numpy as np
         rng = np.random.default_rng(500 + n)
         expected = c_n_closed(n)
         for _ in range(32):
@@ -330,7 +331,7 @@ def _reference_reports(label, subset, indices=None):
     """
     n = label.n
     mask = sum(1 << (n - k) for k in subset)
-    carrier, quarter = _swapped_state(label, mask)
+    carrier, quarter = swapped_state(label, mask)
 
     def swap(z):
         return ew_swap(n, z, subset) if subset else z
@@ -370,7 +371,8 @@ class TestMergedRoutineAgainstReference:
                 label = GhzLabel(n, bits, sign)
                 for subset in [()] + _odd_subsets(n):
                     reports = _contradictions_for(label, subset)
-                    assert _rows(reports) == list(_reference_reports(label, subset))
+                    assert (_rows(reports, swap_mask=qubit_mask(n, subset))
+                            == list(_reference_reports(label, subset)))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_every_label_unswapped(self, n):
@@ -388,7 +390,8 @@ class TestMergedRoutineAgainstReference:
                          data.draw(st.sampled_from((1, -1))))
         subset = data.draw(st.sampled_from([()] + _odd_subsets(n)))
         reports = _contradictions_for(label, subset)
-        assert _rows(reports) == list(_reference_reports(label, subset))
+        assert (_rows(reports, swap_mask=qubit_mask(n, subset))
+                == list(_reference_reports(label, subset)))
 
     @given(st.data())
     @settings(deadline=None, max_examples=8)
@@ -402,7 +405,8 @@ class TestMergedRoutineAgainstReference:
         assert len(reports) == c_n_closed(n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         indices = sorted(rng.choice(len(reports), size=200, replace=False).tolist())
-        assert _rows(reports, indices) == list(_reference_reports(label, subset, indices))
+        assert (_rows(reports, indices, qubit_mask(n, subset))
+                == list(_reference_reports(label, subset, indices)))
 
 
 class TestSwapConjugation:
@@ -413,6 +417,15 @@ class TestSwapConjugation:
             for subset in itertools.combinations(range(1, n + 1), size):
                 for z in masks:
                     assert swap_conjugation_residual(n, z, subset) < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_swapped_state_is_the_dense_half_turn_image(self, n):
+        labels = [GhzLabel(n, bits, sign) for bits in range(1 << (n - 1)) for sign in (1, -1)]
+        for label, subset in itertools.product(labels, _odd_subsets(n)):
+            carrier, quarter = swapped_state(label, qubit_mask(n, subset))
+            image = half_turn(n, subset) @ rotated_dense(label, math.pi / 2)
+            overlap = np.vdot(rotated_dense(carrier, quarter * math.pi / 2), image)
+            assert abs(abs(overlap) - 1) < 1e-12  # unit vectors, equal up to a global phase
 
     def test_five_qubit_sample(self):
         masks = enumerate_pole(5, Pole.S).tolist()

@@ -13,12 +13,12 @@ from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import apply_pauli, check_eigen
-from ghzverify.pauli import PauliOperator, commutes, from_letters
+from ghzverify.pauli import PauliOperator, multiply
 from ghzverify.poles import (CHUNK_ROWS, Pole, REPORT_CAP, eigenvalue_column,
                              eigenvalue_symbolic, enumerate_pole, pole_masks,
                              pole_size, xy_letter_matrix, y_columns)
 from ghzverify.states import GhzLabel, rotated_dense
-from references import compatible_family, eigenvalue_rule, xy_string
+from references import commutes, compatible_family, eigenvalue_rule, from_letters, xy_string
 import math
 
 
@@ -277,7 +277,7 @@ class TestCompatibleFamily:
         family = compatible_family(n)
         assert len(family) == (1 << n) - 1
         for a, b in itertools.combinations(family, 2):
-            assert commutes(a, b)
+            assert commutes(a, b) and multiply(a, b) == multiply(b, a)
 
     @pytest.mark.parametrize("n", [3, 4, 5, 7])
     def test_three_mod_four_products_are_signed_south_strings(self, n):

@@ -8,7 +8,8 @@ imports nothing.
 
 Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
 ``pauli``, ``rotations``) is all that the CLI module loads, so the
-integer-only commands start without numpy.
+integer-only commands start without numpy.  Every module-level name of
+the package has a caller in the package, or the benchmark traces it.
 """
 
 import ast
@@ -118,3 +119,42 @@ def test_cli_copies_no_library_cap():
         elif isinstance(node, ast.alias) and node.name.endswith("_CAP"):
             caps.add(node.name)
     assert caps == set()
+
+
+def _has_caller(trees, module, name, definition):
+    """Whether package code outside the definition loads ``module.name`` (or
+    the bare name, in ``module`` or a module importing it)."""
+    inside = {id(node) for node in ast.walk(definition)}
+    # _imports reads "from . import __version__" as a module named __version__
+    binding = (name, None) if module == "__init__" else (module, name)
+    for other, tree in trees.items():
+        bare = other == module or binding in _imports(other)
+        for node in ast.walk(tree):
+            if id(node) not in inside and (
+                    bare and isinstance(node, ast.Name) and node.id == name
+                    or isinstance(node, ast.Attribute) and node.attr == name
+                    and getattr(node.value, "id", None) == module):
+                return True
+    return False
+
+
+def test_every_package_name_has_a_caller_or_is_traced():
+    # a function, class or constant that only tests reach belongs in references
+    from test_traced_names import _traced
+
+    traced = {(layer, qualname.split(".")[0]) for layer, qualname in _traced()}
+    trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    uncalled = set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                names = [target.id for target in ast.walk(node)
+                         if isinstance(target, ast.Name) and isinstance(target.ctx, ast.Store)]
+            else:
+                names = []
+            uncalled |= {(module, name) for name in names
+                         if not _has_caller(trees, module, name, node)}
+    # the one exception: ROADMAP item 6 would give eigen_check_general a command
+    assert uncalled - traced == {("checks", "eigen_check_general")}

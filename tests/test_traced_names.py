@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from ghzverify import lhv, oracle, poles, states
-from ghzverify.pauli import from_letters
 from ghzverify.poles import Pole
 from ghzverify.states import GhzLabel
+from references import from_letters
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
