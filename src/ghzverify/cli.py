@@ -14,7 +14,6 @@ their render helpers import the numpy-backed modules when they run.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -75,12 +74,18 @@ def _print_json_streamed(payload: dict, items: Iterable[memoryview]) -> None:
 
 def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> memoryview:
     """``size`` rows of bytes, each the parts in order: a bytes part is the
-    same on every row, and an array part holds its rows as ``size`` uint8 rows."""
+    same on every row, and an array part holds its rows as a (size, width)
+    uint8 matrix.  The rows are filled part by part into one new block."""
     import numpy as np
 
-    columns = [np.frombuffer(part * size, np.uint8).reshape(size, -1) if isinstance(part, bytes)
-               else part.reshape(size, -1) for part in parts]
-    return memoryview(np.hstack(columns).ravel())
+    widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
+    block = np.empty((size, sum(widths)), np.uint8)
+    column = 0
+    for part, width in zip(parts, widths):
+        block[:, column:column + width] = (np.frombuffer(part, np.uint8)
+                                           if isinstance(part, bytes) else part)
+        column += width
+    return memoryview(block).cast("B")
 
 
 def _listing_blocks(n: int, chunks: Iterable[np.ndarray],
@@ -234,14 +239,18 @@ _JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
 
 def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[memoryview]:
     """Rendered report rows, in blocks of at most _BLOCK_BYTES (at least one
-    row) that each hold rows of one Y count."""
+    row) that each hold rows of one run of :func:`poles.pole_runs`.
+
+    A row is built from its run's constants (the high part's letters and
+    generator cells), from tables built once per call for each low Y count
+    (the low part's letters and generator cells, each with the constant
+    text after it), and from its sign, picked by :func:`lhv.predictions`;
+    no row's bits are unpacked."""
     import numpy as np
 
-    from . import poles
+    from . import lhv, poles
 
     n = reports.n
-    if not len(reports):
-        return
     if json_rows:
         signs, separator = _JSON_SIGNS, b'",\n        "'
         head, middle, before, tail = (b'    {\n      "n": %d,\n      "s_operator": "' % n,
@@ -251,26 +260,44 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
         signs, separator = _TABLE_SIGNS, b","
         head, middle, before, tail = b"  ", b": local-realist ", b" (from ", b")\n"
     sign_table = np.frombuffer(b"".join(signs), np.uint8).reshape(2, -1)
+
+    def matrix(size: int, parts: Sequence[bytes | np.ndarray]) -> np.ndarray:
+        return np.frombuffer(_rows(size, parts), np.uint8).reshape(size, -1)
+
     # row k - 1 is generator k's letters, then the separator
-    cells = np.frombuffer(_rows(n, [poles.xy_letter_matrix(n, reports.generators), separator]),
-                          np.uint8).reshape(n, -1)
-    # a row's width apart from its generators, whose count varies by run
-    width = len(head) + n + len(middle) + sign_table.shape[1] + len(before) + len(tail)
-    counts = np.bitwise_count(reports.targets)
-    edges = [0, *(np.flatnonzero(np.diff(counts)) + 1).tolist(), len(reports)]
-    for low, high in itertools.pairwise(edges):
-        step = max(1, _BLOCK_BYTES // (width + int(counts[low]) * cells.shape[1] - len(separator)))
-        for start in range(low, high, step):
-            rows = slice(start, min(start + step, high))
-            size = rows.stop - rows.start
-            # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
-            # range, so mode="clip" only skips the bounds check
-            values = np.take(sign_table, (1 - reports.lhv[rows]) >> 1, axis=0, mode="clip")
-            generators = np.take(cells, poles.y_columns(n, reports.targets[rows]), axis=0,
-                                 mode="clip")
-            yield _rows(size, [head, poles.xy_letter_matrix(n, reports.targets[rows]), middle,
-                               values, before, generators.reshape(size, -1)[:, :-len(separator)],
-                               tail])
+    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+    cells = matrix(n, [poles.xy_letter_matrix(n, generators), separator])
+    low_width = min(n, poles.LOW_BITS)
+    high_width = n - low_width
+    # low Y count -> the low parts' letters, then the text up to the sign,
+    # and their generator cells, then the row's end; the cells drop the
+    # row's last separator, which a run of no low Y drops instead
+    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    for high, lows in poles.pole_runs(n, poles.Pole.S):
+        low_ys = int(lows[0]).bit_count()
+        if low_ys not in tables:
+            picked = np.take(cells[high_width:], poles.y_columns(low_width, lows), axis=0)
+            tables[low_ys] = (
+                matrix(len(lows), [poles.xy_letter_matrix(low_width, lows), middle]),
+                matrix(len(lows), [picked.reshape(len(lows), -1)[:, :-len(separator)], tail]))
+        letters, low_cells = tables[low_ys]
+        high_letters = poles.xy_letter_matrix(n, np.array([high], np.uint64))[0, :high_width]
+        lead = head + high_letters.tobytes()
+        high_cells = before + cells[:high_width][high_letters == ord("Y")].tobytes()
+        if not low_ys:
+            high_cells = high_cells[:-len(separator)]
+        # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
+        # range, so mode="clip" only skips the bounds check
+        values = np.take(sign_table, (1 - lhv.predictions(lows | np.uint64(high),
+                                                          reports.negative)) >> 1,
+                         axis=0, mode="clip")
+        width = (len(lead) + letters.shape[1] + values.shape[1] + len(high_cells)
+                 + low_cells.shape[1])
+        step = max(1, _BLOCK_BYTES // width)
+        for start in range(0, len(lows), step):
+            rows = slice(start, start + step)
+            yield _rows(min(step, len(lows) - start),
+                        [lead, letters[rows], values[rows], high_cells, low_cells[rows]])
 
 
 # ------------------------------------------------------------- identity

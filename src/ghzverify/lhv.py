@@ -5,7 +5,10 @@ value +/-1, so an X/Y string inherits the product of its factor values.  On
 a quarter-turn basis state, the values of the n single-Y strings fix (by the
 product rule) the predicted value of every S-pole string, and each
 prediction has the opposite sign from the exact eigenvalue: one absolute
-contradiction per S string.
+contradiction per S string.  :func:`find_contradictions` checks every S
+string chunk by chunk and keeps no row; what it returns, the generator
+signs and the row count, is enough to regenerate each row, with its
+prediction from :func:`predictions`, as the CLI renders it.
 
 The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
@@ -24,71 +27,79 @@ import numpy as np
 from .counting import check_n
 from .errors import CapacityError, ConsistencyError, DomainError
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
-from .poles import Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, xy_letter_matrix
+from .poles import (Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, pole_masks,
+                    xy_letter_matrix)
 from .states import GhzLabel
 
 #: Above this qubit count the 2**(2n) assignment sweep is refused.
 EXHAUSTIVE_CAP = 10
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Contradictions:
-    """Every contradiction of one analysis, as columns with one row per S string.
+    """The outcome of one checked analysis, which keeps no row.
 
-    Every X/Y string here is a z mask (see :mod:`poles`).  Row i is the S
-    string ``targets[i]``: the product rule predicts ``lhv[i]`` for it and
-    its exact eigenvalue is ``quantum[i]``.  Its Y positions k pick the
-    generators ``generators[k - 1]`` that the prediction multiplies;
-    generator k is ``1 << (n - k)``, the single-Y string on qubit k.  Rows
-    run in :func:`poles.pole_masks` order, and the arrays are read-only
-    uint64 (masks) and int8 (values) columns.
+    Each of the ``rows`` S strings of n qubits, in :func:`poles.pole_masks`
+    order, is one contradiction.  Generator k is ``1 << (n - k)``, the
+    single-Y string on qubit k, and bit n - k of ``negative`` is set when
+    its eigenvalue is -1.  An S string's Y positions pick the generators
+    that the product rule multiplies, so its prediction is
+    :func:`predictions` of its z mask (see :mod:`poles`) and ``negative``,
+    and its eigenvalue was checked to be the opposite.
     """
 
     n: int
-    generators: np.ndarray
-    targets: np.ndarray
-    lhv: np.ndarray
-    quantum: np.ndarray
+    negative: int
+    rows: int
 
     def __len__(self) -> int:
-        return len(self.targets)
+        return self.rows
+
+
+def predictions(masks: np.ndarray, negative: int) -> np.ndarray:
+    """The product-rule predictions of the X/Y strings with these z masks,
+    as int8 +/-1: (-1)**popcount(mask & negative)."""
+    return (1 - 2 * (np.bitwise_count(masks & np.uint64(negative)) & 1)).astype(np.int8)
 
 
 def find_contradictions(label: GhzLabel) -> Contradictions:
-    """All S-pole contradictions on the label's quarter-turn state.
+    """All S-pole contradictions on the label's quarter-turn state, checked.
 
     The generator values come from :func:`eigenvalue_symbolic`; each row's
-    prediction is their product over its Y positions, (-1)**popcount(y &
-    negative generators), and its eigenvalue comes from
+    prediction comes from :func:`predictions` and its eigenvalue from
     :func:`eigenvalue_column`, so the two stay separate routes.  Every row
-    is checked to oppose before the value is returned; n < 2, a label that
-    is not canonical and an oversized listing are refused before any work.
+    is checked, one :func:`poles.pole_masks` chunk at a time, to keep its
+    eigenstate and to oppose its prediction before the result is returned;
+    n < 2, a label that is not canonical and an oversized listing are
+    refused before any work.
     """
     n = label.n
     check_n(n)
     if not label.is_canonical:
         raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    targets = enumerate_pole(n, Pole.S)
-    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+    chunks = pole_masks(n, Pole.S)  # refuses an oversized listing
     negative = 0
-    for k, gen in enumerate(generators.tolist(), 1):
-        value = eigenvalue_symbolic(label, 1, gen)
+    for k in range(1, n + 1):
+        generator = 1 << (n - k)
+        value = eigenvalue_symbolic(label, 1, generator)
         if value is None:
-            raise ConsistencyError(f"single-Y generator {_letters(n, gen)} lost its eigenstate")
+            raise ConsistencyError(
+                f"single-Y generator {_letters(n, generator)} lost its eigenstate")
         if value < 0:
-            negative |= 1 << (n - k)
-    lhv = (1 - 2 * (np.bitwise_count(targets & np.uint64(negative)) & 1)).astype(np.int8)
-    quantum = eigenvalue_column(label, 1, targets)
-    if (lost := quantum == 0).any():
-        raise ConsistencyError(
-            f"S operator {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
-    if (same := lhv == quantum).any():
-        row = np.argmax(same)
-        raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
-                               f"does not oppose eigenvalue {quantum[row]}")
-    for column in (generators, targets, lhv, quantum):
-        column.flags.writeable = False
-    return Contradictions(n, generators, targets, lhv, quantum)
+            negative |= generator
+    rows = 0
+    for targets in chunks:
+        lhv = predictions(targets, negative)
+        quantum = eigenvalue_column(label, 1, targets)
+        if (lost := quantum == 0).any():
+            raise ConsistencyError(
+                f"S operator {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
+        if (same := lhv == quantum).any():
+            row = np.argmax(same)
+            raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
+                                   f"does not oppose eigenvalue {quantum[row]}")
+        rows += len(targets)
+    return Contradictions(n, negative, rows)
 
 
 def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:

@@ -11,10 +11,11 @@ quarter-turn angles are exact +/-1 eigenstates of same- and opposite-pole
 strings, and the eigenvalue follows from applying the string to the pair's
 two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 
-One string is an int mask; many are a uint64 column.  :func:`pole_masks`
-yields a pole's strings in bounded chunks, :func:`enumerate_pole` as one
-column, and :func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
-read a chunk's letters, Y positions and eigenvalues at once: the symplectic
+One string is an int mask; many are a uint64 column.  :func:`pole_runs`
+yields a pole's strings as runs that share a high part, :func:`pole_masks`
+as bounded chunks of those runs, :func:`enumerate_pole` as one column, and
+:func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
+read a column's letters, Y positions and eigenvalues at once: the symplectic
 bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in the
 bit-packed layout of Stim (arXiv:2103.02202).
 """
@@ -22,7 +23,7 @@ bit-packed layout of Stim (arXiv:2103.02202).
 from __future__ import annotations
 
 import enum
-import itertools
+import functools
 import math
 from typing import Iterator
 
@@ -31,12 +32,11 @@ import numpy as np
 from .errors import CapacityError, DimensionError, DomainError
 from .states import GhzLabel
 
-#: Widest pole listing: :func:`pole_masks` refuses more qubits, and so
-#: bounds the contradiction reports of ``lhv`` and the strings of
-#: ``enumerate``.  At n = 24 the reports already hold 2**22 rows whole (105
-#: MB peak) and the streamed listing takes 2 s, and each further qubit
-#: doubles both.  Rendering is bounded by bytes, not rows: the CLI writes
-#: the 1.5 GB table in blocks of at most 64 KiB, each rendered afresh.
+#: Widest pole listing: :func:`pole_masks` and :func:`pole_runs` refuse
+#: more qubits, and so bound the contradiction reports of ``lhv`` and the
+#: strings of ``enumerate``.  Memory does not grow with n (``lhv --n 24``
+#: peaks at 30 MB), but time does: at n = 24 ``lhv`` writes 2**22 rows, a
+#: 1.5 GB table, in about 2 s, and each further qubit doubles both.
 REPORT_CAP = 24
 
 #: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
@@ -44,6 +44,11 @@ REPORT_CAP = 24
 #: by bytes instead: the CLI renders each chunk as blocks of at most 64 KiB
 #: of text, one after another.
 CHUNK_ROWS = 1 << 13
+
+#: The low part of a mask: the bits that vary within one run of
+#: :func:`pole_runs`.  Its tables of low masks hold 2**12 masks in all, and
+#: up to 12 qubits each Y count is a single run.
+LOW_BITS = 12
 
 
 class Pole(enum.Enum):
@@ -60,23 +65,70 @@ def pole_masks(n: int, pole: Pole) -> Iterator[np.ndarray]:
 
     Strings come by increasing Y count, then in position order; within one Y
     count that is descending mask order, because qubit 1 is the top bit.  A
-    chunk holds at most CHUNK_ROWS masks of a single Y count, so no array
-    grows with the size of the pole.  The qubit count is checked here, before
-    the first chunk is asked for.
+    chunk holds at most CHUNK_ROWS masks of a single Y count, the runs of
+    :func:`pole_runs` joined, so no array grows with the size of the pole.
+    The qubit count is checked here, before the first chunk is asked for.
     """
+    _check_listing(n)
+    return _mask_chunks(n, pole)
+
+
+def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+    """The strings of :func:`pole_masks`, in its order, as runs (high, lows).
+
+    A run is the masks ``high | lows``: ``high`` is an int mask whose low
+    ``min(n, LOW_BITS)`` bits are clear, and ``lows`` a read-only uint64
+    column of the low masks of one popcount, in descending order, that every
+    run with that popcount shares.  Runs of one Y count come by descending
+    high part, so joined they are that count's strings in descending mask
+    order.  The qubit count is checked here, before the first run.
+    """
+    _check_listing(n)
+    return (run for count in range(pole.value, n + 1, 4) for run in _runs(n, count))
+
+
+def _check_listing(n: int) -> None:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > REPORT_CAP:
         raise CapacityError(f"pole listings are capped at {REPORT_CAP} qubits (got {n})")
-    return _mask_chunks(n, pole)
+
+
+def _runs(n: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The runs of the n-qubit masks with ``count`` Y letters."""
+    low = min(n, LOW_BITS)
+    highs = np.arange(1 << (n - low))[::-1]
+    ones = np.bitwise_count(highs).astype(int)
+    fits = (ones <= count) & (ones >= count - low)
+    for high, high_ones in zip(highs[fits].tolist(), ones[fits].tolist()):
+        yield high << low, _low_masks(low, count - high_ones)
+
+
+@functools.cache
+def _low_masks(width: int, count: int) -> np.ndarray:
+    """The ``width``-bit masks of popcount ``count``, descending and read-only,
+    since every run with that popcount shares them; width <= LOW_BITS keeps
+    the cache under 2**(LOW_BITS + 1) masks."""
+    masks = np.arange(1 << width, dtype=np.uint64)[::-1]
+    masks = masks[np.bitwise_count(masks) == count]
+    masks.flags.writeable = False
+    return masks
 
 
 def _mask_chunks(n: int, pole: Pole) -> Iterator[np.ndarray]:
-    qubit_bits = [1 << (n - k) for k in range(1, n + 1)]
     for count in range(pole.value, n + 1, 4):
-        masks = map(sum, itertools.combinations(qubit_bits, count))
-        while (chunk := np.fromiter(itertools.islice(masks, CHUNK_ROWS), np.uint64)).size:
-            yield chunk
+        chunk, filled = np.empty(CHUNK_ROWS, np.uint64), 0
+        for high, lows in _runs(n, count):
+            start = 0
+            while start < len(lows):
+                part = lows[start:start + CHUNK_ROWS - filled]
+                np.bitwise_or(part, np.uint64(high), out=chunk[filled:filled + len(part)])
+                start, filled = start + len(part), filled + len(part)
+                if filled == CHUNK_ROWS:
+                    yield chunk
+                    chunk, filled = np.empty(CHUNK_ROWS, np.uint64), 0
+        if filled:
+            yield chunk[:filled]
 
 
 def pole_size(n: int, pole: Pole) -> int:

@@ -2,28 +2,32 @@
 
 No command reaches these, so they live beside the tests and not in the
 package: strings from letters and the symplectic commutation rule, the X/Y
-string with Y at given positions, the shortcut eigenvalue rule, the
-brute-force assignment sweep, the commuting family of generator products,
-contradiction rows through an odd X<->Y swap and its dense half turn, the
-stdout of ``lhv`` and ``enumerate`` rendered one row at a time, the eigen
-residuals of one Pauli image per string, and the ``ufunc.outer`` phase tables.
+string with Y at given positions, the pole masks built from
+``itertools.combinations``, the shortcut eigenvalue rule, the brute-force
+assignment sweep, the commuting family of generator products, the checked
+contradiction rows regenerated chunk by chunk, those rows through an odd
+X<->Y swap and its dense half turn, the stdout of ``lhv`` and ``enumerate``
+rendered one row at a time, the eigen residuals of one Pauli image per
+string, and the ``ufunc.outer`` phase tables.
 """
 
 import itertools
 import json
-from dataclasses import replace
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
-from ghzverify import __version__
+from ghzverify import __version__, poles
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import DimensionError, DomainError
-from ghzverify.lhv import find_contradictions
+from ghzverify.lhv import Contradictions, find_contradictions, predictions
 from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
-from ghzverify.poles import Pole, check_mask, eigenvalue_column, eigenvalue_symbolic, enumerate_pole
+from ghzverify.poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
+                             enumerate_pole, pole_masks)
 from ghzverify.states import GhzLabel
+
 
 class LetterError(ValueError):
     """A letter sequence holds a character other than I, X, Y and Z."""
@@ -50,6 +54,16 @@ def commutes(a, b):
 def xy_string(n, y_positions):
     """Phase +1 string with Y at the given distinct 1-based positions, X elsewhere."""
     return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
+
+
+def combination_mask_chunks(n, pole):
+    """The chunks of pole_masks built in Python: each Y count's masks summed
+    from ``itertools.combinations`` of the qubit bits, CHUNK_ROWS at a time."""
+    qubit_bits = [1 << (n - k) for k in range(1, n + 1)]
+    for count in range(pole.value, n + 1, 4):
+        masks = map(sum, itertools.combinations(qubit_bits, count))
+        while (chunk := np.fromiter(itertools.islice(masks, poles.CHUNK_ROWS), np.uint64)).size:
+            yield chunk
 
 
 def eigenvalue_rule(label, z):
@@ -109,19 +123,55 @@ def swapped_state(label, mask):
     return GhzLabel(label.n, label.bits ^ mask, label.sign), (1 - z) % 4
 
 
+@dataclass(frozen=True)
+class CheckedRows:
+    """The rows of a find_contradictions result on ``label``, regenerated one
+    pole_masks chunk at a time and never held whole, with targets and
+    generators swapped on ``mask`` (0 for none)."""
+
+    label: GhzLabel
+    reports: Contradictions
+    mask: int = 0
+
+    def __len__(self):
+        return len(self.reports)
+
+    @property
+    def generators(self):
+        """Generator k's z mask, swapped, at row k - 1 of a uint64 column."""
+        n = self.label.n
+        return np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64) ^ np.uint64(self.mask)
+
+    def chunks(self):
+        """(targets, lhv, quantum) per chunk: the swapped S strings, their
+        predictions from lhv.predictions and their eigenvalues on the swapped
+        state, from eigenvalue_column."""
+        carrier, quarter = swapped_state(self.label, self.mask)
+        for masks in pole_masks(self.label.n, Pole.S):
+            targets = masks ^ np.uint64(self.mask)
+            yield (targets, predictions(masks, self.reports.negative),
+                   eigenvalue_column(carrier, quarter, targets))
+
+    def opposed(self):
+        """Whether every row's prediction is the negated eigenvalue."""
+        return all((lhv == -quantum).all() for _, lhv, quantum in self.chunks())
+
+
+def checked_rows(label):
+    """The rows of find_contradictions(label), unswapped."""
+    return CheckedRows(label, find_contradictions(label))
+
+
 def ew_contradictions(label, subset):
     """The rows of find_contradictions with targets and generators swapped on
     ``subset``.  Each swapped generator keeps its value on the swapped state,
     so the predictions stand; the eigenvalues are taken afresh there."""
     mask = ew_swap(label.n, 0, subset)  # the all-X string swaps to the mask itself
-    reports = find_contradictions(label)
+    rows = CheckedRows(label, find_contradictions(label), mask)
     carrier, quarter = swapped_state(label, mask)
-    generators = reports.generators ^ np.uint64(mask)
-    assert np.array_equal(eigenvalue_column(carrier, quarter, generators),
-                          eigenvalue_column(label, 1, reports.generators))
-    targets = reports.targets ^ np.uint64(mask)
-    return replace(reports, generators=generators, targets=targets,
-                   quantum=eigenvalue_column(carrier, quarter, targets))
+    assert np.array_equal(eigenvalue_column(carrier, quarter, rows.generators),
+                          eigenvalue_column(label, 1, rows.generators ^ np.uint64(mask)))
+    return rows
 
 
 def half_turn(n, subset):
@@ -153,12 +203,14 @@ def xy_letters(n, z):
 def lhv_stdout(label, reports, fmt):
     """Stdout of ``lhv`` without --exhaustive, given the label and its reports."""
     n, expected = label.n, c_n_closed(label.n)
+    checked = CheckedRows(label, reports)
+    generators = checked.generators.tolist()
     rows = []
-    for target, lhv, quantum in zip(reports.targets.tolist(), reports.lhv.tolist(),
-                                    reports.quantum.tolist()):
-        generators = [xy_letters(n, reports.generators[k - 1].item())
-                      for k in range(1, n + 1) if target >> (n - k) & 1]
-        rows.append((xy_letters(n, target), lhv, quantum, generators))
+    for targets, lhv, quantum in checked.chunks():
+        for target, value, eigenvalue in zip(targets.tolist(), lhv.tolist(), quantum.tolist()):
+            names = [xy_letters(n, generators[k - 1]) for k in range(1, n + 1)
+                     if target >> (n - k) & 1]
+            rows.append((xy_letters(n, target), value, eigenvalue, names))
     ok = len(rows) == expected
     if fmt == "json":
         return json.dumps({

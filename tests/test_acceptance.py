@@ -13,13 +13,14 @@ import numpy as np
 
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, c_n_closed
-from ghzverify.lhv import exhaustive_search, find_contradictions
+from ghzverify.lhv import exhaustive_search
 from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen
 from ghzverify.pauli import PauliOperator, verify_ks_identity
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
 from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
                               max_norm_diff, rotated_dense)
-from references import eigenvalue_rule, ew_contradictions, from_letters, swap_conjugation_residual
+from references import (checked_rows, eigenvalue_rule, ew_contradictions, from_letters,
+                        swap_conjugation_residual)
 
 TOL = 1e-12
 
@@ -145,9 +146,9 @@ def test_criterion_6_hidden_variable_refutation(capsys):
             passed &= exhaustive_search(label) == 0
             passed &= exhaustive_search(label, require_s=False) > 0
         for n in range(3, 11):
-            reports = find_contradictions(GhzLabel(n, 0, 1))
+            reports = checked_rows(GhzLabel(n, 0, 1))
             passed &= len(reports) == c_n_closed(n)
-            passed &= bool((reports.lhv == -reports.quantum).all())
+            passed &= reports.opposed()
         crit.finish(passed)
 
 
@@ -162,7 +163,7 @@ def test_criterion_7_swap_transport(capsys):
                 for subset in itertools.combinations(range(1, n + 1), size):
                     reports = ew_contradictions(label, subset)
                     passed &= len(reports) == expected
-                    passed &= bool((reports.lhv == -reports.quantum).all())
+                    passed &= reports.opposed()
         for n in range(2, 6):
             masks = [z for pole in (Pole.N, Pole.S) for z in enumerate_pole(n, pole).tolist()]
             for size in range(1, n + 1, 2):

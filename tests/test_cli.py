@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzverify import checks, counting, lhv, oracle, poles
+from ghzverify import checks, cli, counting, lhv, oracle, poles, states
 from ghzverify.cli import main
 
 
@@ -356,6 +356,31 @@ class TestCheckFailures:
         assert out == ""
         assert err == "tool failure: YYYXX: predicted -1 does not oppose eigenvalue -1\n"
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("plant,message", [
+        (lambda value: 0, "S operator XXXYYYYYYY lost its eigenstate"),
+        (lambda value: -value, "XXXYYYYYYY: predicted 1 does not oppose eigenvalue 1"),
+    ], ids=["lost", "non-opposing"])
+    def test_bad_row_in_the_last_chunk_stops_before_any_output(self, capsys, monkeypatch,
+                                                              fmt, plant, message):
+        # 16-row chunks split the 240 strings at n = 10 into 16 chunks; had
+        # rendering begun before the check pass ended, rows would be written
+        last = 0b0001111111  # XXXYYYYYYY, the last S string
+        seen = []
+
+        def planted(label, quarter, masks):
+            values = poles.eigenvalue_column(label, quarter, masks)
+            seen.append(masks.tolist())
+            values[masks == last] = plant(values[masks == last])
+            return values
+
+        monkeypatch.setattr(poles, "CHUNK_ROWS", 16)
+        monkeypatch.setattr(lhv, "eigenvalue_column", planted)
+        code, out, err = run_cli(capsys, "lhv", "--n", "10", "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == f"tool failure: {message}\n"
+        assert len(seen) == 16 and last in seen[-1]
+
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
         # negating every image swaps its residuals against +vec and -vec
         eigen_residuals = oracle.eigen_residuals
@@ -392,6 +417,21 @@ class TestRenderingMemory:
                 tracemalloc.stop()
         assert code == 0
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("json_rows", [False, True])
+    def test_check_and_render_hold_no_column(self, json_rows):
+        # whole columns of the 262,144 rows at n = 20 held 4.7 MiB; the
+        # check pass keeps no row and rendering holds one block at a time
+        tracemalloc.start()
+        try:
+            reports = lhv.find_contradictions(states.GhzLabel(20, 0b0110100110010110100, -1))
+            written = sum(len(block) for block in cli._report_blocks(reports, json_rows))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(reports) == counting.c_n_closed(20)
+        assert written == (120225792 if json_rows else 71410688)
+        assert peak < 2 << 20
 
 
 class TestClosedPipe:

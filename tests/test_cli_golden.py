@@ -91,6 +91,16 @@ def test_lhv_matches_the_row_at_a_time_reference(data):
     assert (code, out) == (0, lhv_stdout(label, find_contradictions(label), fmt))
 
 
+@pytest.mark.parametrize("fmt", ["table", "json"])
+@pytest.mark.parametrize("text", ["0110100110110-", "0101101001011010+"])
+def test_lhv_past_the_low_bits_matches_the_row_at_a_time_reference(fmt, text):
+    # above LOW_BITS qubits each Y count is many runs, one per high part;
+    # 1000-byte blocks end inside runs
+    label = parse_label(text, len(text) - 1)
+    code, out = _stdout_of(["lhv", "--n", str(label.n), "--label", text, "--format", fmt], 1000)
+    assert (code, out) == (0, lhv_stdout(label, find_contradictions(label), fmt))
+
+
 @given(st.data())
 @settings(deadline=None, max_examples=60)
 def test_enumerate_matches_the_row_at_a_time_reference(data):

@@ -1,5 +1,6 @@
 """The assignment sweep, contradiction detection, and the swap transport of its rows."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -21,11 +22,11 @@ from ghzverify.lhv import EXHAUSTIVE_CAP, exhaustive_search, find_contradictions
 from ghzverify.oracle import DENSE_MATRIX_CAP
 from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, multiply,
                              odd_subset_identities, qubit_mask, verify_ks_identity)
-from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
+from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs
 from ghzverify.states import GhzLabel, rotated_dense
-from references import (assignment_value, ew_contradictions, ew_swap, from_letters, half_turn,
-                        satisfying_assignments, swap_conjugation_residual, swapped_state,
-                        xy_string)
+from references import (CheckedRows, assignment_value, checked_rows, ew_contradictions, ew_swap,
+                        from_letters, half_turn, satisfying_assignments,
+                        swap_conjugation_residual, swapped_state, xy_string)
 
 
 def _xy(n, z):
@@ -53,36 +54,49 @@ class TestValueOf:
                 assert assignment_value(3, vx, vy, xy_string(3, positions).z_bits) == direct
 
 
-def _rows(result, indices=None, swap_mask=0):
-    """(target, lhv, quantum, generators) of each row, read from the columns.
+def _rows(checked, indices=None):
+    """(target, lhv, quantum, generators) of each row, regenerated chunk by chunk.
 
-    A row's generators are read bit by bit from its S mask, target ^ swap_mask.
+    A row's generators are read bit by bit from its S mask, target ^ checked.mask.
     """
-    n = result.n
-    rows = []
-    for i in range(len(result)) if indices is None else indices:
-        target = int(result.targets[i])
-        y_mask = target ^ swap_mask
-        generators = tuple(_xy(n, int(result.generators[k - 1])).letters()
-                           for k in range(1, n + 1) if y_mask >> (n - k) & 1)
-        rows.append((_xy(n, target).letters(),
-                     int(result.lhv[i]), int(result.quantum[i]), generators))
+    n = checked.label.n
+    generators = checked.generators.tolist()
+    rows, offset = [], 0
+    for targets, lhv, quantum in checked.chunks():
+        picks = (range(len(targets)) if indices is None
+                 else [i - offset for i in indices if offset <= i < offset + len(targets)])
+        for i in picks:
+            target = int(targets[i])
+            y_mask = target ^ checked.mask
+            rows.append((_xy(n, target).letters(), int(lhv[i]), int(quantum[i]),
+                         tuple(_xy(n, generators[k - 1]).letters()
+                               for k in range(1, n + 1) if y_mask >> (n - k) & 1)))
+        offset += len(targets)
     return rows
 
 
-def _target_poles(result):
-    return {Pole(_xy(result.n, int(t)).letters().count("Y") % 4) for t in result.targets}
+def _target_poles(checked):
+    return {Pole(_xy(checked.label.n, t).letters().count("Y") % 4)
+            for targets, _, _ in checked.chunks() for t in targets.tolist()}
 
 
 class TestFindContradictions:
     def test_three_qubits(self):
-        result = find_contradictions(GhzLabel(3, 0, 1))
-        assert _rows(result) == [("YYY", 1, -1, ("YXX", "XYX", "XXY"))]
-        assert result.generators.dtype == np.uint64
-        assert result.generators.tolist() == [0b100, 0b010, 0b001]
-        for column in (result.generators, result.targets, result.lhv):
+        label = GhzLabel(3, 0, 1)
+        result = find_contradictions(label)
+        checked = CheckedRows(label, result)
+        assert _rows(checked) == [("YYY", 1, -1, ("YXX", "XYX", "XXY"))]
+        assert checked.generators.dtype == np.uint64
+        assert checked.generators.tolist() == [0b100, 0b010, 0b001]
+        ((targets, lhv, quantum),) = checked.chunks()
+        assert (targets.dtype, lhv.dtype, quantum.dtype) == (np.uint64, np.int8, np.int8)
+        # what outlives the call is read-only: the result, and the low-mask
+        # tables that every run of the same low popcount shares
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            result.negative = 1
+        for _, lows in pole_runs(3, Pole.S):
             with pytest.raises(ValueError):
-                column[0] = 0
+                lows[0] = 0
 
     def test_report_json(self, capsys):
         assert main(["lhv", "--n", "3", "--format", "json"]) == 0
@@ -92,18 +106,18 @@ class TestFindContradictions:
 
     @pytest.mark.parametrize("n,count", [(3, 1), (4, 4), (5, 10)])
     def test_counts_on_zero_pattern(self, n, count):
-        reports = find_contradictions(GhzLabel(n, 0, 1))
+        reports = checked_rows(GhzLabel(n, 0, 1))
         assert len(reports) == count
-        assert (reports.lhv == -reports.quantum).all()
+        assert reports.opposed()
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_counts_over_all_canonical_labels(self, n):
         expected = c_n_closed(n)
         for bits in range(1 << (n - 1)):
             for sign in (1, -1):
-                reports = find_contradictions(GhzLabel(n, bits, sign))
+                reports = checked_rows(GhzLabel(n, bits, sign))
                 assert len(reports) == expected
-                assert (reports.lhv == -reports.quantum).all()
+                assert reports.opposed()
 
     @pytest.mark.parametrize("n", [7, 8, 9, 10])
     def test_counts_sampled_labels(self, n):
@@ -112,9 +126,9 @@ class TestFindContradictions:
         for _ in range(32):
             label = GhzLabel(n, int(rng.integers(0, 1 << (n - 1))),
                              1 if rng.integers(0, 2) else -1)
-            reports = find_contradictions(label)
+            reports = checked_rows(label)
             assert len(reports) == expected
-            assert (reports.lhv == -reports.quantum).all()
+            assert reports.opposed()
 
     def test_non_canonical_rejected(self):
         with pytest.raises(DomainError):
@@ -274,7 +288,7 @@ class TestEwContradictions:
         reports = ew_contradictions(GhzLabel(3, 0, 1), {1})
         assert len(reports) == 1
         assert _target_poles(reports) <= {Pole.E, Pole.W}
-        assert (reports.lhv == -reports.quantum).all()
+        assert reports.opposed()
 
     def test_four_qubits(self):
         assert len(ew_contradictions(GhzLabel(4, 0, 1), {3})) == 4
@@ -291,14 +305,14 @@ class TestEwContradictions:
                 reports = ew_contradictions(label, subset)
                 assert len(reports) == expected
                 assert _target_poles(reports) <= {Pole.E, Pole.W}
-                assert (reports.lhv == -reports.quantum).all()
+                assert reports.opposed()
 
     def test_nontrivial_labels(self):
         for bits in range(4):
             for sign in (1, -1):
                 reports = ew_contradictions(GhzLabel(3, bits, sign), {2})
                 assert len(reports) == 1
-                assert (reports.lhv == -reports.quantum).all()
+                assert reports.opposed()
 
     def test_even_subset_rejected(self):
         with pytest.raises(DomainError):
@@ -355,7 +369,7 @@ def _reference_reports(label, subset, indices=None):
 
 
 def _contradictions_for(label, subset):
-    return ew_contradictions(label, subset) if subset else find_contradictions(label)
+    return ew_contradictions(label, subset) if subset else checked_rows(label)
 
 
 def _odd_subsets(n):
@@ -371,15 +385,14 @@ class TestMergedRoutineAgainstReference:
                 label = GhzLabel(n, bits, sign)
                 for subset in [()] + _odd_subsets(n):
                     reports = _contradictions_for(label, subset)
-                    assert (_rows(reports, swap_mask=qubit_mask(n, subset))
-                            == list(_reference_reports(label, subset)))
+                    assert _rows(reports) == list(_reference_reports(label, subset))
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_every_label_unswapped(self, n):
         for bits in range(1 << (n - 1)):
             for sign in (1, -1):
                 label = GhzLabel(n, bits, sign)
-                reports = find_contradictions(label)
+                reports = checked_rows(label)
                 assert _rows(reports) == list(_reference_reports(label, ()))
 
     @given(st.data())
@@ -390,8 +403,7 @@ class TestMergedRoutineAgainstReference:
                          data.draw(st.sampled_from((1, -1))))
         subset = data.draw(st.sampled_from([()] + _odd_subsets(n)))
         reports = _contradictions_for(label, subset)
-        assert (_rows(reports, swap_mask=qubit_mask(n, subset))
-                == list(_reference_reports(label, subset)))
+        assert _rows(reports) == list(_reference_reports(label, subset))
 
     @given(st.data())
     @settings(deadline=None, max_examples=8)
@@ -405,8 +417,7 @@ class TestMergedRoutineAgainstReference:
         assert len(reports) == c_n_closed(n)
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         indices = sorted(rng.choice(len(reports), size=200, replace=False).tolist())
-        assert (_rows(reports, indices, qubit_mask(n, subset))
-                == list(_reference_reports(label, subset, indices)))
+        assert _rows(reports, indices) == list(_reference_reports(label, subset, indices))
 
 
 class TestSwapConjugation:

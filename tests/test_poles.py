@@ -8,17 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzverify import poles
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply
-from ghzverify.poles import (CHUNK_ROWS, Pole, REPORT_CAP, eigenvalue_column,
-                             eigenvalue_symbolic, enumerate_pole, pole_masks,
+from ghzverify.poles import (CHUNK_ROWS, LOW_BITS, Pole, REPORT_CAP, eigenvalue_column,
+                             eigenvalue_symbolic, enumerate_pole, pole_masks, pole_runs,
                              pole_size, xy_letter_matrix, y_columns)
 from ghzverify.states import GhzLabel, rotated_dense
-from references import commutes, compatible_family, eigenvalue_rule, from_letters, xy_string
+from references import (combination_mask_chunks, commutes, compatible_family, eigenvalue_rule,
+                        from_letters, xy_string)
 import math
 
 
@@ -121,6 +123,41 @@ class TestPoleMasks:
             assert (counts == counts[0]).all()
             assert (np.diff(masks.astype(np.int64)) < 0).all()
         assert sum(len(masks) for masks in chunks) == c_n_binomial(n)
+
+    @pytest.mark.parametrize("n", [*range(1, 17), 20])
+    def test_chunks_match_the_combinations_builder(self, n):
+        for pole in Pole:
+            built = list(pole_masks(n, pole))
+            reference = list(combination_mask_chunks(n, pole))
+            assert [len(masks) for masks in built] == [len(masks) for masks in reference]
+            for masks, expected in zip(built, reference):
+                assert masks.dtype == np.uint64 and np.array_equal(masks, expected)
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_chunks_split_runs_at_any_chunk_size(self, monkeypatch, n):
+        # 100-row chunks end inside runs and hold several runs of one Y count
+        monkeypatch.setattr(poles, "CHUNK_ROWS", 100)
+        for pole in Pole:
+            assert ([masks.tolist() for masks in pole_masks(n, pole)]
+                    == [masks.tolist() for masks in combination_mask_chunks(n, pole)])
+
+    @pytest.mark.parametrize("n", [1, 5, 12, 13, 17])
+    def test_runs_join_to_the_listing(self, n):
+        low = min(n, LOW_BITS)
+        for pole in Pole:
+            runs = list(pole_runs(n, pole))
+            for high, lows in runs:
+                assert high & ((1 << low) - 1) == 0 and high >> n == 0
+                assert not lows.flags.writeable and lows.dtype == np.uint64
+                assert (np.bitwise_count(lows) == np.bitwise_count(lows[0])).all()
+            joined = [lows | np.uint64(high) for high, lows in runs]
+            assert np.array_equal(np.concatenate(joined or [np.empty(0, np.uint64)]),
+                                  enumerate_pole(n, pole))
+
+    @pytest.mark.parametrize("n", [0, REPORT_CAP + 1])
+    def test_runs_refuse_before_the_first_run(self, n):
+        with pytest.raises((DomainError, CapacityError)):
+            pole_runs(n, Pole.S)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 63])
     def test_letter_matrix_matches_scalar_letters(self, n):
