@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import __version__, counting, pauli
 from .errors import ConsistencyError, GhzVerifyError
@@ -88,17 +88,47 @@ def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> memoryview:
     return memoryview(block).cast("B")
 
 
-def _listing_blocks(n: int, chunks: Iterable[np.ndarray],
-                    prefix: bytes, suffix: bytes) -> Iterator[memoryview]:
-    """Rendered X/Y strings of ``pole_masks`` chunks, one per row between
-    ``prefix`` and ``suffix``, in blocks of at most _BLOCK_BYTES (at least one row)."""
+def _letter_runs(n: int, runs: Iterable[tuple[int, np.ndarray]],
+                 low_table: Callable[[int, np.ndarray], Any]
+                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
+    """(high, high letters, lows, table) for each run (high, lows) of
+    :func:`poles.pole_runs`: the letters of the high part, qubit 1 first, and
+    ``low_table(low width, lows)``, built once for each low Y count."""
+    import numpy as np
+
     from . import poles
 
-    step = max(1, _BLOCK_BYTES // (len(prefix) + n + len(suffix)))
-    for masks in chunks:
-        for start in range(0, len(masks), step):
-            part = masks[start:start + step]
-            yield _rows(len(part), [prefix, poles.xy_letter_matrix(n, part), suffix])
+    low_width = min(n, poles.LOW_BITS)
+    tables: dict[int, Any] = {}
+    for high, lows in runs:
+        low_ys = int(lows[0]).bit_count()
+        if low_ys not in tables:
+            tables[low_ys] = low_table(low_width, lows)
+        high_letters = poles.xy_letter_matrix(n, np.array([high], np.uint64))[0, :n - low_width]
+        yield high, high_letters, lows, tables[low_ys]
+
+
+def _blocks(size: int, parts: Sequence[bytes | np.ndarray]) -> Iterator[memoryview]:
+    """The ``size`` rows of :func:`_rows` parts, in blocks of at most
+    _BLOCK_BYTES (at least one row)."""
+    width = sum(len(part) if isinstance(part, bytes) else part.shape[1] for part in parts)
+    step = max(1, _BLOCK_BYTES // width)
+    for start in range(0, size, step):
+        rows = slice(start, start + step)
+        yield _rows(min(step, size - start),
+                    [part if isinstance(part, bytes) else part[rows] for part in parts])
+
+
+def _listing_blocks(n: int, runs: Iterable[tuple[int, np.ndarray]],
+                    prefix: bytes, suffix: bytes) -> Iterator[memoryview]:
+    """Rendered X/Y strings of :func:`poles.pole_runs` runs, one per row
+    between ``prefix`` and ``suffix``, each block within one run; a row is
+    its run's high letters and a row of its low Y count's letter table, so
+    no row's bits are unpacked."""
+    from . import poles
+
+    for _, high_letters, lows, letters in _letter_runs(n, runs, poles.xy_letter_matrix):
+        yield from _blocks(len(lows), [prefix + high_letters.tobytes(), letters, suffix])
 
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
@@ -135,12 +165,12 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     from . import poles
 
     n, pole = args.n, poles.Pole[args.pole]
-    chunks = poles.pole_masks(n, pole)
+    runs = poles.pole_runs(n, pole)  # refuses an oversized listing before any output
     total = poles.pole_size(n, pole)
     if args.format == "json":
         _print_json_streamed(
             {"n": n, "pole": pole.name, "operators": _STREAMED, "count": total},
-            _listing_blocks(n, chunks, b'    "', b'",\n'))
+            _listing_blocks(n, runs, b'    "', b'",\n'))
         return 0
     if args.format == "csv":
         print("n,pole,operator")
@@ -149,7 +179,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         print(f"pole {pole.name} operators for n={n} ({total} total)")
         prefix = b"  "
     write = _binary_stdout()
-    for block in _listing_blocks(n, chunks, prefix, b"\n"):
+    for block in _listing_blocks(n, runs, prefix, b"\n"):
         write(block)
     return 0
 
@@ -267,37 +297,27 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
     # row k - 1 is generator k's letters, then the separator
     generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
     cells = matrix(n, [poles.xy_letter_matrix(n, generators), separator])
-    low_width = min(n, poles.LOW_BITS)
-    high_width = n - low_width
-    # low Y count -> the low parts' letters, then the text up to the sign,
-    # and their generator cells, then the row's end; the cells drop the
-    # row's last separator, which a run of no low Y drops instead
-    tables: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-    for high, lows in poles.pole_runs(n, poles.Pole.S):
-        low_ys = int(lows[0]).bit_count()
-        if low_ys not in tables:
-            picked = np.take(cells[high_width:], poles.y_columns(low_width, lows), axis=0)
-            tables[low_ys] = (
-                matrix(len(lows), [poles.xy_letter_matrix(low_width, lows), middle]),
+
+    def low_table(low_width: int, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # the low parts' letters, then the text up to the sign, and their
+        # generator cells, then the row's end; the cells drop the row's last
+        # separator, which a run of no low Y drops instead
+        picked = np.take(cells[n - low_width:], poles.y_columns(low_width, lows), axis=0)
+        return (matrix(len(lows), [poles.xy_letter_matrix(low_width, lows), middle]),
                 matrix(len(lows), [picked.reshape(len(lows), -1)[:, :-len(separator)], tail]))
-        letters, low_cells = tables[low_ys]
-        high_letters = poles.xy_letter_matrix(n, np.array([high], np.uint64))[0, :high_width]
-        lead = head + high_letters.tobytes()
-        high_cells = before + cells[:high_width][high_letters == ord("Y")].tobytes()
-        if not low_ys:
+
+    runs = poles.pole_runs(n, poles.Pole.S)
+    for high, high_letters, lows, (letters, low_cells) in _letter_runs(n, runs, low_table):
+        high_cells = before + cells[np.flatnonzero(high_letters == ord("Y"))].tobytes()
+        if not lows[0]:
             high_cells = high_cells[:-len(separator)]
         # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
         # range, so mode="clip" only skips the bounds check
         values = np.take(sign_table, (1 - lhv.predictions(lows | np.uint64(high),
                                                           reports.negative)) >> 1,
                          axis=0, mode="clip")
-        width = (len(lead) + letters.shape[1] + values.shape[1] + len(high_cells)
-                 + low_cells.shape[1])
-        step = max(1, _BLOCK_BYTES // width)
-        for start in range(0, len(lows), step):
-            rows = slice(start, start + step)
-            yield _rows(min(step, len(lows) - start),
-                        [lead, letters[rows], values[rows], high_cells, low_cells[rows]])
+        yield from _blocks(len(lows), [head + high_letters.tobytes(), letters, values,
+                                       high_cells, low_cells])
 
 
 # ------------------------------------------------------------- identity

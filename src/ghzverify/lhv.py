@@ -6,7 +6,7 @@ a quarter-turn basis state, the values of the n single-Y strings fix (by the
 product rule) the predicted value of every S-pole string, and each
 prediction has the opposite sign from the exact eigenvalue: one absolute
 contradiction per S string.  :func:`find_contradictions` checks every S
-string chunk by chunk and keeps no row; what it returns, the generator
+string run by run and keeps no row; what it returns, the generator
 signs and the row count, is enough to regenerate each row, with its
 prediction from :func:`predictions`, as the CLI renders it.
 
@@ -27,7 +27,7 @@ import numpy as np
 from .counting import check_n
 from .errors import CapacityError, ConsistencyError, DomainError
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
-from .poles import (Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, pole_masks,
+from .poles import (Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, pole_runs,
                     xy_letter_matrix)
 from .states import GhzLabel
 
@@ -39,7 +39,7 @@ EXHAUSTIVE_CAP = 10
 class Contradictions:
     """The outcome of one checked analysis, which keeps no row.
 
-    Each of the ``rows`` S strings of n qubits, in :func:`poles.pole_masks`
+    Each of the ``rows`` S strings of n qubits, in :func:`poles.pole_runs`
     order, is one contradiction.  Generator k is ``1 << (n - k)``, the
     single-Y string on qubit k, and bit n - k of ``negative`` is set when
     its eigenvalue is -1.  An S string's Y positions pick the generators
@@ -68,7 +68,7 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
     The generator values come from :func:`eigenvalue_symbolic`; each row's
     prediction comes from :func:`predictions` and its eigenvalue from
     :func:`eigenvalue_column`, so the two stay separate routes.  Every row
-    is checked, one :func:`poles.pole_masks` chunk at a time, to keep its
+    is checked, one :func:`poles.pole_runs` run at a time, to keep its
     eigenstate and to oppose its prediction before the result is returned;
     n < 2, a label that is not canonical and an oversized listing are
     refused before any work.
@@ -77,7 +77,7 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
     check_n(n)
     if not label.is_canonical:
         raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
-    chunks = pole_masks(n, Pole.S)  # refuses an oversized listing
+    runs = pole_runs(n, Pole.S)  # refuses an oversized listing
     negative = 0
     for k in range(1, n + 1):
         generator = 1 << (n - k)
@@ -88,7 +88,8 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
         if value < 0:
             negative |= generator
     rows = 0
-    for targets in chunks:
+    for high, lows in runs:
+        targets = lows | np.uint64(high)
         lhv = predictions(targets, negative)
         quantum = eigenvalue_column(label, 1, targets)
         if (lost := quantum == 0).any():

@@ -12,8 +12,8 @@ strings, and the eigenvalue follows from applying the string to the pair's
 two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 
 One string is an int mask; many are a uint64 column.  :func:`pole_runs`
-yields a pole's strings as runs that share a high part, :func:`pole_masks`
-as bounded chunks of those runs, :func:`enumerate_pole` as one column, and
+yields a pole's strings as runs that share a high part, the one walk over a
+pole, and :func:`enumerate_pole` joins them into one column;
 :func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
 read a column's letters, Y positions and eigenvalues at once: the symplectic
 bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in the
@@ -32,22 +32,17 @@ import numpy as np
 from .errors import CapacityError, DimensionError, DomainError
 from .states import GhzLabel
 
-#: Widest pole listing: :func:`pole_masks` and :func:`pole_runs` refuse
-#: more qubits, and so bound the contradiction reports of ``lhv`` and the
-#: strings of ``enumerate``.  Memory does not grow with n (``lhv --n 24``
+#: Widest pole listing: :func:`pole_runs` refuses more qubits, and so
+#: bounds the contradiction reports of ``lhv`` and the strings of
+#: ``enumerate``.  Memory does not grow with n (``lhv --n 24``
 #: peaks at 30 MB), but time does: at n = 24 ``lhv`` writes 2**22 rows, a
 #: 1.5 GB table, in about 2 s, and each further qubit doubles both.
 REPORT_CAP = 24
 
-#: Most masks in one chunk of :func:`pole_masks`.  It bounds the memory of
-#: the column passes and never changes their output.  Rendering is bounded
-#: by bytes instead: the CLI renders each chunk as blocks of at most 64 KiB
-#: of text, one after another.
-CHUNK_ROWS = 1 << 13
-
 #: The low part of a mask: the bits that vary within one run of
-#: :func:`pole_runs`.  Its tables of low masks hold 2**12 masks in all, and
-#: up to 12 qubits each Y count is a single run.
+#: :func:`pole_runs`.  Its tables of low masks hold 2**12 masks in all, so
+#: no run exceeds C(12, 6) = 924 masks, and up to 12 qubits each Y count is
+#: a single run.
 LOW_BITS = 12
 
 
@@ -60,28 +55,18 @@ class Pole(enum.Enum):
     S = 3
 
 
-def pole_masks(n: int, pole: Pole) -> Iterator[np.ndarray]:
-    """The z masks of every X/Y string at a pole, as uint64 chunks.
+def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+    """The z masks of every X/Y string at a pole, as runs (high, lows).
 
     Strings come by increasing Y count, then in position order; within one Y
     count that is descending mask order, because qubit 1 is the top bit.  A
-    chunk holds at most CHUNK_ROWS masks of a single Y count, the runs of
-    :func:`pole_runs` joined, so no array grows with the size of the pole.
-    The qubit count is checked here, before the first chunk is asked for.
-    """
-    _check_listing(n)
-    return _mask_chunks(n, pole)
-
-
-def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
-    """The strings of :func:`pole_masks`, in its order, as runs (high, lows).
-
-    A run is the masks ``high | lows``: ``high`` is an int mask whose low
+    run is the masks ``high | lows``: ``high`` is an int mask whose low
     ``min(n, LOW_BITS)`` bits are clear, and ``lows`` a read-only uint64
     column of the low masks of one popcount, in descending order, that every
     run with that popcount shares.  Runs of one Y count come by descending
-    high part, so joined they are that count's strings in descending mask
-    order.  The qubit count is checked here, before the first run.
+    high part, so joined they are that count's strings in order, and no
+    array grows with the size of the pole.  The qubit count is checked here,
+    before the first run.
     """
     _check_listing(n)
     return (run for count in range(pole.value, n + 1, 4) for run in _runs(n, count))
@@ -115,22 +100,6 @@ def _low_masks(width: int, count: int) -> np.ndarray:
     return masks
 
 
-def _mask_chunks(n: int, pole: Pole) -> Iterator[np.ndarray]:
-    for count in range(pole.value, n + 1, 4):
-        chunk, filled = np.empty(CHUNK_ROWS, np.uint64), 0
-        for high, lows in _runs(n, count):
-            start = 0
-            while start < len(lows):
-                part = lows[start:start + CHUNK_ROWS - filled]
-                np.bitwise_or(part, np.uint64(high), out=chunk[filled:filled + len(part)])
-                start, filled = start + len(part), filled + len(part)
-                if filled == CHUNK_ROWS:
-                    yield chunk
-                    chunk, filled = np.empty(CHUNK_ROWS, np.uint64), 0
-        if filled:
-            yield chunk[:filled]
-
-
 def pole_size(n: int, pole: Pole) -> int:
     """How many X/Y strings sit at a pole: the binomial sum over its Y counts."""
     return sum(math.comb(n, count) for count in range(pole.value, n + 1, 4))
@@ -150,16 +119,17 @@ def xy_letter_matrix(n: int, masks: np.ndarray) -> np.ndarray:
 def y_columns(n: int, masks: np.ndarray) -> np.ndarray:
     """(rows, count) 0-based qubit indices of the Y letters, qubit 1 first.
 
-    Every mask must hold the same number of Y letters, as in one chunk of
-    :func:`pole_masks`.
+    Every mask must hold the same number of Y letters, as in one run of
+    :func:`pole_runs`.
     """
     return np.nonzero(_mask_bits(n, masks))[1].reshape(len(masks), -1)
 
 
 def enumerate_pole(n: int, pole: Pole) -> np.ndarray:
-    """The z masks of every X/Y string at a pole as one uint64 column, in
-    :func:`pole_masks` order."""
-    return np.concatenate(list(pole_masks(n, pole)) or [np.empty(0, np.uint64)])
+    """The z masks of every X/Y string at a pole as one uint64 column: the
+    runs of :func:`pole_runs` joined, in order."""
+    runs = [lows | np.uint64(high) for high, lows in pole_runs(n, pole)]
+    return np.concatenate(runs or [np.empty(0, np.uint64)])
 
 
 def check_mask(n: int, z: int) -> None:

@@ -5,7 +5,7 @@ package: strings from letters and the symplectic commutation rule, the X/Y
 string with Y at given positions, the pole masks built from
 ``itertools.combinations``, the shortcut eigenvalue rule, the brute-force
 assignment sweep, the commuting family of generator products, the checked
-contradiction rows regenerated chunk by chunk, those rows through an odd
+contradiction rows regenerated run by run, those rows through an odd
 X<->Y swap and its dense half turn, the stdout of ``lhv`` and ``enumerate``
 rendered one row at a time, the eigen residuals of one Pauli image per
 string, and the ``ufunc.outer`` phase tables.
@@ -18,14 +18,14 @@ from functools import reduce
 
 import numpy as np
 
-from ghzverify import __version__, poles
+from ghzverify import __version__
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import DimensionError, DomainError
 from ghzverify.lhv import Contradictions, find_contradictions, predictions
 from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
-                             enumerate_pole, pole_masks)
+                             enumerate_pole, pole_runs)
 from ghzverify.states import GhzLabel
 
 
@@ -56,14 +56,13 @@ def xy_string(n, y_positions):
     return PauliOperator(n, (1 << n) - 1, qubit_mask(n, y_positions))
 
 
-def combination_mask_chunks(n, pole):
-    """The chunks of pole_masks built in Python: each Y count's masks summed
-    from ``itertools.combinations`` of the qubit bits, CHUNK_ROWS at a time."""
+def combination_masks(n, pole):
+    """The column of enumerate_pole built in Python: each Y count's masks
+    summed from ``itertools.combinations`` of the qubit bits."""
     qubit_bits = [1 << (n - k) for k in range(1, n + 1)]
-    for count in range(pole.value, n + 1, 4):
-        masks = map(sum, itertools.combinations(qubit_bits, count))
-        while (chunk := np.fromiter(itertools.islice(masks, poles.CHUNK_ROWS), np.uint64)).size:
-            yield chunk
+    masks = (sum(combination) for count in range(pole.value, n + 1, 4)
+             for combination in itertools.combinations(qubit_bits, count))
+    return np.fromiter(masks, np.uint64)
 
 
 def eigenvalue_rule(label, z):
@@ -126,7 +125,7 @@ def swapped_state(label, mask):
 @dataclass(frozen=True)
 class CheckedRows:
     """The rows of a find_contradictions result on ``label``, regenerated one
-    pole_masks chunk at a time and never held whole, with targets and
+    pole_runs run at a time and never held whole, with targets and
     generators swapped on ``mask`` (0 for none)."""
 
     label: GhzLabel
@@ -142,19 +141,20 @@ class CheckedRows:
         n = self.label.n
         return np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64) ^ np.uint64(self.mask)
 
-    def chunks(self):
-        """(targets, lhv, quantum) per chunk: the swapped S strings, their
+    def runs(self):
+        """(targets, lhv, quantum) per run: the swapped S strings, their
         predictions from lhv.predictions and their eigenvalues on the swapped
         state, from eigenvalue_column."""
         carrier, quarter = swapped_state(self.label, self.mask)
-        for masks in pole_masks(self.label.n, Pole.S):
+        for high, lows in pole_runs(self.label.n, Pole.S):
+            masks = lows | np.uint64(high)
             targets = masks ^ np.uint64(self.mask)
             yield (targets, predictions(masks, self.reports.negative),
                    eigenvalue_column(carrier, quarter, targets))
 
     def opposed(self):
         """Whether every row's prediction is the negated eigenvalue."""
-        return all((lhv == -quantum).all() for _, lhv, quantum in self.chunks())
+        return all((lhv == -quantum).all() for _, lhv, quantum in self.runs())
 
 
 def checked_rows(label):
@@ -206,7 +206,7 @@ def lhv_stdout(label, reports, fmt):
     checked = CheckedRows(label, reports)
     generators = checked.generators.tolist()
     rows = []
-    for targets, lhv, quantum in checked.chunks():
+    for targets, lhv, quantum in checked.runs():
         for target, value, eigenvalue in zip(targets.tolist(), lhv.tolist(), quantum.tolist()):
             names = [xy_letters(n, generators[k - 1]) for k in range(1, n + 1)
                      if target >> (n - k) & 1]

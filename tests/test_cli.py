@@ -280,7 +280,7 @@ class TestOneQubit:
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
         def not_called(*args):
             raise AssertionError("contradictions built before the refusal")
-        monkeypatch.setattr(lhv, "enumerate_pole", not_called)
+        monkeypatch.setattr(lhv, "pole_runs", not_called)
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, _, err = run_cli(capsys, "lhv", "--n", "1")
         assert code == 2
@@ -358,14 +358,15 @@ class TestCheckFailures:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("plant,message", [
-        (lambda value: 0, "S operator XXXYYYYYYY lost its eigenstate"),
-        (lambda value: -value, "XXXYYYYYYY: predicted 1 does not oppose eigenvalue 1"),
+        (lambda value: 0, "S operator XXXYYYYYYYYYYY lost its eigenstate"),
+        (lambda value: -value, "XXXYYYYYYYYYYY: predicted 1 does not oppose eigenvalue 1"),
     ], ids=["lost", "non-opposing"])
-    def test_bad_row_in_the_last_chunk_stops_before_any_output(self, capsys, monkeypatch,
-                                                              fmt, plant, message):
-        # 16-row chunks split the 240 strings at n = 10 into 16 chunks; had
-        # rendering begun before the check pass ended, rows would be written
-        last = 0b0001111111  # XXXYYYYYYY, the last S string
+    def test_bad_row_in_the_last_run_stops_before_any_output(self, capsys, monkeypatch,
+                                                            fmt, plant, message):
+        # the 4,160 S strings at n = 14 come as 12 runs, one per Y count
+        # and high part; had rendering begun before the check pass ended,
+        # rows would be written
+        last = 0b00011111111111  # XXXYYYYYYYYYYY, the last S string
         seen = []
 
         def planted(label, quarter, masks):
@@ -374,12 +375,11 @@ class TestCheckFailures:
             values[masks == last] = plant(values[masks == last])
             return values
 
-        monkeypatch.setattr(poles, "CHUNK_ROWS", 16)
         monkeypatch.setattr(lhv, "eigenvalue_column", planted)
-        code, out, err = run_cli(capsys, "lhv", "--n", "10", "--format", fmt)
+        code, out, err = run_cli(capsys, "lhv", "--n", "14", "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"tool failure: {message}\n"
-        assert len(seen) == 16 and last in seen[-1]
+        assert len(seen) == 12 and last in seen[-1]
 
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
         # negating every image swaps its residuals against +vec and -vec
@@ -431,6 +431,21 @@ class TestRenderingMemory:
             tracemalloc.stop()
         assert len(reports) == counting.c_n_closed(20)
         assert written == (120225792 if json_rows else 71410688)
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_traced_peak_of_enumerate_at_20_qubits(self, monkeypatch, fmt):
+        # the 262,144 strings at the S pole render to megabytes in every
+        # format; stdout is /dev/null, as for lhv above
+        with open(os.devnull, "w") as sink, monkeypatch.context() as patch:
+            patch.setattr(sys, "stdout", sink)
+            tracemalloc.start()
+            try:
+                code = main(["enumerate", "--n", "20", "--pole", "S", "--format", fmt])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
         assert peak < 2 << 20
 
 

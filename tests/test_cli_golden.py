@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ghzverify import cli
 from ghzverify.cli import main
 from ghzverify.lhv import find_contradictions
-from ghzverify.poles import Pole, pole_masks, pole_size
+from ghzverify.poles import Pole, pole_runs, pole_size
 from ghzverify.states import GhzLabel, parse_label
 
 from references import enumerate_stdout, lhv_stdout
@@ -32,6 +32,12 @@ GOLDEN = {
         "97489c0f4fff2afa7a743437ef7092968da9319169ca2f795be2f5c79b15efa6",
     "enumerate --n 12 --pole S --format csv":
         "c990ef9833d8f048b1673f1c6867ad828a124c23703eb53909c05830ec7be227",
+    "enumerate --n 14 --pole N":
+        "f96266979a34a5f3f91730de6441d9c0dd1a0f5a9c5cf4b6289d7079cb68d5f5",
+    "enumerate --n 15 --pole W --format json":
+        "c02acfb0ceeb82ad2958c61aa176f97b35cd8c55a0f582835227a14ab109a222",
+    "enumerate --n 16 --pole S --format csv":
+        "29a63607046e1f7f4bf263c5975c1285b204d8da2858263ee6490bca9a0d7149",
     "identity --n 12":
         "6becf58354f6a76ad3aa9a4ee175f2ac13658027b1121f458e1e1f0878fb27ad",
     "lhv --n 2 --format json":
@@ -113,6 +119,17 @@ def test_enumerate_matches_the_row_at_a_time_reference(data):
     assert (code, out) == (0, enumerate_stdout(n, pole, fmt))
 
 
+@pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+@pytest.mark.parametrize("pole", list(Pole))
+@pytest.mark.parametrize("n", [13, 16])
+def test_enumerate_past_the_low_bits_matches_the_row_at_a_time_reference(n, pole, fmt):
+    # above LOW_BITS qubits each Y count is many runs, one per high part;
+    # 1000-byte blocks end inside runs
+    code, out = _stdout_of(["enumerate", "--n", str(n), "--pole", pole.name, "--format", fmt],
+                           1000)
+    assert (code, out) == (0, enumerate_stdout(n, pole, fmt))
+
+
 def test_report_blocks_outlive_the_next_block(monkeypatch):
     # 200 bytes hold two table rows at n = 10, so a run of equal Y counts
     # spans many blocks; each must keep its bytes once the next is rendered
@@ -127,7 +144,7 @@ def test_listing_blocks_outlive_the_next_block(monkeypatch):
     monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
 
     def blocks():
-        return cli._listing_blocks(10, pole_masks(10, Pole.S), b"  ", b"\n")
+        return cli._listing_blocks(10, pole_runs(10, Pole.S), b"  ", b"\n")
 
     streamed = b"".join(bytes(block) for block in blocks())
     assert b"".join(list(blocks())) == streamed

@@ -55,14 +55,14 @@ class TestValueOf:
 
 
 def _rows(checked, indices=None):
-    """(target, lhv, quantum, generators) of each row, regenerated chunk by chunk.
+    """(target, lhv, quantum, generators) of each row, regenerated run by run.
 
     A row's generators are read bit by bit from its S mask, target ^ checked.mask.
     """
     n = checked.label.n
     generators = checked.generators.tolist()
     rows, offset = [], 0
-    for targets, lhv, quantum in checked.chunks():
+    for targets, lhv, quantum in checked.runs():
         picks = (range(len(targets)) if indices is None
                  else [i - offset for i in indices if offset <= i < offset + len(targets)])
         for i in picks:
@@ -77,7 +77,7 @@ def _rows(checked, indices=None):
 
 def _target_poles(checked):
     return {Pole(_xy(checked.label.n, t).letters().count("Y") % 4)
-            for targets, _, _ in checked.chunks() for t in targets.tolist()}
+            for targets, _, _ in checked.runs() for t in targets.tolist()}
 
 
 class TestFindContradictions:
@@ -88,7 +88,7 @@ class TestFindContradictions:
         assert _rows(checked) == [("YYY", 1, -1, ("YXX", "XYX", "XXY"))]
         assert checked.generators.dtype == np.uint64
         assert checked.generators.tolist() == [0b100, 0b010, 0b001]
-        ((targets, lhv, quantum),) = checked.chunks()
+        ((targets, lhv, quantum),) = checked.runs()
         assert (targets.dtype, lhv.dtype, quantum.dtype) == (np.uint64, np.int8, np.int8)
         # what outlives the call is read-only: the result, and the low-mask
         # tables that every run of the same low popcount shares

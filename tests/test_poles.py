@@ -8,18 +8,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import poles
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply
-from ghzverify.poles import (CHUNK_ROWS, LOW_BITS, Pole, REPORT_CAP, eigenvalue_column,
-                             eigenvalue_symbolic, enumerate_pole, pole_masks, pole_runs,
-                             pole_size, xy_letter_matrix, y_columns)
+from ghzverify.poles import (LOW_BITS, Pole, REPORT_CAP, eigenvalue_column, eigenvalue_symbolic,
+                             enumerate_pole, pole_runs, pole_size, xy_letter_matrix, y_columns)
 from ghzverify.states import GhzLabel, rotated_dense
-from references import (combination_mask_chunks, commutes, compatible_family, eigenvalue_rule,
+from references import (combination_masks, commutes, compatible_family, eigenvalue_rule,
                         from_letters, xy_string)
 import math
 
@@ -94,12 +92,12 @@ class TestEnumerate:
                 "n": n, "pole": "S", "operators": operators, "count": len(operators)}
 
     def test_capacity(self):
-        masks = next(pole_masks(REPORT_CAP, Pole.N))
-        assert np.bitwise_count(masks[0]) == 1 and masks[0] == 1 << (REPORT_CAP - 1)
+        high, lows = next(pole_runs(REPORT_CAP, Pole.N))
+        assert high | int(lows[0]) == 1 << (REPORT_CAP - 1)
         for n in (REPORT_CAP + 1, 64):
             with pytest.raises(CapacityError,
                                match=f"pole listings are capped at 24 qubits \\(got {n}\\)"):
-                pole_masks(n, Pole.N)
+                pole_runs(n, Pole.N)
 
 
 class TestPoleMasks:
@@ -109,37 +107,27 @@ class TestPoleMasks:
             expected = [(count, sum(1 << (n - k) for k in positions))
                         for count in range(pole.value, n + 1, 4)
                         for positions in itertools.combinations(range(1, n + 1), count)]
-            got = [(count, z) for masks in pole_masks(n, pole)
-                   for count, z in zip(np.bitwise_count(masks).tolist(), masks.tolist())]
+            masks = enumerate_pole(n, pole)
+            got = list(zip(np.bitwise_count(masks).tolist(), masks.tolist()))
             assert got == expected
 
-    def test_chunks_are_bounded_and_hold_one_y_count(self):
+    def test_runs_are_bounded_and_hold_one_y_count(self):
         n = 17
-        chunks = list(pole_masks(n, Pole.S))
-        assert max(len(masks) for masks in chunks) == CHUNK_ROWS
-        for masks in chunks:
+        runs = [lows | np.uint64(high) for high, lows in pole_runs(n, Pole.S)]
+        assert max(len(masks) for masks in runs) == math.comb(LOW_BITS, LOW_BITS // 2)
+        for masks in runs:
             assert masks.dtype == np.uint64 and masks.size
             counts = np.bitwise_count(masks)
             assert (counts == counts[0]).all()
             assert (np.diff(masks.astype(np.int64)) < 0).all()
-        assert sum(len(masks) for masks in chunks) == c_n_binomial(n)
+        assert sum(len(masks) for masks in runs) == c_n_binomial(n)
 
     @pytest.mark.parametrize("n", [*range(1, 17), 20])
-    def test_chunks_match_the_combinations_builder(self, n):
+    def test_listing_matches_the_combinations_builder(self, n):
         for pole in Pole:
-            built = list(pole_masks(n, pole))
-            reference = list(combination_mask_chunks(n, pole))
-            assert [len(masks) for masks in built] == [len(masks) for masks in reference]
-            for masks, expected in zip(built, reference):
-                assert masks.dtype == np.uint64 and np.array_equal(masks, expected)
-
-    @pytest.mark.parametrize("n", [13, 16])
-    def test_chunks_split_runs_at_any_chunk_size(self, monkeypatch, n):
-        # 100-row chunks end inside runs and hold several runs of one Y count
-        monkeypatch.setattr(poles, "CHUNK_ROWS", 100)
-        for pole in Pole:
-            assert ([masks.tolist() for masks in pole_masks(n, pole)]
-                    == [masks.tolist() for masks in combination_mask_chunks(n, pole)])
+            masks = enumerate_pole(n, pole)
+            assert masks.dtype == np.uint64
+            assert np.array_equal(masks, combination_masks(n, pole))
 
     @pytest.mark.parametrize("n", [1, 5, 12, 13, 17])
     def test_runs_join_to_the_listing(self, n):
@@ -347,7 +335,8 @@ class TestPoleOperatorRendering:
     def test_y_positions_match_letter_scan(self, n):
         for pole in Pole:
             masks_in_order = iter(enumerate_pole(n, pole).tolist())
-            for masks in pole_masks(n, pole):
+            for high, lows in pole_runs(n, pole):
+                masks = lows | np.uint64(high)
                 columns = y_columns(n, masks)
                 assert columns.shape == (len(masks), np.bitwise_count(masks[0]))
                 for row, z in zip(columns.tolist(), masks_in_order):
