@@ -72,10 +72,10 @@ def _print_json_streamed(payload: dict, items: Iterable[memoryview]) -> None:
     sys.stdout.write(tail + "\n")
 
 
-def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> memoryview:
+def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> np.ndarray:
     """``size`` rows of bytes, each the parts in order: a bytes part is the
     same on every row, and an array part holds its rows as a (size, width)
-    uint8 matrix.  The rows are filled part by part into one new block."""
+    uint8 matrix.  The rows are filled part by part into one new 2-D block."""
     import numpy as np
 
     widths = [len(part) if isinstance(part, bytes) else part.shape[1] for part in parts]
@@ -85,15 +85,15 @@ def _rows(size: int, parts: Sequence[bytes | np.ndarray]) -> memoryview:
         block[:, column:column + width] = (np.frombuffer(part, np.uint8)
                                            if isinstance(part, bytes) else part)
         column += width
-    return memoryview(block).cast("B")
+    return block
 
 
 def _letter_runs(n: int, runs: Iterable[tuple[int, np.ndarray]],
                  low_table: Callable[[int, np.ndarray], Any]
-                 ) -> Iterator[tuple[int, np.ndarray, np.ndarray, Any]]:
-    """(high, high letters, lows, table) for each run (high, lows) of
-    :func:`poles.pole_runs`: the letters of the high part, qubit 1 first, and
-    ``low_table(low width, lows)``, built once for each low Y count."""
+                 ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, Any]]:
+    """(high, high letters, lows, table) for each run of :func:`poles.pole_runs`:
+    the high part as a one-mask uint64 column and its letters, qubit 1 first,
+    and ``low_table(low width, lows)``, built once for each low Y count."""
     import numpy as np
 
     from . import poles
@@ -101,11 +101,11 @@ def _letter_runs(n: int, runs: Iterable[tuple[int, np.ndarray]],
     low_width = min(n, poles.LOW_BITS)
     tables: dict[int, Any] = {}
     for high, lows in runs:
-        low_ys = int(lows[0]).bit_count()
-        if low_ys not in tables:
-            tables[low_ys] = low_table(low_width, lows)
-        high_letters = poles.xy_letter_matrix(n, np.array([high], np.uint64))[0, :n - low_width]
-        yield high, high_letters, lows, tables[low_ys]
+        top = int(lows[0])  # the largest low mask, one for each low Y count
+        if top not in tables:
+            tables[top] = low_table(low_width, lows)
+        column = np.array([high], np.uint64)
+        yield column, poles.xy_letter_matrix(n, column)[0, :n - low_width], lows, tables[top]
 
 
 def _blocks(size: int, parts: Sequence[bytes | np.ndarray]) -> Iterator[memoryview]:
@@ -115,20 +115,23 @@ def _blocks(size: int, parts: Sequence[bytes | np.ndarray]) -> Iterator[memoryvi
     step = max(1, _BLOCK_BYTES // width)
     for start in range(0, size, step):
         rows = slice(start, start + step)
-        yield _rows(min(step, size - start),
-                    [part if isinstance(part, bytes) else part[rows] for part in parts])
+        yield memoryview(_rows(min(step, size - start), [
+            part if isinstance(part, bytes) else part[rows] for part in parts])).cast("B")
 
 
 def _listing_blocks(n: int, runs: Iterable[tuple[int, np.ndarray]],
                     prefix: bytes, suffix: bytes) -> Iterator[memoryview]:
     """Rendered X/Y strings of :func:`poles.pole_runs` runs, one per row
     between ``prefix`` and ``suffix``, each block within one run; a row is
-    its run's high letters and a row of its low Y count's letter table, so
-    no row's bits are unpacked."""
+    its run's high letters and a row of its low Y count's table (the low
+    letters, then ``suffix``), so no row's bits are unpacked."""
     from . import poles
 
-    for _, high_letters, lows, letters in _letter_runs(n, runs, poles.xy_letter_matrix):
-        yield from _blocks(len(lows), [prefix + high_letters.tobytes(), letters, suffix])
+    def low_table(low_width: int, lows: np.ndarray) -> np.ndarray:
+        return _rows(len(lows), [poles.xy_letter_matrix(low_width, lows), suffix])
+
+    for _, high_letters, lows, table in _letter_runs(n, runs, low_table):
+        yield from _blocks(len(lows), [prefix + high_letters.tobytes(), table])
 
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
@@ -271,11 +274,12 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
     """Rendered report rows, in blocks of at most _BLOCK_BYTES (at least one
     row) that each hold rows of one run of :func:`poles.pole_runs`.
 
-    A row is built from its run's constants (the high part's letters and
-    generator cells), from tables built once per call for each low Y count
-    (the low part's letters and generator cells, each with the constant
-    text after it), and from its sign, picked by :func:`lhv.predictions`;
-    no row's bits are unpacked."""
+    Each part of a row (letters, sign, generator cells) is a constant of
+    its run, from the high part, or a row of a table built once per call
+    for each low Y count, from the low part.  A prediction is a product
+    over the Y letters, so :func:`lhv.predictions` of the low masks builds
+    sign tables under a high part that predicts +1 and one that predicts
+    -1, and that of the high part picks one; no row's bits are unpacked."""
     import numpy as np
 
     from . import lhv, poles
@@ -291,33 +295,33 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
         head, middle, before, tail = b"  ", b": local-realist ", b" (from ", b")\n"
     sign_table = np.frombuffer(b"".join(signs), np.uint8).reshape(2, -1)
 
-    def matrix(size: int, parts: Sequence[bytes | np.ndarray]) -> np.ndarray:
-        return np.frombuffer(_rows(size, parts), np.uint8).reshape(size, -1)
+    def flips(masks: np.ndarray) -> np.ndarray:
+        # lhv = +1 picks sign row 0 and lhv = -1 row 1
+        return (1 - lhv.predictions(masks, reports.negative)) >> 1
 
     # row k - 1 is generator k's letters, then the separator
     generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
-    cells = matrix(n, [poles.xy_letter_matrix(n, generators), separator])
+    cells = _rows(n, [poles.xy_letter_matrix(n, generators), separator])
 
-    def low_table(low_width: int, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # the low parts' letters, then the text up to the sign, and their
-        # generator cells, then the row's end; the cells drop the row's last
-        # separator, which a run of no low Y drops instead
-        picked = np.take(cells[n - low_width:], poles.y_columns(low_width, lows), axis=0)
-        return (matrix(len(lows), [poles.xy_letter_matrix(low_width, lows), middle]),
-                matrix(len(lows), [picked.reshape(len(lows), -1)[:, :-len(separator)], tail]))
+    def low_table(low_width: int, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # the low parts' letters, then the text up to the sign; their signs
+        # under a high part that predicts +1 (row 0) and -1 (row 1); and
+        # their generator cells, then the row's end.  The cells drop the
+        # row's last separator, which a run of no low Y drops instead
+        letters = poles.xy_letter_matrix(low_width, lows)
+        picked = cells[n - low_width:][np.nonzero(letters == ord("Y"))[1]]
+        low_flips = flips(lows)
+        return (_rows(len(lows), [letters, middle]),
+                sign_table[np.stack([low_flips, 1 - low_flips])],
+                _rows(len(lows), [picked.reshape(len(lows), -1)[:, :-len(separator)], tail]))
 
     runs = poles.pole_runs(n, poles.Pole.S)
-    for high, high_letters, lows, (letters, low_cells) in _letter_runs(n, runs, low_table):
+    for high, high_letters, lows, (letters, values, low_cells) in _letter_runs(n, runs, low_table):
         high_cells = before + cells[np.flatnonzero(high_letters == ord("Y"))].tobytes()
         if not lows[0]:
             high_cells = high_cells[:-len(separator)]
-        # lhv = +1 picks sign row 0 and lhv = -1 row 1; every index is in
-        # range, so mode="clip" only skips the bounds check
-        values = np.take(sign_table, (1 - lhv.predictions(lows | np.uint64(high),
-                                                          reports.negative)) >> 1,
-                         axis=0, mode="clip")
-        yield from _blocks(len(lows), [head + high_letters.tobytes(), letters, values,
-                                       high_cells, low_cells])
+        yield from _blocks(len(lows), [head + high_letters.tobytes(), letters,
+                                       values[flips(high)[0]], high_cells, low_cells])
 
 
 # ------------------------------------------------------------- identity

@@ -7,8 +7,8 @@ product rule) the predicted value of every S-pole string, and each
 prediction has the opposite sign from the exact eigenvalue: one absolute
 contradiction per S string.  :func:`find_contradictions` checks every S
 string run by run and keeps no row; what it returns, the generator
-signs and the row count, is enough to regenerate each row, with its
-prediction from :func:`predictions`, as the CLI renders it.
+signs and the row count, is enough to regenerate each row; the CLI
+renders its sign from the :func:`predictions` of its high and low bits.
 
 The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
@@ -45,7 +45,8 @@ class Contradictions:
     its eigenvalue is -1.  An S string's Y positions pick the generators
     that the product rule multiplies, so its prediction is
     :func:`predictions` of its z mask (see :mod:`poles`) and ``negative``,
-    and its eigenvalue was checked to be the opposite.
+    and its eigenvalue was checked to be the opposite.  The product rule
+    splits: two disjoint masks' union predicts the product of theirs.
     """
 
     n: int

@@ -14,10 +14,10 @@ two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 One string is an int mask; many are a uint64 column.  :func:`pole_runs`
 yields a pole's strings as runs that share a high part, the one walk over a
 pole, and :func:`enumerate_pole` joins them into one column;
-:func:`xy_letter_matrix`, :func:`y_columns` and :func:`eigenvalue_column`
-read a column's letters, Y positions and eigenvalues at once: the symplectic
-bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in the
-bit-packed layout of Stim (arXiv:2103.02202).
+:func:`xy_letter_matrix` and :func:`eigenvalue_column` read a column's
+letters and eigenvalues at once: the symplectic bit-mask idiom of Aaronson
+and Gottesman (quant-ph/0406196) in the bit-packed layout of Stim
+(arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .states import GhzLabel
 #: bounds the contradiction reports of ``lhv`` and the strings of
 #: ``enumerate``.  Memory does not grow with n (``lhv --n 24``
 #: peaks at 30 MB), but time does: at n = 24 ``lhv`` writes 2**22 rows, a
-#: 1.5 GB table, in about 2 s, and each further qubit doubles both.
+#: 1.5 GB table (README Caps has the time); both double with each qubit.
 REPORT_CAP = 24
 
 #: The low part of a mask: the bits that vary within one run of
@@ -105,24 +105,11 @@ def pole_size(n: int, pole: Pole) -> int:
     return sum(math.comb(n, count) for count in range(pole.value, n + 1, 4))
 
 
-def _mask_bits(n: int, masks: np.ndarray) -> np.ndarray:
-    """(rows, n) uint8 matrix of the masks' bits, qubit 1 (the top bit) first."""
-    octets = masks.astype(">u8").view(np.uint8).reshape(len(masks), 8)
-    return np.unpackbits(octets, axis=1)[:, 64 - n:]
-
-
 def xy_letter_matrix(n: int, masks: np.ndarray) -> np.ndarray:
-    """(rows, n) ASCII letters of the X/Y strings with these z masks."""
-    return _mask_bits(n, masks) + np.uint8(ord("X"))  # "Y" is the next byte
-
-
-def y_columns(n: int, masks: np.ndarray) -> np.ndarray:
-    """(rows, count) 0-based qubit indices of the Y letters, qubit 1 first.
-
-    Every mask must hold the same number of Y letters, as in one run of
-    :func:`pole_runs`.
-    """
-    return np.nonzero(_mask_bits(n, masks))[1].reshape(len(masks), -1)
+    """(rows, n) ASCII letters of the X/Y strings with these z masks, qubit
+    1 (the top bit) first."""
+    octets = masks.astype(">u8").view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n:] + np.uint8(ord("X"))  # "Y" is the next byte
 
 
 def enumerate_pole(n: int, pole: Pole) -> np.ndarray:

@@ -87,7 +87,8 @@ def _stdout_of(argv, block_bytes):
 @given(st.data())
 @settings(deadline=None, max_examples=60)
 def test_lhv_matches_the_row_at_a_time_reference(data):
-    n = data.draw(st.integers(2, 12), label="n")
+    # past LOW_BITS = 12 qubits a run's high part can predict -1
+    n = data.draw(st.integers(2, 14), label="n")
     label = GhzLabel(n, data.draw(st.integers(0, (1 << (n - 1)) - 1), label="bits"),
                      data.draw(st.sampled_from([1, -1]), label="sign"))
     fmt = data.draw(st.sampled_from(["table", "json"]), label="format")

@@ -18,7 +18,7 @@ from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.lhv import EXHAUSTIVE_CAP, exhaustive_search, find_contradictions
+from ghzverify.lhv import EXHAUSTIVE_CAP, exhaustive_search, find_contradictions, predictions
 from ghzverify.oracle import DENSE_MATRIX_CAP
 from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, multiply,
                              odd_subset_identities, qubit_mask, verify_ks_identity)
@@ -133,6 +133,22 @@ class TestFindContradictions:
     def test_non_canonical_rejected(self):
         with pytest.raises(DomainError):
             find_contradictions(GhzLabel(3, 0b100, 1))
+
+    @pytest.mark.parametrize("n", [13, 16])
+    def test_predictions_split_over_each_run(self, n):
+        # the CLI prints a row's sign as its run's high part's prediction
+        # times its low mask's: the product rule splits over disjoint bits
+        rng = np.random.default_rng(n)
+        high_values = set()
+        for bits in rng.integers(0, 1 << (n - 1), size=3).tolist():
+            for sign in (1, -1):  # the sign is generator 1's eigenvalue
+                negative = find_contradictions(GhzLabel(n, bits, sign)).negative
+                for high, lows in pole_runs(n, Pole.S):
+                    high_value = predictions(np.array([high], np.uint64), negative)
+                    assert np.array_equal(predictions(lows, negative) * high_value,
+                                          predictions(lows | np.uint64(high), negative))
+                    high_values.add(int(high_value[0]))
+        assert high_values == {1, -1}
 
     @pytest.mark.parametrize("analysis", [
         find_contradictions, lambda label: ew_contradictions(label, {1})],

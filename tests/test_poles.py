@@ -15,7 +15,7 @@ from ghzverify.errors import CapacityError, DimensionError, DomainError
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply
 from ghzverify.poles import (LOW_BITS, Pole, REPORT_CAP, eigenvalue_column, eigenvalue_symbolic,
-                             enumerate_pole, pole_runs, pole_size, xy_letter_matrix, y_columns)
+                             enumerate_pole, pole_runs, pole_size, xy_letter_matrix)
 from ghzverify.states import GhzLabel, rotated_dense
 from references import (combination_masks, commutes, compatible_family, eigenvalue_rule,
                         from_letters, xy_string)
@@ -326,27 +326,6 @@ class TestPoleDerivation:
         north = enumerate_pole(n, Pole.N).tolist()
         for k in range(1, n + 1):
             assert xy_string(n, (k,)).z_bits in north
-
-
-class TestPoleOperatorRendering:
-    """Letters and Y positions of a pole's strings, read from their z masks."""
-
-    @pytest.mark.parametrize("n", range(1, 9))
-    def test_y_positions_match_letter_scan(self, n):
-        for pole in Pole:
-            masks_in_order = iter(enumerate_pole(n, pole).tolist())
-            for high, lows in pole_runs(n, pole):
-                masks = lows | np.uint64(high)
-                columns = y_columns(n, masks)
-                assert columns.shape == (len(masks), np.bitwise_count(masks[0]))
-                for row, z in zip(columns.tolist(), masks_in_order):
-                    op = PauliOperator(n, (1 << n) - 1, z)
-                    scanned = [k for k in range(1, n + 1) if op.letter(k) == "Y"]
-                    assert [k + 1 for k in row] == scanned
-
-    def test_y_positions_wide(self):
-        masks = np.array([xy_string(63, (1, 2, 40, 63)).z_bits], np.uint64)
-        assert (y_columns(63, masks) + 1).tolist() == [[1, 2, 40, 63]]
 
 
 def test_xy_string_positions():

@@ -13,7 +13,9 @@ the package has a caller in the package, or the benchmark traces it.
 """
 
 import ast
+import functools
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -27,8 +29,9 @@ CORE = ["errors", "counting", "pauli", "rotations"]
 NUMPY_BACKED = (set(SYMBOLIC) | set(ORACLE) | {"checks"}) - set(CORE)
 
 
+@functools.cache
 def _imports(module, top_level=False):
-    """(imported module, imported name or None) for each import.
+    """(imported module, imported name or None) for each import, read once.
 
     A ghzverify module is named without its package prefix, any other by
     its full name.  ``top_level`` keeps only the imports that run when the
@@ -50,7 +53,7 @@ def _imports(module, top_level=False):
         elif isinstance(node, ast.Import):
             for alias in node.names:
                 found.append((alias.name.removeprefix("ghzverify."), None))
-    return found
+    return tuple(found)
 
 
 def test_every_module_is_placed():
@@ -121,20 +124,31 @@ def test_cli_copies_no_library_cap():
     assert caps == set()
 
 
-def _has_caller(trees, module, name, definition):
+def _uses(tree):
+    """The ids of the nodes that name each bare ``name`` and each
+    ``module.name`` attribute in a module, keyed ``name`` and ``(module, name)``."""
+    uses = defaultdict(set)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            uses[node.id].add(id(node))
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            uses[(node.value.id, node.attr)].add(id(node))
+    return uses
+
+
+def _has_caller(uses, module, name, definition):
     """Whether package code outside the definition loads ``module.name`` (or
-    the bare name, in ``module`` or a module importing it)."""
+    the bare name, in ``module`` or a module importing it); ``uses`` holds
+    :func:`_uses` of each module."""
     inside = {id(node) for node in ast.walk(definition)}
     # _imports reads "from . import __version__" as a module named __version__
     binding = (name, None) if module == "__init__" else (module, name)
-    for other, tree in trees.items():
-        bare = other == module or binding in _imports(other)
-        for node in ast.walk(tree):
-            if id(node) not in inside and (
-                    bare and isinstance(node, ast.Name) and node.id == name
-                    or isinstance(node, ast.Attribute) and node.attr == name
-                    and getattr(node.value, "id", None) == module):
-                return True
+    for other, other_uses in uses.items():
+        found = other_uses.get((module, name), set())
+        if other == module or binding in _imports(other):
+            found = found | other_uses.get(name, set())
+        if found - inside:
+            return True
     return False
 
 
@@ -144,6 +158,7 @@ def test_every_package_name_has_a_caller_or_is_traced():
 
     traced = {(layer, qualname.split(".")[0]) for layer, qualname in _traced()}
     trees = {path.stem: ast.parse(path.read_text()) for path in PACKAGE.glob("*.py")}
+    uses = {module: _uses(tree) for module, tree in trees.items()}
     uncalled = set()
     for module, tree in trees.items():
         for node in tree.body:
@@ -155,6 +170,6 @@ def test_every_package_name_has_a_caller_or_is_traced():
             else:
                 names = []
             uncalled |= {(module, name) for name in names
-                         if not _has_caller(trees, module, name, node)}
+                         if not _has_caller(uses, module, name, node)}
     # the one exception: ROADMAP item 6 would give eigen_check_general a command
     assert uncalled - traced == {("checks", "eigen_check_general")}
