@@ -328,6 +328,41 @@ class TestPoleDerivation:
             assert xy_string(n, (k,)).z_bits in north
 
 
+def _split_y_positions(n, high, lows):
+    """0-based Y positions of each row, read as the lhv report reads them:
+    the run's high letters, then the Y cells of the low letter table."""
+    low_width = min(n, LOW_BITS)
+    high_letters = xy_letter_matrix(n, np.array([high], np.uint64))[0, :n - low_width]
+    low_letters = xy_letter_matrix(low_width, lows)
+    low_columns = np.nonzero(low_letters == ord("Y"))[1].reshape(len(lows), -1)
+    high_columns = np.flatnonzero(high_letters == ord("Y"))
+    return np.hstack([np.broadcast_to(high_columns, (len(lows), len(high_columns))),
+                      low_columns + (n - low_width)])
+
+
+class TestPoleOperatorRendering:
+    """Letters and Y positions of a pole's strings, read from their z masks."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_y_positions_match_letter_scan(self, n):
+        for pole in Pole:
+            masks_in_order = iter(enumerate_pole(n, pole).tolist())
+            for high, lows in pole_runs(n, pole):
+                masks = lows | np.uint64(high)
+                columns = _split_y_positions(n, high, lows)
+                assert columns.shape == (len(masks), np.bitwise_count(masks[0]))
+                for row, z in zip(columns.tolist(), masks_in_order):
+                    op = PauliOperator(n, (1 << n) - 1, z)
+                    scanned = [k for k in range(1, n + 1) if op.letter(k) == "Y"]
+                    assert [k + 1 for k in row] == scanned
+
+    def test_y_positions_wide(self):
+        z = xy_string(63, (1, 2, 40, 63)).z_bits
+        low = (1 << LOW_BITS) - 1
+        lows = np.array([z & low], np.uint64)
+        assert (_split_y_positions(63, z & ~low, lows) + 1).tolist() == [[1, 2, 40, 63]]
+
+
 def test_xy_string_positions():
     assert xy_string(4, (2, 4)).letters() == "XYXY"
     with pytest.raises(DomainError):
