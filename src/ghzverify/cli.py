@@ -8,18 +8,19 @@ stdout is closed before the output is written, as by ``| head``.
 
 Only ``enumerate``, ``verify`` and ``lhv`` use numpy, so this module loads
 the stdlib and the package's numpy-free core alone, and those commands and
-their render helpers import the numpy-backed modules when they run.
+their render helpers import the numpy-backed modules when they run.  The json
+printers import ``json`` and ``identity`` imports ``pauli``, so ``count``
+in table or csv form loads neither.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from . import __version__, counting, pauli
+from . import __version__, counting
 from .errors import ConsistencyError, GhzVerifyError
 
 if TYPE_CHECKING:
@@ -43,6 +44,8 @@ _BLOCK_BYTES = 1 << 16
 
 
 def _print_json(payload: dict) -> None:
+    import json
+
     print(json.dumps(payload, indent=2))
 
 
@@ -60,6 +63,8 @@ def _print_json_streamed(payload: dict, items: Iterable[memoryview]) -> None:
     spaces and followed by ",\n"; the last item's comma is dropped.  A block
     is written as it arrives, holding back only that ",\n".
     """
+    import json
+
     head, tail = json.dumps(payload, indent=2).split(json.dumps(_STREAMED))
     sys.stdout.write(head)
     write = _binary_stdout()
@@ -149,7 +154,7 @@ def cmd_count(args: argparse.Namespace) -> int:
         _print_json({
             "command": "count",
             "version": __version__,
-            "reports": [vars(r) for r in reports],
+            "reports": [r._asdict() for r in reports],
         })
     elif args.format == "csv":
         print("n,c_n,compatible,closed_form_value,binomial_value")
@@ -338,29 +343,30 @@ def _parse_subset(text: str) -> list[int]:
 
 
 def cmd_identity(args: argparse.Namespace) -> int:
+    from . import pauli
+
     n = args.n
     if args.subset is None:
         verdicts = pauli.odd_subset_identities(n)
     else:
         subset = _parse_subset(args.subset)
         verdicts = [(subset, pauli.verify_ks_identity(n, subset))]
-    rows = [{"subset": list(subset), "sign": "+" if len(subset) % 4 == 1 else "-", "pass": ok}
-            for subset, ok in verdicts]
-    all_pass = all(row["pass"] for row in rows)
+    rows = [(subset, "+" if len(subset) % 4 == 1 else "-", ok) for subset, ok in verdicts]
+    all_pass = all(ok for _, _, ok in rows)
     if args.format == "json":
         _print_json({
             "command": "identity",
             "version": __version__,
             "n": n,
-            "checks": rows,
+            "checks": [{"subset": list(subset), "sign": sign, "pass": ok}
+                       for subset, sign, ok in rows],
             "pass": all_pass,
         })
     else:
         print(f"identity n={n} version={__version__}")
-        for row in rows:
-            status = "PASS" if row["pass"] else "FAIL"
-            subset_text = ",".join(str(k) for k in row["subset"])
-            print(f"  {status}  subset={subset_text} sign={row['sign']}")
+        sys.stdout.write("".join(
+            f"  {'PASS' if ok else 'FAIL'}  subset={','.join(map(str, subset))} sign={sign}\n"
+            for subset, sign, ok in rows))
         print("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
     return 0 if all_pass else 1
 

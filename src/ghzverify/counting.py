@@ -8,7 +8,7 @@ evaluated by case analysis on n mod 8, where the sqrt(2) factors cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DomainError
 
@@ -16,8 +16,7 @@ from .errors import ConsistencyError, DomainError
 MAX_COUNT_N = 64
 
 
-@dataclass(frozen=True)
-class CountReport:
+class CountReport(NamedTuple):
     n: int
     c_n: int
     compatible: int

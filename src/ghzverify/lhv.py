@@ -60,7 +60,9 @@ class Contradictions:
 def predictions(masks: np.ndarray, negative: int) -> np.ndarray:
     """The product-rule predictions of the X/Y strings with these z masks,
     as int8 +/-1: (-1)**popcount(mask & negative)."""
-    return (1 - 2 * (np.bitwise_count(masks & np.uint64(negative)) & 1)).astype(np.int8)
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(masks & np.uint64(negative)) & 1).astype(np.int8)
+    return 1 - 2 * parity
 
 
 def find_contradictions(label: GhzLabel) -> Contradictions:

@@ -13,15 +13,16 @@ Every operation below is integer arithmetic on masks and phase exponents,
 so products and equality checks are exact; nothing in this module touches
 floating point, and nothing imports numpy, so the generator product
 identities (:func:`verify_ks_identity`, swept over every odd subset by
-:func:`odd_subset_identities`) run without it.
+:func:`odd_subset_identities`, which shares each prefix product among the
+subsets that extend it) run without it, nor with dataclasses and the
+``inspect`` they import: an operator is a checked named tuple.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import reduce
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import CapacityError, DimensionError, DomainError
 
@@ -31,29 +32,33 @@ IDENTITY_ALL_SUBSETS_CAP = 12
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
 
-@dataclass(frozen=True)
-class PauliOperator:
+class _Fields(NamedTuple):
+    n: int
+    x_bits: int
+    z_bits: int
+    phase: int
+
+
+class PauliOperator(_Fields):
     """A phase-tracked tensor product of I/X/Y/Z over ``n`` qubits.
 
     ``x_bits`` marks the qubits whose letter anticommutes with Z (X or Y);
     ``z_bits`` marks those anticommuting with X (Z or Y).  Bit k sits at
     position n - k, i.e. qubit 1 is the most significant bit.  The operator
     carries the factor i**phase, and ``phase`` is stored modulo 4, so equal
-    operators compare and hash equal.
+    operators compare and hash equal.  It is an immutable named tuple of
+    (n, x_bits, z_bits, phase), checked when it is built.
     """
 
-    n: int
-    x_bits: int
-    z_bits: int
-    phase: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "phase", self.phase % 4)
-        if self.n < 1:
+    def __new__(cls, n: int, x_bits: int, z_bits: int, phase: int = 0) -> PauliOperator:
+        if n < 1:
             raise DimensionError("operator needs at least one qubit")
-        full = (1 << self.n) - 1
-        if not 0 <= self.x_bits <= full or not 0 <= self.z_bits <= full:
+        full = (1 << n) - 1
+        if not 0 <= x_bits <= full or not 0 <= z_bits <= full:
             raise DomainError("bit mask out of range for qubit count")
+        return tuple.__new__(cls, (n, x_bits, z_bits, phase % 4))
 
     def letter(self, k: int) -> str:
         """Letter on qubit k (1-based, qubit 1 leftmost)."""
@@ -126,18 +131,34 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
 
 
 def odd_subset_identities(n: int) -> list[tuple[tuple[int, ...], bool]]:
-    """(subset, :func:`verify_ks_identity` verdict) for every odd subset of
-    qubits 1..n, by size and then in position order.
+    """(subset, verdict) for every odd subset of qubits 1..n, by size and
+    then in position order, each verdict the one :func:`verify_ks_identity`
+    gives.
 
+    The products are built level by level: a subset's product is its prefix
+    one position shorter times the generator at its last position, which is
+    the left fold that :func:`verify_ks_identity` forms, so each of the
+    2**n - n - 1 subsets of two or more qubits costs one :func:`multiply`.
     Fewer than one qubit is refused, since the sweep would check nothing,
-    and the 2**(n - 1) subsets are refused above IDENTITY_ALL_SUBSETS_CAP
-    qubits, before the first is checked.
+    and the 2**(n - 1) odd subsets are refused above
+    IDENTITY_ALL_SUBSETS_CAP qubits, before the first is checked.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
     if n > IDENTITY_ALL_SUBSETS_CAP:
         raise CapacityError(f"checking all odd subsets is capped at {IDENTITY_ALL_SUBSETS_CAP} "
                             f"qubits; pass --subset for larger n")
-    return [(subset, verify_ks_identity(n, subset))
-            for size in range(1, n + 1, 2)
-            for subset in itertools.combinations(range(1, n + 1), size)]
+    full = (1 << n) - 1
+    qubits = range(1, n + 1)
+    generators = {k: PauliOperator(n, full, 1 << (n - k)) for k in qubits}
+    products = {(k,): generators[k] for k in qubits}
+    verdicts = []
+    for size in qubits:
+        if size > 1:
+            products = {s: multiply(products[s[:-1]], generators[s[-1]])
+                        for s in itertools.combinations(qubits, size)}
+        if size % 2:
+            sign = 0 if size % 4 == 1 else 2
+            verdicts += [(s, product == PauliOperator(n, full, qubit_mask(n, s), sign))
+                         for s, product in products.items()]
+    return verdicts

@@ -7,6 +7,7 @@ import math
 import re
 import time
 import tracemalloc
+import warnings
 from functools import reduce
 
 import numpy as np
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ghzverify import pauli
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
@@ -150,6 +152,17 @@ class TestFindContradictions:
                     high_values.add(int(high_value[0]))
         assert high_values == {1, -1}
 
+    def test_predictions_are_int8_without_wraparound(self):
+        # a uint8 parity would reach -1 only by wrapping, which warns on a scalar
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for mask, value in ((4, -1), (3, -1), (6, 1), (0, 1)):
+                scalar = predictions(np.uint64(mask), 0b110)
+                assert (scalar.dtype, int(scalar)) == (np.int8, value)
+            column = predictions(np.array([4, 5, 3, 0, 6], np.uint64), 0b110)
+        assert column.dtype == np.int8
+        assert column.tolist() == [-1, -1, -1, 1, 1]
+
     @pytest.mark.parametrize("analysis", [
         find_contradictions, lambda label: ew_contradictions(label, {1})],
         ids=["find_contradictions", "ew_contradictions"])
@@ -246,6 +259,43 @@ class TestKsIdentity:
         # an empty sweep would pass after checking nothing
         with pytest.raises(DomainError, match=f"need n >= 1, got {n}"):
             odd_subset_identities(n)
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_sweep_agrees_with_the_one_subset_route(self, n):
+        # the sweep shares prefix products; each verdict is still the fold's
+        assert odd_subset_identities(n) == [(subset, verify_ks_identity(n, subset))
+                                            for subset in _odd_subsets(n)]
+
+    def test_a_wrong_prefix_product_fails_every_subset_that_extends_it(self, monkeypatch):
+        # a product whose z mask is that of (2, 3, 5) gets its sign flipped,
+        # so both routes must fail exactly the odd subsets that begin with it
+        n, bad = 7, qubit_mask(7, (2, 3, 5))
+        exact = multiply
+
+        def flipping(a, b):
+            product = exact(a, b)
+            if product.z_bits != bad:
+                return product
+            return PauliOperator(product.n, product.x_bits, product.z_bits, product.phase + 2)
+        monkeypatch.setattr(pauli, "multiply", flipping)
+        failed = [subset for subset, ok in odd_subset_identities(n) if not ok]
+        assert failed == [(2, 3, 5), (2, 3, 5, 6, 7)]
+        assert [subset for subset in _odd_subsets(n) if not verify_ks_identity(n, subset)] == failed
+
+    def test_sweep_makes_one_product_per_subset(self, monkeypatch, capsys):
+        # one multiply per subset of two or more qubits at most; the fold
+        # per odd subset made 10,240 at the cap
+        calls = 0
+        exact = multiply
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return exact(a, b)
+        monkeypatch.setattr(pauli, "multiply", counted)
+        assert main(["identity", "--n", str(IDENTITY_ALL_SUBSETS_CAP)]) == 0
+        capsys.readouterr()
+        assert 0 < calls <= (1 << IDENTITY_ALL_SUBSETS_CAP) - 1
 
     def test_verdict_does_not_depend_on_input_order(self):
         n = 7

@@ -1,10 +1,11 @@
-"""The integer-only commands start without numpy.
+"""The integer-only commands start without numpy, and load only what they run.
 
 ``count`` and ``identity`` run in a fresh interpreter, which then reports
-whether numpy was ever imported; their stdout, stderr and exit code must
-match an in-process run of the same argv.
+which of a few heavy modules were ever imported; their stdout, stderr and
+exit code must match an in-process run of the same argv.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -16,13 +17,17 @@ from ghzverify.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-#: Runs the CLI, then appends numpy's load state to stderr as the last line.
-WRAPPER = """\
+#: Modules whose load state the wrapper reports.  dataclasses brings in
+#: inspect, and json is needed by the json output alone.
+PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli")
+
+#: Runs the CLI, then appends the loaded PROBED modules to stderr as the last line.
+WRAPPER = f"""\
 import sys
 from ghzverify.cli import main
 code = main(sys.argv[1:])
 sys.stdout.flush()
-print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+print("loaded:", *[name for name in {PROBED!r} if name in sys.modules], file=sys.stderr)
 sys.exit(code)
 """
 
@@ -43,14 +48,32 @@ def _fresh(*args):
                           env={**os.environ, "PYTHONPATH": str(SRC)})
 
 
-@pytest.mark.parametrize("command", COMMANDS)
-def test_command_runs_without_numpy(capsys, command):
+@functools.cache
+def _fresh_cli(command):
+    """(exit code, stdout, stderr, loaded PROBED modules) of one fresh run."""
     proc = _fresh("-c", WRAPPER, *command.split())
     *stderr, marker = proc.stderr.splitlines(keepends=True)
-    assert marker == "numpy loaded: False\n"
+    assert marker.startswith("loaded:")
+    return proc.returncode, proc.stdout, "".join(stderr), set(marker.split()[1:])
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_runs_without_numpy(capsys, command):
+    *result, loaded = _fresh_cli(command)
+    assert "numpy" not in loaded
     code = main(command.split())
     captured = capsys.readouterr()
-    assert (proc.returncode, proc.stdout, "".join(stderr)) == (code, captured.out, captured.err)
+    assert tuple(result) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_command_loads_only_what_it_runs(command):
+    *_, loaded = _fresh_cli(command)
+    assert not loaded & {"dataclasses", "inspect"}
+    # the json printers import json; table and csv output never loads it
+    assert ("json" in loaded) == ("--format json" in command)
+    if command.startswith("count"):
+        assert "ghzverify.pauli" not in loaded
 
 
 def test_bare_import_leaves_numpy_unloaded():
