@@ -25,19 +25,20 @@ string costs two entries instead of 2**n.  The residuals are bitwise those
 of apply_pauli followed by check_eigen.
 
 Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
-Every matrix is a Kronecker chain of 2x2 factors, and _kron_rows builds any
-block of its rows from the matching rows of a shorter chain, entry for entry
-as np.kron would.  A conjugation check takes all its angle sets in one call.
-Up to the matrix cap it builds no whole matrix: it builds each set's head,
-the chain over the leading factors, once, and then, a block of rows at a
-time, the all-X rows once for all sets and each set's observable rows from
-its head, and compares the two sides.  Above the matrix cap it exploits
-that both sides map each computational basis vector to a phase times its
-bit-complement, so columns can be compared without materializing anything
-quadratic.  Its left side takes the rotation diagonal as a product
-of per-qubit phases; its right side exponentiates the signed angle sums, so
-the two sides share no arithmetic.  Every block, of matrix rows or of
-strings, holds at most one vector-cap state's worth of entries.
+Every matrix is a Kronecker chain of 2x2 factors, which _kron_rows builds
+entry for entry as np.kron would.  A conjugation check builds no matrix at
+any n up to the vector cap: both of its sides map each basis vector to a
+phase times its bit-complement, so it compares their antidiagonals alone.
+Off the antidiagonal every entry of either whole matrix is a product with
+a literal zero, the zero diagonal of X or of an observable factor, so
+those entries compare 0 with 0 (NaN with NaN for a non-finite factor, and
+then the antidiagonal is NaN too); up to the matrix cap the residual is
+bitwise that of the whole matrices.  Each factor's two diagonal entries
+are judged as well, so a factor that leaks off the antidiagonal still
+fails.  DENSE_MATRIX_CAP sets only the caps of materialize and
+observable_matrix and the size up to which verify's eigen pool holds
+every X/Y string; a block of eigen_residuals holds at most one vector-cap
+state's worth of entries.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ from .states import (DENSE_VECTOR_CAP, GhzLabel, build_state, check_vector_cap,
 #: Largest qubit count for which full 2**n x 2**n matrices are built.
 DENSE_MATRIX_CAP = 10
 
-#: Most entries in one block of check_conjugation or eigen_residuals.
+#: Most entries in one block of eigen_residuals.
 _BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP
 
 #: i**phase for the int phase of a PauliOperator.
@@ -80,15 +81,14 @@ def observable_factor(phi: float) -> np.ndarray:
                      [math.cos(phi) + 1j * math.sin(phi), 0]], dtype=complex)
 
 
-def _kron_rows(rows: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
-    """Rows of rows (x) factors[0] (x) factors[1] ..., for 2x2 factors.
+def _kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
+    """The chain factors[0] (x) factors[1] (x) ..., for 2x2 factors.
 
-    ``rows`` is a block of rows of a Kronecker chain, and the result holds
-    exactly the rows of the extended chain that they expand to.  Row 2r + k,
-    column 2c + l of each step is rows[r, c] * f[k, l]: the single product
-    np.kron forms, so every entry equals np.kron's bitwise, signed zeros
-    included.
+    Each step extends the rows built so far: row 2r + k, column 2c + l is
+    rows[r, c] * f[k, l], the single product np.kron forms, so every entry
+    equals np.kron's bitwise, signed zeros included.
     """
+    rows = np.eye(1, dtype=complex)
     for f in factors:
         r, c = rows.shape
         out = np.empty((r, 2, c, 2), dtype=complex)
@@ -102,14 +102,14 @@ def _kron_rows(rows: np.ndarray, factors: Sequence[np.ndarray]) -> np.ndarray:
 def observable_matrix(angles: Sequence[float]) -> np.ndarray:
     """Kronecker product of the per-qubit rotated-X factors."""
     _check_matrix_cap(len(angles))
-    return _kron_rows(np.eye(1, dtype=complex), [observable_factor(phi) for phi in angles])
+    return _kron_rows([observable_factor(phi) for phi in angles])
 
 
 def materialize(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli string."""
     _check_matrix_cap(op.n)
     factors = [PAULI_1Q[op.letter(k)] for k in range(1, op.n + 1)]
-    return _PHASE_VALUE[op.phase] * _kron_rows(np.eye(1, dtype=complex), factors)
+    return _PHASE_VALUE[op.phase] * _kron_rows(factors)
 
 
 def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
@@ -208,15 +208,13 @@ def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
 def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     """Compare rotating the all-X string by conjugation against the factored form.
 
-    Left side: R diag-conjugates the all-X matrix; right side: the product
-    observable built directly from the angles.  Every set must have the same
-    length; the result is the worst residual over the sets.  Up to the
-    matrix cap the sides are compared a block of rows at a time, a block
-    holding at most one vector-cap state's worth of entries: each block's
-    all-X rows are built once for all sets, and each set's observable rows
-    are extended from its head (see the module docstring), so no whole
-    matrix is built.  Above the matrix cap the two antidiagonals are
-    compared column by column.
+    Left side: R diag-conjugates the all-X matrix, whose row r then holds
+    d[r] conj(d[~r]) in column ~r; right side: the product observable of the
+    angles, whose antidiagonal doubles factor by factor in the order
+    _kron_rows multiplies.  Only the antidiagonals and each factor's
+    diagonal are compared (see the module docstring), so no matrix is
+    built.  Every set must have the same length; the result is the worst
+    residual over the sets.
     """
     if not angle_sets:
         raise DomainError("need at least one angle set")
@@ -226,42 +224,17 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
         raise DimensionError(f"angle sets differ in length: {lengths}")
     # np.maximum, not max(), so that a NaN residual fails the check
     worst = 0.0
-    if n <= DENSE_MATRIX_CAP:
-        rows = _BLOCK_ENTRIES >> n
-        # each block extends the last `tail` factors from whole head rows:
-        # 2**tail is the largest power of two that divides rows, up to 2**n
-        tail = min(n, (rows & -rows).bit_length() - 1)
-        head_rows = rows >> tail
-        eye = np.eye(1, dtype=complex)
-        x_factors = [PAULI_1Q["X"]] * n
-        x_head = _kron_rows(eye, x_factors[:n - tail])
-        sets = []
-        for angles in angle_sets:
-            diag = rotation_diagonal(angles)
-            factors = [observable_factor(phi) for phi in angles]
-            sets.append((diag, np.conj(diag)[None, :], _kron_rows(eye, factors[:n - tail]),
-                         factors[n - tail:]))
-        # one left-side block and one magnitude block serve every (block, set) pair
-        lhs_block = np.empty((min(head_rows << tail, 1 << n), 1 << n), dtype=complex)
-        mag_block = np.empty(lhs_block.shape)
-        for lo in range(0, 1 << (n - tail), head_rows):
-            head_blk = slice(lo, lo + head_rows)
-            all_x = _kron_rows(x_head[head_blk], x_factors[n - tail:])
-            blk = slice(lo << tail, (lo + head_rows) << tail)
-            lhs, mag = lhs_block[:len(all_x)], mag_block[:len(all_x)]
-            for diag, conj_diag, head, tail_factors in sets:
-                np.multiply(diag[blk, None], all_x, out=lhs)
-                lhs *= conj_diag
-                np.subtract(lhs, _kron_rows(head[head_blk], tail_factors), out=lhs)
-                worst = np.maximum(worst, np.max(np.abs(lhs, out=mag)))
-    else:
-        for angles in angle_sets:
-            diag = rotation_diagonal(angles)
-            # Column b of R O R^-1 is d[~b] conj(d[b]) e_{~b}; same shape as the
-            # factored observable's column phase exp(i sum (-1)^{b_k} angle_k).
-            lhs_phase = diag[::-1] * np.conj(diag)
-            rhs_phase = np.exp(1j * signed_bit_sums(n, angles))
-            worst = np.maximum(worst, np.max(np.abs(lhs_phase - rhs_phase)))
+    for angles in angle_sets:
+        diag = rotation_diagonal(angles)
+        anti = np.ones(1, dtype=complex)
+        for phi in angles:
+            f = observable_factor(phi)
+            worst = np.maximum(worst, np.max(np.abs(f.diagonal())))
+            pairs = np.empty((anti.size, 2), dtype=complex)
+            np.multiply(anti, f[0, 1], out=pairs[:, 0])
+            np.multiply(anti, f[1, 0], out=pairs[:, 1])
+            anti = pairs.ravel()
+        worst = np.maximum(worst, np.max(np.abs(diag * np.conj(diag[::-1]) - anti)))
     return float(worst)
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import oracle
 from ghzverify.checks import EIGEN_TOL, conjugation_identity
@@ -13,7 +15,7 @@ from ghzverify.oracle import (DENSE_MATRIX_CAP, apply_observable, apply_pauli,
                               check_conjugation, check_eigen, eigen_residuals, materialize,
                               observable_matrix, rotation_diagonal, two_dim_invariance_residual)
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import GhzLabel, build_state, rotated_dense
+from ghzverify.states import DENSE_VECTOR_CAP, GhzLabel, build_state, rotated_dense
 from references import from_letters, per_string_residuals
 
 
@@ -195,7 +197,8 @@ class TestCheckConjugation:
     def test_ragged_sets_refused_before_any_matrix(self, monkeypatch):
         def no_matrix(*_):
             raise AssertionError("matrix built before the refusal")
-        monkeypatch.setattr(oracle, "_kron_rows", no_matrix)
+        for name in ("_kron_rows", "rotation_diagonal", "observable_factor"):
+            monkeypatch.setattr(oracle, name, no_matrix)
         with pytest.raises(DimensionError):
             check_conjugation([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
@@ -205,46 +208,61 @@ class TestCheckConjugation:
 
     @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
     def test_blocks_match_whole_matrix_reference(self, n):
-        # the whole-matrix comparison the row blocks replace, entry for entry
-        def reference(angles):
-            d = rotation_diagonal(angles)
-            lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
-            return float(np.max(np.abs(lhs - observable_matrix(angles))))
-
-        all_x = materialize(from_letters("X" * n))
+        # the whole-matrix comparison the antidiagonals replace, entry for entry
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
             angles = tuple(rng.uniform(-math.pi, math.pi, size=n))
-            assert check_conjugation([angles]) == reference(angles)
+            assert check_conjugation([angles]) == _whole_matrix_residual(angles)
         sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
-        assert check_conjugation(sets) == max(reference(a) for a in sets)
+        assert check_conjugation(sets) == max(_whole_matrix_residual(a) for a in sets)
 
     def test_one_entry_off_in_seventh_set_fails(self, monkeypatch):
-        # last row, off the antidiagonal, of only one set of ten: the row
-        # block that ends in that set's last matrix row gets a 1e-9 error
+        # one diagonal entry, off the antidiagonal, of one factor of only one
+        # set of ten gets a 1e-9 error: the whole matrices differ there too
         n = DENSE_MATRIX_CAP
         rng = np.random.default_rng(5)
         sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
-        last_row = observable_matrix(sets[6])[-1]
-        original = oracle._kron_rows
+        target = sets[6][-1]
+        assert sum(angles.count(target) for angles in sets) == 1
+        original = oracle.observable_factor
         perturbed = 0
 
-        def perturbing(rows, factors):
+        def perturbing(phi):
             nonlocal perturbed
-            out = original(rows, factors)
-            if out.shape[1] == 1 << n and np.array_equal(out[-1], last_row):
+            out = original(phi)
+            if phi == target:
                 perturbed += 1
-                out[-1, 1] += 1e-9
+                out[1, 1] += 1e-9
             return out
 
         assert check_conjugation(sets) < EIGEN_TOL
-        monkeypatch.setattr(oracle, "_kron_rows", perturbing)
+        monkeypatch.setattr(oracle, "observable_factor", perturbing)
         residual = check_conjugation(sets)
         assert perturbed == 1
         assert residual >= EIGEN_TOL
+        assert _whole_matrix_residual(sets[6]) >= EIGEN_TOL
+
+    @pytest.mark.parametrize("n", [DENSE_MATRIX_CAP + 1, DENSE_VECTOR_CAP])
+    def test_one_factor_diagonal_entry_off_fails_above_the_matrix_cap(self, monkeypatch, n):
+        # the observable's factors are read at every n: a factor that leaks
+        # off the antidiagonal fails where no whole matrix can be built
+        rng = np.random.default_rng(10 + n)
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(3)]
+        target = sets[1][2]
+        original = oracle.observable_factor
+
+        def perturbing(phi):
+            out = original(phi)
+            if phi == target:
+                out[0, 0] += 1e-9
+            return out
+
+        assert check_conjugation(sets) < EIGEN_TOL
+        monkeypatch.setattr(oracle, "observable_factor", perturbing)
+        assert check_conjugation(sets) >= EIGEN_TOL
 
     def test_one_diagonal_entry_off_fails_above_the_matrix_cap(self, monkeypatch):
-        # the product-built diagonal and the exponentiated angle sums are
+        # the rotation diagonal and the factor-built antidiagonal are
         # separate routes: a 1e-9 error in one entry of the first shows
         def perturbed(angles):
             out = rotation_diagonal(angles)
@@ -258,29 +276,20 @@ class TestCheckConjugation:
         assert check_conjugation([angles]) >= EIGEN_TOL
 
     def test_all_x_built_once_per_check(self, monkeypatch):
-        # every row of the all-X matrix is built once for all ten sets, and
-        # every row of each set's observable once for that set
-        n = DENSE_MATRIX_CAP
-        rows_built = {"all_x": 0, "observable": 0}
-        original = oracle._kron_rows
+        # neither the all-X matrix nor any observable matrix is built, on
+        # either side of the matrix cap
+        def no_matrix(*_):
+            raise AssertionError("a Kronecker chain was built")
 
-        def counting(rows, factors):
-            out = original(rows, factors)
-            if out.shape[1] == 1 << n:
-                all_x = all(np.array_equal(f, oracle.PAULI_1Q["X"]) for f in factors)
-                rows_built["all_x" if all_x else "observable"] += len(out)
-            return out
-
-        monkeypatch.setattr(oracle, "_kron_rows", counting)
-        check = conjugation_identity(n, np.random.default_rng(0))
-        assert check.passed
-        assert rows_built == {"all_x": 1 << n, "observable": 10 << n}
+        monkeypatch.setattr(oracle, "_kron_rows", no_matrix)
+        for n in (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP):
+            assert conjugation_identity(n, np.random.default_rng(0)).passed
 
     @pytest.mark.parametrize("rows", [5, 12])
     @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
-    def test_partial_last_block_matches_np_kron_reference(self, monkeypatch, n, rows):
-        # 2**n rows never split evenly into blocks of 5 or 12; 12-row blocks
-        # extend two factors from 3-row head blocks, 5-row blocks none
+    def test_partial_last_block_matches_np_kron_reference(self, n, rows):
+        # the whole-matrix comparison built by np.kron alone, on 5 and on
+        # 12 angle sets
         def reference(angles):
             d = rotation_diagonal(angles)
             all_x = np.fliplr(np.eye(1 << n, dtype=complex))
@@ -288,9 +297,8 @@ class TestCheckConjugation:
             return float(np.max(np.abs(lhs - _kron_chain(
                 [oracle.observable_factor(phi) for phi in angles]))))
 
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", rows << n)
         rng = np.random.default_rng(300 + n)
-        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(3)]
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(rows)]
         assert check_conjugation(sets) == max(reference(a) for a in sets)
 
     def test_traced_peak_at_the_matrix_cap(self):
@@ -305,6 +313,38 @@ class TestCheckConjugation:
         finally:
             tracemalloc.stop()
         assert peak < 8 << 20
+
+
+def _whole_matrix_residual(angles):
+    """check_conjugation's residual from the whole matrices, as materialize
+    and observable_matrix build them."""
+    d = rotation_diagonal(angles)
+    all_x = materialize(from_letters("X" * len(angles)))
+    lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
+    return float(np.max(np.abs(lhs - observable_matrix(angles))))
+
+
+#: Angles whose factors hold exact zeros, signed zeros, exact ones or
+#: subnormal products, next to generic floats and NaN.
+_ANGLES = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, -math.pi / 2, math.pi, -math.pi, 2 * math.pi,
+                     1e-300, -1e-300, math.nan]),
+    st.floats(-2 * math.pi, 2 * math.pi))
+
+
+@pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+@settings(deadline=None, max_examples=25)
+@given(data=st.data())
+def test_antidiagonals_bitwise_equal_to_whole_matrices(n, data):
+    sets = st.lists(st.lists(_ANGLES, min_size=n, max_size=n).map(tuple), min_size=1, max_size=3)
+    angle_sets = data.draw(sets)
+    got = check_conjugation(angle_sets)
+    with np.errstate(invalid="ignore"):
+        expected = np.max([_whole_matrix_residual(angles) for angles in angle_sets])
+    if math.isnan(expected):
+        assert math.isnan(got)
+    else:
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
 def _kron_chain(factors):
@@ -327,20 +367,8 @@ class TestKronRows:
         for factors in ([oracle.observable_factor(phi) for phi in angles],
                         [oracle.PAULI_1Q[letter] for letter in letters]):
             whole = _kron_chain(factors)
-            got = oracle._kron_rows(np.eye(1, dtype=complex), factors)
+            got = oracle._kron_rows(factors)
             assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
-
-    @pytest.mark.parametrize("tail", range(0, 5))
-    def test_head_rows_extend_to_their_rows_of_the_chain(self, tail):
-        n = 7
-        rng = np.random.default_rng(500 + tail)
-        factors = [oracle.observable_factor(phi) for phi in rng.uniform(-math.pi, math.pi, n)]
-        whole = _kron_chain(factors)
-        head = _kron_chain(factors[:n - tail])
-        for lo in range(0, len(head), 3):
-            got = oracle._kron_rows(head[lo:lo + 3], factors[n - tail:])
-            expected = whole[lo << tail:(lo + 3) << tail]
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestRotationProperties:
