@@ -16,14 +16,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import oracle, poles, rotations, states
-from .errors import ConsistencyError, DomainError
+from .errors import DENSE_VECTOR_CAP, ConsistencyError, DomainError
 from .states import GhzLabel
 
 #: The one residual tolerance: a check passes when its worst residual is below it.
 EIGEN_TOL = 1e-12
 
-#: Above the dense-matrix cap, ``verify`` samples this many X/Y strings
-#: instead of checking every one.
+#: Up to this many qubits ``verify`` checks every X/Y string, 2**n of them.
+VERIFY_ALL_OPS_UP_TO = 10
+
+#: Above VERIFY_ALL_OPS_UP_TO qubits, ``verify`` samples this many X/Y
+#: strings instead of checking every one.
 VERIFY_SAMPLED_OPS = 256
 
 #: Angle sums within this distance of a pole (0 or pi from the state's angle)
@@ -55,12 +58,13 @@ def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
     """Symbolic eigenvalues against the dense oracle, on the label's
     unrotated and quarter-turn states.
 
-    The pool is a column of X/Y z masks: up to the dense-matrix cap every
-    string, above it VERIFY_SAMPLED_OPS drawn ones.  A string the symbolic
-    tier calls a non-eigenstate must fail the dense test for both signs.
+    The pool is a column of X/Y z masks: up to VERIFY_ALL_OPS_UP_TO qubits
+    every string, above it VERIFY_SAMPLED_OPS drawn ones.  A string the
+    symbolic tier calls a non-eigenstate must fail the dense test for both
+    signs.
     """
     n = label.n
-    if n <= oracle.DENSE_MATRIX_CAP:
+    if n <= VERIFY_ALL_OPS_UP_TO:
         z_masks = np.arange(1 << n, dtype=np.uint64)
     else:
         z_masks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS).astype(np.uint64)
@@ -136,7 +140,7 @@ def pair_subspace_invariance(label: GhzLabel,
 def verify(label: GhzLabel, seed: int) -> list[Check]:
     """Every check of the ``verify`` command, all drawing from one generator."""
     n = label.n
-    states.check_vector_cap(n)  # before any check draws from rng or builds a vector
+    DENSE_VECTOR_CAP.check(n)  # before any check draws from rng or builds a vector
     rng = np.random.default_rng(seed)
     checks = [eigenvalues(label, rng),
               collective_angle_collapse(label, rng),

@@ -407,7 +407,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_id = sub.add_parser("identity", help="verify the generator product identities")
     p_id.add_argument("--n", type=int, required=True)
-    p_id.add_argument("--subset", type=str, default=None, help="comma-separated Y positions")
+    p_id.add_argument("--subset", type=str, default=None,
+                      help="comma-separated Y positions; without it every odd subset is "
+                           "checked, up to a qubit cap, so pass --subset for larger n")
     p_id.add_argument("--format", choices=["table", "json"], default="table")
     p_id.set_defaults(func=cmd_identity)
     return parser

@@ -15,7 +15,7 @@ no assignment at all matches the eigenvalues of every N- and S-pole string
 simultaneously, while dropping the S constraints leaves exactly 2**n
 survivors.  An assignment is the bit pair (vx, vy), bit n - k set meaning
 v(X_k) = -1 or v(Y_k) = -1, and the sweep holds all of them as two uint16
-columns (n <= EXHAUSTIVE_CAP = 10 bits each), with no index column.
+columns (``EXHAUSTIVE_CAP`` keeps n <= 10), with no index column.
 """
 
 from __future__ import annotations
@@ -25,14 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .counting import check_n
-from .errors import CapacityError, ConsistencyError, DomainError
+from .errors import EXHAUSTIVE_CAP, ConsistencyError, DomainError
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
 from .poles import (Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, pole_runs,
                     xy_letter_matrix)
 from .states import GhzLabel
-
-#: Above this qubit count the 2**(2n) assignment sweep is refused.
-EXHAUSTIVE_CAP = 10
 
 
 @dataclass(frozen=True)
@@ -114,15 +111,14 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     tested until a constraint rejects it, so the sweep is complete.
     """
     n = label.n
-    if n > EXHAUSTIVE_CAP:
-        raise CapacityError(f"exhaustive search is capped at {EXHAUSTIVE_CAP} qubits (got {n})")
+    EXHAUSTIVE_CAP.check(n)
     full = (1 << n) - 1
     constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
     z_masks = np.concatenate([enumerate_pole(n, pole) for pole in constrained])
     values = eigenvalue_column(label, 1, z_masks)
     if (lost := values == 0).any():
         raise ConsistencyError(f"{_letters(n, z_masks[np.argmax(lost)])} lost its eigenstate")
-    # every (vx, vy) pair once, vx major; n <= EXHAUSTIVE_CAP bits fit uint16
+    # every (vx, vy) pair once, vx major; EXHAUSTIVE_CAP keeps their n bits in uint16
     masks = np.arange(1 << n, dtype=np.uint16)
     vx = np.repeat(masks, 1 << n)
     vy = np.tile(masks, 1 << n)

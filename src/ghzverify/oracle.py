@@ -24,40 +24,37 @@ nonzero and stays judged).  A GHZ state has a support of two indices, so a
 string costs two entries instead of 2**n.  The residuals are bitwise those
 of apply_pauli followed by check_eigen.
 
-Caps: vectors up to 2**14 amplitudes, full matrices up to 2**10 x 2**10.
-Every matrix is a Kronecker chain of 2x2 factors, which _kron_rows builds
-entry for entry as np.kron would.  A conjugation check builds no matrix at
-any n up to the vector cap: both of its sides map each basis vector to a
-phase times its bit-complement, so it compares their antidiagonals alone.
-Off the antidiagonal every entry of either whole matrix is a product with
-a literal zero, the zero diagonal of X or of an observable factor, so
-those entries compare 0 with 0 (NaN with NaN for a non-finite factor, and
-then the antidiagonal is NaN too); up to the matrix cap the residual is
-bitwise that of the whole matrices.  Each factor's two diagonal entries
-are judged as well, so a factor that leaks off the antidiagonal still
-fails.  DENSE_MATRIX_CAP sets only the caps of materialize and
-observable_matrix and the size up to which verify's eigen pool holds
-every X/Y string; a block of eigen_residuals holds at most one vector-cap
-state's worth of entries.
+Caps (see errors): vectors up to 2**14 amplitudes, full matrices up to
+2**10 x 2**10.  Only materialize and observable_matrix build a whole
+matrix, a Kronecker chain of 2x2 factors multiplied out by np.kron; no
+command calls them, and they are the whole-matrix references that the
+matrix-free routes are tested against.  A conjugation check builds no
+matrix at any n up to the vector cap: both of its sides map each basis
+vector to a phase times its bit-complement, so it compares their
+antidiagonals alone.  Off the antidiagonal every entry of either whole
+matrix is a product with a literal zero, the zero diagonal of X or of an
+observable factor, so those entries compare 0 with 0 (NaN with NaN for a
+non-finite factor, and then the antidiagonal is NaN too); up to the matrix
+cap the residual is bitwise that of the whole matrices.  Each factor's two
+diagonal entries are judged as well, so a factor that leaks off the
+antidiagonal still fails.  A block of eigen_residuals holds at most one
+vector-cap state's worth of entries.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError
+from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError, DomainError
 from .pauli import PauliOperator
-from .states import (DENSE_VECTOR_CAP, GhzLabel, build_state, check_vector_cap,
-                     rotation_phases, signed_bit_sums)
-
-#: Largest qubit count for which full 2**n x 2**n matrices are built.
-DENSE_MATRIX_CAP = 10
+from .states import GhzLabel, build_state, rotation_phases, signed_bit_sums
 
 #: Most entries in one block of eigen_residuals.
-_BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP
+_BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP.qubits
 
 #: i**phase for the int phase of a PauliOperator.
 _PHASE_VALUE = (1, 1j, -1, -1j)
@@ -70,46 +67,23 @@ PAULI_1Q = {
 }
 
 
-def _check_matrix_cap(n: int) -> None:
-    if n > DENSE_MATRIX_CAP:
-        raise CapacityError(f"dense matrices are capped at {DENSE_MATRIX_CAP} qubits (got {n})")
-
-
 def observable_factor(phi: float) -> np.ndarray:
     """Single-qubit X cos(phi) + Y sin(phi)."""
     return np.array([[0, math.cos(phi) - 1j * math.sin(phi)],
                      [math.cos(phi) + 1j * math.sin(phi), 0]], dtype=complex)
 
 
-def _kron_rows(factors: Sequence[np.ndarray]) -> np.ndarray:
-    """The chain factors[0] (x) factors[1] (x) ..., for 2x2 factors.
-
-    Each step extends the rows built so far: row 2r + k, column 2c + l is
-    rows[r, c] * f[k, l], the single product np.kron forms, so every entry
-    equals np.kron's bitwise, signed zeros included.
-    """
-    rows = np.eye(1, dtype=complex)
-    for f in factors:
-        r, c = rows.shape
-        out = np.empty((r, 2, c, 2), dtype=complex)
-        for k in range(2):
-            for l in range(2):
-                np.multiply(rows, f[k, l], out=out[:, k, :, l])
-        rows = out.reshape(2 * r, 2 * c)
-    return rows
-
-
 def observable_matrix(angles: Sequence[float]) -> np.ndarray:
     """Kronecker product of the per-qubit rotated-X factors."""
-    _check_matrix_cap(len(angles))
-    return _kron_rows([observable_factor(phi) for phi in angles])
+    DENSE_MATRIX_CAP.check(len(angles))
+    return reduce(np.kron, map(observable_factor, angles), np.eye(1, dtype=complex))
 
 
 def materialize(op: PauliOperator) -> np.ndarray:
     """Dense matrix of a Pauli string."""
-    _check_matrix_cap(op.n)
+    DENSE_MATRIX_CAP.check(op.n)
     factors = [PAULI_1Q[op.letter(k)] for k in range(1, op.n + 1)]
-    return _PHASE_VALUE[op.phase] * _kron_rows(factors)
+    return _PHASE_VALUE[op.phase] * reduce(np.kron, factors, np.eye(1, dtype=complex))
 
 
 def apply_pauli(op: PauliOperator, vec: np.ndarray) -> np.ndarray:
@@ -147,7 +121,7 @@ def apply_observable(vec: np.ndarray, angles: Sequence[float]) -> np.ndarray:
 def rotation_diagonal(angles: Sequence[float]) -> np.ndarray:
     """Diagonal of the per-qubit z-rotation product."""
     n = len(angles)
-    check_vector_cap(n)
+    DENSE_VECTOR_CAP.check(n)
     return rotation_phases(n, angles)
 
 
@@ -211,7 +185,7 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     Left side: R diag-conjugates the all-X matrix, whose row r then holds
     d[r] conj(d[~r]) in column ~r; right side: the product observable of the
     angles, whose antidiagonal doubles factor by factor in the order
-    _kron_rows multiplies.  Only the antidiagonals and each factor's
+    np.kron multiplies.  Only the antidiagonals and each factor's
     diagonal are compared (see the module docstring), so no matrix is
     built.  Every set must have the same length; the result is the worst
     residual over the sets.

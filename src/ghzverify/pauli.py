@@ -24,10 +24,7 @@ import itertools
 from functools import reduce
 from typing import Iterable, NamedTuple
 
-from .errors import CapacityError, DimensionError, DomainError
-
-#: Above this qubit count :func:`odd_subset_identities` refuses the sweep.
-IDENTITY_ALL_SUBSETS_CAP = 12
+from .errors import IDENTITY_ALL_SUBSETS_CAP, IDENTITY_SUBSET_CAP, DimensionError, DomainError
 
 _BITS_LETTER = {(0, 0): "I", (1, 0): "X", (0, 1): "Z", (1, 1): "Y"}
 
@@ -116,10 +113,12 @@ def verify_ks_identity(n: int, y_positions: Iterable[int]) -> bool:
 
     The ordered product of the generators at the given Y positions must
     equal the multi-Y string at those positions with sign + for sizes
-    1 mod 4 and - for sizes 3 mod 4.  The positions are checked once, by
-    :func:`qubit_mask`, and only the subset's generators are built, in
-    position order, each from its own bit.
+    1 mod 4 and - for sizes 3 mod 4.  Each generator and product holds
+    n-bit ints, so n is checked against IDENTITY_SUBSET_CAP first; the
+    positions are then checked once, by :func:`qubit_mask`, and only the
+    subset's generators are built, in position order, each from its own bit.
     """
+    IDENTITY_SUBSET_CAP.check(n)
     positions = sorted(y_positions)
     mask = qubit_mask(n, positions)
     size = len(positions)
@@ -145,9 +144,7 @@ def odd_subset_identities(n: int) -> list[tuple[tuple[int, ...], bool]]:
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > IDENTITY_ALL_SUBSETS_CAP:
-        raise CapacityError(f"checking all odd subsets is capped at {IDENTITY_ALL_SUBSETS_CAP} "
-                            f"qubits; pass --subset for larger n")
+    IDENTITY_ALL_SUBSETS_CAP.check(n)
     full = (1 << n) - 1
     qubits = range(1, n + 1)
     generators = {k: PauliOperator(n, full, 1 << (n - k)) for k in qubits}

@@ -29,15 +29,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError
+from .errors import REPORT_CAP, DimensionError, DomainError
 from .states import GhzLabel
-
-#: Widest pole listing: :func:`pole_runs` refuses more qubits, and so
-#: bounds the contradiction reports of ``lhv`` and the strings of
-#: ``enumerate``.  Memory does not grow with n (``lhv --n 24``
-#: peaks at 30 MB), but time does: at n = 24 ``lhv`` writes 2**22 rows, a
-#: 1.5 GB table (README Caps has the time); both double with each qubit.
-REPORT_CAP = 24
 
 #: The low part of a mask: the bits that vary within one run of
 #: :func:`pole_runs`.  Its tables of low masks hold 2**12 masks in all, so
@@ -68,15 +61,10 @@ def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
     array grows with the size of the pole.  The qubit count is checked here,
     before the first run.
     """
-    _check_listing(n)
-    return (run for count in range(pole.value, n + 1, 4) for run in _runs(n, count))
-
-
-def _check_listing(n: int) -> None:
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
-    if n > REPORT_CAP:
-        raise CapacityError(f"pole listings are capped at {REPORT_CAP} qubits (got {n})")
+    REPORT_CAP.check(n)
+    return (run for count in range(pole.value, n + 1, 4) for run in _runs(n, count))
 
 
 def _runs(n: int, count: int) -> Iterator[tuple[int, np.ndarray]]:

@@ -25,10 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, DimensionError, DomainError
-
-#: Largest qubit count for which dense 2**n statevectors are materialized.
-DENSE_VECTOR_CAP = 14
+from .errors import DENSE_VECTOR_CAP, DimensionError, DomainError
 
 _LABEL_RE = re.compile(r"^([01]+)([+-])$")
 
@@ -82,15 +79,9 @@ def parse_label(text: str, n: int | None = None) -> GhzLabel:
     return GhzLabel(len(bits_str), int(bits_str, 2), 1 if sign_str == "+" else -1)
 
 
-def check_vector_cap(n: int) -> None:
-    """Refuse a dense statevector of more than DENSE_VECTOR_CAP qubits."""
-    if n > DENSE_VECTOR_CAP:
-        raise CapacityError(f"dense statevectors are capped at {DENSE_VECTOR_CAP} qubits (got {n})")
-
-
 def build_state(label: GhzLabel) -> np.ndarray:
     """Dense amplitudes of (|bits> + sign |~bits>)/sqrt(2)."""
-    check_vector_cap(label.n)
+    DENSE_VECTOR_CAP.check(label.n)
     vec = np.zeros(1 << label.n, dtype=complex)
     amp = 1.0 / math.sqrt(2.0)
     vec[label.bits] = amp

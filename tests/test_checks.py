@@ -9,7 +9,7 @@ import pytest
 
 from ghzverify import checks, lhv, oracle, poles, states
 from ghzverify.cli import main
-from ghzverify.errors import CapacityError, DomainError
+from ghzverify.errors import DENSE_VECTOR_CAP, EXHAUSTIVE_CAP, CapacityError, DomainError
 from ghzverify.pauli import PauliOperator
 from ghzverify.states import GhzLabel
 from references import outer_rotation_phases, outer_signed_bit_sums, per_string_residuals
@@ -26,7 +26,7 @@ def test_cases_per_check_at_three_qubits():
 
 
 def test_eigen_cases_are_sampled_above_the_matrix_cap():
-    n = oracle.DENSE_MATRIX_CAP + 1
+    n = checks.VERIFY_ALL_OPS_UP_TO + 1
     eigen = checks.verify(GhzLabel(n, 0b01101001011, -1), 5)[0]
     assert (eigen.name, eigen.cases) == ("eigenvalues_symbolic_vs_oracle", 512)
     assert eigen.cases == 2 * checks.VERIFY_SAMPLED_OPS
@@ -141,7 +141,7 @@ def test_verify_equals_the_reference_kernels(monkeypatch, n, sign):
     assert calls == {"eigen_residuals", "rotation_phases", "signed_bit_sums"}
 
 
-@pytest.mark.parametrize("n", [states.DENSE_VECTOR_CAP + 1, 63, 64])
+@pytest.mark.parametrize("n", [DENSE_VECTOR_CAP.qubits + 1, 63, 64])
 def test_verify_refuses_past_the_vector_cap_before_any_check(monkeypatch, n):
     def not_called(*args):
         raise AssertionError("a check ran before the refusal")
@@ -154,7 +154,7 @@ def test_verify_refuses_past_the_vector_cap_before_any_check(monkeypatch, n):
 def test_eigen_pool_stays_small_at_the_vector_cap():
     # a guard on verify's peak memory at n = 14: the pool is judged in
     # bounded blocks, never as one (strings x amplitudes) array
-    label = GhzLabel(states.DENSE_VECTOR_CAP, 0b01101001011010, -1)
+    label = GhzLabel(DENSE_VECTOR_CAP.qubits, 0b01101001011010, -1)
     tracemalloc.start()
     try:
         checks.eigenvalues(label, np.random.default_rng(3))
@@ -182,20 +182,20 @@ def test_no_per_string_objects(monkeypatch, capsys):
         result = run()
         return built, result
 
-    label = GhzLabel(lhv.EXHAUSTIVE_CAP, 0b0110100110, 1)
+    label = GhzLabel(EXHAUSTIVE_CAP.qubits, 0b0110100110, 1)
     assert strings_built(lambda: lhv.exhaustive_search(label)) == (0, 0)
     for fmt in ("table", "json"):
         argv = ["lhv", "--n", "12", "--label", "011010011001+", "--format", fmt]
         assert strings_built(lambda: main(argv)) == (0, 0)
     capsys.readouterr()
     # the 16 quarter-turn probes and the all-X string, not the 2,048 or 512 pool cases
-    for n, most in ((oracle.DENSE_MATRIX_CAP, 17), (states.DENSE_VECTOR_CAP, 16)):
+    for n, most in ((checks.VERIFY_ALL_OPS_UP_TO, 17), (DENSE_VECTOR_CAP.qubits, 16)):
         count, result = strings_built(lambda: checks.verify(GhzLabel(n, 0b0110100110, -1), 1))
         assert count <= most
         assert all(check.passed for check in result)
 
 
-@pytest.mark.parametrize("n", range(1, states.DENSE_VECTOR_CAP + 1))
+@pytest.mark.parametrize("n", range(1, DENSE_VECTOR_CAP.qubits + 1))
 def test_every_residual_keeps_a_decade_below_the_tolerance(n):
     # the product-built rotation phases round differently from the
     # exponentiated angle sums; neither may eat into the tolerance

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
-from ghzverify import checks, cli, counting, lhv, oracle, poles, states
+from ghzverify import checks, cli, counting, errors, lhv, oracle, pauli, poles, states
 from ghzverify.cli import main
+from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, EXHAUSTIVE_CAP,
+                              IDENTITY_ALL_SUBSETS_CAP, IDENTITY_SUBSET_CAP, REPORT_CAP,
+                              CapacityError)
 
 
 def run_cli(capsys, *argv):
@@ -226,6 +229,11 @@ class TestIdentity:
         code, _, _ = run_cli(capsys, "identity", "--n", "13")
         assert code == 2
 
+    def test_subset_within_its_cap_passes(self, capsys):
+        code, out, err = run_cli(capsys, "identity", "--n", "10000000", "--subset", "1,2,3")
+        assert (code, err) == (0, "")
+        assert "  PASS  subset=1,2,3 sign=-\n" in out
+
     @pytest.mark.parametrize("subset", [",1,", "1,,3", "1,3,", " , 1"])
     def test_empty_item_refused(self, capsys, subset):
         code, out, err = run_cli(capsys, "identity", "--n", "3", "--subset", subset)
@@ -312,7 +320,7 @@ class TestReportCapacity:
         def not_called(*args):
             raise AssertionError("generators evaluated before the refusal")
         monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
-        code, out, err = run_cli(capsys, "lhv", "--n", str(poles.REPORT_CAP + 1))
+        code, out, err = run_cli(capsys, "lhv", "--n", str(REPORT_CAP.qubits + 1))
         assert (code, out) == (2, "")
         assert "pole listings are capped at 24 qubits (got 25)" in err
 
@@ -337,6 +345,66 @@ class TestReportCapacity:
         code, out, err = run_cli(capsys, "enumerate", "--n", "25", "--pole", "S", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "error: pole listings are capped at 24 qubits (got 25)\n"
+
+
+def _not_called(*args, **kwargs):
+    raise AssertionError("work began before the capacity refusal")
+
+
+#: Each cap, its command at cap + 1 qubits, the functions that would do the
+#: work it bounds (each must not run), and the refusal's exact wording.
+REFUSALS = [
+    pytest.param(DENSE_VECTOR_CAP, "verify --n {}",
+                 [(checks, "eigenvalues"), (states, "build_state")],
+                 "dense statevectors are capped at 14 qubits (got 15)", id="verify"),
+    pytest.param(EXHAUSTIVE_CAP, "lhv --n {} --exhaustive",
+                 [(lhv, "enumerate_pole"), (lhv, "find_contradictions")],
+                 "exhaustive search is capped at 10 qubits (got 11)", id="lhv-exhaustive"),
+    pytest.param(IDENTITY_ALL_SUBSETS_CAP, "identity --n {}",
+                 [(pauli, "PauliOperator"), (pauli, "multiply")],
+                 "checking all odd subsets is capped at 12 qubits (got 13)", id="identity"),
+    pytest.param(REPORT_CAP, "lhv --n {}", [(lhv, "eigenvalue_symbolic"), (poles, "_runs")],
+                 "pole listings are capped at 24 qubits (got 25)", id="lhv"),
+    pytest.param(REPORT_CAP, "enumerate --n {} --pole S", [(poles, "pole_size"), (poles, "_runs")],
+                 "pole listings are capped at 24 qubits (got 25)", id="enumerate"),
+    pytest.param(IDENTITY_SUBSET_CAP, "identity --n {} --subset 1,2,3",
+                 [(pauli, "qubit_mask"), (pauli, "PauliOperator")],
+                 "checking one subset is capped at 16777216 qubits (got 16777217)",
+                 id="identity-subset"),
+]
+
+
+class TestCapRefusals:
+    """Every cap refuses its command at one qubit past it, with exit 2, no
+    stdout, one stderr line, and before any work that grows with n."""
+
+    @pytest.mark.parametrize("cap,command,work,message", REFUSALS)
+    def test_refused_one_qubit_past_the_cap(self, capsys, monkeypatch, cap, command, work,
+                                            message):
+        for module, name in work:
+            monkeypatch.setattr(module, name, _not_called)
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *command.format(cap.qubits + 1).split())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("build", [lambda n: oracle.materialize(pauli.PauliOperator(n, 0, 0)),
+                                       lambda n: oracle.observable_matrix((0.1,) * n)],
+                             ids=["materialize", "observable_matrix"])
+    def test_matrix_cap_refuses_before_any_kron(self, monkeypatch, build):
+        # no command builds a whole matrix; the tests' references do
+        monkeypatch.setattr(oracle.np, "kron", _not_called)
+        with pytest.raises(CapacityError) as refused:
+            build(DENSE_MATRIX_CAP.qubits + 1)
+        assert str(refused.value) == "dense matrices are capped at 10 qubits (got 11)"
+
+    def test_every_cap_is_refused_here(self):
+        caps = {param.values[0] for param in REFUSALS} | {DENSE_MATRIX_CAP}
+        assert caps == {cap for name, cap in vars(errors).items() if name.endswith("_CAP")}
 
 
 class TestCheckFailures:

@@ -19,11 +19,11 @@ from ghzverify import pauli
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
-from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.lhv import EXHAUSTIVE_CAP, exhaustive_search, find_contradictions, predictions
-from ghzverify.oracle import DENSE_MATRIX_CAP
-from ghzverify.pauli import (IDENTITY_ALL_SUBSETS_CAP, PauliOperator, multiply,
-                             odd_subset_identities, qubit_mask, verify_ks_identity)
+from ghzverify.errors import (DENSE_MATRIX_CAP, EXHAUSTIVE_CAP, IDENTITY_ALL_SUBSETS_CAP,
+                              CapacityError, DimensionError, DomainError)
+from ghzverify.lhv import exhaustive_search, find_contradictions, predictions
+from ghzverify.pauli import (PauliOperator, multiply, odd_subset_identities, qubit_mask,
+                             verify_ks_identity)
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs
 from ghzverify.states import GhzLabel, rotated_dense
 from references import (CheckedRows, assignment_value, checked_rows, ew_contradictions, ew_swap,
@@ -182,7 +182,7 @@ class TestExhaustiveSearch:
     def test_four_qubits(self):
         assert exhaustive_search(GhzLabel(4, 0, 1)) == 0
 
-    @pytest.mark.parametrize("n", [3, 4, 5, EXHAUSTIVE_CAP])
+    @pytest.mark.parametrize("n", [3, 4, 5, EXHAUSTIVE_CAP.qubits])
     def test_north_only_constraints_leave_exactly_2_to_n(self, n):
         # choosing v(X_k) freely forces each v(Y_k) uniquely
         assert exhaustive_search(GhzLabel(n, 0, 1), require_s=False) == 1 << n
@@ -201,7 +201,7 @@ class TestExhaustiveSearch:
         # first constraint; two uint16 columns hold 4 MiB
         tracemalloc.start()
         try:
-            assert exhaustive_search(GhzLabel(EXHAUSTIVE_CAP, 0, 1)) == 0
+            assert exhaustive_search(GhzLabel(EXHAUSTIVE_CAP.qubits, 0, 1)) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -251,8 +251,9 @@ class TestKsIdentity:
         assert all(ok for _, ok in verdicts)
 
     def test_sweep_refused_above_its_cap(self):
-        with pytest.raises(CapacityError, match="checking all odd subsets is capped at 12 qubits"):
-            odd_subset_identities(IDENTITY_ALL_SUBSETS_CAP + 1)
+        with pytest.raises(CapacityError,
+                           match=r"^checking all odd subsets is capped at 12 qubits \(got 13\)$"):
+            odd_subset_identities(IDENTITY_ALL_SUBSETS_CAP.qubits + 1)
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_sweep_refused_without_qubits(self, n):
@@ -293,9 +294,9 @@ class TestKsIdentity:
             calls += 1
             return exact(a, b)
         monkeypatch.setattr(pauli, "multiply", counted)
-        assert main(["identity", "--n", str(IDENTITY_ALL_SUBSETS_CAP)]) == 0
+        assert main(["identity", "--n", str(IDENTITY_ALL_SUBSETS_CAP.qubits)]) == 0
         capsys.readouterr()
-        assert 0 < calls <= (1 << IDENTITY_ALL_SUBSETS_CAP) - 1
+        assert 0 < calls <= (1 << IDENTITY_ALL_SUBSETS_CAP.qubits) - 1
 
     def test_verdict_does_not_depend_on_input_order(self):
         n = 7
@@ -516,7 +517,7 @@ class TestSwapConjugation:
 
         monkeypatch.setattr(np, "kron", no_kron)
         with pytest.raises(CapacityError):
-            swap_conjugation_residual(DENSE_MATRIX_CAP + 1, 1, (1,))
+            swap_conjugation_residual(DENSE_MATRIX_CAP.qubits + 1, 1, (1,))
 
 
 @given(st.data())

@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from ghzverify import oracle
 from ghzverify.checks import EIGEN_TOL, conjugation_identity
-from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.oracle import (DENSE_MATRIX_CAP, apply_observable, apply_pauli,
-                              check_conjugation, check_eigen, eigen_residuals, materialize,
-                              observable_matrix, rotation_diagonal, two_dim_invariance_residual)
+from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, CapacityError, DimensionError,
+                              DomainError)
+from ghzverify.oracle import (apply_observable, apply_pauli, check_conjugation, check_eigen,
+                              eigen_residuals, materialize, observable_matrix, rotation_diagonal,
+                              two_dim_invariance_residual)
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import DENSE_VECTOR_CAP, GhzLabel, build_state, rotated_dense
+from ghzverify.states import GhzLabel, build_state, rotated_dense
 from references import from_letters, per_string_residuals
 
 
@@ -43,7 +44,7 @@ class TestMaterialize:
 
     def test_cap(self):
         with pytest.raises(CapacityError):
-            materialize(from_letters("X" * (DENSE_MATRIX_CAP + 1)))
+            materialize(from_letters("X" * (DENSE_MATRIX_CAP.qubits + 1)))
 
 
 class TestApplyPauli:
@@ -183,7 +184,7 @@ class TestCheckConjugation:
 
     def test_streaming_path_above_matrix_cap(self):
         rng = np.random.default_rng(8)
-        angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP + 1))
+        angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP.qubits + 1))
         assert check_conjugation([angles]) < EIGEN_TOL
 
     def test_vector_cap(self):
@@ -197,16 +198,16 @@ class TestCheckConjugation:
     def test_ragged_sets_refused_before_any_matrix(self, monkeypatch):
         def no_matrix(*_):
             raise AssertionError("matrix built before the refusal")
-        for name in ("_kron_rows", "rotation_diagonal", "observable_factor"):
+        for name in ("materialize", "observable_matrix", "rotation_diagonal", "observable_factor"):
             monkeypatch.setattr(oracle, name, no_matrix)
         with pytest.raises(DimensionError):
             check_conjugation([(0.1, 0.2), (0.1, 0.2, 0.3)])
 
-    @pytest.mark.parametrize("n", [3, DENSE_MATRIX_CAP + 1])
+    @pytest.mark.parametrize("n", [3, DENSE_MATRIX_CAP.qubits + 1])
     def test_nan_in_a_later_set_fails(self, n):
         assert math.isnan(check_conjugation([(0.1,) * n, (math.nan,) + (0.1,) * (n - 1)]))
 
-    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP.qubits + 1))
     def test_blocks_match_whole_matrix_reference(self, n):
         # the whole-matrix comparison the antidiagonals replace, entry for entry
         rng = np.random.default_rng(100 + n)
@@ -219,7 +220,7 @@ class TestCheckConjugation:
     def test_one_entry_off_in_seventh_set_fails(self, monkeypatch):
         # one diagonal entry, off the antidiagonal, of one factor of only one
         # set of ten gets a 1e-9 error: the whole matrices differ there too
-        n = DENSE_MATRIX_CAP
+        n = DENSE_MATRIX_CAP.qubits
         rng = np.random.default_rng(5)
         sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
         target = sets[6][-1]
@@ -242,7 +243,7 @@ class TestCheckConjugation:
         assert residual >= EIGEN_TOL
         assert _whole_matrix_residual(sets[6]) >= EIGEN_TOL
 
-    @pytest.mark.parametrize("n", [DENSE_MATRIX_CAP + 1, DENSE_VECTOR_CAP])
+    @pytest.mark.parametrize("n", [DENSE_MATRIX_CAP.qubits + 1, DENSE_VECTOR_CAP.qubits])
     def test_one_factor_diagonal_entry_off_fails_above_the_matrix_cap(self, monkeypatch, n):
         # the observable's factors are read at every n: a factor that leaks
         # off the antidiagonal fails where no whole matrix can be built
@@ -270,7 +271,7 @@ class TestCheckConjugation:
             return out
 
         rng = np.random.default_rng(9)
-        angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP + 1))
+        angles = tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP.qubits + 1))
         assert check_conjugation([angles]) < EIGEN_TOL
         monkeypatch.setattr(oracle, "rotation_diagonal", perturbed)
         assert check_conjugation([angles]) >= EIGEN_TOL
@@ -281,12 +282,14 @@ class TestCheckConjugation:
         def no_matrix(*_):
             raise AssertionError("a Kronecker chain was built")
 
-        monkeypatch.setattr(oracle, "_kron_rows", no_matrix)
-        for n in (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP):
+        monkeypatch.setattr(oracle, "materialize", no_matrix)
+        monkeypatch.setattr(oracle, "observable_matrix", no_matrix)
+        monkeypatch.setattr(oracle.np, "kron", no_matrix)
+        for n in (DENSE_MATRIX_CAP.qubits, DENSE_VECTOR_CAP.qubits):
             assert conjugation_identity(n, np.random.default_rng(0)).passed
 
     @pytest.mark.parametrize("rows", [5, 12])
-    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP.qubits + 1))
     def test_partial_last_block_matches_np_kron_reference(self, n, rows):
         # the whole-matrix comparison built by np.kron alone, on 5 and on
         # 12 angle sets
@@ -305,7 +308,8 @@ class TestCheckConjugation:
         # the whole-matrix route held the all-X matrix and one observable
         # matrix, 16 MiB each, at once
         rng = np.random.default_rng(6)
-        sets = [tuple(rng.uniform(-math.pi, math.pi, size=DENSE_MATRIX_CAP)) for _ in range(10)]
+        n = DENSE_MATRIX_CAP.qubits
+        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
         tracemalloc.start()
         try:
             assert check_conjugation(sets) < EIGEN_TOL
@@ -332,7 +336,7 @@ _ANGLES = st.one_of(
     st.floats(-2 * math.pi, 2 * math.pi))
 
 
-@pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
+@pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP.qubits + 1))
 @settings(deadline=None, max_examples=25)
 @given(data=st.data())
 def test_antidiagonals_bitwise_equal_to_whole_matrices(n, data):
@@ -352,23 +356,6 @@ def _kron_chain(factors):
     for f in factors:
         out = np.kron(out, f)
     return out
-
-
-class TestKronRows:
-    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP + 1))
-    def test_bitwise_equal_to_np_kron_chain(self, n):
-        # observable factors at 0 and pi give exact zeros, and with them
-        # zeros of both signs in the chain
-        rng = np.random.default_rng(400 + n)
-        angles = rng.uniform(-math.pi, math.pi, size=n)
-        angles[rng.integers(n)] = 0.0
-        angles[rng.integers(n)] = math.pi
-        letters = "".join(rng.choice(list("IXYZ"), size=n))
-        for factors in ([oracle.observable_factor(phi) for phi in angles],
-                        [oracle.PAULI_1Q[letter] for letter in letters]):
-            whole = _kron_chain(factors)
-            got = oracle._kron_rows(factors)
-            assert np.array_equal(got.view(np.uint64), whole.view(np.uint64))
 
 
 class TestRotationProperties:

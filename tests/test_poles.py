@@ -11,10 +11,10 @@ from hypothesis import strategies as st
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
-from ghzverify.errors import CapacityError, DimensionError, DomainError
+from ghzverify.errors import REPORT_CAP, CapacityError, DimensionError, DomainError
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply
-from ghzverify.poles import (LOW_BITS, Pole, REPORT_CAP, eigenvalue_column, eigenvalue_symbolic,
+from ghzverify.poles import (LOW_BITS, Pole, eigenvalue_column, eigenvalue_symbolic,
                              enumerate_pole, pole_runs, pole_size, xy_letter_matrix)
 from ghzverify.states import GhzLabel, rotated_dense
 from references import (combination_masks, commutes, compatible_family, eigenvalue_rule,
@@ -92,9 +92,9 @@ class TestEnumerate:
                 "n": n, "pole": "S", "operators": operators, "count": len(operators)}
 
     def test_capacity(self):
-        high, lows = next(pole_runs(REPORT_CAP, Pole.N))
-        assert high | int(lows[0]) == 1 << (REPORT_CAP - 1)
-        for n in (REPORT_CAP + 1, 64):
+        high, lows = next(pole_runs(REPORT_CAP.qubits, Pole.N))
+        assert high | int(lows[0]) == 1 << (REPORT_CAP.qubits - 1)
+        for n in (REPORT_CAP.qubits + 1, 64):
             with pytest.raises(CapacityError,
                                match=f"pole listings are capped at 24 qubits \\(got {n}\\)"):
                 pole_runs(n, Pole.N)
@@ -142,7 +142,7 @@ class TestPoleMasks:
             assert np.array_equal(np.concatenate(joined or [np.empty(0, np.uint64)]),
                                   enumerate_pole(n, pole))
 
-    @pytest.mark.parametrize("n", [0, REPORT_CAP + 1])
+    @pytest.mark.parametrize("n", [0, REPORT_CAP.qubits + 1])
     def test_runs_refuse_before_the_first_run(self, n):
         with pytest.raises((DomainError, CapacityError)):
             pole_runs(n, Pole.S)

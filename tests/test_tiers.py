@@ -9,7 +9,8 @@ imports nothing.
 Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
 ``pauli``, ``rotations``) is all that the CLI module loads, so the
 integer-only commands start without numpy.  Every module-level name of
-the package has a caller in the package, or the benchmark traces it.
+the package has a caller in the package, or the benchmark traces it, and
+only ``errors`` defines a size cap or raises its refusal.
 """
 
 import ast
@@ -122,6 +123,36 @@ def test_cli_copies_no_library_cap():
         elif isinstance(node, ast.alias) and node.name.endswith("_CAP"):
             caps.add(node.name)
     assert caps == set()
+
+
+def test_only_errors_defines_or_refuses_a_cap():
+    # one capacity model: every cap is a Cap in the errors table, and
+    # Cap.check is the one place that raises CapacityError
+    defining, raising = set(), []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                names = [node.id]
+            elif isinstance(node, ast.alias):
+                names = [node.asname or ""]
+            else:
+                names = []
+            if any(name.endswith("_CAP") for name in names):
+                defining.add(path.stem)
+            if isinstance(node, ast.Raise) and "CapacityError" in ast.unparse(node):
+                raising.append(path.stem)
+    assert defining == {"errors"}
+    assert raising == ["errors"]
+    tree = ast.parse((PACKAGE / "errors.py").read_text())
+    (cap,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Cap"]
+    (check,) = [node for node in cap.body if isinstance(node, ast.FunctionDef)]
+    assert check.name == "check"
+    assert any(isinstance(node, ast.Raise) for node in ast.walk(check))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id.endswith("_CAP"):
+            assert ast.unparse(node.value.func) == "Cap", ast.unparse(node)
 
 
 def _uses(tree):
