@@ -14,8 +14,9 @@ The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
 simultaneously, while dropping the S constraints leaves exactly 2**n
 survivors.  An assignment is the bit pair (vx, vy), bit n - k set meaning
-v(X_k) = -1 or v(Y_k) = -1, and the sweep holds all of them as two uint16
-columns (``EXHAUSTIVE_CAP`` keeps n <= 10), with no index column.
+v(X_k) = -1 or v(Y_k) = -1.  The sweep holds no pair: it joins two tables of
+2**n signature rows, one per half of an assignment (``EXHAUSTIVE_CAP``
+keeps n <= 10).
 """
 
 from __future__ import annotations
@@ -106,9 +107,14 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
 def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     """Count assignments matching every N (and optionally S) eigenvalue.
 
-    Starts from all 2**(2n) assignments and, constraint by constraint,
-    keeps only the (vx, vy) pairs that match it.  Every assignment is
-    tested until a constraint rejects it, so the sweep is complete.
+    Constraint j, the string with z mask z_j and eigenvalue e_j, holds for
+    (vx, vy) exactly when parity(vx & ~z_j) xor parity(vy & z_j) is 1 for
+    e_j = -1 and 0 for e_j = +1.  Each X half's parities on every
+    constraint's X letters, and each Y half's on the Y letters, are packed
+    into one signature row; (vx, vy) satisfies every constraint exactly
+    when the Y row equals the X row xor the packed signs (e_j < 0).  So
+    every half is evaluated on every constraint, and the count is the
+    number of such row matches: nothing is sampled or derived.
     """
     n = label.n
     EXHAUSTIVE_CAP.check(n)
@@ -118,18 +124,23 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     values = eigenvalue_column(label, 1, z_masks)
     if (lost := values == 0).any():
         raise ConsistencyError(f"{_letters(n, z_masks[np.argmax(lost)])} lost its eigenstate")
-    # every (vx, vy) pair once, vx major; EXHAUSTIVE_CAP keeps their n bits in uint16
-    masks = np.arange(1 << n, dtype=np.uint16)
-    vx = np.repeat(masks, 1 << n)
-    vy = np.tile(masks, 1 << n)
-    for z, expected in zip(z_masks.tolist(), values.tolist()):
-        # the string has its X letters on full ^ z and its Y letters on z
-        flips = (np.bitwise_count(vx & (full ^ z)) + np.bitwise_count(vy & z)) & 1
-        keep = flips == (1 - expected) // 2
-        vx, vy = vx[keep], vy[keep]
-        if not vx.size:
-            return 0
-    return int(vx.size)
+    # EXHAUSTIVE_CAP keeps every n-bit half and letter mask in uint16
+    halves = np.arange(1 << n, dtype=np.uint16)
+    y_letters = z_masks.astype(np.uint16)
+
+    def signatures(letters: np.ndarray) -> np.ndarray:
+        parity = np.bitwise_count(halves[:, None] & letters)
+        parity &= 1
+        return np.packbits(parity, axis=1)  # row h: bit j is the parity of h on letters[j]
+
+    targets = signatures(full ^ y_letters) ^ np.packbits(values < 0)
+    rows = signatures(y_letters)
+    # one void scalar per row, so that sorting and searching compare whole rows
+    row_type = np.dtype((np.void, rows.shape[1]))
+    keys, counts = np.unique(rows.view(row_type).ravel(), return_counts=True)
+    wanted = targets.view(row_type).ravel()
+    at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
+    return int(counts[at][keys[at] == wanted].sum())
 
 
 def _letters(n: int, z: int) -> str:

@@ -51,7 +51,7 @@ import numpy as np
 
 from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError, DomainError
 from .pauli import PauliOperator
-from .states import GhzLabel, build_state, rotation_phases, signed_bit_sums
+from .states import GhzLabel, pair_amplitudes, pair_phases, rotation_phases, signed_bit_sums
 
 #: Most entries in one block of eigen_residuals.
 _BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP.qubits
@@ -213,12 +213,16 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
 
 
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:
-    """How far rotation leaks out of the labeled pair's two-dimensional span."""
+    """How far rotation leaks out of the labeled pair's two-dimensional span.
+
+    Both basis states and their rotations vanish off the pair's two
+    indices, where every leak is exactly 0, so only those two are judged.
+    """
     if len(angles) != label.n:
         raise DimensionError(f"expected {label.n} angles, got {len(angles)}")
-    plus = build_state(GhzLabel(label.n, label.bits, 1))
-    minus = build_state(GhzLabel(label.n, label.bits, -1))
-    diag = rotation_diagonal(angles)
+    plus = pair_amplitudes(GhzLabel(label.n, label.bits, 1))
+    minus = pair_amplitudes(GhzLabel(label.n, label.bits, -1))
+    diag = pair_phases(label, angles)
     leaks = []
     for base in (plus, minus):
         rotated = diag * base

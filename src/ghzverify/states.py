@@ -79,13 +79,18 @@ def parse_label(text: str, n: int | None = None) -> GhzLabel:
     return GhzLabel(len(bits_str), int(bits_str, 2), 1 if sign_str == "+" else -1)
 
 
+def pair_amplitudes(label: GhzLabel) -> np.ndarray:
+    """The amplitudes of (|bits> + sign |~bits>)/sqrt(2) at its only nonzero
+    indices, bits and ~bits."""
+    amp = 1.0 / math.sqrt(2.0)
+    return np.array([amp, label.sign * amp], dtype=complex)
+
+
 def build_state(label: GhzLabel) -> np.ndarray:
     """Dense amplitudes of (|bits> + sign |~bits>)/sqrt(2)."""
     DENSE_VECTOR_CAP.check(label.n)
     vec = np.zeros(1 << label.n, dtype=complex)
-    amp = 1.0 / math.sqrt(2.0)
-    vec[label.bits] = amp
-    vec[label.complement_bits] = label.sign * amp
+    vec[[label.bits, label.complement_bits]] = pair_amplitudes(label)
     return vec
 
 
@@ -138,6 +143,28 @@ def rotation_phases(n: int, phis: Sequence[float]) -> np.ndarray:
         np.multiply(total, half, out=pairs[:, 0])
         np.multiply(total, np.conj(half), out=pairs[:, 1])
         total = pairs.ravel()
+    return total
+
+
+def pair_phases(label: GhzLabel, phis: Sequence[float]) -> np.ndarray:
+    """:func:`rotation_phases` at the pair's indices, bits and ~bits, without
+    the 2**n table.
+
+    The two indices are bit-complements, so on every qubit one takes the
+    0-bit factor and the other the 1-bit factor.  Both entries take the
+    table's factors in its order, qubit 1 first, through an array
+    np.multiply, so they are bitwise the table's: numpy's vector kernel may
+    fuse a multiply and an add, so a product of scalars can round
+    differently.
+    """
+    if len(phis) != label.n:
+        raise DimensionError(f"expected {label.n} angles, got {len(phis)}")
+    total = np.ones(2, dtype=complex)
+    for k, phi in enumerate(phis, start=1):
+        half = np.exp(-0.5j * phi)
+        # a 0 bit turns by -phi/2, a 1 bit by +phi/2; index bits comes first
+        turns = [np.conj(half), half] if label.bit(k) else [half, np.conj(half)]
+        np.multiply(total, np.array(turns), out=total)
     return total
 
 

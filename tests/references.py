@@ -4,11 +4,12 @@ No command reaches these, so they live beside the tests and not in the
 package: strings from letters and the symplectic commutation rule, the X/Y
 string with Y at given positions, the pole masks built from
 ``itertools.combinations``, the shortcut eigenvalue rule, the brute-force
-assignment sweep, the commuting family of generator products, the checked
-contradiction rows regenerated run by run, those rows through an odd
-X<->Y swap and its dense half turn, the stdout of ``lhv`` and ``enumerate``
-rendered one row at a time, the eigen residuals of one Pauli image per
-string, and the ``ufunc.outer`` phase tables.
+assignment sweep and the 4**n-pair column filter, the commuting family of
+generator products, the checked contradiction rows regenerated run by run,
+those rows through an odd X<->Y swap and its dense half turn, the stdout of
+``lhv`` and ``enumerate`` rendered one row at a time, the eigen residuals of
+one Pauli image per string, the collapse and pair-invariance checks on whole
+2**n vectors, and the ``ufunc.outer`` phase tables.
 """
 
 import itertools
@@ -22,11 +23,12 @@ from ghzverify import __version__
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import DimensionError, DomainError
 from ghzverify.lhv import Contradictions, find_contradictions, predictions
-from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize
+from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize, rotation_diagonal
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
                              enumerate_pole, pole_runs)
-from ghzverify.states import GhzLabel
+from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
+                              max_norm_diff)
 
 
 class LetterError(ValueError):
@@ -91,6 +93,27 @@ def satisfying_assignments(label, require_s=True):
                    for z in enumerate_pole(n, pole).tolist()]
     return sum(all(assignment_value(n, vx, vy, z) == value for z, value in constraints)
                for vx in range(1 << n) for vy in range(1 << n))
+
+
+def column_sweep(label, require_s=True):
+    """exhaustive_search as a filter: all 4**n (vx, vy) pairs held as two
+    uint16 columns, vx major, and cut down constraint by constraint."""
+    n = label.n
+    full = (1 << n) - 1
+    constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
+    z_masks = np.concatenate([enumerate_pole(n, pole) for pole in constrained])
+    values = eigenvalue_column(label, 1, z_masks)
+    masks = np.arange(1 << n, dtype=np.uint16)
+    vx = np.repeat(masks, 1 << n)
+    vy = np.tile(masks, 1 << n)
+    for z, expected in zip(z_masks.tolist(), values.tolist()):
+        # the string has its X letters on full ^ z and its Y letters on z
+        flips = (np.bitwise_count(vx & (full ^ z)) + np.bitwise_count(vy & z)) & 1
+        keep = flips == (1 - expected) // 2
+        vx, vy = vx[keep], vy[keep]
+        if not vx.size:
+            return 0
+    return int(vx.size)
 
 
 def compatible_family(n):
@@ -252,6 +275,41 @@ def per_string_residuals(z_masks, vec):
         image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)
         rows.append([check_eigen(vec, image, 1), check_eigen(vec, image, -1)])
     return np.array(rows).reshape(len(rows), 2)
+
+
+def dense_collapse(label, rng):
+    """collective_angle_collapse's worst residual from the whole 2**n
+    vectors, as build_state and apply_rotations give them."""
+    n = label.n
+    base = build_state(label)
+    signs = [1.0 if label.bit(k) == 0 else -1.0 for k in range(1, n + 1)]
+    diffs = []
+    for trial in range(20):
+        first = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+        target = collective_angle(label, first)
+        if trial == 0:
+            second = np.array([signs[k] * target / n for k in range(n)])
+        else:
+            second = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+            partial = collective_angle(label, list(second[:-1]) + [0.0])
+            second[-1] = signs[-1] * (target - partial)
+        diffs.append(max_norm_diff(apply_rotations(base, label, first),
+                                   apply_rotations(base, label, second)))
+    return float(np.max(diffs))
+
+
+def dense_invariance_residual(label, angles):
+    """two_dim_invariance_residual from the whole 2**n basis vectors and
+    rotation diagonal."""
+    plus = build_state(GhzLabel(label.n, label.bits, 1))
+    minus = build_state(GhzLabel(label.n, label.bits, -1))
+    diag = rotation_diagonal(angles)
+    leaks = []
+    for base in (plus, minus):
+        rotated = diag * base
+        projected = np.vdot(plus, rotated) * plus + np.vdot(minus, rotated) * minus
+        leaks.append(np.max(np.abs(rotated - projected)))
+    return float(np.max(leaks))
 
 
 def outer_signed_bit_sums(n, phis):

@@ -6,13 +6,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzverify import checks, lhv, oracle, poles, states
 from ghzverify.cli import main
 from ghzverify.errors import DENSE_VECTOR_CAP, EXHAUSTIVE_CAP, CapacityError, DomainError
 from ghzverify.pauli import PauliOperator
 from ghzverify.states import GhzLabel
-from references import outer_rotation_phases, outer_signed_bit_sums, per_string_residuals
+from references import (dense_collapse, dense_invariance_residual, outer_rotation_phases,
+                        outer_signed_bit_sums, per_string_residuals)
 
 
 def test_cases_per_check_at_three_qubits():
@@ -91,7 +94,8 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
 
 
 def test_nan_in_a_later_trial_fails_collapse(monkeypatch):
-    _nan_on_call(monkeypatch, states, "apply_rotations", 7)
+    # two pair_phases calls per trial: the 7th is the first of trial 4
+    _nan_on_call(monkeypatch, states, "pair_phases", 7)
     _assert_nan_fails(checks.collective_angle_collapse(LABEL, np.random.default_rng(0)))
 
 
@@ -139,6 +143,26 @@ def test_verify_equals_the_reference_kernels(monkeypatch, n, sign):
                             traced("signed_bit_sums", outer_signed_bit_sums))
     assert checks.verify(label, 40 + n) == fast
     assert calls == {"eigen_residuals", "rotation_phases", "signed_bit_sums"}
+
+
+def _bitwise(value):
+    return np.float64(value).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, DENSE_VECTOR_CAP.qubits + 1))
+@settings(deadline=None, max_examples=10)
+@given(data=st.data())
+def test_pair_checks_bitwise_equal_to_whole_vectors(n, data):
+    # the collapse and pair-invariance checks judge the pair's two indices
+    # only; every residual is bitwise that of the whole 2**n vectors
+    label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
+                     data.draw(st.sampled_from([1, -1])))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    collapse = checks.collective_angle_collapse(label, np.random.default_rng(seed)).residual
+    assert _bitwise(collapse) == _bitwise(dense_collapse(label, np.random.default_rng(seed)))
+    angles = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
+    assert (_bitwise(oracle.two_dim_invariance_residual(label, angles))
+            == _bitwise(dense_invariance_residual(label, angles)))
 
 
 @pytest.mark.parametrize("n", [DENSE_VECTOR_CAP.qubits + 1, 63, 64])

@@ -26,8 +26,8 @@ from ghzverify.pauli import (PauliOperator, multiply, odd_subset_identities, qub
                              verify_ks_identity)
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs
 from ghzverify.states import GhzLabel, rotated_dense
-from references import (CheckedRows, assignment_value, checked_rows, ew_contradictions, ew_swap,
-                        from_letters, half_turn, satisfying_assignments,
+from references import (CheckedRows, assignment_value, checked_rows, column_sweep,
+                        ew_contradictions, ew_swap, from_letters, half_turn, satisfying_assignments,
                         swap_conjugation_residual, swapped_state, xy_string)
 
 
@@ -197,15 +197,48 @@ class TestExhaustiveSearch:
             exhaustive_search(GhzLabel(11, 0, 1))
 
     def test_traced_peak_at_the_cap(self):
-        # an index column and two uint32 columns held 12 MiB before the
-        # first constraint; two uint16 columns hold 4 MiB
+        # two uint16 columns of all 4**n pairs held 4 MiB before the first
+        # constraint; the signature join holds (2**n, m) parity tables, about
+        # 1.5 MiB for the m = 496 constraints at n = 10
         tracemalloc.start()
         try:
             assert exhaustive_search(GhzLabel(EXHAUSTIVE_CAP.qubits, 0, 1)) == 0
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12 << 20
+        assert peak < 2 << 20
+
+    @pytest.mark.parametrize("n", range(1, EXHAUSTIVE_CAP.qubits + 1))
+    @settings(deadline=None, max_examples=8)
+    @given(data=st.data())
+    def test_join_matches_the_column_sweep(self, n, data):
+        label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
+                         data.draw(st.sampled_from([1, -1])))
+        require_s = data.draw(st.booleans())
+        assert exhaustive_search(label, require_s=require_s) == column_sweep(label, require_s)
+
+    @pytest.mark.parametrize("n", range(1, EXHAUSTIVE_CAP.qubits + 1))
+    @settings(deadline=None, max_examples=8)
+    @given(vx=st.integers(0, 1 << 20), vy=st.integers(0, 1 << 20), require_s=st.booleans())
+    def test_join_counts_the_survivors_of_a_planted_assignment(self, n, vx, vy, require_s):
+        # signs read off one assignment are consistent, and the S strings
+        # add no rank to the N strings, so 2**n pairs survive either way:
+        # the join counts repeated matches, where the quarter-turn
+        # eigenvalues with S leave none
+        full = np.uint64((1 << n) - 1)
+        vx, vy = np.uint64(vx) & full, np.uint64(vy) & full
+
+        def planted(label, quarter, z_masks):
+            flips = np.bitwise_count((z_masks ^ full) & vx) + np.bitwise_count(z_masks & vy)
+            return 1 - 2 * (flips & 1).astype(np.int8)
+
+        label = GhzLabel(n, 0, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("ghzverify.lhv.eigenvalue_column", planted)
+            patch.setattr("references.eigenvalue_column", planted)
+            count = exhaustive_search(label, require_s=require_s)
+            assert count == column_sweep(label, require_s)
+        assert count == 1 << n
 
     @pytest.mark.parametrize("require_s", [True, False])
     @pytest.mark.parametrize("label", [GhzLabel(n, bits, sign)

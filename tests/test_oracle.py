@@ -207,15 +207,22 @@ class TestCheckConjugation:
     def test_nan_in_a_later_set_fails(self, n):
         assert math.isnan(check_conjugation([(0.1,) * n, (math.nan,) + (0.1,) * (n - 1)]))
 
+    @pytest.mark.parametrize("all_x", [lambda n: materialize(from_letters("X" * n)),
+                                       lambda n: np.fliplr(np.eye(1 << n, dtype=complex))],
+                             ids=["materialize", "fliplr"])
     @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP.qubits + 1))
-    def test_blocks_match_whole_matrix_reference(self, n):
-        # the whole-matrix comparison the antidiagonals replace, entry for entry
+    def test_antidiagonals_match_whole_matrix_reference(self, n, all_x):
+        # the whole-matrix comparison the antidiagonals replace, entry for
+        # entry, with the all-X matrix from materialize and from np.eye alone,
+        # on one angle set at a time and on 5, 10 and 12 at once
+        matrix = all_x(n)
         rng = np.random.default_rng(100 + n)
         for _ in range(3):
             angles = tuple(rng.uniform(-math.pi, math.pi, size=n))
-            assert check_conjugation([angles]) == _whole_matrix_residual(angles)
-        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
-        assert check_conjugation(sets) == max(_whole_matrix_residual(a) for a in sets)
+            assert check_conjugation([angles]) == _whole_matrix_residual(angles, matrix)
+        for rows in (5, 10, 12):
+            sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(rows)]
+            assert check_conjugation(sets) == max(_whole_matrix_residual(a, matrix) for a in sets)
 
     def test_one_entry_off_in_seventh_set_fails(self, monkeypatch):
         # one diagonal entry, off the antidiagonal, of one factor of only one
@@ -288,22 +295,6 @@ class TestCheckConjugation:
         for n in (DENSE_MATRIX_CAP.qubits, DENSE_VECTOR_CAP.qubits):
             assert conjugation_identity(n, np.random.default_rng(0)).passed
 
-    @pytest.mark.parametrize("rows", [5, 12])
-    @pytest.mark.parametrize("n", range(1, DENSE_MATRIX_CAP.qubits + 1))
-    def test_partial_last_block_matches_np_kron_reference(self, n, rows):
-        # the whole-matrix comparison built by np.kron alone, on 5 and on
-        # 12 angle sets
-        def reference(angles):
-            d = rotation_diagonal(angles)
-            all_x = np.fliplr(np.eye(1 << n, dtype=complex))
-            lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
-            return float(np.max(np.abs(lhs - _kron_chain(
-                [oracle.observable_factor(phi) for phi in angles]))))
-
-        rng = np.random.default_rng(300 + n)
-        sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(rows)]
-        assert check_conjugation(sets) == max(reference(a) for a in sets)
-
     def test_traced_peak_at_the_matrix_cap(self):
         # the whole-matrix route held the all-X matrix and one observable
         # matrix, 16 MiB each, at once
@@ -319,11 +310,12 @@ class TestCheckConjugation:
         assert peak < 8 << 20
 
 
-def _whole_matrix_residual(angles):
-    """check_conjugation's residual from the whole matrices, as materialize
-    and observable_matrix build them."""
+def _whole_matrix_residual(angles, all_x=None):
+    """check_conjugation's residual from the whole matrices: ``all_x`` (by
+    default as materialize builds it) and observable_matrix."""
     d = rotation_diagonal(angles)
-    all_x = materialize(from_letters("X" * len(angles)))
+    if all_x is None:
+        all_x = materialize(from_letters("X" * len(angles)))
     lhs = (d[:, None] * all_x) * np.conj(d)[None, :]
     return float(np.max(np.abs(lhs - observable_matrix(angles))))
 
@@ -351,13 +343,6 @@ def test_antidiagonals_bitwise_equal_to_whole_matrices(n, data):
         assert np.float64(got).tobytes() == np.float64(expected).tobytes()
 
 
-def _kron_chain(factors):
-    out = np.eye(1, dtype=complex)
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
 class TestRotationProperties:
     def test_diagonal_is_unitary(self):
         rng = np.random.default_rng(55)
@@ -368,7 +353,8 @@ class TestRotationProperties:
     def test_pair_invariance_refuses_wrong_angle_count(self, monkeypatch):
         def not_called(*args):
             raise AssertionError("a vector was built before the refusal")
-        monkeypatch.setattr(oracle, "build_state", not_called)
+        monkeypatch.setattr(oracle, "pair_amplitudes", not_called)
+        monkeypatch.setattr(oracle, "pair_phases", not_called)
         with pytest.raises(DimensionError, match="expected 3 angles, got 2"):
             two_dim_invariance_residual(GhzLabel(3, 0, 1), (0.1, 0.2))
 
