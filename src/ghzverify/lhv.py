@@ -7,7 +7,7 @@ product rule) the predicted value of every S-pole string, and each
 prediction has the opposite sign from the exact eigenvalue: one absolute
 contradiction per S string.  :func:`find_contradictions` checks every S
 string run by run and keeps no row; what it returns, the generator
-signs and the row count, is enough to regenerate each row; the CLI
+signs and the row count, is enough to regenerate each row; :mod:`listing`
 renders its sign from the :func:`predictions` of its high and low bits.
 
 The exhaustive search below confirms the stronger statement by brute force:

@@ -51,7 +51,8 @@ import numpy as np
 
 from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError, DomainError
 from .pauli import PauliOperator
-from .states import GhzLabel, pair_amplitudes, pair_phases, rotation_phases, signed_bit_sums
+from .states import (GhzLabel, doubled, pair_amplitudes, pair_phases, rotation_phases,
+                     signed_bit_sums)
 
 #: Most entries in one block of eigen_residuals.
 _BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP.qubits
@@ -200,14 +201,11 @@ def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
     worst = 0.0
     for angles in angle_sets:
         diag = rotation_diagonal(angles)
-        anti = np.ones(1, dtype=complex)
-        for phi in angles:
-            f = observable_factor(phi)
+        factors = [observable_factor(phi) for phi in angles]
+        for f in factors:
             worst = np.maximum(worst, np.max(np.abs(f.diagonal())))
-            pairs = np.empty((anti.size, 2), dtype=complex)
-            np.multiply(anti, f[0, 1], out=pairs[:, 0])
-            np.multiply(anti, f[1, 0], out=pairs[:, 1])
-            anti = pairs.ravel()
+        anti = doubled(((f[0, 1], f[1, 0]) for f in factors), np.multiply,
+                       np.ones(1, dtype=complex))
         worst = np.maximum(worst, np.max(np.abs(diag * np.conj(diag[::-1]) - anti)))
     return float(worst)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -108,42 +108,41 @@ def rotated_dense(label: GhzLabel, phi: float) -> np.ndarray:
     return math.cos(half) * build_state(label) - 1j * math.sin(half) * build_state(partner)
 
 
+def doubled(pairs: Iterable[tuple[complex, complex]], combine: Callable[..., np.ndarray],
+            start: np.ndarray) -> np.ndarray:
+    """``start`` doubled by each qubit's (0-bit, 1-bit) pair in turn, the first
+    qubit most significant: entry 2i + bit is combine(table[i], that bit's
+    value), written as two strided columns of a (size, 2) table."""
+    table = start
+    for zero, one in pairs:
+        columns = np.empty((table.size, 2), dtype=table.dtype)
+        combine(table, zero, out=columns[:, 0])
+        combine(table, one, out=columns[:, 1])
+        table = columns.ravel()
+    return table
+
+
 def signed_bit_sums(n: int, phis: Sequence[float]) -> np.ndarray:
     """For every index b, sum_k (-1)^{b_k} phi_k (qubit 1 = most significant)."""
     if len(phis) != n:
         raise DimensionError(f"expected {n} angles, got {len(phis)}")
-    total = np.zeros(1)
-    for phi in phis:
-        # Each qubit doubles the table: its 0 bit adds +phi, its 1 bit -phi,
-        # and qubit 1 added first ends up most significant.
-        pairs = np.empty((total.size, 2))
-        np.add(total, phi, out=pairs[:, 0])
-        np.add(total, -phi, out=pairs[:, 1])
-        total = pairs.ravel()
-    return total
+    # a 0 bit adds +phi, a 1 bit -phi
+    return doubled(((phi, -phi) for phi in phis), np.add, np.zeros(1))
 
 
 def rotation_phases(n: int, phis: Sequence[float]) -> np.ndarray:
     """For every index b, exp(-i/2 sum_k (-1)^{b_k} phi_k): the z-rotation diagonal.
 
     Built as a product of per-qubit factors: each qubit doubles the table
-    with one complex multiply per new entry, where exponentiating
+    (:func:`doubled`) with one complex multiply per new entry, where exponentiating
     :func:`signed_bit_sums` would take one complex exponential per entry.
-    The doubling writes the two new columns, the 0-bit and the 1-bit
-    products, with one strided multiply each and then reads the (size, 2)
-    table row by row; both builders double this way.
     """
     if len(phis) != n:
         raise DimensionError(f"expected {n} angles, got {len(phis)}")
-    total = np.ones(1, dtype=complex)
-    for phi in phis:
-        # qubit 1 first, as in signed_bit_sums: a 0 bit turns by -phi/2, a 1 bit by +phi/2
-        half = np.exp(-0.5j * phi)
-        pairs = np.empty((total.size, 2), dtype=complex)
-        np.multiply(total, half, out=pairs[:, 0])
-        np.multiply(total, np.conj(half), out=pairs[:, 1])
-        total = pairs.ravel()
-    return total
+    # a 0 bit turns by -phi/2, a 1 bit by +phi/2
+    halves = (np.exp(-0.5j * phi) for phi in phis)
+    return doubled(((half, np.conj(half)) for half in halves), np.multiply,
+                   np.ones(1, dtype=complex))
 
 
 def pair_phases(label: GhzLabel, phis: Sequence[float]) -> np.ndarray:

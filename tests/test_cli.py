@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzverify import checks, cli, counting, errors, lhv, oracle, pauli, poles, states
+from ghzverify import checks, counting, errors, lhv, listing, oracle, pauli, poles, states
 from ghzverify.cli import main
 from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, EXHAUSTIVE_CAP,
                               IDENTITY_ALL_SUBSETS_CAP, IDENTITY_SUBSET_CAP, REPORT_CAP,
@@ -118,10 +118,6 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--n", "4", "--label", "0110-")
         assert code == 0
 
-    def test_cap_rejected(self, capsys):
-        code, _, _ = run_cli(capsys, "verify", "--n", "15")
-        assert code == 2
-
     @pytest.mark.parametrize("n", ["63", "64"])
     def test_cap_refuses_where_no_mask_can_be_drawn(self, capsys, n):
         # past 62 qubits rng.integers cannot draw a z mask: the cap must come first
@@ -176,11 +172,7 @@ class TestLhv:
         assert payload["contradictions"] == 0
         assert payload["exhaustive"]["satisfying"] > 0
 
-    def test_exhaustive_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "lhv", "--n", "11", "--exhaustive")
-        assert code == 2
-
-    @pytest.mark.parametrize("n", [11, 30])
+    @pytest.mark.parametrize("n", [30])
     def test_exhaustive_cap_refuses_before_any_report(self, capsys, monkeypatch, n):
         def not_called(*args):
             raise AssertionError("reports built before the refusal")
@@ -224,10 +216,6 @@ class TestIdentity:
         code, out, err = run_cli(capsys, "identity", "--n", "4", "--subset", subset)
         assert (code, out) == (2, "")
         assert f"qubit index {qubit} out of range 1..4" in err
-
-    def test_all_subsets_cap(self, capsys):
-        code, _, _ = run_cli(capsys, "identity", "--n", "13")
-        assert code == 2
 
     def test_subset_within_its_cap_passes(self, capsys):
         code, out, err = run_cli(capsys, "identity", "--n", "10000000", "--subset", "1,2,3")
@@ -294,6 +282,14 @@ class TestOneQubit:
         assert code == 2
         assert "counts are defined for n >= 2 (got 1)" in err
 
+    def test_exhaustive_lhv_refuses_before_the_sweep(self, capsys, monkeypatch):
+        # the sweep itself takes n = 1, so the command refuses before it runs
+        def not_called(*args):
+            raise AssertionError("the sweep ran before the refusal")
+        monkeypatch.setattr(lhv, "enumerate_pole", not_called)
+        code, out, err = run_cli(capsys, "lhv", "--n", "1", "--exhaustive")
+        assert (code, out, err) == (2, "", "error: counts are defined for n >= 2 (got 1)\n")
+
 
 class TestMaskCapacity:
     """Past 63 qubits a string's z mask would no longer fit a uint64 column;
@@ -315,14 +311,6 @@ class TestMaskCapacity:
 
 class TestReportCapacity:
     """Past REPORT_CAP qubits a pole listing would outgrow any budget."""
-
-    def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
-        def not_called(*args):
-            raise AssertionError("generators evaluated before the refusal")
-        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
-        code, out, err = run_cli(capsys, "lhv", "--n", str(REPORT_CAP.qubits + 1))
-        assert (code, out) == (2, "")
-        assert "pole listings are capped at 24 qubits (got 25)" in err
 
     def test_lhv_refuses_a_large_n_before_any_work_that_grows_with_it(self, capsys):
         # neither the expected count 2**(n-2) nor the label's 2**(n-1) is built
@@ -493,7 +481,7 @@ class TestRenderingMemory:
         tracemalloc.start()
         try:
             reports = lhv.find_contradictions(states.GhzLabel(20, 0b0110100110010110100, -1))
-            written = sum(len(block) for block in cli._report_blocks(reports, json_rows))
+            written = sum(len(block) for block in listing._report_blocks(reports, json_rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

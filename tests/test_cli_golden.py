@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import cli
+from ghzverify import listing
 from ghzverify.cli import main
 from ghzverify.lhv import find_contradictions
 from ghzverify.poles import Pole, pole_runs, pole_size
@@ -71,14 +71,14 @@ def test_stdout_digest(capsys, command):
 def test_block_boundaries_leave_bytes_unchanged(capsys, monkeypatch, command, block_bytes):
     # 1 byte renders one row per block; 1000 bytes leaves partial last blocks,
     # e.g. 220 three-Y strings at n = 12 in blocks of 66 rows of 15 bytes
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(listing, "_BLOCK_BYTES", block_bytes)
     test_stdout_digest(capsys, command)
 
 
 def _stdout_of(argv, block_bytes):
     """Exit code and stdout of one in-process run, with blocks of ``block_bytes``."""
     out = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", newline="\n")
-    with mock.patch.object(cli, "_BLOCK_BYTES", block_bytes), contextlib.redirect_stdout(out):
+    with mock.patch.object(listing, "_BLOCK_BYTES", block_bytes), contextlib.redirect_stdout(out):
         code = main(argv)
     out.flush()
     return code, out.buffer.getvalue().decode()
@@ -134,18 +134,18 @@ def test_enumerate_past_the_low_bits_matches_the_row_at_a_time_reference(n, pole
 def test_report_blocks_outlive_the_next_block(monkeypatch):
     # 200 bytes hold two table rows at n = 10, so a run of equal Y counts
     # spans many blocks; each must keep its bytes once the next is rendered
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
+    monkeypatch.setattr(listing, "_BLOCK_BYTES", 200)
     reports = find_contradictions(parse_label("0110100110+"))
-    streamed = b"".join(bytes(block) for block in cli._report_blocks(reports, json_rows=False))
-    assert b"".join(list(cli._report_blocks(reports, json_rows=False))) == streamed
+    streamed = b"".join(bytes(block) for block in listing._report_blocks(reports, json_rows=False))
+    assert b"".join(list(listing._report_blocks(reports, json_rows=False))) == streamed
     assert streamed.count(b"\n") == len(reports)
 
 
 def test_listing_blocks_outlive_the_next_block(monkeypatch):
-    monkeypatch.setattr(cli, "_BLOCK_BYTES", 200)
+    monkeypatch.setattr(listing, "_BLOCK_BYTES", 200)
 
     def blocks():
-        return cli._listing_blocks(10, pole_runs(10, Pole.S), b"  ", b"\n")
+        return listing._listing_blocks(10, pole_runs(10, Pole.S), b"  ", b"\n")
 
     streamed = b"".join(bytes(block) for block in blocks())
     assert b"".join(list(blocks())) == streamed

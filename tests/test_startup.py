@@ -18,8 +18,9 @@ from ghzverify.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules whose load state the wrapper reports.  dataclasses brings in
-#: inspect, and json is needed by the json output alone.
-PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli")
+#: inspect, json is needed by the json output alone, and listing by the
+#: streamed listings of enumerate and lhv alone.
+PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli", "ghzverify.listing")
 
 #: Runs the CLI, then appends the loaded PROBED modules to stderr as the last line.
 WRAPPER = f"""\
@@ -69,7 +70,7 @@ def test_command_runs_without_numpy(capsys, command):
 @pytest.mark.parametrize("command", COMMANDS)
 def test_command_loads_only_what_it_runs(command):
     *_, loaded = _fresh_cli(command)
-    assert not loaded & {"dataclasses", "inspect"}
+    assert not loaded & {"dataclasses", "inspect", "ghzverify.listing"}
     # the json printers import json; table and csv output never loads it
     assert ("json" in loaded) == ("--format json" in command)
     if command.startswith("count"):

@@ -8,9 +8,11 @@ imports nothing.
 
 Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
 ``pauli``, ``rotations``) is all that the CLI module loads, so the
-integer-only commands start without numpy.  Every module-level name of
-the package has a caller in the package, or the benchmark traces it, and
-only ``errors`` defines a size cap or raises its refusal.
+integer-only commands start without numpy; ``cli`` imports numpy nowhere,
+and only its two listing commands import the numpy renderers of
+``listing``.  Every module-level name of the package has a caller in the
+package, or the benchmark traces it, and only ``errors`` defines a size
+cap or raises its refusal.
 """
 
 import ast
@@ -23,7 +25,7 @@ import pytest
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ghzverify"
 
-SYMBOLIC = ["pauli", "poles", "counting", "lhv", "rotations"]
+SYMBOLIC = ["pauli", "poles", "counting", "lhv", "rotations", "listing"]
 ORACLE = ["states", "oracle"]
 BOTH = {"checks", "cli"}
 CORE = ["errors", "counting", "pauli", "rotations"]
@@ -96,10 +98,33 @@ def test_the_reader_finds_imports():
     assert ("oracle", None) in _imports("checks")
     assert ("pauli", "PauliOperator") in _imports("oracle")
     assert ("numpy", None) in _imports("poles")
-    # cli imports numpy only inside the commands and helpers that use it
-    assert ("numpy", None) in _imports("cli")
-    assert ("numpy", None) not in _imports("cli", top_level=True)
+    # cli imports listing only inside the commands that stream a listing
+    assert ("listing", None) in _imports("cli")
+    assert ("listing", None) not in _imports("cli", top_level=True)
     assert ("counting", None) in _imports("cli", top_level=True)
+
+
+def test_cli_imports_no_numpy_anywhere():
+    # not at load, inside a function or under TYPE_CHECKING: the numpy
+    # renderers live in listing
+    assert not [target for target, _ in _imports("cli") if target.split(".")[0] == "numpy"]
+
+
+def test_listing_stays_off_the_oracle_tier():
+    assert not {target for target, _ in _imports("listing")} & set(ORACLE)
+
+
+def test_only_the_listing_commands_import_listing():
+    importers = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        # the innermost function around each node; ast.walk visits outer ones first
+        scopes = {id(node): function.name for function in ast.walk(tree)
+                  if isinstance(function, ast.FunctionDef) for node in ast.walk(function)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and "listing" in ast.unparse(node):
+                importers.add((path.stem, scopes.get(id(node))))
+    assert importers == {("cli", "cmd_enumerate"), ("cli", "cmd_lhv")}
 
 
 def test_package_binds_only_its_version():
@@ -202,5 +227,5 @@ def test_every_package_name_has_a_caller_or_is_traced():
                 names = []
             uncalled |= {(module, name) for name in names
                          if not _has_caller(uses, module, name, node)}
-    # the one exception: ROADMAP item 6 would give eigen_check_general a command
+    # the one exception: ROADMAP item 7 would give eigen_check_general a command
     assert uncalled - traced == {("checks", "eigen_check_general")}
