@@ -125,10 +125,10 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     from . import lhv, listing
 
     label = _label(args.label, args.n)
-    counting.check_n(args.n)  # before the sweep, which itself takes n = 1
+    lhv.check_label(label)  # before the sweep, which itself takes n = 1 and any label
     # the sweep runs first, so its cap refuses before any report is built
     satisfying = lhv.exhaustive_search(label) if args.exhaustive else None
-    reports = lhv.find_contradictions(label)  # refuses n < 2 and an oversized listing first
+    reports = lhv.find_contradictions(label)  # refuses an oversized listing first
     expected = counting.c_n_closed(args.n)
     count_ok = len(reports) == expected
     search_ok = True

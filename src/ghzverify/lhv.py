@@ -8,7 +8,7 @@ prediction has the opposite sign from the exact eigenvalue: one absolute
 contradiction per S string.  :func:`find_contradictions` checks every S
 string run by run and keeps no row; what it returns, the generator
 signs and the row count, is enough to regenerate each row; :mod:`listing`
-renders its sign from the :func:`predictions` of its high and low bits.
+renders its sign from :func:`poles.predictions` of its high and low bits.
 
 The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
@@ -28,7 +28,7 @@ import numpy as np
 from .counting import check_n
 from .errors import EXHAUSTIVE_CAP, ConsistencyError, DomainError
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
-from .poles import (Pole, eigenvalue_column, eigenvalue_symbolic, enumerate_pole, pole_runs,
+from .poles import (Pole, eigenvalue_column, enumerate_pole, pole_runs, predictions,
                     xy_letter_matrix)
 from .states import GhzLabel
 
@@ -42,7 +42,7 @@ class Contradictions:
     single-Y string on qubit k, and bit n - k of ``negative`` is set when
     its eigenvalue is -1.  An S string's Y positions pick the generators
     that the product rule multiplies, so its prediction is
-    :func:`predictions` of its z mask (see :mod:`poles`) and ``negative``,
+    :func:`poles.predictions` of its z mask and ``negative``,
     and its eigenvalue was checked to be the opposite.  The product rule
     splits: two disjoint masks' union predicts the product of theirs.
     """
@@ -55,47 +55,34 @@ class Contradictions:
         return self.rows
 
 
-def predictions(masks: np.ndarray, negative: int) -> np.ndarray:
-    """The product-rule predictions of the X/Y strings with these z masks,
-    as int8 +/-1: (-1)**popcount(mask & negative)."""
-    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
-    parity = (np.bitwise_count(masks & np.uint64(negative)) & 1).astype(np.int8)
-    return 1 - 2 * parity
+def check_label(label: GhzLabel) -> None:
+    """Refuse n < 2 and a label that is not canonical, before any work."""
+    check_n(label.n)
+    if not label.is_canonical:
+        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
 
 
 def find_contradictions(label: GhzLabel) -> Contradictions:
     """All S-pole contradictions on the label's quarter-turn state, checked.
 
-    The generator values come from :func:`eigenvalue_symbolic`; each row's
-    prediction comes from :func:`predictions` and its eigenvalue from
-    :func:`eigenvalue_column`, so the two stay separate routes.  Every row
-    is checked, one :func:`poles.pole_runs` run at a time, to keep its
-    eigenstate and to oppose its prediction before the result is returned;
-    n < 2, a label that is not canonical and an oversized listing are
-    refused before any work.
+    Each row's prediction comes from :func:`poles.predictions` of the
+    generator values and its eigenvalue from :func:`eigenvalue_column`, so
+    the two routes are the product rule and the closed form; the closed
+    form has no second route yet.  Every row is checked, one
+    :func:`poles.pole_runs` run at a time, to keep its eigenstate and to
+    oppose its prediction before the result is returned; :func:`check_label`
+    and the listing cap refuse before any work.
     """
     n = label.n
-    check_n(n)
-    if not label.is_canonical:
-        raise DomainError(f"label {label} is not canonical (qubit 1 bit must be 0)")
+    check_label(label)
     runs = pole_runs(n, Pole.S)  # refuses an oversized listing
-    negative = 0
-    for k in range(1, n + 1):
-        generator = 1 << (n - k)
-        value = eigenvalue_symbolic(label, 1, generator)
-        if value is None:
-            raise ConsistencyError(
-                f"single-Y generator {_letters(n, generator)} lost its eigenstate")
-        if value < 0:
-            negative |= generator
+    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)  # qubit 1 first
+    negative = int(generators[_eigenvalues(label, generators, "single-Y generator ") < 0].sum())
     rows = 0
     for high, lows in runs:
         targets = lows | np.uint64(high)
         lhv = predictions(targets, negative)
-        quantum = eigenvalue_column(label, 1, targets)
-        if (lost := quantum == 0).any():
-            raise ConsistencyError(
-                f"S operator {_letters(n, targets[np.argmax(lost)])} lost its eigenstate")
+        quantum = _eigenvalues(label, targets, "S operator ")
         if (same := lhv == quantum).any():
             row = np.argmax(same)
             raise ConsistencyError(f"{_letters(n, targets[row])}: predicted {lhv[row]} "
@@ -121,9 +108,7 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     full = (1 << n) - 1
     constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
     z_masks = np.concatenate([enumerate_pole(n, pole) for pole in constrained])
-    values = eigenvalue_column(label, 1, z_masks)
-    if (lost := values == 0).any():
-        raise ConsistencyError(f"{_letters(n, z_masks[np.argmax(lost)])} lost its eigenstate")
+    values = _eigenvalues(label, z_masks, "")
     # EXHAUSTIVE_CAP keeps every n-bit half and letter mask in uint16
     halves = np.arange(1 << n, dtype=np.uint16)
     y_letters = z_masks.astype(np.uint16)
@@ -141,6 +126,16 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
     wanted = targets.view(row_type).ravel()
     at = np.minimum(np.searchsorted(keys, wanted), len(keys) - 1)
     return int(counts[at][keys[at] == wanted].sum())
+
+
+def _eigenvalues(label: GhzLabel, masks: np.ndarray, kind: str) -> np.ndarray:
+    """The quarter-turn eigenvalues of a z-mask column; a string that lost its
+    eigenstate is a tool failure, named by ``kind`` and its letters."""
+    values = eigenvalue_column(label, 1, masks)
+    if (lost := values == 0).any():
+        raise ConsistencyError(f"{kind}{_letters(label.n, masks[np.argmax(lost)])} "
+                               "lost its eigenstate")
+    return values
 
 
 def _letters(n: int, z: int) -> str:

@@ -5,11 +5,14 @@ per low Y count, written in blocks of at most _BLOCK_BYTES."""
 from __future__ import annotations
 
 import sys
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from . import lhv, poles
+from . import poles
+
+if TYPE_CHECKING:
+    from .lhv import Contradictions
 
 #: Marks the one list of a payload that :func:`_print_json_streamed` writes
 #: block by block; json.dumps renders it as "\u0000", which no other value holds.
@@ -113,14 +116,14 @@ _TABLE_SIGNS = (b"+1 vs quantum -1", b"-1 vs quantum +1")
 _JSON_SIGNS = (b'1,\n      "quantum": -1', b'-1,\n      "quantum": 1')
 
 
-def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[memoryview]:
+def _report_blocks(reports: Contradictions, json_rows: bool) -> Iterator[memoryview]:
     """Rendered report rows, in blocks of at most _BLOCK_BYTES (at least one
     row) that each hold rows of one run of :func:`poles.pole_runs`.
 
     Each part of a row (letters, sign, generator cells) is a constant of
     its run, from the high part, or a row of a table built once per call
     for each low Y count, from the low part.  A prediction is a product
-    over the Y letters, so :func:`lhv.predictions` of the low masks builds
+    over the Y letters, so :func:`poles.predictions` of the low masks builds
     sign tables under a high part that predicts +1 and one that predicts
     -1, and that of the high part picks one; no row's bits are unpacked."""
     n = reports.n
@@ -136,7 +139,7 @@ def _report_blocks(reports: lhv.Contradictions, json_rows: bool) -> Iterator[mem
 
     def flips(masks: np.ndarray) -> np.ndarray:
         # lhv = +1 picks sign row 0 and lhv = -1 row 1
-        return (1 - lhv.predictions(masks, reports.negative)) >> 1
+        return (1 - poles.predictions(masks, reports.negative)) >> 1
 
     # row k - 1 is generator k's letters, then the separator
     generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)

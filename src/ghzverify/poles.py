@@ -14,10 +14,10 @@ two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 One string is an int mask; many are a uint64 column.  :func:`pole_runs`
 yields a pole's strings as runs that share a high part, the one walk over a
 pole, and :func:`enumerate_pole` joins them into one column;
-:func:`xy_letter_matrix` and :func:`eigenvalue_column` read a column's
-letters and eigenvalues at once: the symplectic bit-mask idiom of Aaronson
-and Gottesman (quant-ph/0406196) in the bit-packed layout of Stim
-(arXiv:2103.02202).
+:func:`xy_letter_matrix`, :func:`eigenvalue_column` and :func:`predictions`
+read a column's letters, eigenvalues and product-rule values at once: the
+symplectic bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in
+the bit-packed layout of Stim (arXiv:2103.02202).
 """
 
 from __future__ import annotations
@@ -147,3 +147,11 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     values = label.sign * (1 - exponent)
     values[exponent % 2 == 1] = 0
     return values
+
+
+def predictions(masks: np.ndarray, negative: int) -> np.ndarray:
+    """The product-rule predictions of the X/Y strings with these z masks,
+    as int8 +/-1: (-1)**popcount(mask & negative)."""
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(masks & np.uint64(negative)) & 1).astype(np.int8)
+    return 1 - 2 * parity

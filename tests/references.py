@@ -22,11 +22,11 @@ import numpy as np
 from ghzverify import __version__
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import DimensionError, DomainError
-from ghzverify.lhv import Contradictions, find_contradictions, predictions
+from ghzverify.lhv import Contradictions, find_contradictions
 from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize, rotation_diagonal
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
-                             enumerate_pole, pole_runs)
+                             enumerate_pole, pole_runs, predictions)
 from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
                               max_norm_diff)
 
@@ -166,7 +166,7 @@ class CheckedRows:
 
     def runs(self):
         """(targets, lhv, quantum) per run: the swapped S strings, their
-        predictions from lhv.predictions and their eigenvalues on the swapped
+        predictions from poles.predictions and their eigenvalues on the swapped
         state, from eigenvalue_column."""
         carrier, quarter = swapped_state(self.label, self.mask)
         for high, lows in pole_runs(self.label.n, Pole.S):

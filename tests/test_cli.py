@@ -185,6 +185,16 @@ class TestLhv:
         code, _, _ = run_cli(capsys, "lhv", "--n", "3", "--label", "100+")
         assert code == 2
 
+    def test_exhaustive_non_canonical_label_refused_before_the_sweep(self, capsys, monkeypatch):
+        # the sweep itself takes any label, so the command refuses before it runs
+        def not_called(*args):
+            raise AssertionError("the sweep ran before the refusal")
+        monkeypatch.setattr(lhv, "enumerate_pole", not_called)
+        code, out, err = run_cli(capsys, "lhv", "--n", "10", "--label", "1000000000+",
+                                 "--exhaustive")
+        assert (code, out) == (2, "")
+        assert err == "error: label 1000000000+ is not canonical (qubit 1 bit must be 0)\n"
+
     def test_deterministic_output(self, capsys):
         first = run_cli(capsys, "lhv", "--n", "4", "--format", "json")
         second = run_cli(capsys, "lhv", "--n", "4", "--format", "json")
@@ -277,7 +287,7 @@ class TestOneQubit:
         def not_called(*args):
             raise AssertionError("contradictions built before the refusal")
         monkeypatch.setattr(lhv, "pole_runs", not_called)
-        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
+        monkeypatch.setattr(lhv, "eigenvalue_column", not_called)
         code, _, err = run_cli(capsys, "lhv", "--n", "1")
         assert code == 2
         assert "counts are defined for n >= 2 (got 1)" in err
@@ -298,7 +308,7 @@ class TestMaskCapacity:
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
         def not_called(*args):
             raise AssertionError("generators evaluated before the refusal")
-        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
+        monkeypatch.setattr(lhv, "eigenvalue_column", not_called)
         code, out, err = run_cli(capsys, "lhv", "--n", "64")
         assert (code, out) == (2, "")
         assert "pole listings are capped at 24 qubits (got 64)" in err
@@ -351,7 +361,7 @@ REFUSALS = [
     pytest.param(IDENTITY_ALL_SUBSETS_CAP, "identity --n {}",
                  [(pauli, "PauliOperator"), (pauli, "multiply")],
                  "checking all odd subsets is capped at 12 qubits (got 13)", id="identity"),
-    pytest.param(REPORT_CAP, "lhv --n {}", [(lhv, "eigenvalue_symbolic"), (poles, "_runs")],
+    pytest.param(REPORT_CAP, "lhv --n {}", [(lhv, "eigenvalue_column"), (poles, "_runs")],
                  "pole listings are capped at 24 qubits (got 25)", id="lhv"),
     pytest.param(REPORT_CAP, "enumerate --n {} --pole S", [(poles, "pole_size"), (poles, "_runs")],
                  "pole listings are capped at 24 qubits (got 25)", id="enumerate"),
@@ -400,13 +410,12 @@ class TestCheckFailures:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_disagreeing_row_is_named_before_any_output(self, capsys, monkeypatch, fmt):
-        eigenvalue_symbolic = lhv.eigenvalue_symbolic
+        def flipped_generator(label, quarter, masks):
+            values = poles.eigenvalue_column(label, quarter, masks)
+            values[masks == 0b01000] *= -1  # XYXXX, a generator and no S string
+            return values
 
-        def flipped_generator(label, quarter, z):
-            value = eigenvalue_symbolic(label, quarter, z)
-            return -value if z == 0b01000 else value  # XYXXX
-
-        monkeypatch.setattr(lhv, "eigenvalue_symbolic", flipped_generator)
+        monkeypatch.setattr(lhv, "eigenvalue_column", flipped_generator)
         code, out, err = run_cli(capsys, "lhv", "--n", "5", "--format", fmt)
         assert code == 1
         assert out == ""
@@ -420,8 +429,8 @@ class TestCheckFailures:
     def test_bad_row_in_the_last_run_stops_before_any_output(self, capsys, monkeypatch,
                                                             fmt, plant, message):
         # the 4,160 S strings at n = 14 come as 12 runs, one per Y count
-        # and high part; had rendering begun before the check pass ended,
-        # rows would be written
+        # and high part, after the generator column; had rendering begun
+        # before the check pass ended, rows would be written
         last = 0b00011111111111  # XXXYYYYYYYYYYY, the last S string
         seen = []
 
@@ -435,7 +444,29 @@ class TestCheckFailures:
         code, out, err = run_cli(capsys, "lhv", "--n", "14", "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"tool failure: {message}\n"
-        assert len(seen) == 12 and last in seen[-1]
+        assert len(seen) == 13 and last in seen[-1]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("argv,lost,message", [
+        ("--n 5", 0b01000, "single-Y generator XYXXX lost its eigenstate"),
+        # YYYYY is an N string and no generator, so only the sweep's N + S column holds it
+        ("--n 5 --exhaustive", 0b11111, "YYYYY lost its eigenstate"),
+    ], ids=["generator", "sweep"])
+    def test_lost_eigenstate_stops_before_any_output(self, capsys, monkeypatch, fmt, argv,
+                                                     lost, message):
+        # each is the first column evaluated: the generators, or the sweep that runs first
+        seen = []
+
+        def planted(label, quarter, masks):
+            values = poles.eigenvalue_column(label, quarter, masks)
+            seen.append(masks.tolist())
+            values[masks == lost] = 0
+            return values
+
+        monkeypatch.setattr(lhv, "eigenvalue_column", planted)
+        code, out, err = run_cli(capsys, "lhv", *argv.split(), "--format", fmt)
+        assert (code, out, err) == (1, "", f"tool failure: {message}\n")
+        assert len(seen) == 1 and lost in seen[0]
 
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
         # negating every image swaps its residuals against +vec and -vec

@@ -21,10 +21,10 @@ from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import (DENSE_MATRIX_CAP, EXHAUSTIVE_CAP, IDENTITY_ALL_SUBSETS_CAP,
                               CapacityError, DimensionError, DomainError)
-from ghzverify.lhv import exhaustive_search, find_contradictions, predictions
+from ghzverify.lhv import exhaustive_search, find_contradictions
 from ghzverify.pauli import (PauliOperator, multiply, odd_subset_identities, qubit_mask,
                              verify_ks_identity)
-from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs
+from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs, predictions
 from ghzverify.states import GhzLabel, rotated_dense
 from references import (CheckedRows, assignment_value, checked_rows, column_sweep,
                         ew_contradictions, ew_swap, from_letters, half_turn, satisfying_assignments,

@@ -2,7 +2,8 @@
 
 ``count`` and ``identity`` run in a fresh interpreter, which then reports
 which of a few heavy modules were ever imported; their stdout, stderr and
-exit code must match an in-process run of the same argv.
+exit code must match an in-process run of the same argv.  ``enumerate``
+runs there too, and loads none of the refutation that only ``lhv`` runs.
 """
 
 import functools
@@ -18,9 +19,10 @@ from ghzverify.cli import main
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules whose load state the wrapper reports.  dataclasses brings in
-#: inspect, json is needed by the json output alone, and listing by the
-#: streamed listings of enumerate and lhv alone.
-PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli", "ghzverify.listing")
+#: inspect, json is needed by the json output alone, listing by the
+#: streamed listings of enumerate and lhv alone, and lhv by lhv alone.
+PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli", "ghzverify.listing",
+          "ghzverify.lhv")
 
 #: Runs the CLI, then appends the loaded PROBED modules to stderr as the last line.
 WRAPPER = f"""\
@@ -75,6 +77,17 @@ def test_command_loads_only_what_it_runs(command):
     assert ("json" in loaded) == ("--format json" in command)
     if command.startswith("count"):
         assert "ghzverify.pauli" not in loaded
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+def test_enumerate_loads_neither_lhv_nor_pauli(capsys, fmt):
+    command = f"enumerate --n 6 --pole S --format {fmt}"
+    *result, loaded = _fresh_cli(command)
+    assert "ghzverify.listing" in loaded
+    assert not loaded & {"ghzverify.lhv", "ghzverify.pauli"}
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert tuple(result) == (code, captured.out, captured.err)
 
 
 def test_bare_import_leaves_numpy_unloaded():

@@ -10,9 +10,10 @@ Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
 ``pauli``, ``rotations``) is all that the CLI module loads, so the
 integer-only commands start without numpy; ``cli`` imports numpy nowhere,
 and only its two listing commands import the numpy renderers of
-``listing``.  Every module-level name of the package has a caller in the
-package, or the benchmark traces it, and only ``errors`` defines a size
-cap or raises its refusal.
+``listing``, which run on ``poles`` alone.  Every module-level name of the
+package has a caller in the package, or the benchmark traces it and it is
+listed as kept by the tracer alone, and only ``errors`` defines a size cap
+or raises its refusal.
 """
 
 import ast
@@ -112,6 +113,21 @@ def test_cli_imports_no_numpy_anywhere():
 
 def test_listing_stays_off_the_oracle_tier():
     assert not {target for target, _ in _imports("listing")} & set(ORACLE)
+
+
+def test_listing_imports_only_poles_at_run_time():
+    # lhv's Contradictions is read under TYPE_CHECKING alone, so enumerate
+    # loads neither lhv nor the pauli it binds
+    tree = ast.parse((PACKAGE / "listing.py").read_text())
+    typing_only = {id(node) for block in tree.body
+                   if isinstance(block, ast.If) and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+    package = {path.stem for path in PACKAGE.glob("*.py")}
+    reached = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level and id(node) not in typing_only:
+            reached |= {node.module} if node.module else {alias.name for alias in node.names}
+    assert reached & package == {"poles"}
 
 
 def test_only_the_listing_commands_import_listing():
@@ -229,3 +245,7 @@ def test_every_package_name_has_a_caller_or_is_traced():
                          if not _has_caller(uses, module, name, node)}
     # the one exception: ROADMAP item 7 would give eigen_check_general a command
     assert uncalled - traced == {("checks", "eigen_check_general")}
+    # names that only the benchmark's tracer keeps; one that loses its last
+    # caller is listed here on purpose
+    assert uncalled & traced == {("oracle", "materialize"), ("oracle", "observable_matrix"),
+                                 ("states", "apply_rotations"), ("poles", "eigenvalue_symbolic")}
