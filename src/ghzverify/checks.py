@@ -6,11 +6,17 @@ its case count, its worst residual, and whether that residual stayed under
 :data:`EIGEN_TOL`.  The oracle returns bare residuals, so the tolerance and
 every verdict against it live here.  This module and the CLI are the only
 ones that use both tiers.
+
+Every draw comes from one standard-library ``random.Random(seed)``, consumed
+by the checks in a fixed order, so a seed reproduces ``verify``'s output on
+one Python version.  ``randrange``, ``sample`` and ``randbytes`` are not
+guaranteed stable across Python versions, so residual digits may move there.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -25,8 +31,8 @@ EIGEN_TOL = 1e-12
 #: Up to this many qubits ``verify`` checks every X/Y string, 2**n of them.
 VERIFY_ALL_OPS_UP_TO = 10
 
-#: Above VERIFY_ALL_OPS_UP_TO qubits, ``verify`` samples this many X/Y
-#: strings instead of checking every one.
+#: Above VERIFY_ALL_OPS_UP_TO qubits, ``verify`` samples this many distinct
+#: X/Y strings instead of checking every one.
 VERIFY_SAMPLED_OPS = 256
 
 #: Angle sums within this distance of a pole (0 or pi from the state's angle)
@@ -54,20 +60,20 @@ def _within_tol(name: str, cases: int, residuals: Sequence[float]) -> Check:
     return Check(name, cases, worst, worst < EIGEN_TOL)
 
 
-def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
+def eigenvalues(label: GhzLabel, rng: random.Random) -> Check:
     """Symbolic eigenvalues against the dense oracle, on the label's
     unrotated and quarter-turn states.
 
     The pool is a column of X/Y z masks: up to VERIFY_ALL_OPS_UP_TO qubits
-    every string, above it VERIFY_SAMPLED_OPS drawn ones.  A string the
-    symbolic tier calls a non-eigenstate must fail the dense test for both
-    signs.
+    every string, above it VERIFY_SAMPLED_OPS distinct strings drawn without
+    replacement.  A string the symbolic tier calls a non-eigenstate must
+    fail the dense test for both signs.
     """
     n = label.n
     if n <= VERIFY_ALL_OPS_UP_TO:
         z_masks = np.arange(1 << n, dtype=np.uint64)
     else:
-        z_masks = rng.integers(0, 1 << n, size=VERIFY_SAMPLED_OPS).astype(np.uint64)
+        z_masks = np.array(rng.sample(range(1 << n), VERIFY_SAMPLED_OPS), dtype=np.uint64)
     eigen_rows = []
     non_eigen_fail = True
     for quarter in (0, 1):
@@ -82,7 +88,12 @@ def eigenvalues(label: GhzLabel, rng: np.random.Generator) -> Check:
     return check._replace(passed=check.passed and non_eigen_fail)
 
 
-def collective_angle_collapse(label: GhzLabel, rng: np.random.Generator) -> Check:
+def _angles(rng: random.Random, n: int, bound: float) -> list[float]:
+    """n angles drawn uniformly between -bound and bound."""
+    return [rng.uniform(-bound, bound) for _ in range(n)]
+
+
+def collective_angle_collapse(label: GhzLabel, rng: random.Random) -> Check:
     """Equal collective angles must give identical rotated vectors, the
     uniform compression case included.
 
@@ -94,31 +105,36 @@ def collective_angle_collapse(label: GhzLabel, rng: np.random.Generator) -> Chec
     signs = [1.0 if label.bit(k) == 0 else -1.0 for k in range(1, n + 1)]
     diffs = []
     for trial in range(20):
-        first = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
+        first = _angles(rng, n, _TWO_PI)
         target = states.collective_angle(label, first)
         if trial == 0:
-            second = np.array([signs[k] * target / n for k in range(n)])
+            second = [signs[k] * target / n for k in range(n)]
         else:
-            second = rng.uniform(-2 * math.pi, 2 * math.pi, size=n)
-            partial = states.collective_angle(label, list(second[:-1]) + [0.0])
+            second = _angles(rng, n, _TWO_PI)
+            partial = states.collective_angle(label, second[:-1] + [0.0])
             second[-1] = signs[-1] * (target - partial)
         diffs.append(states.max_norm_diff(base * states.pair_phases(label, first),
                                           base * states.pair_phases(label, second)))
     return _within_tol("collective_angle_collapse", 20, diffs)
 
 
-def conjugation_identity(n: int, rng: np.random.Generator) -> Check:
+def conjugation_identity(n: int, rng: random.Random) -> Check:
     """Conjugating the all-X string must reproduce the factored observable."""
-    angle_sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(10)]
+    angle_sets = [_angles(rng, n, math.pi) for _ in range(10)]
     return _within_tol("conjugation_identity", 10, [oracle.check_conjugation(angle_sets)])
 
 
-def quarter_turn_consistency(n: int, rng: np.random.Generator) -> Check:
-    """Quarter-turn co-rotation must agree with the general-angle observable."""
+def quarter_turn_consistency(n: int, rng: random.Random) -> Check:
+    """Quarter-turn co-rotation must agree with the general-angle observable.
+
+    Each probe is drawn in one call: 2 * 2**n little-endian uint32 words,
+    read as interleaved real and imaginary parts uniform on [-1, 1).
+    """
     diffs = []
     for _ in range(16):
-        turns = [int(t) for t in rng.integers(0, 4, size=n)]
-        probe = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        turns = [rng.randrange(4) for _ in range(n)]
+        words = np.frombuffer(rng.randbytes(8 << n), dtype="<u4")
+        probe = (words * 2.0**-31 - 1.0).view(complex)
         probe /= np.linalg.norm(probe)
         via_pauli = oracle.apply_pauli(rotations.co_rotate_quarter(turns), probe)
         via_angles = oracle.apply_observable(probe, tuple(t * math.pi / 2 for t in turns))
@@ -145,12 +161,12 @@ def verify(label: GhzLabel, seed: int) -> list[Check]:
     """Every check of the ``verify`` command, all drawing from one generator."""
     n = label.n
     DENSE_VECTOR_CAP.check(n)  # before any check draws from rng or builds a vector
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     checks = [eigenvalues(label, rng),
               collective_angle_collapse(label, rng),
               conjugation_identity(n, rng),
               quarter_turn_consistency(n, rng)]
-    angle_sets = [tuple(rng.uniform(-2 * math.pi, 2 * math.pi, size=n)) for _ in range(10)]
+    angle_sets = [_angles(rng, n, _TWO_PI) for _ in range(10)]
     checks.append(rotation_unitarity(angle_sets))
     checks.append(pair_subspace_invariance(label, angle_sets))
     return checks

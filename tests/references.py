@@ -279,19 +279,20 @@ def per_string_residuals(z_masks, vec):
 
 def dense_collapse(label, rng):
     """collective_angle_collapse's worst residual from the whole 2**n
-    vectors, as build_state and apply_rotations give them."""
+    vectors, as build_state and apply_rotations give them, drawing from the
+    ``random.Random`` ``rng`` in the check's order."""
     n = label.n
     base = build_state(label)
     signs = [1.0 if label.bit(k) == 0 else -1.0 for k in range(1, n + 1)]
     diffs = []
     for trial in range(20):
-        first = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
+        first = [rng.uniform(-2 * np.pi, 2 * np.pi) for _ in range(n)]
         target = collective_angle(label, first)
         if trial == 0:
-            second = np.array([signs[k] * target / n for k in range(n)])
+            second = [signs[k] * target / n for k in range(n)]
         else:
-            second = rng.uniform(-2 * np.pi, 2 * np.pi, size=n)
-            partial = collective_angle(label, list(second[:-1]) + [0.0])
+            second = [rng.uniform(-2 * np.pi, 2 * np.pi) for _ in range(n)]
+            partial = collective_angle(label, second[:-1] + [0.0])
             second[-1] = signs[-1] * (target - partial)
         diffs.append(max_norm_diff(apply_rotations(base, label, first),
                                    apply_rotations(base, label, second)))

@@ -2,6 +2,7 @@
 and NaN, which must fail every check."""
 
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,26 @@ def test_eigen_cases_are_sampled_above_the_matrix_cap():
     eigen = checks.verify(GhzLabel(n, 0b01101001011, -1), 5)[0]
     assert (eigen.name, eigen.cases) == ("eigenvalues_symbolic_vs_oracle", 512)
     assert eigen.cases == 2 * checks.VERIFY_SAMPLED_OPS
+
+
+@pytest.mark.parametrize("n", [checks.VERIFY_ALL_OPS_UP_TO + 1, DENSE_VECTOR_CAP.qubits])
+def test_sampled_eigen_pool_holds_distinct_strings(monkeypatch, n):
+    # drawn with replacement, about 15 of 256 masks repeat at n = 11, and the
+    # case count would over-state the distinct strings judged
+    pools = []
+    eigen_residuals = oracle.eigen_residuals
+
+    def recorded(z_masks, vec):
+        pools.append(z_masks.copy())
+        return eigen_residuals(z_masks, vec)
+    monkeypatch.setattr(oracle, "eigen_residuals", recorded)
+    label = GhzLabel(n, int("01101001011010"[:n], 2), 1)
+    assert checks.eigenvalues(label, random.Random(11)).passed
+    assert len(pools) == 2 and np.array_equal(pools[0], pools[1])
+    pool = pools[0]
+    assert pool.dtype == np.uint64
+    assert len(set(pool.tolist())) == len(pool) == checks.VERIFY_SAMPLED_OPS
+    assert int(pool.max()) < 1 << n
 
 
 @pytest.mark.parametrize("residual,passed", [(0.999e-12, True), (1e-12, False)])
@@ -68,7 +89,7 @@ def _assert_nan_fails(check):
 
 def test_nan_in_a_later_quarter_fails_eigenvalues(monkeypatch):
     _nan_on_call(monkeypatch, states, "rotated_dense", 2)
-    _assert_nan_fails(checks.eigenvalues(LABEL, np.random.default_rng(0)))
+    _assert_nan_fails(checks.eigenvalues(LABEL, random.Random(0)))
 
 
 @pytest.mark.parametrize("column", [0, 1])
@@ -88,7 +109,7 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
             out[0, column] = np.nan
         return out
     monkeypatch.setattr(oracle, "eigen_residuals", poisoned)
-    check = checks.eigenvalues(label, np.random.default_rng(0))
+    check = checks.eigenvalues(label, random.Random(0))
     assert not check.passed
     assert check.residual < checks.EIGEN_TOL
 
@@ -96,12 +117,12 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
 def test_nan_in_a_later_trial_fails_collapse(monkeypatch):
     # two pair_phases calls per trial: the 7th is the first of trial 4
     _nan_on_call(monkeypatch, states, "pair_phases", 7)
-    _assert_nan_fails(checks.collective_angle_collapse(LABEL, np.random.default_rng(0)))
+    _assert_nan_fails(checks.collective_angle_collapse(LABEL, random.Random(0)))
 
 
 def test_nan_in_a_later_probe_fails_quarter_turns(monkeypatch):
     _nan_on_call(monkeypatch, oracle, "apply_observable", 5)
-    _assert_nan_fails(checks.quarter_turn_consistency(4, np.random.default_rng(0)))
+    _assert_nan_fails(checks.quarter_turn_consistency(4, random.Random(0)))
 
 
 def test_nan_in_a_later_set_fails_unitarity():
@@ -158,8 +179,8 @@ def test_pair_checks_bitwise_equal_to_whole_vectors(n, data):
     label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
                      data.draw(st.sampled_from([1, -1])))
     seed = data.draw(st.integers(0, 2**32 - 1))
-    collapse = checks.collective_angle_collapse(label, np.random.default_rng(seed)).residual
-    assert _bitwise(collapse) == _bitwise(dense_collapse(label, np.random.default_rng(seed)))
+    collapse = checks.collective_angle_collapse(label, random.Random(seed)).residual
+    assert _bitwise(collapse) == _bitwise(dense_collapse(label, random.Random(seed)))
     angles = data.draw(st.lists(st.floats(-8.0, 8.0), min_size=n, max_size=n))
     assert (_bitwise(oracle.two_dim_invariance_residual(label, angles))
             == _bitwise(dense_invariance_residual(label, angles)))
@@ -181,7 +202,7 @@ def test_eigen_pool_stays_small_at_the_vector_cap():
     label = GhzLabel(DENSE_VECTOR_CAP.qubits, 0b01101001011010, -1)
     tracemalloc.start()
     try:
-        checks.eigenvalues(label, np.random.default_rng(3))
+        checks.eigenvalues(label, random.Random(3))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

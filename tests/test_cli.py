@@ -120,7 +120,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("n", ["63", "64"])
     def test_cap_refuses_where_no_mask_can_be_drawn(self, capsys, n):
-        # past 62 qubits rng.integers cannot draw a z mask: the cap must come first
+        # no state vector of this size could be built: the cap refuses before any draw
         code, out, err = run_cli(capsys, "verify", "--n", n)
         assert (code, out) == (2, "")
         assert f"capped at 14 qubits (got {n})" in err

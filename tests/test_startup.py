@@ -4,6 +4,8 @@
 which of a few heavy modules were ever imported; their stdout, stderr and
 exit code must match an in-process run of the same argv.  ``enumerate``
 runs there too, and loads none of the refutation that only ``lhv`` runs.
+``verify`` draws from the standard library's generator, so it loads neither
+``numpy.random`` nor the ``secrets`` and ``hashlib`` that numpy's seeding needs.
 """
 
 import functools
@@ -21,8 +23,9 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 #: Modules whose load state the wrapper reports.  dataclasses brings in
 #: inspect, json is needed by the json output alone, listing by the
 #: streamed listings of enumerate and lhv alone, and lhv by lhv alone.
+#: No command needs numpy.random, secrets or hashlib.
 PROBED = ("numpy", "dataclasses", "inspect", "json", "ghzverify.pauli", "ghzverify.listing",
-          "ghzverify.lhv")
+          "ghzverify.lhv", "numpy.random", "secrets", "hashlib")
 
 #: Runs the CLI, then appends the loaded PROBED modules to stderr as the last line.
 WRAPPER = f"""\
@@ -85,6 +88,18 @@ def test_enumerate_loads_neither_lhv_nor_pauli(capsys, fmt):
     *result, loaded = _fresh_cli(command)
     assert "ghzverify.listing" in loaded
     assert not loaded & {"ghzverify.lhv", "ghzverify.pauli"}
+    code = main(command.split())
+    captured = capsys.readouterr()
+    assert tuple(result) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("command", ["verify --n 3", "verify --n 14 --format json"])
+def test_verify_draws_without_numpy_random(capsys, command):
+    # above 10 qubits the eigen pool is sampled; a fresh process must draw
+    # the same values from the seed alone, with no module-level state
+    *result, loaded = _fresh_cli(command)
+    assert "numpy" in loaded
+    assert not loaded & {"numpy.random", "secrets", "hashlib"}
     code = main(command.split())
     captured = capsys.readouterr()
     assert tuple(result) == (code, captured.out, captured.err)
