@@ -22,7 +22,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import oracle, poles, rotations, states
-from .errors import DENSE_VECTOR_CAP, ConsistencyError, DomainError
+from .errors import DENSE_VECTOR_CAP, DomainError
 from .states import GhzLabel
 
 #: The one residual tolerance: a check passes when its worst residual is below it.
@@ -34,13 +34,6 @@ VERIFY_ALL_OPS_UP_TO = 10
 #: Above VERIFY_ALL_OPS_UP_TO qubits, ``verify`` samples this many distinct
 #: X/Y strings instead of checking every one.
 VERIFY_SAMPLED_OPS = 256
-
-#: Angle sums within this distance of a pole (0 or pi from the state's angle)
-#: snap to it.  An offset d leaves the dense residual sqrt(2) * |sin(d / 2)|,
-#: so this is the offset at which that residual reaches EIGEN_TOL:
-#: apart from rounding at the boundary itself, a snapped pole passes the
-#: dense check and an unsnapped one fails it.
-POLE_SNAP_TOL = 2.0 * math.asin(EIGEN_TOL / math.sqrt(2.0))
 
 _TWO_PI = 2.0 * math.pi
 
@@ -61,8 +54,8 @@ def _within_tol(name: str, cases: int, residuals: Sequence[float]) -> Check:
 
 
 def eigenvalues(label: GhzLabel, rng: random.Random) -> Check:
-    """Symbolic eigenvalues against the dense oracle, on the label's
-    unrotated and quarter-turn states.
+    """Symbolic eigenvalues against the oracle's residuals, on the label's
+    unrotated and quarter-turn states, judged at the pair's two amplitudes.
 
     The pool is a column of X/Y z masks: up to VERIFY_ALL_OPS_UP_TO qubits
     every string, above it VERIFY_SAMPLED_OPS distinct strings drawn without
@@ -77,8 +70,8 @@ def eigenvalues(label: GhzLabel, rng: random.Random) -> Check:
     eigen_rows = []
     non_eigen_fail = True
     for quarter in (0, 1):
-        vec = states.rotated_dense(label, quarter * math.pi / 2)
-        residuals = oracle.eigen_residuals(z_masks, vec)
+        amplitudes = states.rotated_pair(label, quarter * math.pi / 2)
+        residuals = oracle.eigen_residuals(z_masks, label, amplitudes)
         values = poles.eigenvalue_column(label, quarter, z_masks)
         eigen_rows += [residuals[values == 1, 0], residuals[values == -1, 1]]
         # >= rather than not <, so that a NaN is never taken for a failed test
@@ -171,51 +164,3 @@ def verify(label: GhzLabel, seed: int) -> list[Check]:
     checks.append(pair_subspace_invariance(label, angle_sets))
     return checks
 
-
-def eigen_check_general(label: GhzLabel, state_phi: float,
-                        angles: Sequence[float]) -> int | None:
-    """Eigenvalue of the angle-set observable on the rotated labeled state.
-
-    Returns +1 when the observable's collective angle matches the state's
-    (mod 2 pi), -1 when they differ by pi, and None otherwise.  A minus label
-    at angle phi is the plus label at phi + pi up to phase, which shifts the
-    comparison point accordingly.  Every returned sign is confirmed against
-    the dense state; disagreement beyond rounding raises ConsistencyError.
-    A NaN or infinite angle is refused before any vector is built: its
-    dense residual would be NaN, which confirms no verdict.
-    """
-    if not all(map(math.isfinite, (state_phi, *angles))):
-        raise DomainError(f"angles must be finite, got state angle {state_phi!r} "
-                          f"and setting angles {tuple(angles)!r}")
-    observable_angle = states.collective_angle(label, angles)
-    effective = state_phi if label.sign > 0 else state_phi + math.pi
-    delta = (observable_angle - effective) % _TWO_PI
-    if min(delta, _TWO_PI - delta) <= POLE_SNAP_TOL:
-        predicted: int | None = 1
-    elif abs(delta - math.pi) <= POLE_SNAP_TOL:
-        predicted = -1
-    else:
-        predicted = None
-
-    # Both tiers form the same float sum of signed angles (collective_angle,
-    # signed_bit_sums) and part only after it.  Here the reference angle, the
-    # subtraction, the mod 2 pi reduction and the fold onto the pole each
-    # round by at most half an ulp u of the largest angle in play; an angle
-    # error e moves the residual sqrt(2) * |sin(d / 2)| by at most e / sqrt(2),
-    # and the dense exp, cos and sin add about an ulp of 1 (u / 4 or less).
-    # So the two residuals differ by under 2u; only twice that is a disagreement.
-    margin = 4.0 * math.ulp(max(_TWO_PI, abs(observable_angle), abs(effective)))
-    vec = states.rotated_dense(label, state_phi)
-    image = oracle.apply_observable(vec, angles)
-    if predicted is None:
-        for sign in (1, -1):
-            if oracle.check_eigen(vec, image, sign) < EIGEN_TOL - margin:
-                raise ConsistencyError(
-                    f"angle sum {observable_angle!r} is off-pole but the dense state "
-                    f"is an eigenstate with sign {sign}")
-        return None
-    residual = oracle.check_eigen(vec, image, predicted)
-    if residual >= EIGEN_TOL + margin:
-        raise ConsistencyError(
-            f"predicted eigenvalue {predicted} fails densely (residual {residual:.3e})")
-    return predicted

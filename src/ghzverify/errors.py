@@ -48,7 +48,8 @@ class Cap(NamedTuple):
 
 
 #: 2**14 amplitudes in one dense statevector (states.build_state,
-#: oracle.rotation_diagonal, checks.verify).
+#: oracle.rotation_diagonal, and checks.verify for the probes and phase
+#: tables of its checks; its eigen check reads only the pair's amplitudes).
 DENSE_VECTOR_CAP = Cap("dense statevectors are", 14)
 
 #: 2**20 entries in one dense matrix (oracle.materialize, oracle.observable_matrix).

@@ -8,21 +8,21 @@ lives with the checks that judge them.  Amplitudes are O(1) and all matrix
 entries are exact fourth roots of unity times exact cosines, which leaves
 at least three orders of magnitude of headroom under it in double precision.
 
-An eigen check judges an image: each caller applies its own operator (a
-Pauli string through apply_pauli, an angle tuple through apply_observable)
-once, and check_eigen compares that image with the expected sign times the
-state.  A whole pool of X/Y strings, given as z masks, is judged in one
-call to eigen_residuals without building any image.  Their x mask is all
-ones, so entry t of a string's image is c * (-1)**parity((t ^ x) & z) * w[t]
-with w = vec[::-1] and c = i**#Y one of four exact coefficients: the two
-candidate residuals |c w - vec| and |c w + vec| are built once per
-coefficient, and each string only selects between them by its parity.  Only
-the support, the indices t where vec[t] or vec[~t] is nonzero, is judged:
-elsewhere the state and every image are 0, so both candidates are exactly
-|0 -+ 0| = 0 and cannot raise a maximum (a NaN or infinite amplitude is
-nonzero and stays judged).  A GHZ state has a support of two indices, so a
-string costs two entries instead of 2**n.  The residuals are bitwise those
-of apply_pauli followed by check_eigen.
+check_eigen judges an image, op|state> applied once by the caller (a
+Pauli string through apply_pauli, an angle tuple through apply_observable),
+against the expected sign times the state.  No command calls it: it is the
+dense reference that eigen_residuals is tested against.  eigen_residuals
+judges a whole pool of X/Y strings, given as z masks, on a labeled pair
+without building any vector or image.  Their x mask is all ones, so entry t
+of a string's image is c * (-1)**parity((t ^ x) & z) * vec[~t] with
+c = i**#Y one of four exact coefficients: the two candidate residuals
+|c vec[~t] - vec[t]| and |c vec[~t] + vec[t]| are built once per
+coefficient, and each string only selects between them by its parity.  A
+pair's state is 0 off its two indices, bits and ~bits, and so is every
+image, so there both candidates are exactly |0 -+ 0| = 0 and cannot raise a
+maximum: only the pair's two amplitudes are judged, and a string costs two
+entries instead of 2**n.  The residuals are bitwise those of apply_pauli
+followed by check_eigen on the dense vector.
 
 Caps (see errors): vectors up to 2**14 amplitudes, full matrices up to
 2**10 x 2**10.  Only materialize and observable_matrix build a whole
@@ -37,8 +37,7 @@ observable factor, so those entries compare 0 with 0 (NaN with NaN for a
 non-finite factor, and then the antidiagonal is NaN too); up to the matrix
 cap the residual is bitwise that of the whole matrices.  Each factor's two
 diagonal entries are judged as well, so a factor that leaks off the
-antidiagonal still fails.  A block of eigen_residuals holds at most one
-vector-cap state's worth of entries.
+antidiagonal still fails.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError, DomainEr
 from .pauli import PauliOperator
 from .states import (GhzLabel, doubled, pair_amplitudes, pair_phases, rotation_phases,
                      signed_bit_sums)
-
-#: Most entries in one block of eigen_residuals.
-_BLOCK_ENTRIES = 1 << DENSE_VECTOR_CAP.qubits
 
 #: i**phase for the int phase of a PauliOperator.
 _PHASE_VALUE = (1, 1j, -1, -1j)
@@ -140,43 +136,33 @@ def check_eigen(state: np.ndarray, image: np.ndarray, expected: int) -> float:
     return float(np.max(np.abs(image - expected * state)))
 
 
-def eigen_residuals(z_masks: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Residuals of every X/Y string's image against +vec and -vec, in one pass.
+def eigen_residuals(z_masks: np.ndarray, label: GhzLabel, amplitudes: np.ndarray) -> np.ndarray:
+    """Residuals of every X/Y string's image against +state and -state, in one pass.
 
-    Row j, for the string with z mask ``z_masks[j]``, is (max|op_j vec - vec|,
-    max|op_j vec + vec|): bitwise what check_eigen reports at signs +1 and -1
-    for the apply_pauli image.  Only the support, where vec or its
-    complement is nonzero, is judged (see the module docstring): elsewhere
-    both candidates are exactly 0, so a zero vector reads 0 throughout.
-    Strings are grouped by their coefficient i**#Y and judged a block of at
-    most _BLOCK_ENTRIES parities at a time.
+    The state is the labeled pair's, with ``amplitudes`` at bits and ~bits
+    and 0 elsewhere.  Row j, for the string with z mask ``z_masks[j]``, is
+    (max|op_j state - state|, max|op_j state + state|): bitwise what
+    check_eigen reports at signs +1 and -1 for the apply_pauli image of the
+    dense vector (see the module docstring).  Strings are grouped by their
+    coefficient i**#Y.
     """
-    vec = np.asarray(vec, dtype=complex)
     z_masks = np.asarray(z_masks, dtype=np.uint64)
-    if vec.ndim != 1 or not vec.size or vec.size & (vec.size - 1):
-        raise DimensionError(f"state has dimension {vec.shape}, expected a power of two")
-    if z_masks.size and int(z_masks.max()) >= vec.size:
-        raise DimensionError(f"z mask {int(z_masks.max())} does not fit {vec.size} amplitudes")
-    support = np.flatnonzero((vec != 0) | (vec[::-1] != 0))
-    if not support.size:
-        return np.zeros((len(z_masks), 2))
+    state = np.asarray(amplitudes, dtype=complex)
+    if state.shape != (2,):
+        raise DimensionError(f"expected the pair's 2 amplitudes, got shape {state.shape}")
+    if z_masks.size and int(z_masks.max()) >> label.n:
+        raise DimensionError(f"z mask {int(z_masks.max())} does not fit {label.n} qubits")
     out = np.empty((len(z_masks), 2))
-    source = support.astype(np.uint64) ^ np.uint64(vec.size - 1)  # t ^ x for x all ones
-    state, partner = vec[support], vec[::-1][support]
-    block = max(1, _BLOCK_ENTRIES // support.size)
+    source = np.array([label.complement_bits, label.bits], dtype=np.uint64)  # t ^ x, x all ones
     y_counts = np.bitwise_count(z_masks) & 3
     for y in range(4):
         rows = np.flatnonzero(y_counts == y)
-        if not rows.size:
-            continue
-        image = (1j) ** y * partner  # the image of an even-parity index
+        image = (1j) ** y * state[::-1]  # the image of an even-parity index
         near = np.abs(image - state)
         far = np.abs(image + state)
-        for lo in range(0, len(rows), block):
-            blk = rows[lo:lo + block]
-            odd = (np.bitwise_count(source & z_masks[blk, None]) & 1).view(bool)
-            out[blk, 0] = np.where(odd, far, near).max(axis=1)
-            out[blk, 1] = np.where(odd, near, far).max(axis=1)
+        odd = (np.bitwise_count(source & z_masks[rows, None]) & 1).view(bool)
+        out[rows, 0] = np.where(odd, far, near).max(axis=1)
+        out[rows, 1] = np.where(odd, near, far).max(axis=1)
     return out
 
 

@@ -136,7 +136,13 @@ def eigenvalue_symbolic(label: GhzLabel, state_phi_quarter: int, z: int) -> int 
 
 def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
                       masks: np.ndarray) -> np.ndarray:
-    """:func:`eigenvalue_symbolic` over a uint64 column of X/Y z masks, as int8 with 0 for None."""
+    """Exact eigenvalues of the X/Y strings with these z masks on the labeled
+    state at a quarter-turn angle, as an int8 column.
+
+    With y0 and y1 the string's Y counts over the pattern's 0 and 1 bits,
+    the value is sign * i**(y0 - y1 - q), and 0 (not an eigenstate) when
+    that exponent is odd.
+    """
     if state_phi_quarter not in (0, 1, 2, 3):
         raise DomainError(f"quarter angle must lie in 0..3, got {state_phi_quarter}")
     masks = np.asarray(masks, dtype=np.uint64)

@@ -4,8 +4,7 @@ Quarter turns, a plain tuple of per-qubit counts in units of pi/2, stay
 symbolic: each factor lands back on +/-X or +/-Y exactly, so the result is
 a phase-tracked Pauli string.  General angles stay a plain tuple of
 per-qubit angles, which the oracle applies matrix-free (apply_observable)
-or builds densely (observable_matrix); ``checks.eigen_check_general`` joins
-the two.
+or builds densely (observable_matrix).
 """
 
 from __future__ import annotations

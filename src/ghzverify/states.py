@@ -108,6 +108,15 @@ def rotated_dense(label: GhzLabel, phi: float) -> np.ndarray:
     return math.cos(half) * build_state(label) - 1j * math.sin(half) * build_state(partner)
 
 
+def rotated_pair(label: GhzLabel, phi: float) -> np.ndarray:
+    """:func:`rotated_dense` at the pair's indices, bits and ~bits, without
+    the 2**n vector: the same array operations on the two entries, so they
+    are bitwise the dense vector's."""
+    partner = GhzLabel(label.n, label.bits, -label.sign)
+    half = 0.5 * phi
+    return math.cos(half) * pair_amplitudes(label) - 1j * math.sin(half) * pair_amplitudes(partner)
+
+
 def doubled(pairs: Iterable[tuple[complex, complex]], combine: Callable[..., np.ndarray],
             start: np.ndarray) -> np.ndarray:
     """``start`` doubled by each qubit's (0-bit, 1-bit) pair in turn, the first

@@ -267,9 +267,13 @@ def enumerate_stdout(n, pole, fmt):
     return "".join(line + "\n" for line in lines)
 
 
-def per_string_residuals(z_masks, vec):
-    """Eigen residuals at signs +1 and -1, one apply_pauli image per X/Y string."""
-    n = len(vec).bit_length() - 1
+def per_string_residuals(z_masks, label, amplitudes):
+    """Eigen residuals at signs +1 and -1 of the labeled pair's state with
+    ``amplitudes`` at bits and ~bits, built as a whole 2**n vector, one
+    apply_pauli image per X/Y string."""
+    n = label.n
+    vec = np.zeros(1 << n, dtype=complex)
+    vec[[label.bits, label.complement_bits]] = amplitudes
     rows = []
     for z in np.asarray(z_masks).tolist():
         image = apply_pauli(PauliOperator(n, (1 << n) - 1, z), vec)

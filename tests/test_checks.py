@@ -43,9 +43,9 @@ def test_sampled_eigen_pool_holds_distinct_strings(monkeypatch, n):
     pools = []
     eigen_residuals = oracle.eigen_residuals
 
-    def recorded(z_masks, vec):
+    def recorded(z_masks, label, amplitudes):
         pools.append(z_masks.copy())
-        return eigen_residuals(z_masks, vec)
+        return eigen_residuals(z_masks, label, amplitudes)
     monkeypatch.setattr(oracle, "eigen_residuals", recorded)
     label = GhzLabel(n, int("01101001011010"[:n], 2), 1)
     assert checks.eigenvalues(label, random.Random(11)).passed
@@ -88,7 +88,7 @@ def _assert_nan_fails(check):
 
 
 def test_nan_in_a_later_quarter_fails_eigenvalues(monkeypatch):
-    _nan_on_call(monkeypatch, states, "rotated_dense", 2)
+    _nan_on_call(monkeypatch, states, "rotated_pair", 2)
     _assert_nan_fails(checks.eigenvalues(LABEL, random.Random(0)))
 
 
@@ -101,10 +101,10 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
     eigen_residuals = oracle.eigen_residuals
     quarters = 0
 
-    def poisoned(ops, vec):
+    def poisoned(ops, label, amplitudes):
         nonlocal quarters
         quarters += 1
-        out = eigen_residuals(ops, vec)
+        out = eigen_residuals(ops, label, amplitudes)
         if quarters == 2:
             out[0, column] = np.nan
         return out
@@ -197,8 +197,8 @@ def test_verify_refuses_past_the_vector_cap_before_any_check(monkeypatch, n):
 
 
 def test_eigen_pool_stays_small_at_the_vector_cap():
-    # a guard on verify's peak memory at n = 14: the pool is judged in
-    # bounded blocks, never as one (strings x amplitudes) array
+    # a guard on verify's peak memory at n = 14: the pool is judged on the
+    # pair's two amplitudes, never on a 2**n vector or a (strings x 2**n) array
     label = GhzLabel(DENSE_VECTOR_CAP.qubits, 0b01101001011010, -1)
     tracemalloc.start()
     try:

@@ -353,7 +353,7 @@ def _not_called(*args, **kwargs):
 #: work it bounds (each must not run), and the refusal's exact wording.
 REFUSALS = [
     pytest.param(DENSE_VECTOR_CAP, "verify --n {}",
-                 [(checks, "eigenvalues"), (states, "build_state")],
+                 [(checks, "eigenvalues"), (oracle, "apply_pauli"), (oracle, "rotation_phases")],
                  "dense statevectors are capped at 14 qubits (got 15)", id="verify"),
     pytest.param(EXHAUSTIVE_CAP, "lhv --n {} --exhaustive",
                  [(lhv, "enumerate_pole"), (lhv, "find_contradictions")],
@@ -472,7 +472,8 @@ class TestCheckFailures:
         # negating every image swaps its residuals against +vec and -vec
         eigen_residuals = oracle.eigen_residuals
         monkeypatch.setattr(oracle, "eigen_residuals",
-                            lambda ops, vec: eigen_residuals(ops, vec)[:, ::-1])
+                            lambda ops, label, amplitudes:
+                            eigen_residuals(ops, label, amplitudes)[:, ::-1])
         code, out, _ = run_cli(capsys, "verify", "--n", "3")
         assert code == 1
         assert "FAIL  eigenvalues_symbolic_vs_oracle[16]" in out

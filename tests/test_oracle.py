@@ -16,7 +16,7 @@ from ghzverify.oracle import (apply_observable, apply_pauli, check_conjugation, 
                               eigen_residuals, materialize, observable_matrix, rotation_diagonal,
                               two_dim_invariance_residual)
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import GhzLabel, build_state, rotated_dense
+from ghzverify.states import GhzLabel, build_state, pair_amplitudes, rotated_dense, rotated_pair
 from references import from_letters, per_string_residuals
 
 
@@ -95,75 +95,69 @@ def _random_masks(rng, n, count):
 
 class TestEigenResiduals:
     @pytest.mark.parametrize("n", range(1, 13))
-    def test_bitwise_equal_to_apply_pauli_and_check_eigen(self, monkeypatch, n):
-        # blocks of 5 strings: 23 strings in Y-count groups cannot all end on a full block
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 5 << n)
+    def test_bitwise_equal_to_apply_pauli_and_check_eigen(self, n):
+        # any two amplitudes on the pair, not only a rotated GHZ state's
         rng = np.random.default_rng(200 + n)
         for _ in range(4):
-            vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+            label = GhzLabel(n, int(rng.integers(0, 1 << n)), 1)
+            amplitudes = rng.normal(size=2) + 1j * rng.normal(size=2)
             z_masks = _random_masks(rng, n, 23)
-            assert np.array_equal(eigen_residuals(z_masks, vec),
-                                  per_string_residuals(z_masks, vec))
+            assert np.array_equal(eigen_residuals(z_masks, label, amplitudes),
+                                  per_string_residuals(z_masks, label, amplitudes))
 
-    def test_bitwise_equal_with_the_real_block(self):
-        # at 12 qubits a block holds 4 strings, and 47 strings in Y-count
-        # groups cannot all end on a full block
-        n = 12
-        assert oracle._BLOCK_ENTRIES >> n == 4
-        rng = np.random.default_rng(212)
-        vec = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-        z_masks = _random_masks(rng, n, 47)
-        assert np.array_equal(eigen_residuals(z_masks, vec),
-                              per_string_residuals(z_masks, vec))
-
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_support_route_bitwise_equal_on_ghz_states(self, monkeypatch, n):
-        # a GHZ state has two nonzero amplitudes, so a block holds 5 strings,
-        # and 23 strings in Y-count groups cannot all end on a full block
-        monkeypatch.setattr(oracle, "_BLOCK_ENTRIES", 10)
-        rng = np.random.default_rng(400 + n)
-        bits = int(rng.integers(0, 1 << n))
-        z_masks = _random_masks(rng, n, 23)
-        for sign in (1, -1):
-            for quarter in range(4):
-                vec = rotated_dense(GhzLabel(n, bits, sign), quarter * math.pi / 2)
-                assert np.count_nonzero(vec) == 2
-                assert np.array_equal(eigen_residuals(z_masks, vec),
-                                      per_string_residuals(z_masks, vec))
-
-    def test_zero_vector_reads_zero(self):
-        z_masks = np.arange(8, dtype=np.uint64)
-        assert np.array_equal(eigen_residuals(z_masks, np.zeros(8)), np.zeros((8, 2)))
+    @pytest.mark.parametrize("n", range(1, DENSE_VECTOR_CAP.qubits + 1))
+    @settings(deadline=None, max_examples=10)
+    @given(data=st.data())
+    def test_pair_route_bitwise_equal_to_the_dense_state(self, n, data):
+        # the rotated pair is the dense vector's two nonzero entries, and the
+        # pair's residuals are the whole vector's, for any bits, canonical or not
+        label = GhzLabel(n, data.draw(st.integers(0, (1 << n) - 1)),
+                         data.draw(st.sampled_from([1, -1])))
+        phi = data.draw(st.integers(0, 3)) * math.pi / 2
+        amplitudes = rotated_pair(label, phi)
+        vec = rotated_dense(label, phi)
+        assert vec[[label.bits, label.complement_bits]].tobytes() == amplitudes.tobytes()
+        assert np.count_nonzero(vec) == 2
+        z_masks = np.array(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8)),
+                           dtype=np.uint64)
+        assert (eigen_residuals(z_masks, label, amplitudes).tobytes()
+                == per_string_residuals(z_masks, label, amplitudes).tobytes())
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf),
                                      complex(math.nan, math.inf)])
-    def test_non_finite_off_the_support_is_judged(self, bad):
-        # index 2 and its complement 5 are zero in |001> + |110>; nan + inf j
-        # reads inf at its own index and nan at its complement's, so the
-        # complement must be judged too
+    def test_non_finite_amplitude_is_judged(self, bad):
+        # nan + inf j reads inf at its own index and nan at its complement's,
+        # so both of the pair's indices must be judged
+        label = GhzLabel(3, 0b001, 1)
         z_masks = np.arange(8, dtype=np.uint64)
-        vec = build_state(GhzLabel(3, 0b001, 1))
-        vec[2] = bad
+        amplitudes = [1 / math.sqrt(2), bad]
         with np.errstate(invalid="ignore"):
-            got = eigen_residuals(z_masks, vec)
-            expected = per_string_residuals(z_masks, vec)
+            got = eigen_residuals(z_masks, label, amplitudes)
+            expected = per_string_residuals(z_masks, label, amplitudes)
         assert not (got < EIGEN_TOL).any()
         assert np.array_equal(got, expected, equal_nan=True)
 
     def test_eigenstates_read_zero_on_their_sign(self):
         # XXX and YYX on |000> - |111>: eigenvalues -1 and +1
-        state = build_state(GhzLabel(3, 0, -1))
-        residuals = eigen_residuals(np.array([0b000, 0b110], np.uint64), state)
+        label = GhzLabel(3, 0, -1)
+        residuals = eigen_residuals(np.array([0b000, 0b110], np.uint64), label,
+                                    pair_amplitudes(label))
         assert residuals.tolist() == [[2 / math.sqrt(2), 0.0], [0.0, 2 / math.sqrt(2)]]
 
+    def test_zero_amplitudes_read_zero(self):
+        z_masks = np.arange(8, dtype=np.uint64)
+        assert np.array_equal(eigen_residuals(z_masks, GhzLabel(3, 0b010, 1), np.zeros(2)),
+                              np.zeros((8, 2)))
+
     def test_empty_pool(self):
-        assert eigen_residuals(np.empty(0, np.uint64), np.ones(4)).shape == (0, 2)
+        assert eigen_residuals(np.empty(0, np.uint64), GhzLabel(2, 0, 1),
+                               np.ones(2)).shape == (0, 2)
 
     def test_dimension_mismatch(self):
-        # a mask past the state's qubits, and states of no power-of-two length
-        for z_mask, size in [(0b100, 4), (0, 3), (0, 0)]:
+        # a mask past the label's qubits, and amplitudes that are not a pair
+        for z_mask, size in [(0b100, 2), (0, 3), (0, 4)]:
             with pytest.raises(DimensionError):
-                eigen_residuals(np.array([z_mask], np.uint64), np.ones(size))
+                eigen_residuals(np.array([z_mask], np.uint64), GhzLabel(2, 0, 1), np.ones(size))
 
 
 class TestCheckConjugation:

@@ -7,14 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import states
-from ghzverify.checks import EIGEN_TOL, POLE_SNAP_TOL, eigen_check_general
+from ghzverify.checks import EIGEN_TOL
 from ghzverify.errors import DomainError
-from ghzverify.oracle import (apply_observable, apply_pauli, materialize, observable_matrix,
-                              rotation_diagonal)
-from ghzverify.poles import eigenvalue_symbolic
+from ghzverify.oracle import (apply_observable, apply_pauli, check_eigen, materialize,
+                              observable_matrix, rotation_diagonal)
+from ghzverify.poles import eigenvalue_column
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import GhzLabel, apply_rotations, build_state, parse_label
+from ghzverify.states import GhzLabel, apply_rotations, build_state, parse_label, rotated_dense
 from references import from_letters
 
 
@@ -85,29 +84,52 @@ class TestCoRotateGeneral:
             assert np.max(np.abs(stepped - direct)) < 1e-12
 
 
-class TestEigenCheckGeneral:
+#: An angle offset d from a pole leaves the dense residual sqrt(2) * |sin(d / 2)|,
+#: so this is the offset at which that residual reaches EIGEN_TOL.
+_EDGE_OFFSET = 2.0 * math.asin(EIGEN_TOL / math.sqrt(2.0))
+
+
+def _residuals(label, state_phi, angles):
+    """check_eigen's residuals at +1 and -1 for the observable of ``angles``
+    on the labeled pair viewed at collective angle ``state_phi``."""
+    vec = rotated_dense(label, state_phi)
+    image = apply_observable(vec, angles)
+    return [check_eigen(vec, image, sign) for sign in (1, -1)]
+
+
+def dense_eigenvalue(label, state_phi, angles):
+    """The sign whose dense residual is under EIGEN_TOL, or None; never both."""
+    passing = [sign for sign, residual in zip((1, -1), _residuals(label, state_phi, angles))
+               if residual < EIGEN_TOL]
+    assert len(passing) <= 1
+    return passing[0] if passing else None
+
+
+class TestGeneralAngleEigen:
+    """The general-angle float route, apply_observable + check_eigen on the
+    rotated dense state: +1 where the setting's collective angle matches the
+    state's (mod 2 pi), -1 half a turn away, and no eigenvalue elsewhere."""
+
     def test_matching_sum_gives_plus_one(self):
-        label = GhzLabel(3, 0, 1)
-        assert eigen_check_general(label, 0.0, (0.7, -0.7, 0.0)) == 1
+        assert dense_eigenvalue(GhzLabel(3, 0, 1), 0.0, (0.7, -0.7, 0.0)) == 1
 
     def test_opposite_pole_gives_minus_one(self):
         label = GhzLabel(3, 0, 1)
-        assert eigen_check_general(label, 0.0, (math.pi / 2, math.pi / 4, math.pi / 4)) == -1
+        assert dense_eigenvalue(label, 0.0, (math.pi / 2, math.pi / 4, math.pi / 4)) == -1
 
     def test_off_pole_is_not_eigenstate(self):
-        label = GhzLabel(3, 0, 1)
-        assert eigen_check_general(label, 0.0, (math.pi / 3, 0.0, 0.0)) is None
+        assert dense_eigenvalue(GhzLabel(3, 0, 1), 0.0, (math.pi / 3, 0.0, 0.0)) is None
 
     def test_minus_label_shifts_reference(self):
         label = GhzLabel(3, 0, -1)
-        assert eigen_check_general(label, 0.0, (0.0, 0.0, 0.0)) == -1
-        assert eigen_check_general(label, 0.0, (math.pi, 0.0, 0.0)) == 1
+        assert dense_eigenvalue(label, 0.0, (0.0, 0.0, 0.0)) == -1
+        assert dense_eigenvalue(label, 0.0, (math.pi, 0.0, 0.0)) == 1
 
     def test_pattern_label_uses_signed_sum(self):
         label = GhzLabel(3, 0b011, 1)
         # signed sum: +phi_1 - phi_2 - phi_3
-        assert eigen_check_general(label, 0.0, (0.5, 0.3, 0.2)) == 1
-        assert eigen_check_general(label, 0.0, (0.5, 0.3, 0.2 - math.pi)) == -1
+        assert dense_eigenvalue(label, 0.0, (0.5, 0.3, 0.2)) == 1
+        assert dense_eigenvalue(label, 0.0, (0.5, 0.3, 0.2 - math.pi)) == -1
 
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_pole_predictions_quantified(self, n):
@@ -118,53 +140,66 @@ class TestEigenCheckGeneral:
             for quarter, expected in expected_by_quarter.items():
                 angles = rng.uniform(-math.pi, math.pi, size=n)
                 angles[-1] += quarter * math.pi / 2 - angles.sum()
-                assert eigen_check_general(label, 0.0, angles) == expected
+                assert dense_eigenvalue(label, 0.0, angles) == expected
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("where", ["state", "setting"])
-    def test_non_finite_angle_refused_before_any_vector(self, monkeypatch, bad, where):
-        # a NaN residual would read as "not an eigenstate", confirmed densely
-        def no_vector(*_):
-            raise AssertionError("a dense vector was built before the refusal")
-
-        monkeypatch.setattr(states, "rotated_dense", no_vector)
+    def test_non_finite_angle_confirms_no_eigenvalue(self, bad, where):
+        # a NaN residual fails both signs; an infinite state angle is
+        # refused by math.cos before any vector is built
+        label = GhzLabel(3, 0, 1)
+        if where == "state" and math.isinf(bad):
+            with pytest.raises(ValueError, match="math domain error"):
+                rotated_dense(label, bad)
+            return
         state_phi, angles = (bad, (0.0, 0.0, 0.0)) if where == "state" else (0.0, (0.0, bad, 0.0))
-        with pytest.raises(DomainError, match="angles must be finite"):
-            eigen_check_general(GhzLabel(3, 0, 1), state_phi, angles)
+        with np.errstate(invalid="ignore"):
+            residuals = _residuals(label, state_phi, angles)
+        assert all(math.isnan(residual) for residual in residuals)
 
-    def test_offset_past_snap_is_not_a_tool_failure(self):
-        # dense residual 7.07e-12 > EIGEN_TOL: off the pole in both tiers
-        assert eigen_check_general(GhzLabel(3, 0, 1), 0.0, (1e-11, 0, 0)) is None
+    def test_offset_past_eigen_tol_is_off_the_pole(self):
+        # dense residual 7.07e-12 > EIGEN_TOL
+        assert dense_eigenvalue(GhzLabel(3, 0, 1), 0.0, (1e-11, 0, 0)) is None
 
-    def test_snap_tolerance_is_where_the_dense_residual_reaches_eigen_tol(self):
-        assert math.isclose(math.sqrt(2) * math.sin(POLE_SNAP_TOL / 2), EIGEN_TOL)
+    def test_edge_offset_residual_is_eigen_tol(self):
+        for base, index in ((0.0, 0), (math.pi, 1)):
+            for angle in (base + _EDGE_OFFSET, base - _EDGE_OFFSET):
+                residual = _residuals(GhzLabel(3, 0, 1), 0.0, (angle, 0.0, 0.0))[index]
+                assert math.isclose(residual, EIGEN_TOL, rel_tol=1e-3)
+
+    @pytest.mark.parametrize("offset", [1e-6, 1e-3, 0.1, 1.0])
+    def test_residual_is_sqrt2_sin_half_offset(self, offset):
+        label = GhzLabel(3, 0b010, 1)
+        for base, index in ((0.0, 0), (math.pi, 1)):
+            for angle in (base + offset, base - offset):
+                residual = _residuals(label, 0.0, (angle, 0.0, 0.0))[index]
+                assert math.isclose(residual, math.sqrt(2) * math.sin(offset / 2), rel_tol=1e-6)
 
     @pytest.mark.parametrize("offset", [1e-14, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11,
                                         1e-10, 1e-9, 1e-8])
-    def test_small_offsets_agree_with_dense_route(self, offset):
+    def test_small_offsets_follow_the_closed_form(self, offset):
         label = GhzLabel(3, 0b010, 1)
         for base, pole in ((0.0, 1), (math.pi, -1)):
             for angle in (base + offset, base - offset):
-                expected = pole if offset <= POLE_SNAP_TOL else None
-                assert eigen_check_general(label, 0.0, (angle, 0.0, 0.0)) == expected
+                expected = pole if offset <= _EDGE_OFFSET else None
+                assert dense_eigenvalue(label, 0.0, (angle, 0.0, 0.0)) == expected
 
     @pytest.mark.parametrize("text", ["000+", "000-", "011+", "011-", "01101+", "01101-"])
-    def test_rounding_at_the_snap_boundary_is_not_a_tool_failure(self, text):
-        # offsets within a rounding width of POLE_SNAP_TOL may land on either
-        # side of the snap, but the two tiers never report a disagreement
+    def test_rounding_at_the_edge_offset_keeps_one_verdict(self, text):
+        # offsets within a rounding width of the edge may land on either side
+        # of it, but never pass both signs (dense_eigenvalue asserts that)
         label = parse_label(text, len(text) - 1)
         for base, pole in ((0.0, label.sign), (math.pi, -label.sign)):
             for factor in np.linspace(0.99, 1.01, 401):
                 for direction in (1, -1):
-                    angles = (base + direction * factor * POLE_SNAP_TOL,) + (0.0,) * (label.n - 1)
-                    result = eigen_check_general(label, 0.0, angles)
+                    angles = (base + direction * factor * _EDGE_OFFSET,) + (0.0,) * (label.n - 1)
+                    result = dense_eigenvalue(label, 0.0, angles)
                     if factor < 0.995:
                         assert result == pole
                     elif factor > 1.005:
                         assert result is None
                     else:
                         assert result in (pole, None)
-
 
 
 @given(st.data())
@@ -178,11 +213,13 @@ def test_general_angles_agree_with_the_quarter_turn_tier(data):
     turns = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     quarter = data.draw(st.integers(0, 3))
     string = co_rotate_quarter(turns)
-    symbolic = eigenvalue_symbolic(label, quarter, string.z_bits)
-    # a quarter-turn setting carries phase 0 or 2, the sign +1 or -1
-    expected = None if symbolic is None else (1 - string.phase) * symbolic
-    angles = [t * math.pi / 2 for t in turns]
-    assert eigen_check_general(label, quarter * math.pi / 2, angles) == expected
+    symbolic = eigenvalue_column(label, quarter, np.array([string.z_bits], np.uint64))
+    # a quarter-turn setting carries phase 0 or 2, the sign +1 or -1; 0 is no eigenvalue
+    expected = (1 - string.phase) * int(symbolic[0])
+    vec = rotated_dense(label, quarter * math.pi / 2)
+    image = apply_observable(vec, [t * math.pi / 2 for t in turns])
+    passing = [sign for sign in (1, -1) if check_eigen(vec, image, sign) < EIGEN_TOL]
+    assert passing == ([expected] if expected else [])
 
 
 class TestUntraceability:
