@@ -14,15 +14,16 @@ against the expected sign times the state.  No command calls it: it is the
 dense reference that eigen_residuals is tested against.  eigen_residuals
 judges a whole pool of X/Y strings, given as z masks, on a labeled pair
 without building any vector or image.  Their x mask is all ones, so entry t
-of a string's image is c * (-1)**parity((t ^ x) & z) * vec[~t] with
-c = i**#Y one of four exact coefficients: the two candidate residuals
-|c vec[~t] - vec[t]| and |c vec[~t] + vec[t]| are built once per
-coefficient, and each string only selects between them by its parity.  A
-pair's state is 0 off its two indices, bits and ~bits, and so is every
-image, so there both candidates are exactly |0 -+ 0| = 0 and cannot raise a
-maximum: only the pair's two amplitudes are judged, and a string costs two
-entries instead of 2**n.  The residuals are bitwise those of apply_pauli
-followed by check_eigen on the dense vector.
+of a string's image is i**(#Y + 2 popcount((t ^ x) & z)) * vec[~t], one
+exact unit of _PHASE_VALUE per entry.  A pair's state is 0 off its two
+indices, bits and ~bits, and so is every image, so there both residuals
+are exactly |0 -+ 0| = 0 and cannot raise a maximum: only the pair's two
+amplitudes are judged, and a string costs two entries instead of 2**n.
+For finite amplitudes the residuals are bitwise those of apply_pauli
+followed by check_eigen on the dense vector.  For non-finite ones the
+non-finite residuals sit in the same places, so no verdict differs, but
+some read inf where the dense route reads nan: check_eigen multiplies the
+state by the sign, and 1 * (inf + 0j) is inf + nan j in complex arithmetic.
 
 Caps (see errors): vectors up to 2**14 amplitudes, full matrices up to
 2**10 x 2**10.  Only materialize and observable_matrix build a whole
@@ -141,10 +142,10 @@ def eigen_residuals(z_masks: np.ndarray, label: GhzLabel, amplitudes: np.ndarray
 
     The state is the labeled pair's, with ``amplitudes`` at bits and ~bits
     and 0 elsewhere.  Row j, for the string with z mask ``z_masks[j]``, is
-    (max|op_j state - state|, max|op_j state + state|): bitwise what
-    check_eigen reports at signs +1 and -1 for the apply_pauli image of the
-    dense vector (see the module docstring).  Strings are grouped by their
-    coefficient i**#Y.
+    (max|op_j state - state|, max|op_j state + state|): for finite
+    amplitudes bitwise what check_eigen reports at signs +1 and -1 for the
+    apply_pauli image of the dense vector, and non-finite in the same
+    places otherwise (see the module docstring).
     """
     z_masks = np.asarray(z_masks, dtype=np.uint64)
     state = np.asarray(amplitudes, dtype=complex)
@@ -152,18 +153,12 @@ def eigen_residuals(z_masks: np.ndarray, label: GhzLabel, amplitudes: np.ndarray
         raise DimensionError(f"expected the pair's 2 amplitudes, got shape {state.shape}")
     if z_masks.size and int(z_masks.max()) >> label.n:
         raise DimensionError(f"z mask {int(z_masks.max())} does not fit {label.n} qubits")
-    out = np.empty((len(z_masks), 2))
     source = np.array([label.complement_bits, label.bits], dtype=np.uint64)  # t ^ x, x all ones
-    y_counts = np.bitwise_count(z_masks) & 3
-    for y in range(4):
-        rows = np.flatnonzero(y_counts == y)
-        image = (1j) ** y * state[::-1]  # the image of an even-parity index
-        near = np.abs(image - state)
-        far = np.abs(image + state)
-        odd = (np.bitwise_count(source & z_masks[rows, None]) & 1).view(bool)
-        out[rows, 0] = np.where(odd, far, near).max(axis=1)
-        out[rows, 1] = np.where(odd, near, far).max(axis=1)
-    return out
+    # #Y + 2 popcount((t ^ x) & z) is at most 3 * 64, so uint8 holds it
+    y_counts = np.bitwise_count(z_masks)[:, None]
+    phase = (y_counts + 2 * np.bitwise_count(source & z_masks[:, None])) & 3
+    image = np.array(_PHASE_VALUE, dtype=complex)[phase] * state[::-1]
+    return np.stack([np.abs(image - state).max(axis=1), np.abs(image + state).max(axis=1)], axis=1)
 
 
 def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:

@@ -487,6 +487,52 @@ class TestCheckFailures:
         assert out == ""
         assert err.startswith("tool failure: count routes disagree at n=3")
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_contradiction_count_off_its_closed_form_fails_lhv(self, capsys, monkeypatch, fmt):
+        c_n_closed = counting.c_n_closed
+        monkeypatch.setattr(counting, "c_n_closed", lambda n: c_n_closed(n) + 1)
+        code, out, _ = run_cli(capsys, "lhv", "--n", "4", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["contradictions"], payload["expected_c_n"]) == (4, 5)
+            assert payload["pass"] is False
+        else:
+            assert out.endswith("contradictions: 4 (expected 5)\nCHECK FAILURES PRESENT\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("n,satisfying,expected", [(3, 1, "0"), (2, 0, "> 0")],
+                             ids=["local-model-found", "none-below-three"])
+    def test_wrong_sweep_count_fails_lhv(self, capsys, monkeypatch, fmt, n, satisfying,
+                                         expected):
+        monkeypatch.setattr(lhv, "exhaustive_search", lambda label: satisfying)
+        code, out, _ = run_cli(capsys, "lhv", "--n", str(n), "--exhaustive", "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert payload["exhaustive"]["satisfying"] == satisfying
+            assert payload["pass"] is False
+        else:
+            assert out.endswith(f"satisfying assignments: {satisfying} of {4 ** n}"
+                                f" (expected {expected})\nCHECK FAILURES PRESENT\n")
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    @pytest.mark.parametrize("argv", ["--n 3", "--n 3 --subset 1,2,3"], ids=["sweep", "subset"])
+    def test_failed_identity_fails_the_command(self, capsys, monkeypatch, fmt, argv):
+        sweep = pauli.odd_subset_identities
+        monkeypatch.setattr(pauli, "odd_subset_identities",
+                            lambda n: [(s, ok and s != (1, 2, 3)) for s, ok in sweep(n)])
+        monkeypatch.setattr(pauli, "verify_ks_identity", lambda n, subset: False)
+        code, out, _ = run_cli(capsys, "identity", *argv.split(), "--format", fmt)
+        assert code == 1
+        if fmt == "json":
+            payload = json.loads(out)
+            assert {"subset": [1, 2, 3], "sign": "-", "pass": False} in payload["checks"]
+            assert payload["pass"] is False
+        else:
+            assert "  FAIL  subset=1,2,3 sign=-\n" in out
+            assert out.endswith("CHECK FAILURES PRESENT\n")
+
 
 class TestRenderingMemory:
     """Rendering holds one bounded block at a time, whatever the listing's size."""

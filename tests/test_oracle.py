@@ -1,5 +1,6 @@
 """Dense-matrix oracle behavior and its matrix-free fast paths."""
 
+import itertools
 import math
 import tracemalloc
 
@@ -136,6 +137,27 @@ class TestEigenResiduals:
             expected = per_string_residuals(z_masks, label, amplitudes)
         assert not (got < EIGEN_TOL).any()
         assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_non_finite_grid_keeps_every_verdict(self, n):
+        # the dense reference may read nan where the pair reads inf (see the
+        # oracle docstring), but no residual changes from finite to not
+        values = [math.nan, math.inf, -math.inf, complex(0, -math.inf),
+                  complex(math.nan, math.inf), complex(math.inf, math.inf), 0.0, -0.0,
+                  1 / math.sqrt(2), complex(-0.0, 0.5)]
+        z_masks = np.arange(1 << n, dtype=np.uint64)
+        for bits in range(1 << n):
+            for sign in (1, -1):
+                label = GhzLabel(n, bits, sign)
+                for amplitudes in itertools.product(values, repeat=2):
+                    with np.errstate(invalid="ignore"):
+                        got = eigen_residuals(z_masks, label, amplitudes)
+                        expected = per_string_residuals(z_masks, label, amplitudes)
+                    finite = np.isfinite(got)
+                    assert np.array_equal(finite, np.isfinite(expected))
+                    assert got[finite].tobytes() == expected[finite].tobytes()
+                    if not np.isfinite(amplitudes).all():
+                        assert not (got < EIGEN_TOL).any()
 
     def test_eigenstates_read_zero_on_their_sign(self):
         # XXX and YYX on |000> - |111>: eigenvalues -1 and +1

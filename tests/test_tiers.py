@@ -13,7 +13,7 @@ and only its two listing commands import the numpy renderers of
 ``listing``, which run on ``poles`` alone.  Every module-level name of the
 package has a caller in the package, or the benchmark traces it and it is
 listed as kept by the tracer alone, and only ``errors`` defines a size cap
-or raises its refusal.
+or raises its refusal; README's Caps table lists exactly those caps.
 """
 
 import ast
@@ -194,6 +194,22 @@ def test_only_errors_defines_or_refuses_a_cap():
     for node in tree.body:
         if isinstance(node, ast.Assign) and node.targets[0].id.endswith("_CAP"):
             assert ast.unparse(node.value.func) == "Cap", ast.unparse(node)
+
+
+def test_readme_caps_table_is_the_errors_table():
+    # README's Caps table lists every Cap of errors with its qubits, and no other row
+    from ghzverify import errors
+
+    readme = (PACKAGE.parents[1] / "README.md").read_text()
+    section = readme.split("\n## Caps\n", 1)[1].split("\n## ", 1)[0]
+    listed = {}
+    for line in section.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if line.startswith("| `") and len(cells) == 4:
+            base, _, exponent = cells[1].partition("^")
+            listed[cells[0].strip("`")] = int(base) ** int(exponent) if exponent else int(base)
+    assert listed == {name: value.qubits for name, value in vars(errors).items()
+                      if isinstance(value, errors.Cap)}
 
 
 def _uses(tree):
