@@ -2,10 +2,10 @@
 
 Each check states a claim in the integer-only tier (or as an exact law of
 the rotated states), confirms it densely, and returns a :class:`Check` with
-its case count, its worst residual, and whether that residual stayed under
-:data:`EIGEN_TOL`.  The oracle returns bare residuals, so the tolerance and
-every verdict against it live here.  This module and the CLI are the only
-ones that use both tiers.
+its case count, the number of residuals judged, its worst residual, and
+whether that residual stayed under :data:`EIGEN_TOL`.  The oracle returns
+bare residuals, so the tolerance and every verdict against it live here.
+This module and the CLI are the only ones that use both tiers.
 
 Every draw comes from one standard-library ``random.Random(seed)``, consumed
 by the checks in a fixed order, so a seed reproduces ``verify``'s output on
@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import math
 import random
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import oracle, poles, rotations, states
-from .errors import DENSE_VECTOR_CAP, DomainError
+from .errors import DENSE_VECTOR_CAP, Check, DomainError
 from .states import GhzLabel
 
 #: The one residual tolerance: a check passes when its worst residual is below it.
@@ -38,19 +38,12 @@ VERIFY_SAMPLED_OPS = 256
 _TWO_PI = 2.0 * math.pi
 
 
-class Check(NamedTuple):
-    name: str
-    cases: int
-    residual: float
-    passed: bool
-
-
-def _within_tol(name: str, cases: int, residuals: Sequence[float]) -> Check:
+def _within_tol(name: str, residuals: Sequence[float]) -> Check:
     if not len(residuals):
         raise DomainError(f"{name} needs at least one case")
     # np.max, not max(), so that a NaN residual in any case fails the check
     worst = float(np.max(residuals))
-    return Check(name, cases, worst, worst < EIGEN_TOL)
+    return Check(name, len(residuals), worst, worst < EIGEN_TOL)
 
 
 def eigenvalues(label: GhzLabel, rng: random.Random) -> Check:
@@ -60,25 +53,26 @@ def eigenvalues(label: GhzLabel, rng: random.Random) -> Check:
     The pool is a column of X/Y z masks: up to VERIFY_ALL_OPS_UP_TO qubits
     every string, above it VERIFY_SAMPLED_OPS distinct strings drawn without
     replacement.  A string the symbolic tier calls a non-eigenstate must
-    fail the dense test for both signs.
+    fail the dense test for both signs.  Each row judged is a case, and the
+    residual is the worst eigen row's.
     """
     n = label.n
     if n <= VERIFY_ALL_OPS_UP_TO:
         z_masks = np.arange(1 << n, dtype=np.uint64)
     else:
         z_masks = np.array(rng.sample(range(1 << n), VERIFY_SAMPLED_OPS), dtype=np.uint64)
-    eigen_rows = []
-    non_eigen_fail = True
+    eigen_rows, non_eigen_rows = [], []
     for quarter in (0, 1):
         amplitudes = states.rotated_pair(label, quarter * math.pi / 2)
         residuals = oracle.eigen_residuals(z_masks, label, amplitudes)
         values = poles.eigenvalue_column(label, quarter, z_masks)
         eigen_rows += [residuals[values == 1, 0], residuals[values == -1, 1]]
-        # >= rather than not <, so that a NaN is never taken for a failed test
-        non_eigen_fail &= bool(np.all(residuals[values == 0] >= EIGEN_TOL))
-    check = _within_tol("eigenvalues_symbolic_vs_oracle", 2 * len(z_masks),
-                        np.concatenate(eigen_rows))
-    return check._replace(passed=check.passed and non_eigen_fail)
+        non_eigen_rows.append(residuals[values == 0])
+    check = _within_tol("eigenvalues_symbolic_vs_oracle", np.concatenate(eigen_rows))
+    non_eigen = np.concatenate(non_eigen_rows)
+    # >= rather than not <, so that a NaN is never taken for a failed test
+    return check._replace(cases=check.cases + len(non_eigen),
+                          passed=check.passed and bool(np.all(non_eigen >= EIGEN_TOL)))
 
 
 def _angles(rng: random.Random, n: int, bound: float) -> list[float]:
@@ -108,13 +102,13 @@ def collective_angle_collapse(label: GhzLabel, rng: random.Random) -> Check:
             second[-1] = signs[-1] * (target - partial)
         diffs.append(states.max_norm_diff(base * states.pair_phases(label, first),
                                           base * states.pair_phases(label, second)))
-    return _within_tol("collective_angle_collapse", 20, diffs)
+    return _within_tol("collective_angle_collapse", diffs)
 
 
 def conjugation_identity(n: int, rng: random.Random) -> Check:
     """Conjugating the all-X string must reproduce the factored observable."""
-    angle_sets = [_angles(rng, n, math.pi) for _ in range(10)]
-    return _within_tol("conjugation_identity", 10, [oracle.check_conjugation(angle_sets)])
+    return _within_tol("conjugation_identity",
+                       [oracle.check_conjugation(_angles(rng, n, math.pi)) for _ in range(10)])
 
 
 def quarter_turn_consistency(n: int, rng: random.Random) -> Check:
@@ -132,12 +126,12 @@ def quarter_turn_consistency(n: int, rng: random.Random) -> Check:
         via_pauli = oracle.apply_pauli(rotations.co_rotate_quarter(turns), probe)
         via_angles = oracle.apply_observable(probe, tuple(t * math.pi / 2 for t in turns))
         diffs.append(np.max(np.abs(via_pauli - via_angles)))
-    return _within_tol("quarter_turn_consistency", 16, diffs)
+    return _within_tol("quarter_turn_consistency", diffs)
 
 
 def rotation_unitarity(angle_sets: Sequence[Sequence[float]]) -> Check:
     """Rotations are diagonal unitaries."""
-    return _within_tol("rotation_unitarity", len(angle_sets),
+    return _within_tol("rotation_unitarity",
                        [np.max(np.abs(np.abs(oracle.rotation_diagonal(angles)) - 1.0))
                         for angles in angle_sets])
 
@@ -145,7 +139,7 @@ def rotation_unitarity(angle_sets: Sequence[Sequence[float]]) -> Check:
 def pair_subspace_invariance(label: GhzLabel,
                              angle_sets: Sequence[Sequence[float]]) -> Check:
     """Rotations never leak out of the labeled pair."""
-    return _within_tol("pair_subspace_invariance", len(angle_sets),
+    return _within_tol("pair_subspace_invariance",
                        [oracle.two_dim_invariance_residual(label, angles)
                         for angles in angle_sets])
 
@@ -155,12 +149,8 @@ def verify(label: GhzLabel, seed: int) -> list[Check]:
     n = label.n
     DENSE_VECTOR_CAP.check(n)  # before any check draws from rng or builds a vector
     rng = random.Random(seed)
-    checks = [eigenvalues(label, rng),
-              collective_angle_collapse(label, rng),
-              conjugation_identity(n, rng),
-              quarter_turn_consistency(n, rng)]
+    checks = [eigenvalues(label, rng), collective_angle_collapse(label, rng),
+              conjugation_identity(n, rng), quarter_turn_consistency(n, rng)]
     angle_sets = [_angles(rng, n, _TWO_PI) for _ in range(10)]
-    checks.append(rotation_unitarity(angle_sets))
-    checks.append(pair_subspace_invariance(label, angle_sets))
-    return checks
+    return checks + [rotation_unitarity(angle_sets), pair_subspace_invariance(label, angle_sets)]
 

@@ -2,9 +2,10 @@
 
 Every command is flag-driven and deterministic; seeded randomness is the
 only randomness, and the seed is echoed in the output header.  Exit codes:
-0 all checks passed, 1 a check failed, 2 usage or domain error, and 141
-(128 + SIGPIPE, as a shell reports a process that SIGPIPE ended) when
-stdout is closed before the output is written, as by ``| head``.
+0 all checks passed, 1 a check failed or a tool failure (see :mod:`errors`),
+2 usage or domain error, and 141 (128 + SIGPIPE) when stdout is closed
+before the output is written, as by ``| head``.  ``verify``, ``lhv`` and
+``identity`` judge :class:`errors.Check` rows; :func:`_close` is the verdict.
 
 Only ``enumerate``, ``verify`` and ``lhv`` use numpy, so this module loads
 the stdlib and the package's numpy-free core alone, and those commands
@@ -21,7 +22,7 @@ import sys
 from typing import TYPE_CHECKING, Sequence
 
 from . import __version__, counting
-from .errors import ConsistencyError, GhzVerifyError
+from .errors import Check, ConsistencyError, GhzVerifyError
 
 if TYPE_CHECKING:
     from . import states
@@ -34,6 +35,14 @@ def _print_json(payload: dict) -> None:
     import json
 
     print(json.dumps(payload, indent=2))
+
+
+def _close(checks: Sequence[Check], table: bool) -> int:
+    """Exit code 0 when every check held, else 1; a table ends with the verdict line."""
+    passed = all(check.passed for check in checks)
+    if table:
+        print("all checks passed" if passed else "CHECK FAILURES PRESENT")
+    return 0 if passed else 1
 
 
 def _label(text: str | None, n: int) -> states.GhzLabel:
@@ -97,26 +106,25 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise GhzVerifyError(f"need seed >= 0, got {args.seed}")
     label = _label(args.label, args.n)
-    rows = [{"check": f"{c.name}[{c.cases}]", "residual": c.residual, "pass": c.passed}
-            for c in checks.verify(label, args.seed)]
-    all_pass = all(row["pass"] for row in rows)
+    judged = checks.verify(label, args.seed)
     if args.format == "json":
+        code = _close(judged, table=False)
         _print_json({
             "command": "verify",
             "version": __version__,
             "n": args.n,
             "label": str(label),
             "seed": args.seed,
-            "checks": rows,
-            "pass": all_pass,
+            "checks": [{"check": f"{c.name}[{c.cases}]", "residual": c.residual,
+                        "pass": c.passed} for c in judged],
+            "pass": code == 0,
         })
-    else:
-        print(f"verify n={args.n} label={label} seed={args.seed} version={__version__}")
-        for row in rows:
-            status = "PASS" if row["pass"] else "FAIL"
-            print(f"  {status}  {row['check']:<40} residual={row['residual']:.3e}")
-        print("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
-    return 0 if all_pass else 1
+        return code
+    print(f"verify n={args.n} label={label} seed={args.seed} version={__version__}")
+    for c in judged:
+        print(f"  {'PASS' if c.passed else 'FAIL'}  {f'{c.name}[{c.cases}]':<40}"
+              f" residual={c.residual:.3e}")
+    return _close(judged, table=True)
 
 
 # ------------------------------------------------------------------ lhv
@@ -130,12 +138,13 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     satisfying = lhv.exhaustive_search(label) if args.exhaustive else None
     reports = lhv.find_contradictions(label)  # refuses an oversized listing first
     expected = counting.c_n_closed(args.n)
-    count_ok = len(reports) == expected
-    search_ok = True
+    assignments = 1 << (2 * args.n)
+    none_expected = args.n >= 3  # a local model exists below three qubits, none from three on
+    judged = [Check.exact("contradictions", len(reports), len(reports) == expected)]
     if satisfying is not None:
-        search_ok = (satisfying == 0) if args.n >= 3 else (satisfying > 0)
-    ok = count_ok and search_ok
+        judged.append(Check.exact("satisfying", assignments, (satisfying == 0) == none_expected))
     if args.format == "json":
+        code = _close(judged, table=False)
         payload = {
             "command": "lhv",
             "version": __version__,
@@ -144,25 +153,21 @@ def cmd_lhv(args: argparse.Namespace) -> int:
             "expected_c_n": expected,
             "contradictions": len(reports),
             "reports": listing._STREAMED,
-            "pass": ok,
+            "pass": code == 0,
         }
         if satisfying is not None:
-            payload["exhaustive"] = {
-                "assignments": 1 << (2 * args.n),
-                "satisfying": satisfying,
-            }
+            payload["exhaustive"] = {"assignments": assignments, "satisfying": satisfying}
         listing._print_json_streamed(payload, listing._report_blocks(reports, json_rows=True))
-    else:
-        print(f"lhv n={args.n} label={label} version={__version__}")
-        write = listing._binary_stdout()
-        for block in listing._report_blocks(reports, json_rows=False):
-            write(block)
-        print(f"contradictions: {len(reports)} (expected {expected})")
-        if satisfying is not None:
-            print(f"satisfying assignments: {satisfying} of {1 << (2 * args.n)}"
-                  + (" (expected 0)" if args.n >= 3 else " (expected > 0)"))
-        print("all checks passed" if ok else "CHECK FAILURES PRESENT")
-    return 0 if ok else 1
+        return code
+    print(f"lhv n={args.n} label={label} version={__version__}")
+    write = listing._binary_stdout()
+    for block in listing._report_blocks(reports, json_rows=False):
+        write(block)
+    print(f"contradictions: {len(reports)} (expected {expected})")
+    if satisfying is not None:
+        print(f"satisfying assignments: {satisfying} of {assignments}"
+              f" (expected {'0' if none_expected else '> 0'})")
+    return _close(judged, table=True)
 
 
 # ------------------------------------------------------------- identity
@@ -187,24 +192,23 @@ def cmd_identity(args: argparse.Namespace) -> int:
     else:
         subset = _parse_subset(args.subset)
         verdicts = [(subset, pauli.verify_ks_identity(n, subset))]
-    rows = [(subset, "+" if len(subset) % 4 == 1 else "-", ok) for subset, ok in verdicts]
-    all_pass = all(ok for _, _, ok in rows)
+    judged = [Check.exact(",".join(map(str, subset)), 1, ok) for subset, ok in verdicts]
+    signs = ["+" if len(subset) % 4 == 1 else "-" for subset, _ in verdicts]
     if args.format == "json":
+        code = _close(judged, table=False)
         _print_json({
             "command": "identity",
             "version": __version__,
             "n": n,
-            "checks": [{"subset": list(subset), "sign": sign, "pass": ok}
-                       for subset, sign, ok in rows],
-            "pass": all_pass,
+            "checks": [{"subset": list(subset), "sign": sign, "pass": c.passed}
+                       for (subset, _), sign, c in zip(verdicts, signs, judged)],
+            "pass": code == 0,
         })
-    else:
-        print(f"identity n={n} version={__version__}")
-        sys.stdout.write("".join(
-            f"  {'PASS' if ok else 'FAIL'}  subset={','.join(map(str, subset))} sign={sign}\n"
-            for subset, sign, ok in rows))
-        print("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
-    return 0 if all_pass else 1
+        return code
+    print(f"identity n={n} version={__version__}")
+    sys.stdout.write("".join(f"  {'PASS' if c.passed else 'FAIL'}  subset={c.name} sign={sign}\n"
+                             for sign, c in zip(signs, judged)))
+    return _close(judged, table=True)
 
 
 # ----------------------------------------------------------------- main

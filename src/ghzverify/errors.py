@@ -1,10 +1,11 @@
-"""Error taxonomy shared by every module, and the one capacity model.
+"""Error taxonomy, the one verdict type, and the one capacity model.
 
-All domain failures derive from :class:`GhzVerifyError` so the CLI can map
-them to exit code 2 uniformly.  :class:`ConsistencyError` is the one
-exception that is *not* a usage problem: it signals that the exact symbolic
-machinery and the dense numeric oracle disagreed, i.e. a bug in this tool,
-and maps to exit code 1.
+All domain failures derive from :class:`GhzVerifyError` and exit 2.  A
+failed :class:`Check` is a claim that did not hold: the command prints its
+output, a table ending in the failure verdict line, and exits 1.  A
+:class:`ConsistencyError` means two routes to one value disagreed before any
+output; it prints ``tool failure`` and exits 1.  ``count`` prints no
+verdict line, so its counting routes disagreeing stays a tool failure.
 
 Every size cap is a :class:`Cap` in the table below, and :meth:`Cap.check`
 is the one place that refuses a request for being too large.  A cap counts
@@ -32,7 +33,20 @@ class CapacityError(GhzVerifyError, ValueError):
 
 
 class ConsistencyError(GhzVerifyError, RuntimeError):
-    """Symbolic and oracle results disagree; this is a tool failure."""
+    """Two routes to one value disagree before any output: a tool failure."""
+
+
+class Check(NamedTuple):
+    """One judged claim; an integer claim's residual is 0.0 if it held, else 1.0."""
+
+    name: str
+    cases: int
+    residual: float
+    passed: bool
+
+    @classmethod
+    def exact(cls, name: str, cases: int, held: bool) -> "Check":
+        return cls(name, cases, float(not held), held)
 
 
 class Cap(NamedTuple):

@@ -28,8 +28,8 @@ import numpy as np
 from .counting import check_n
 from .errors import EXHAUSTIVE_CAP, ConsistencyError, DomainError
 from .pauli import verify_ks_identity  # bound here too: perfbench traces it as lhv.verify_ks_identity
-from .poles import (Pole, eigenvalue_column, enumerate_pole, pole_runs, predictions,
-                    xy_letter_matrix)
+from .poles import (Pole, eigenvalue_column, enumerate_pole, generators, pole_runs,
+                    predictions, xy_letter_matrix)
 from .states import GhzLabel
 
 
@@ -76,8 +76,8 @@ def find_contradictions(label: GhzLabel) -> Contradictions:
     n = label.n
     check_label(label)
     runs = pole_runs(n, Pole.S)  # refuses an oversized listing
-    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)  # qubit 1 first
-    negative = int(generators[_eigenvalues(label, generators, "single-Y generator ") < 0].sum())
+    column = generators(n)
+    negative = int(column[_eigenvalues(label, column, "single-Y generator ") < 0].sum())
     rows = 0
     for high, lows in runs:
         targets = lows | np.uint64(high)

@@ -142,8 +142,7 @@ def _report_blocks(reports: Contradictions, json_rows: bool) -> Iterator[memoryv
         return (1 - poles.predictions(masks, reports.negative)) >> 1
 
     # row k - 1 is generator k's letters, then the separator
-    generators = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
-    cells = _rows(n, [poles.xy_letter_matrix(n, generators), separator])
+    cells = _rows(n, [poles.xy_letter_matrix(n, poles.generators(n)), separator])
 
     def low_table(low_width: int, lows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # the low parts' letters, then the text up to the sign; their signs

@@ -3,8 +3,9 @@
 This module is the independent second route: operators become explicit
 matrices (or matrix-free actions on amplitude vectors) and each claim is
 measured by a residual in max norm.  The functions here return residuals
-and pass no verdict: the tolerance, ``checks.EIGEN_TOL`` (1e-12 throughout),
-lives with the checks that judge them.  Amplitudes are O(1) and all matrix
+and pass no verdict: the tolerance, ``checks.EIGEN_TOL`` (1e-12
+throughout), lives with the checks that judge them, and so does each case
+count, taken from the residuals judged.  Amplitudes are O(1) and all matrix
 entries are exact fourth roots of unity times exact cosines, which leaves
 at least three orders of magnitude of headroom under it in double precision.
 
@@ -29,16 +30,16 @@ Caps (see errors): vectors up to 2**14 amplitudes, full matrices up to
 2**10 x 2**10.  Only materialize and observable_matrix build a whole
 matrix, a Kronecker chain of 2x2 factors multiplied out by np.kron; no
 command calls them, and they are the whole-matrix references that the
-matrix-free routes are tested against.  A conjugation check builds no
-matrix at any n up to the vector cap: both of its sides map each basis
-vector to a phase times its bit-complement, so it compares their
-antidiagonals alone.  Off the antidiagonal every entry of either whole
-matrix is a product with a literal zero, the zero diagonal of X or of an
-observable factor, so those entries compare 0 with 0 (NaN with NaN for a
-non-finite factor, and then the antidiagonal is NaN too); up to the matrix
-cap the residual is bitwise that of the whole matrices.  Each factor's two
-diagonal entries are judged as well, so a factor that leaks off the
-antidiagonal still fails.
+matrix-free routes are tested against.  A conjugation check judges one
+angle set and builds no matrix at any n up to the vector cap: both of its
+sides map each basis vector to a phase times its bit-complement, so it
+compares their antidiagonals alone.  Off the antidiagonal every entry of
+either whole matrix is a product with a literal zero, the zero diagonal of
+X or of an observable factor, so those entries compare 0 with 0 (NaN with
+NaN for a non-finite factor, and then the antidiagonal is NaN too); up to
+the matrix cap the residual is bitwise that of the whole matrices.  Each
+factor's two diagonal entries are judged as well, so a factor that leaks
+off the antidiagonal still fails.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError, DomainError
+from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError
 from .pauli import PauliOperator
 from .states import (GhzLabel, doubled, pair_amplitudes, pair_phases, rotation_phases,
                      signed_bit_sums)
@@ -161,34 +162,19 @@ def eigen_residuals(z_masks: np.ndarray, label: GhzLabel, amplitudes: np.ndarray
     return np.stack([np.abs(image - state).max(axis=1), np.abs(image + state).max(axis=1)], axis=1)
 
 
-def check_conjugation(angle_sets: Sequence[Sequence[float]]) -> float:
+def check_conjugation(angles: Sequence[float]) -> float:
     """Compare rotating the all-X string by conjugation against the factored form.
 
-    Left side: R diag-conjugates the all-X matrix, whose row r then holds
-    d[r] conj(d[~r]) in column ~r; right side: the product observable of the
-    angles, whose antidiagonal doubles factor by factor in the order
-    np.kron multiplies.  Only the antidiagonals and each factor's
-    diagonal are compared (see the module docstring), so no matrix is
-    built.  Every set must have the same length; the result is the worst
-    residual over the sets.
+    R diag-conjugates the all-X matrix, whose row r then holds d[r] conj(d[~r])
+    in column ~r; the observable's antidiagonal doubles factor by factor in
+    np.kron's order.  Only these and each factor's diagonal are compared.
     """
-    if not angle_sets:
-        raise DomainError("need at least one angle set")
-    n = len(angle_sets[0])
-    if any(len(angles) != n for angles in angle_sets):
-        lengths = sorted({len(angles) for angles in angle_sets})
-        raise DimensionError(f"angle sets differ in length: {lengths}")
-    # np.maximum, not max(), so that a NaN residual fails the check
-    worst = 0.0
-    for angles in angle_sets:
-        diag = rotation_diagonal(angles)
-        factors = [observable_factor(phi) for phi in angles]
-        for f in factors:
-            worst = np.maximum(worst, np.max(np.abs(f.diagonal())))
-        anti = doubled(((f[0, 1], f[1, 0]) for f in factors), np.multiply,
-                       np.ones(1, dtype=complex))
-        worst = np.maximum(worst, np.max(np.abs(diag * np.conj(diag[::-1]) - anti)))
-    return float(worst)
+    diag = rotation_diagonal(angles)
+    factors = [observable_factor(phi) for phi in angles]
+    anti = doubled(((f[0, 1], f[1, 0]) for f in factors), np.multiply, np.ones(1, dtype=complex))
+    leaks = [np.max(np.abs(f.diagonal())) for f in factors]
+    # np.max, not max(), so that a NaN residual is returned
+    return float(np.max(leaks + [np.max(np.abs(diag * np.conj(diag[::-1]) - anti))]))
 
 
 def two_dim_invariance_residual(label: GhzLabel, angles: Sequence[float]) -> float:

@@ -107,6 +107,11 @@ def enumerate_pole(n: int, pole: Pole) -> np.ndarray:
     return np.concatenate(runs or [np.empty(0, np.uint64)])
 
 
+def generators(n: int) -> np.ndarray:
+    """The z masks of the n single-Y generators, qubit 1 (the top bit) first."""
+    return np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+
+
 def check_mask(n: int, z: int) -> None:
     """Refuse a z mask that does not fit n qubits."""
     if z >> n:  # a negative mask shifts to -1, so it is refused too

@@ -180,7 +180,7 @@ def test_criterion_8_conjugation_identity(capsys):
         passed = True
         for n in (3, 4):
             angle_sets = [tuple(rng.uniform(-math.pi, math.pi, size=n)) for _ in range(50)]
-            passed &= check_conjugation(angle_sets) < TOL
+            passed &= all(check_conjugation(angles) < TOL for angles in angle_sets)
         crit.finish(passed)
 
 

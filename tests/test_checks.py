@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from ghzverify import checks, lhv, oracle, poles, states
 from ghzverify.cli import main
-from ghzverify.errors import DENSE_VECTOR_CAP, EXHAUSTIVE_CAP, CapacityError, DomainError
+from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, EXHAUSTIVE_CAP, CapacityError,
+                              DomainError)
 from ghzverify.pauli import PauliOperator
 from ghzverify.states import GhzLabel
 from references import (dense_collapse, dense_invariance_residual, outer_rotation_phases,
@@ -112,6 +113,80 @@ def test_nan_on_a_non_eigen_row_fails_eigenvalues(monkeypatch, column):
     check = checks.eigenvalues(label, random.Random(0))
     assert not check.passed
     assert check.residual < checks.EIGEN_TOL
+
+
+@pytest.mark.parametrize("bad", [1.0, math.nan])
+@pytest.mark.parametrize("quarter", [0, 1])
+def test_bad_residual_on_a_minus_one_row_fails_eigenvalues(monkeypatch, quarter, bad):
+    # a -1 row is judged against -state, in column 1: one bad value there must fail
+    label = GhzLabel(3, 0, 1)
+    pool = np.arange(8, dtype=np.uint64)  # every string, so row j is z mask j
+    row = int(np.flatnonzero(poles.eigenvalue_column(label, quarter, pool) == -1)[0])
+    eigen_residuals = oracle.eigen_residuals
+    calls = 0
+
+    def planted(ops, label, amplitudes):
+        nonlocal calls
+        out = eigen_residuals(ops, label, amplitudes)
+        if calls == quarter:
+            assert np.array_equal(ops, pool)
+            out[row, 1] = bad
+        calls += 1
+        return out
+    monkeypatch.setattr(oracle, "eigen_residuals", planted)
+    check = checks.eigenvalues(label, random.Random(0))
+    assert calls == 2
+    assert (check.cases, check.passed) == (16, False)
+    assert check.residual == bad or (math.isnan(bad) and math.isnan(check.residual))
+
+
+@pytest.mark.parametrize("n", [3, DENSE_MATRIX_CAP.qubits + 1])
+def test_nan_in_a_later_set_fails_conjugation(monkeypatch, n):
+    # the seventh of the ten angle sets starts with a NaN angle
+    check_conjugation = oracle.check_conjugation
+    seen = []
+
+    def planted(angles):
+        seen.append(angles)
+        return check_conjugation([math.nan] + angles[1:] if len(seen) == 7 else angles)
+    monkeypatch.setattr(oracle, "check_conjugation", planted)
+    check = checks.conjugation_identity(n, random.Random(0))
+    assert len(seen) == check.cases == 10
+    _assert_nan_fails(check)
+
+
+def _off_factor_in_one_set(monkeypatch, n):
+    """Add 1e-9 to one diagonal entry of the last observable factor of the
+    seventh of conjugation_identity's ten angle sets, on n qubits."""
+    observable_factor = oracle.observable_factor
+    calls = 0
+
+    def perturbed(phi):
+        nonlocal calls
+        calls += 1
+        out = observable_factor(phi)
+        if calls == 7 * n:
+            out[1, 1] += 1e-9
+        return out
+    monkeypatch.setattr(oracle, "observable_factor", perturbed)
+
+
+@pytest.mark.parametrize("n", [3, DENSE_VECTOR_CAP.qubits])
+def test_one_bad_set_fails_conjugation(monkeypatch, n):
+    assert checks.conjugation_identity(n, random.Random(0)).passed
+    _off_factor_in_one_set(monkeypatch, n)
+    check = checks.conjugation_identity(n, random.Random(0))
+    assert (check.name, check.cases, check.passed) == ("conjugation_identity", 10, False)
+    assert check.residual >= checks.EIGEN_TOL
+
+
+def test_one_bad_set_fails_verify(monkeypatch, capsys):
+    _off_factor_in_one_set(monkeypatch, 3)
+    assert main(["verify", "--n", "3"]) == 1
+    out = capsys.readouterr().out
+    assert "  FAIL  conjugation_identity[10] " in out
+    assert out.count("  FAIL  ") == 1
+    assert out.endswith("CHECK FAILURES PRESENT\n")
 
 
 def test_nan_in_a_later_trial_fails_collapse(monkeypatch):

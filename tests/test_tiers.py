@@ -13,7 +13,8 @@ and only its two listing commands import the numpy renderers of
 ``listing``, which run on ``poles`` alone.  Every module-level name of the
 package has a caller in the package, or the benchmark traces it and it is
 listed as kept by the tracer alone, and only ``errors`` defines a size cap
-or raises its refusal; README's Caps table lists exactly those caps.
+or raises its refusal; README's Caps table lists exactly those caps.  Only
+``errors`` defines :class:`Check`, and each verdict line is written once.
 """
 
 import ast
@@ -194,6 +195,24 @@ def test_only_errors_defines_or_refuses_a_cap():
     for node in tree.body:
         if isinstance(node, ast.Assign) and node.targets[0].id.endswith("_CAP"):
             assert ast.unparse(node.value.func) == "Cap", ast.unparse(node)
+
+
+#: The last line of a judged command's table.
+VERDICT_LINES = ("all checks passed", "CHECK FAILURES PRESENT")
+
+
+def test_one_verdict_type_and_one_verdict_line():
+    # Check is defined in errors alone, and each verdict line is one string
+    # constant, in the one cli helper that closes every judged command
+    classes, constants = defaultdict(list), defaultdict(list)
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef):
+                classes[node.name].append(path.stem)
+            elif isinstance(node, ast.Constant) and node.value in VERDICT_LINES:
+                constants[node.value].append(path.stem)
+    assert classes["Check"] == ["errors"]
+    assert constants == {line: ["cli"] for line in VERDICT_LINES}
 
 
 def test_readme_caps_table_is_the_errors_table():
