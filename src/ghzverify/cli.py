@@ -139,10 +139,12 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     reports = lhv.find_contradictions(label)  # refuses an oversized listing first
     expected = counting.c_n_closed(args.n)
     assignments = 1 << (2 * args.n)
-    none_expected = args.n >= 3  # a local model exists below three qubits, none from three on
+    none_expected = len(reports) > 0  # a checked contradiction leaves no local assignment
     judged = [Check.exact("contradictions", len(reports), len(reports) == expected)]
     if satisfying is not None:
         judged.append(Check.exact("satisfying", assignments, (satisfying == 0) == none_expected))
+    if not any(check.cases for check in judged):  # a pass must have judged something
+        raise GhzVerifyError(f"n = {args.n} has no S string to check; pass --exhaustive")
     if args.format == "json":
         code = _close(judged, table=False)
         payload = {

@@ -14,9 +14,9 @@ The exhaustive search below confirms the stronger statement by brute force:
 no assignment at all matches the eigenvalues of every N- and S-pole string
 simultaneously, while dropping the S constraints leaves exactly 2**n
 survivors.  An assignment is the bit pair (vx, vy), bit n - k set meaning
-v(X_k) = -1 or v(Y_k) = -1.  The sweep holds no pair: it joins two tables of
-2**n signature rows, one per half of an assignment (``EXHAUSTIVE_CAP``
-keeps n <= 10).
+v(X_k) = -1 or v(Y_k) = -1.  The sweep holds no pair: it joins one table of
+2**n signature rows, each half's parities on the Y letters, with itself
+(``EXHAUSTIVE_CAP`` keeps n <= 10).
 """
 
 from __future__ import annotations
@@ -96,30 +96,27 @@ def exhaustive_search(label: GhzLabel, *, require_s: bool = True) -> int:
 
     Constraint j, the string with z mask z_j and eigenvalue e_j, holds for
     (vx, vy) exactly when parity(vx & ~z_j) xor parity(vy & z_j) is 1 for
-    e_j = -1 and 0 for e_j = +1.  Each X half's parities on every
-    constraint's X letters, and each Y half's on the Y letters, are packed
-    into one signature row; (vx, vy) satisfies every constraint exactly
-    when the Y row equals the X row xor the packed signs (e_j < 0).  So
-    every half is evaluated on every constraint, and the count is the
-    number of such row matches: nothing is sampled or derived.
+    e_j = -1 and 0 for e_j = +1.  Row h of one signature table packs h's
+    parities on every constraint's Y letters.  The X letters are the rest,
+    so parity(h & ~z_j) = parity(h) xor parity(h & z_j): vx's row on the X
+    letters is its table row, flipped whole when vx has odd popcount, and
+    (vx, vy) satisfies every constraint exactly when vy's row equals that
+    row xor the packed signs (e_j < 0).  So every half is evaluated on every
+    constraint, and the count is the number of such row matches: nothing
+    is sampled or derived.
     """
     n = label.n
     EXHAUSTIVE_CAP.check(n)
-    full = (1 << n) - 1
     constrained = (Pole.N, Pole.S) if require_s else (Pole.N,)
     z_masks = np.concatenate([enumerate_pole(n, pole) for pole in constrained])
     values = _eigenvalues(label, z_masks, "")
     # EXHAUSTIVE_CAP keeps every n-bit half and letter mask in uint16
     halves = np.arange(1 << n, dtype=np.uint16)
-    y_letters = z_masks.astype(np.uint16)
-
-    def signatures(letters: np.ndarray) -> np.ndarray:
-        parity = np.bitwise_count(halves[:, None] & letters)
-        parity &= 1
-        return np.packbits(parity, axis=1)  # row h: bit j is the parity of h on letters[j]
-
-    targets = signatures(full ^ y_letters) ^ np.packbits(values < 0)
-    rows = signatures(y_letters)
+    parity = np.bitwise_count(halves[:, None] & z_masks.astype(np.uint16))
+    parity &= 1
+    rows = np.packbits(parity, axis=1)  # row h: bit j is the parity of h on z_j
+    signs = np.packbits([values < 0, values > 0], axis=1)  # row 1: row 0 xor all ones
+    targets = rows ^ signs[np.bitwise_count(halves) & 1]
     # one void scalar per row, so that sorting and searching compare whole rows
     row_type = np.dtype((np.void, rows.shape[1]))
     keys, counts = np.unique(rows.view(row_type).ravel(), return_counts=True)

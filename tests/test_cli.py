@@ -172,6 +172,13 @@ class TestLhv:
         assert payload["contradictions"] == 0
         assert payload["exhaustive"]["satisfying"] > 0
 
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_two_qubits_without_the_sweep_refused(self, capsys, fmt):
+        # C_2 = 0: with no S string and no sweep, a pass would have judged nothing
+        code, out, err = run_cli(capsys, "lhv", "--n", "2", "--format", fmt)
+        assert (code, out) == (2, "")
+        assert err == "error: n = 2 has no S string to check; pass --exhaustive\n"
+
     @pytest.mark.parametrize("n", [30])
     def test_exhaustive_cap_refuses_before_any_report(self, capsys, monkeypatch, n):
         def not_called(*args):

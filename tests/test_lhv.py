@@ -198,7 +198,7 @@ class TestExhaustiveSearch:
 
     def test_traced_peak_at_the_cap(self):
         # two uint16 columns of all 4**n pairs held 4 MiB before the first
-        # constraint; the signature join holds (2**n, m) parity tables, about
+        # constraint; the signature join holds one (2**n, m) parity table, about
         # 1.5 MiB for the m = 496 constraints at n = 10
         tracemalloc.start()
         try:
@@ -239,6 +239,34 @@ class TestExhaustiveSearch:
             count = exhaustive_search(label, require_s=require_s)
             assert count == column_sweep(label, require_s)
         assert count == 1 << n
+
+    @pytest.mark.parametrize("n", range(1, EXHAUSTIVE_CAP.qubits + 1))
+    @settings(deadline=None, max_examples=8)
+    @given(vx=st.integers(0, 1 << 20), vy=st.integers(0, 1 << 20), require_s=st.booleans())
+    def test_join_reads_the_x_letters_of_an_even_y_family(self, n, vx, vy, require_s):
+        # every N and S string has an odd Y count, so the all-ones row is the
+        # Y row of the all-ones half, and no count can tell a half's X letters
+        # from its Y letters; E strings in place of the N strings have even Y
+        # counts, the all-X string among them, and signs planted from one
+        # assignment keep at least that assignment
+        full = np.uint64((1 << n) - 1)
+        vx, vy = np.uint64(vx) & full, np.uint64(vy) & full
+
+        def east_for_north(n, pole):
+            return enumerate_pole(n, Pole.E if pole is Pole.N else pole)
+
+        def planted(label, quarter, z_masks):
+            flips = np.bitwise_count((z_masks ^ full) & vx) + np.bitwise_count(z_masks & vy)
+            return 1 - 2 * (flips & 1).astype(np.int8)
+
+        label = GhzLabel(n, 0, 1)
+        with pytest.MonkeyPatch.context() as patch:
+            for module in ("ghzverify.lhv", "references"):
+                patch.setattr(f"{module}.enumerate_pole", east_for_north)
+                patch.setattr(f"{module}.eigenvalue_column", planted)
+            count = exhaustive_search(label, require_s=require_s)
+            assert count == column_sweep(label, require_s)
+        assert count > 0
 
     @pytest.mark.parametrize("require_s", [True, False])
     @pytest.mark.parametrize("label", [GhzLabel(n, bits, sign)
