@@ -7,7 +7,8 @@ check engine in ``checks`` joins the two.
 
 Each name is imported from the module that defines it, e.g.
 ``from ghzverify.pauli import multiply``.  Importing the package itself
-loads no submodule, and ``count`` and ``identity`` start without numpy.
+loads no submodule, and ``count``, ``identity``, ``enumerate`` and ``lhv``
+without ``--exhaustive`` start without numpy.
 """
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import oracle, poles, rotations, states
 from .errors import DENSE_VECTOR_CAP, Check, DomainError
-from .states import GhzLabel
+from .labels import GhzLabel
 
 #: The one residual tolerance: a check passes when its worst residual is below it.
 EIGEN_TOL = 1e-12

@@ -7,11 +7,12 @@ only randomness, and the seed is echoed in the output header.  Exit codes:
 before the output is written, as by ``| head``.  ``verify``, ``lhv`` and
 ``identity`` judge :class:`errors.Check` rows; :func:`_close` is the verdict.
 
-Only ``enumerate``, ``verify`` and ``lhv`` use numpy, so this module loads
-the stdlib and the package's numpy-free core alone, and those commands
-import the numpy-backed modules (the two listings, :mod:`listing`) when they
-run.  The json printers import ``json`` and ``identity`` imports ``pauli``,
-so ``count`` in table or csv form loads neither.
+Only ``verify`` and ``lhv --exhaustive`` use numpy, so this module loads
+the stdlib and the package's numpy-free core alone, and each command
+imports what it runs when it runs: ``enumerate`` and ``lhv`` the int-only
+listings of :mod:`listing`, ``verify`` the numpy-backed check engine.  The
+json printers import ``json`` and ``identity`` imports ``pauli``, so
+``count`` in table or csv form loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import __version__, counting
 from .errors import Check, ConsistencyError, GhzVerifyError
 
 if TYPE_CHECKING:
-    from . import states
+    from .labels import GhzLabel
 
 #: Exit code when the reader closes stdout early: 128 + SIGPIPE.
 _CLOSED_PIPE_EXIT = 141
@@ -38,18 +39,23 @@ def _print_json(payload: dict) -> None:
 
 
 def _close(checks: Sequence[Check], table: bool) -> int:
-    """Exit code 0 when every check held, else 1; a table ends with the verdict line."""
+    """Exit code 0 when every check held, else 1; a table ends with the verdict line.
+
+    A check that judged no case held nothing, so it is refused as a tool failure.
+    """
+    if empty := [check.name for check in checks if not check.cases]:
+        raise ConsistencyError(f"{', '.join(empty)} judged no case")
     passed = all(check.passed for check in checks)
     if table:
         print("all checks passed" if passed else "CHECK FAILURES PRESENT")
     return 0 if passed else 1
 
 
-def _label(text: str | None, n: int) -> states.GhzLabel:
+def _label(text: str | None, n: int) -> GhzLabel:
     """The parsed --label, or the all-zeros + label, built without an n-character string."""
-    from . import states
+    from .labels import GhzLabel, parse_label
 
-    return states.GhzLabel(n, 0, 1) if text is None else states.parse_label(text, n)
+    return GhzLabel(n, 0, 1) if text is None else parse_label(text, n)
 
 
 # ---------------------------------------------------------------- count
@@ -140,10 +146,12 @@ def cmd_lhv(args: argparse.Namespace) -> int:
     expected = counting.c_n_closed(args.n)
     assignments = 1 << (2 * args.n)
     none_expected = len(reports) > 0  # a checked contradiction leaves no local assignment
-    judged = [Check.exact("contradictions", len(reports), len(reports) == expected)]
+    judged = []
+    if len(reports):  # C_2 = 0 leaves no S string, and so no row to judge
+        judged.append(Check.exact("contradictions", len(reports), len(reports) == expected))
     if satisfying is not None:
         judged.append(Check.exact("satisfying", assignments, (satisfying == 0) == none_expected))
-    if not any(check.cases for check in judged):  # a pass must have judged something
+    if not judged:  # a pass must have judged something
         raise GhzVerifyError(f"n = {args.n} has no S string to check; pass --exhaustive")
     if args.format == "json":
         code = _close(judged, table=False)

@@ -51,9 +51,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, DimensionError
+from .labels import GhzLabel
 from .pauli import PauliOperator
-from .states import (GhzLabel, doubled, pair_amplitudes, pair_phases, rotation_phases,
-                     signed_bit_sums)
+from .states import doubled, pair_amplitudes, pair_phases, rotation_phases, signed_bit_sums
 
 #: i**phase for the int phase of a PauliOperator.
 _PHASE_VALUE = (1, 1j, -1, -1j)

@@ -11,13 +11,15 @@ quarter-turn angles are exact +/-1 eigenstates of same- and opposite-pole
 strings, and the eigenvalue follows from applying the string to the pair's
 two kets with X|0> = |1>, X|1> = |0>, Y|0> = i|1>, Y|1> = -i|0>.
 
-One string is an int mask; many are a uint64 column.  :func:`pole_runs`
-yields a pole's strings as runs that share a high part, the one walk over a
-pole, and :func:`enumerate_pole` joins them into one column;
-:func:`xy_letter_matrix`, :func:`eigenvalue_column` and :func:`predictions`
-read a column's letters, eigenvalues and product-rule values at once: the
-symplectic bit-mask idiom of Aaronson and Gottesman (quant-ph/0406196) in
-the bit-packed layout of Stim (arXiv:2103.02202).
+One string is an int mask.  :func:`pole_runs` yields a pole's strings as
+runs of ints that share a high part, the one walk over a pole, and
+:func:`letter_bytes` spells a mask, so the contradiction check and both
+listings run on ints and never load numpy.  Where arrays do the work, in
+the exhaustive sweep and ``verify``, :func:`enumerate_pole` joins the runs
+into one uint64 column and :func:`eigenvalue_column` reads a column's
+eigenvalues at once: the symplectic bit-mask idiom of Aaronson and Gottesman
+(quant-ph/0406196) in the bit-packed layout of Stim (arXiv:2103.02202).
+Those two import numpy when they run.
 """
 
 from __future__ import annotations
@@ -25,12 +27,13 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from typing import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import REPORT_CAP, DimensionError, DomainError
-from .states import GhzLabel
+from .labels import GhzLabel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: The low part of a mask: the bits that vary within one run of
 #: :func:`pole_runs`.  Its tables of low masks hold 2**12 masks in all, so
@@ -48,18 +51,18 @@ class Pole(enum.Enum):
     S = 3
 
 
-def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
+def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The z masks of every X/Y string at a pole, as runs (high, lows).
 
     Strings come by increasing Y count, then in position order; within one Y
     count that is descending mask order, because qubit 1 is the top bit.  A
-    run is the masks ``high | lows``: ``high`` is an int mask whose low
-    ``min(n, LOW_BITS)`` bits are clear, and ``lows`` a read-only uint64
-    column of the low masks of one popcount, in descending order, that every
-    run with that popcount shares.  Runs of one Y count come by descending
-    high part, so joined they are that count's strings in order, and no
-    array grows with the size of the pole.  The qubit count is checked here,
-    before the first run.
+    run is the masks ``high | low`` for each ``low`` of ``lows``: ``high`` is
+    an int mask whose low ``min(n, LOW_BITS)`` bits are clear, and ``lows`` a
+    cached tuple of the int low masks of one popcount, in descending order,
+    that every run with that popcount shares.  Runs of one Y count come by
+    descending high part, so joined they are that count's strings in order,
+    and nothing grows with the size of the pole.  The qubit count is checked
+    here, before the first run.
     """
     if n < 1:
         raise DomainError(f"need n >= 1, got {n}")
@@ -67,25 +70,24 @@ def pole_runs(n: int, pole: Pole) -> Iterator[tuple[int, np.ndarray]]:
     return (run for count in range(pole.value, n + 1, 4) for run in _runs(n, count))
 
 
-def _runs(n: int, count: int) -> Iterator[tuple[int, np.ndarray]]:
+def _runs(n: int, count: int) -> Iterator[tuple[int, tuple[int, ...]]]:
     """The runs of the n-qubit masks with ``count`` Y letters."""
     low = min(n, LOW_BITS)
-    highs = np.arange(1 << (n - low))[::-1]
-    ones = np.bitwise_count(highs).astype(int)
-    fits = (ones <= count) & (ones >= count - low)
-    for high, high_ones in zip(highs[fits].tolist(), ones[fits].tolist()):
-        yield high << low, _low_masks(low, count - high_ones)
+    by_popcount = _low_masks(low)
+    for high in range((1 << (n - low)) - 1, -1, -1):
+        low_count = count - high.bit_count()
+        if 0 <= low_count <= low:
+            yield high << low, by_popcount[low_count]
 
 
 @functools.cache
-def _low_masks(width: int, count: int) -> np.ndarray:
-    """The ``width``-bit masks of popcount ``count``, descending and read-only,
-    since every run with that popcount shares them; width <= LOW_BITS keeps
-    the cache under 2**(LOW_BITS + 1) masks."""
-    masks = np.arange(1 << width, dtype=np.uint64)[::-1]
-    masks = masks[np.bitwise_count(masks) == count]
-    masks.flags.writeable = False
-    return masks
+def _low_masks(width: int) -> tuple[tuple[int, ...], ...]:
+    """The ``width``-bit masks by popcount, each popcount's masks descending;
+    width <= LOW_BITS keeps the cache under 2**(LOW_BITS + 1) masks."""
+    masks: list[list[int]] = [[] for _ in range(width + 1)]
+    for mask in range((1 << width) - 1, -1, -1):
+        masks[mask.bit_count()].append(mask)
+    return tuple(map(tuple, masks))
 
 
 def pole_size(n: int, pole: Pole) -> int:
@@ -93,23 +95,25 @@ def pole_size(n: int, pole: Pole) -> int:
     return sum(math.comb(n, count) for count in range(pole.value, n + 1, 4))
 
 
-def xy_letter_matrix(n: int, masks: np.ndarray) -> np.ndarray:
-    """(rows, n) ASCII letters of the X/Y strings with these z masks, qubit
-    1 (the top bit) first."""
-    octets = masks.astype(">u8").view(np.uint8).reshape(len(masks), 8)
-    return np.unpackbits(octets, axis=1)[:, 64 - n:] + np.uint8(ord("X"))  # "Y" is the next byte
+#: Bit 0 -> X, bit 1 -> Y.
+_LETTERS = bytes.maketrans(b"01", b"XY")
+
+
+def letter_bytes(width: int, z: int) -> bytes:
+    """ASCII letters of the ``width``-qubit X/Y string with z mask ``z``,
+    qubit 1 (the top bit) first."""
+    # the leading 1 keeps the zeros above z's top bit, and a width of 0 spells nothing
+    return bin(z | 1 << width)[3:].encode().translate(_LETTERS)
 
 
 def enumerate_pole(n: int, pole: Pole) -> np.ndarray:
     """The z masks of every X/Y string at a pole as one uint64 column: the
     runs of :func:`pole_runs` joined, in order."""
-    runs = [lows | np.uint64(high) for high, lows in pole_runs(n, pole)]
-    return np.concatenate(runs or [np.empty(0, np.uint64)])
+    import numpy as np
 
-
-def generators(n: int) -> np.ndarray:
-    """The z masks of the n single-Y generators, qubit 1 (the top bit) first."""
-    return np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+    runs = pole_runs(n, pole)  # refuses before numpy sees a count
+    return np.fromiter((high | low for high, lows in runs for low in lows), np.uint64,
+                       pole_size(n, pole))
 
 
 def check_mask(n: int, z: int) -> None:
@@ -148,6 +152,8 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     the value is sign * i**(y0 - y1 - q), and 0 (not an eigenstate) when
     that exponent is odd.
     """
+    import numpy as np
+
     if state_phi_quarter not in (0, 1, 2, 3):
         raise DomainError(f"quarter angle must lie in 0..3, got {state_phi_quarter}")
     masks = np.asarray(masks, dtype=np.uint64)
@@ -158,11 +164,3 @@ def eigenvalue_column(label: GhzLabel, state_phi_quarter: int,
     values = label.sign * (1 - exponent)
     values[exponent % 2 == 1] = 0
     return values
-
-
-def predictions(masks: np.ndarray, negative: int) -> np.ndarray:
-    """The product-rule predictions of the X/Y strings with these z masks,
-    as int8 +/-1: (-1)**popcount(mask & negative)."""
-    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
-    parity = (np.bitwise_count(masks & np.uint64(negative)) & 1).astype(np.int8)
-    return 1 - 2 * parity

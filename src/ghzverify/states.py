@@ -1,10 +1,6 @@
-"""GHZ basis labels, their dense statevectors, and the collective-angle law.
+"""Dense statevectors of GHZ basis labels, and the collective-angle law.
 
-A basis pair is named by an n-bit pattern plus a sign: the state is
-(|bits> + sign |~bits>)/sqrt(2).  A pattern and its complement name the same
-physical pair, so the canonical form keeps the most significant bit (qubit 1)
-at 0; the two signs over the 2**(n-1) canonical patterns span the full
-2**n-dimensional space.
+A :class:`labels.GhzLabel` names the pair (|bits> + sign |~bits>)/sqrt(2).
 
 Rotating qubit k about its z axis by phi_k multiplies the amplitude at
 computational index b by exp(-i (+/-) phi_k / 2), the sign set by bit k of b.
@@ -19,64 +15,12 @@ Amplitudes are 2*pi-antiperiodic in Phi (a full turn flips the overall sign).
 from __future__ import annotations
 
 import math
-import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DENSE_VECTOR_CAP, DimensionError, DomainError
-
-_LABEL_RE = re.compile(r"^([01]+)([+-])$")
-
-
-@dataclass(frozen=True)
-class GhzLabel:
-    """Identifies one GHZ basis state: n qubits, bit pattern, and sign."""
-
-    n: int
-    bits: int
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DimensionError(f"need n >= 1, got {self.n}")
-        if self.bits < 0 or self.bits >> self.n:  # no 2**n is built for a large n
-            raise DomainError("label bits out of range for qubit count")
-        if self.sign not in (1, -1):
-            raise DomainError("label sign must be +1 or -1")
-
-    @property
-    def complement_bits(self) -> int:
-        return self.bits ^ ((1 << self.n) - 1)
-
-    @property
-    def is_canonical(self) -> bool:
-        """Canonical form puts qubit 1's bit at 0."""
-        return not self.bits >> (self.n - 1)  # no 2**(n-1) is built for a large n
-
-    def bit(self, k: int) -> int:
-        """Bit of qubit k (1-based, qubit 1 most significant)."""
-        if not 1 <= k <= self.n:
-            raise DomainError(f"qubit index {k} out of range 1..{self.n}")
-        return (self.bits >> (self.n - k)) & 1
-
-    def bits_text(self) -> str:
-        return format(self.bits, f"0{self.n}b")
-
-    def __str__(self) -> str:
-        return self.bits_text() + ("+" if self.sign > 0 else "-")
-
-
-def parse_label(text: str, n: int | None = None) -> GhzLabel:
-    """Parse "010+" style labels; ``n`` enforces an expected length."""
-    match = _LABEL_RE.match(text.strip())
-    if match is None:
-        raise DomainError(f"cannot parse state label {text!r} (want e.g. '010+')")
-    bits_str, sign_str = match.groups()
-    if n is not None and len(bits_str) != n:
-        raise DimensionError(f"label {text!r} has {len(bits_str)} bits, expected {n}")
-    return GhzLabel(len(bits_str), int(bits_str, 2), 1 if sign_str == "+" else -1)
+from .errors import DENSE_VECTOR_CAP, DimensionError
+from .labels import GhzLabel
 
 
 def pair_amplitudes(label: GhzLabel) -> np.ndarray:

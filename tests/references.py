@@ -3,7 +3,8 @@
 No command reaches these, so they live beside the tests and not in the
 package: strings from letters and the symplectic commutation rule, the X/Y
 string with Y at given positions, the pole masks built from
-``itertools.combinations``, the shortcut eigenvalue rule, the brute-force
+``itertools.combinations``, the shortcut eigenvalue rule, the letter matrix
+and product-rule predictions of a uint64 column, the brute-force
 assignment sweep and the 4**n-pair column filter, the commuting family of
 generator products, the checked contradiction rows regenerated run by run,
 those rows through an odd X<->Y swap and its dense half turn, the stdout of
@@ -26,9 +27,9 @@ from ghzverify.lhv import Contradictions, find_contradictions
 from ghzverify.oracle import PAULI_1Q, apply_pauli, check_eigen, materialize, rotation_diagonal
 from ghzverify.pauli import PauliOperator, multiply, qubit_mask
 from ghzverify.poles import (Pole, check_mask, eigenvalue_column, eigenvalue_symbolic,
-                             enumerate_pole, pole_runs, predictions)
-from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
-                              max_norm_diff)
+                             enumerate_pole, pole_runs)
+from ghzverify.labels import GhzLabel
+from ghzverify.states import apply_rotations, build_state, collective_angle, max_norm_diff
 
 
 class LetterError(ValueError):
@@ -65,6 +66,21 @@ def combination_masks(n, pole):
     masks = (sum(combination) for count in range(pole.value, n + 1, 4)
              for combination in itertools.combinations(qubit_bits, count))
     return np.fromiter(masks, np.uint64)
+
+
+def xy_letter_matrix(n, masks):
+    """(rows, n) ASCII letters of the X/Y strings with these z masks, qubit
+    1 (the top bit) first, unpacked from a uint64 column."""
+    octets = np.asarray(masks, np.uint64).astype(">u8").view(np.uint8).reshape(len(masks), 8)
+    return np.unpackbits(octets, axis=1)[:, 64 - n:] + np.uint8(ord("X"))  # "Y" is the next byte
+
+
+def predictions(masks, negative):
+    """The product-rule predictions of the X/Y strings with these z masks,
+    as int8 +/-1: (-1)**popcount(mask & negative)."""
+    # bitwise_count gives uint8, where 1 - 2 * parity would wrap to 255
+    parity = (np.bitwise_count(masks & np.uint64(negative)) & 1).astype(np.int8)
+    return 1 - 2 * parity
 
 
 def eigenvalue_rule(label, z):
@@ -170,7 +186,7 @@ class CheckedRows:
         state, from eigenvalue_column."""
         carrier, quarter = swapped_state(self.label, self.mask)
         for high, lows in pole_runs(self.label.n, Pole.S):
-            masks = lows | np.uint64(high)
+            masks = np.array(lows, np.uint64) | np.uint64(high)
             targets = masks ^ np.uint64(self.mask)
             yield (targets, predictions(masks, self.reports.negative),
                    eigenvalue_column(carrier, quarter, targets))

@@ -17,8 +17,9 @@ from ghzverify.lhv import exhaustive_search
 from ghzverify.oracle import apply_pauli, check_conjugation, check_eigen
 from ghzverify.pauli import PauliOperator, verify_ks_identity
 from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole
-from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
-                              max_norm_diff, rotated_dense)
+from ghzverify.labels import GhzLabel
+from ghzverify.states import (apply_rotations, build_state, collective_angle, max_norm_diff,
+                              rotated_dense)
 from references import (checked_rows, eigenvalue_rule, ew_contradictions, from_letters,
                         swap_conjugation_residual)
 

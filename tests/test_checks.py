@@ -15,7 +15,7 @@ from ghzverify.cli import main
 from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, EXHAUSTIVE_CAP, CapacityError,
                               DomainError)
 from ghzverify.pauli import PauliOperator
-from ghzverify.states import GhzLabel
+from ghzverify.labels import GhzLabel
 from references import (dense_collapse, dense_invariance_residual, outer_rotation_phases,
                         outer_signed_bit_sums, per_string_residuals)
 

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from ghzverify import checks, counting, errors, lhv, listing, oracle, pauli, poles, states
+from ghzverify import checks, cli, counting, errors, labels, lhv, listing, oracle, pauli, poles
 from ghzverify.cli import main
 from ghzverify.errors import (DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, EXHAUSTIVE_CAP,
                               IDENTITY_ALL_SUBSETS_CAP, IDENTITY_SUBSET_CAP, REPORT_CAP,
@@ -172,6 +172,14 @@ class TestLhv:
         assert payload["contradictions"] == 0
         assert payload["exhaustive"]["satisfying"] > 0
 
+    def test_a_check_that_judged_no_case_is_refused(self, capsys):
+        # C_2 = 0 contradictions judged nothing, so counting them as held
+        # beside the sweep's 16 assignments would be a pass without a case
+        with pytest.raises(errors.ConsistencyError, match="^contradictions judged no case$"):
+            cli._close([errors.Check.exact("satisfying", 16, True),
+                        errors.Check.exact("contradictions", 0, True)], table=True)
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_two_qubits_without_the_sweep_refused(self, capsys, fmt):
         # C_2 = 0: with no S string and no sweep, a pass would have judged nothing
@@ -294,7 +302,7 @@ class TestOneQubit:
         def not_called(*args):
             raise AssertionError("contradictions built before the refusal")
         monkeypatch.setattr(lhv, "pole_runs", not_called)
-        monkeypatch.setattr(lhv, "eigenvalue_column", not_called)
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, _, err = run_cli(capsys, "lhv", "--n", "1")
         assert code == 2
         assert "counts are defined for n >= 2 (got 1)" in err
@@ -315,7 +323,7 @@ class TestMaskCapacity:
     def test_lhv_refuses_before_any_work(self, capsys, monkeypatch):
         def not_called(*args):
             raise AssertionError("generators evaluated before the refusal")
-        monkeypatch.setattr(lhv, "eigenvalue_column", not_called)
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", not_called)
         code, out, err = run_cli(capsys, "lhv", "--n", "64")
         assert (code, out) == (2, "")
         assert "pole listings are capped at 24 qubits (got 64)" in err
@@ -346,7 +354,7 @@ class TestReportCapacity:
     def test_enumerate_refuses_before_any_rendering(self, capsys, monkeypatch, fmt):
         def not_called(*args):
             raise AssertionError("strings rendered before the refusal")
-        monkeypatch.setattr(poles, "xy_letter_matrix", not_called)
+        monkeypatch.setattr(poles, "letter_bytes", not_called)
         code, out, err = run_cli(capsys, "enumerate", "--n", "25", "--pole", "S", "--format", fmt)
         assert (code, out) == (2, "")
         assert err == "error: pole listings are capped at 24 qubits (got 25)\n"
@@ -368,7 +376,7 @@ REFUSALS = [
     pytest.param(IDENTITY_ALL_SUBSETS_CAP, "identity --n {}",
                  [(pauli, "PauliOperator"), (pauli, "multiply")],
                  "checking all odd subsets is capped at 12 qubits (got 13)", id="identity"),
-    pytest.param(REPORT_CAP, "lhv --n {}", [(lhv, "eigenvalue_column"), (poles, "_runs")],
+    pytest.param(REPORT_CAP, "lhv --n {}", [(lhv, "eigenvalue_symbolic"), (poles, "_runs")],
                  "pole listings are capped at 24 qubits (got 25)", id="lhv"),
     pytest.param(REPORT_CAP, "enumerate --n {} --pole S", [(poles, "pole_size"), (poles, "_runs")],
                  "pole listings are capped at 24 qubits (got 25)", id="enumerate"),
@@ -417,12 +425,11 @@ class TestCheckFailures:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     def test_disagreeing_row_is_named_before_any_output(self, capsys, monkeypatch, fmt):
-        def flipped_generator(label, quarter, masks):
-            values = poles.eigenvalue_column(label, quarter, masks)
-            values[masks == 0b01000] *= -1  # XYXXX, a generator and no S string
-            return values
+        def flipped_generator(label, quarter, z):
+            value = poles.eigenvalue_symbolic(label, quarter, z)
+            return -value if z == 0b01000 else value  # XYXXX, a generator and no S string
 
-        monkeypatch.setattr(lhv, "eigenvalue_column", flipped_generator)
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", flipped_generator)
         code, out, err = run_cli(capsys, "lhv", "--n", "5", "--format", fmt)
         assert code == 1
         assert out == ""
@@ -430,50 +437,61 @@ class TestCheckFailures:
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
     @pytest.mark.parametrize("plant,message", [
-        (lambda value: 0, "S operator XXXYYYYYYYYYYY lost its eigenstate"),
-        (lambda value: -value, "XXXYYYYYYYYYYY: predicted 1 does not oppose eigenvalue 1"),
+        (lambda value: None, "S operator XXYYYYYYYYYYYX lost its eigenstate"),
+        (lambda value: -value, "XXYYYYYYYYYYYX: predicted 1 does not oppose eigenvalue 1"),
     ], ids=["lost", "non-opposing"])
     def test_bad_row_in_the_last_run_stops_before_any_output(self, capsys, monkeypatch,
                                                             fmt, plant, message):
         # the 4,160 S strings at n = 14 come as 12 runs, one per Y count
-        # and high part, after the generator column; had rendering begun
-        # before the check pass ended, rows would be written
-        last = 0b00011111111111  # XXXYYYYYYYYYYY, the last S string
+        # and high part, after the 14 generators.  On the all-zeros label
+        # each run's low parts share one class, so the last row judged is
+        # the last run's first, XXYYYYYYYYYYYX; had rendering begun before
+        # the check pass ended, rows would be written
+        last = 0b00111111111110
         seen = []
 
-        def planted(label, quarter, masks):
-            values = poles.eigenvalue_column(label, quarter, masks)
-            seen.append(masks.tolist())
-            values[masks == last] = plant(values[masks == last])
-            return values
+        def planted(label, quarter, z):
+            value = poles.eigenvalue_symbolic(label, quarter, z)
+            seen.append(z)
+            return plant(value) if z == last else value
 
-        monkeypatch.setattr(lhv, "eigenvalue_column", planted)
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", planted)
         code, out, err = run_cli(capsys, "lhv", "--n", "14", "--format", fmt)
         assert (code, out) == (1, "")
         assert err == f"tool failure: {message}\n"
-        assert len(seen) == 13 and last in seen[-1]
+        assert len(seen) == 14 + 12 and seen[-1] == last
 
     @pytest.mark.parametrize("fmt", ["table", "json"])
-    @pytest.mark.parametrize("argv,lost,message", [
-        ("--n 5", 0b01000, "single-Y generator XYXXX lost its eigenstate"),
-        # YYYYY is an N string and no generator, so only the sweep's N + S column holds it
-        ("--n 5 --exhaustive", 0b11111, "YYYYY lost its eigenstate"),
-    ], ids=["generator", "sweep"])
-    def test_lost_eigenstate_stops_before_any_output(self, capsys, monkeypatch, fmt, argv,
-                                                     lost, message):
-        # each is the first column evaluated: the generators, or the sweep that runs first
+    def test_lost_generator_eigenstate_stops_before_any_output(self, capsys, monkeypatch, fmt):
+        # the generators are judged first, one at a time in qubit order
+        seen = []
+
+        def planted(label, quarter, z):
+            seen.append(z)
+            return None if z == 0b01000 else poles.eigenvalue_symbolic(label, quarter, z)
+
+        monkeypatch.setattr(lhv, "eigenvalue_symbolic", planted)
+        code, out, err = run_cli(capsys, "lhv", "--n", "5", "--format", fmt)
+        assert (code, out, err) == (1, "", "tool failure: single-Y generator XYXXX lost its "
+                                           "eigenstate\n")
+        assert seen == [0b10000, 0b01000]
+
+    @pytest.mark.parametrize("fmt", ["table", "json"])
+    def test_lost_sweep_eigenstate_stops_before_any_output(self, capsys, monkeypatch, fmt):
+        # YYYYY is an N string and no generator, so only the sweep's N + S
+        # column holds it; the sweep runs before the reports
         seen = []
 
         def planted(label, quarter, masks):
             values = poles.eigenvalue_column(label, quarter, masks)
             seen.append(masks.tolist())
-            values[masks == lost] = 0
+            values[masks == 0b11111] = 0
             return values
 
         monkeypatch.setattr(lhv, "eigenvalue_column", planted)
-        code, out, err = run_cli(capsys, "lhv", *argv.split(), "--format", fmt)
-        assert (code, out, err) == (1, "", f"tool failure: {message}\n")
-        assert len(seen) == 1 and lost in seen[0]
+        code, out, err = run_cli(capsys, "lhv", "--n", "5", "--exhaustive", "--format", fmt)
+        assert (code, out, err) == (1, "", "tool failure: YYYYY lost its eigenstate\n")
+        assert len(seen) == 1 and 0b11111 in seen[0]
 
     def test_negated_oracle_image_fails_verify(self, capsys, monkeypatch):
         # negating every image swaps its residuals against +vec and -vec
@@ -565,7 +583,7 @@ class TestRenderingMemory:
         # check pass keeps no row and rendering holds one block at a time
         tracemalloc.start()
         try:
-            reports = lhv.find_contradictions(states.GhzLabel(20, 0b0110100110010110100, -1))
+            reports = lhv.find_contradictions(labels.GhzLabel(20, 0b0110100110010110100, -1))
             written = sum(len(block) for block in listing._report_blocks(reports, json_rows))
             peak = tracemalloc.get_traced_memory()[1]
         finally:

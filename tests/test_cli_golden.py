@@ -19,7 +19,7 @@ from ghzverify import listing
 from ghzverify.cli import main
 from ghzverify.lhv import find_contradictions
 from ghzverify.poles import Pole, pole_runs, pole_size
-from ghzverify.states import GhzLabel, parse_label
+from ghzverify.labels import GhzLabel, parse_label
 
 from references import enumerate_stdout, lhv_stdout
 
@@ -151,3 +151,19 @@ def test_listing_blocks_outlive_the_next_block(monkeypatch):
     streamed = b"".join(bytes(block) for block in blocks())
     assert b"".join(list(blocks())) == streamed
     assert streamed.count(b"\n") == pole_size(10, Pole.S)
+
+
+@pytest.mark.parametrize("block_bytes", [listing._BLOCK_BYTES, 1000])
+@pytest.mark.parametrize("command", ["enumerate --n 16 --pole S", "lhv --n 14 --format json"])
+def test_writes_fill_blocks_across_runs(monkeypatch, command, block_bytes):
+    # every row here is under 1000 bytes, so each write holds at most a
+    # block; a block is filled across runs (a run at n = 16 holds at most
+    # 924 rows), so only a last write can fall below half a block
+    writes = []
+    monkeypatch.setattr(listing, "_BLOCK_BYTES", block_bytes)
+    monkeypatch.setattr(listing, "_binary_stdout", lambda: lambda data: writes.append(len(data)))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(command.split()) == 0
+    assert len(writes) > 1
+    assert max(writes) <= block_bytes
+    assert not [pair for pair in zip(writes, writes[1:]) if max(pair) < block_bytes // 2]

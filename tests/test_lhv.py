@@ -1,6 +1,5 @@
 """The assignment sweep, contradiction detection, and the swap transport of its rows."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -9,26 +8,30 @@ import time
 import tracemalloc
 import warnings
 from functools import reduce
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ghzverify import pauli
+from ghzverify import lhv, pauli
 from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_closed
 from ghzverify.errors import (DENSE_MATRIX_CAP, EXHAUSTIVE_CAP, IDENTITY_ALL_SUBSETS_CAP,
-                              CapacityError, DimensionError, DomainError)
+                              CapacityError, ConsistencyError, DimensionError, DomainError)
+from ghzverify.labels import GhzLabel, parse_label
 from ghzverify.lhv import exhaustive_search, find_contradictions
 from ghzverify.pauli import (PauliOperator, multiply, odd_subset_identities, qubit_mask,
                              verify_ks_identity)
-from ghzverify.poles import Pole, eigenvalue_symbolic, enumerate_pole, pole_runs, predictions
-from ghzverify.states import GhzLabel, rotated_dense
+from ghzverify.poles import (LOW_BITS, Pole, eigenvalue_column, eigenvalue_symbolic,
+                             enumerate_pole, pole_runs)
+from ghzverify.states import rotated_dense
 from references import (CheckedRows, assignment_value, checked_rows, column_sweep,
-                        ew_contradictions, ew_swap, from_letters, half_turn, satisfying_assignments,
-                        swap_conjugation_residual, swapped_state, xy_string)
+                        ew_contradictions, ew_swap, from_letters, half_turn, predictions,
+                        satisfying_assignments, swap_conjugation_residual, swapped_state,
+                        xy_string)
 
 
 def _xy(n, z):
@@ -94,10 +97,10 @@ class TestFindContradictions:
         assert (targets.dtype, lhv.dtype, quantum.dtype) == (np.uint64, np.int8, np.int8)
         # what outlives the call is read-only: the result, and the low-mask
         # tables that every run of the same low popcount shares
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             result.negative = 1
         for _, lows in pole_runs(3, Pole.S):
-            with pytest.raises(ValueError):
+            with pytest.raises(TypeError):
                 lows[0] = 0
 
     def test_report_json(self, capsys):
@@ -147,6 +150,7 @@ class TestFindContradictions:
                 negative = find_contradictions(GhzLabel(n, bits, sign)).negative
                 for high, lows in pole_runs(n, Pole.S):
                     high_value = predictions(np.array([high], np.uint64), negative)
+                    lows = np.array(lows, np.uint64)
                     assert np.array_equal(predictions(lows, negative) * high_value,
                                           predictions(lows | np.uint64(high), negative))
                     high_values.add(int(high_value[0]))
@@ -170,6 +174,117 @@ class TestFindContradictions:
         # no contradiction count is defined below two qubits
         with pytest.raises(DomainError, match=r"counts are defined for n >= 2 \(got 1\)"):
             analysis(GhzLabel(1, 0, 1))
+
+
+def _full_mask_route(label, negative):
+    """(every row opposed, row count) of the S rows, each judged on its whole
+    mask through numpy: eigenvalue_column against the reference predictions."""
+    opposed, rows = True, 0
+    for high, lows in pole_runs(label.n, Pole.S):
+        masks = np.array(lows, np.uint64) | np.uint64(high)
+        quantum = eigenvalue_column(label, 1, masks)
+        opposed &= bool(((quantum != 0) & (predictions(masks, negative) == -quantum)).all())
+        rows += len(masks)
+    return opposed, rows
+
+
+def _negative(label):
+    """The negative generators' mask, from eigenvalue_column."""
+    n = label.n
+    column = np.array([1 << (n - k) for k in range(1, n + 1)], np.uint64)
+    return int(column[eigenvalue_column(label, 1, column) < 0].sum())
+
+
+def _named_mask(error):
+    """The z mask of the X/Y string that a ConsistencyError names first."""
+    letters = re.search(r"[XY]{3,}", str(error)).group()
+    return int(letters.translate(str.maketrans("XY", "01")), 2)
+
+
+class TestClassCheck:
+    """find_contradictions judges one row per run and low class; each verdict
+    must be the one that judging every row on its whole mask gives."""
+
+    @given(st.data())
+    @settings(deadline=None, max_examples=80)
+    def test_verdict_and_rows_match_the_full_mask_route(self, data):
+        # past LOW_BITS = 12 qubits the runs have high parts; a flipped
+        # generator sign makes every row with a Y on that qubit agree
+        n = data.draw(st.integers(3, 14), label="n")
+        label = GhzLabel(n, data.draw(st.integers(0, (1 << (n - 1)) - 1), label="bits"),
+                         data.draw(st.sampled_from([1, -1]), label="sign"))
+        flipped = data.draw(st.sampled_from([0] + [1 << (n - k) for k in range(1, n + 1)]),
+                            label="flipped generator")
+        negative = _negative(label) ^ flipped
+        opposed, rows = _full_mask_route(label, negative)
+
+        def planted(label, quarter, z):
+            value = eigenvalue_symbolic(label, quarter, z)
+            return -value if z == flipped else value
+
+        with mock.patch.object(lhv, "eigenvalue_symbolic", planted):
+            try:
+                result = find_contradictions(label)
+            except ConsistencyError as error:
+                named = np.array([_named_mask(error)], np.uint64)
+                assert not opposed
+                assert predictions(named, negative)[0] == eigenvalue_column(label, 1, named)[0]
+            else:
+                assert opposed
+                assert (len(result), result.negative) == (rows, negative)
+
+    @pytest.mark.parametrize("text", ["01101001101101-", "01011010010110+"])
+    def test_every_flipped_low_class_entry_is_named(self, text):
+        # each table's classes (at most 8) are judged in the first run that
+        # uses the table, so flipping any one entry's parity stops the check
+        # there, naming that run's row of the entry's low mask
+        label = parse_label(text)
+        n, negative = label.n, find_contradictions(label).negative
+        low_classes = lhv._low_classes
+        firsts = {}
+        for high, lows in pole_runs(n, Pole.S):
+            firsts.setdefault(lows[0], (high, low_classes(label, negative, lows)))
+        entries = [(top, at) for top, (_, classes) in firsts.items() for at in range(len(classes))]
+        assert n > LOW_BITS and len(entries) > len(firsts)
+        named_highs = set()
+        for top, at in entries:
+            def flipped(label, negative, lows, top=top, at=at):
+                classes = low_classes(label, negative, lows)
+                if lows[0] == top:
+                    low, parity = classes[at]
+                    classes[at] = (low, 1 - parity)
+                return classes
+
+            with mock.patch.object(lhv, "_low_classes", flipped):
+                with pytest.raises(ConsistencyError) as caught:
+                    find_contradictions(label)
+            high, classes = firsts[top]
+            z = _named_mask(caught.value)
+            assert z == high | classes[at][0]
+            # under the flipped entry the row's prediction is its whole
+            # mask's eigenvalue on the numpy route
+            named = np.array([z], np.uint64)
+            assert -predictions(named, negative)[0] == eigenvalue_column(label, 1, named)[0]
+            named_highs.add(high)
+        assert len(named_highs) > 1 and 0 in named_highs
+
+    @pytest.mark.parametrize("n,judged", [(18, 384), (24, 24576)])
+    def test_one_row_per_run_and_low_class_is_judged(self, n, judged):
+        # of 65,280 rows at n = 18 and 4,194,304 at n = 24; the all-zeros
+        # label has one class per table, so one row per run
+        calls = []
+
+        def counted(label, quarter, z):
+            calls.append(z)
+            return eigenvalue_symbolic(label, quarter, z)
+
+        with mock.patch.object(lhv, "eigenvalue_symbolic", counted):
+            for bits, expected in ((0b0110 << (n - 4) | 0b1011, judged),
+                                   (0, sum(1 for _ in pole_runs(n, Pole.S)))):
+                calls.clear()
+                result = find_contradictions(GhzLabel(n, bits, -1))
+                assert len(calls) == n + expected
+                assert len(result) == c_n_closed(n)
 
 
 class TestExhaustiveSearch:

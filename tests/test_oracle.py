@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 from ghzverify import oracle
 from ghzverify.checks import EIGEN_TOL, conjugation_identity
 from ghzverify.errors import DENSE_MATRIX_CAP, DENSE_VECTOR_CAP, CapacityError, DimensionError
+from ghzverify.labels import GhzLabel
 from ghzverify.oracle import (apply_observable, apply_pauli, check_conjugation, check_eigen,
                               eigen_residuals, materialize, observable_matrix, rotation_diagonal,
                               two_dim_invariance_residual)
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import GhzLabel, build_state, pair_amplitudes, rotated_dense, rotated_pair
+from ghzverify.states import build_state, pair_amplitudes, rotated_dense, rotated_pair
 from references import from_letters, per_string_residuals
 
 

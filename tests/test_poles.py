@@ -12,13 +12,14 @@ from ghzverify.checks import EIGEN_TOL
 from ghzverify.cli import main
 from ghzverify.counting import c_n_binomial, compatible_count
 from ghzverify.errors import REPORT_CAP, CapacityError, DimensionError, DomainError
+from ghzverify.labels import GhzLabel
 from ghzverify.oracle import apply_pauli, check_eigen
 from ghzverify.pauli import PauliOperator, multiply
 from ghzverify.poles import (LOW_BITS, Pole, eigenvalue_column, eigenvalue_symbolic,
-                             enumerate_pole, pole_runs, pole_size, xy_letter_matrix)
-from ghzverify.states import GhzLabel, rotated_dense
+                             enumerate_pole, letter_bytes, pole_runs, pole_size)
+from ghzverify.states import rotated_dense
 from references import (combination_masks, commutes, compatible_family, eigenvalue_rule,
-                        from_letters, xy_string)
+                        from_letters, xy_letter_matrix, xy_string)
 import math
 
 
@@ -113,7 +114,7 @@ class TestPoleMasks:
 
     def test_runs_are_bounded_and_hold_one_y_count(self):
         n = 17
-        runs = [lows | np.uint64(high) for high, lows in pole_runs(n, Pole.S)]
+        runs = [np.array(lows, np.uint64) | np.uint64(high) for high, lows in pole_runs(n, Pole.S)]
         assert max(len(masks) for masks in runs) == math.comb(LOW_BITS, LOW_BITS // 2)
         for masks in runs:
             assert masks.dtype == np.uint64 and masks.size
@@ -136,11 +137,10 @@ class TestPoleMasks:
             runs = list(pole_runs(n, pole))
             for high, lows in runs:
                 assert high & ((1 << low) - 1) == 0 and high >> n == 0
-                assert not lows.flags.writeable and lows.dtype == np.uint64
-                assert (np.bitwise_count(lows) == np.bitwise_count(lows[0])).all()
-            joined = [lows | np.uint64(high) for high, lows in runs]
-            assert np.array_equal(np.concatenate(joined or [np.empty(0, np.uint64)]),
-                                  enumerate_pole(n, pole))
+                assert isinstance(lows, tuple) and {type(mask) for mask in lows} == {int}
+                assert {mask.bit_count() for mask in lows} == {lows[0].bit_count()}
+            joined = [high | mask for high, lows in runs for mask in lows]
+            assert joined == enumerate_pole(n, pole).tolist()
 
     @pytest.mark.parametrize("n", [0, REPORT_CAP.qubits + 1])
     def test_runs_refuse_before_the_first_run(self, n):
@@ -148,14 +148,20 @@ class TestPoleMasks:
             pole_runs(n, Pole.S)
 
     @pytest.mark.parametrize("n", [1, 4, 7, 63])
-    def test_letter_matrix_matches_scalar_letters(self, n):
+    def test_letters_match_scalar_letters(self, n):
         rng = np.random.default_rng(n)
         masks = rng.integers(0, 1 << n, size=50, dtype=np.uint64)
         rows = xy_letter_matrix(n, masks)
         assert rows.shape == (50, n)
-        assert [row.tobytes().decode() for row in rows] == [
-            xy_string(n, [k for k in range(1, n + 1) if int(z) >> (n - k) & 1]).letters()
-            for z in masks]
+        scalar = [xy_string(n, [k for k in range(1, n + 1) if int(z) >> (n - k) & 1]).letters()
+                  for z in masks]
+        assert [row.tobytes().decode() for row in rows] == scalar
+        assert [letter_bytes(n, z).decode() for z in masks.tolist()] == scalar
+
+    def test_no_letters_spell_nothing(self):
+        # a run with no high part has zero high letters
+        assert letter_bytes(0, 0) == b""
+        assert letter_bytes(3, 0) == b"XXX"
 
 
 class TestEigenvalueSymbolic:
@@ -333,7 +339,7 @@ def _split_y_positions(n, high, lows):
     the run's high letters, then the Y cells of the low letter table."""
     low_width = min(n, LOW_BITS)
     high_letters = xy_letter_matrix(n, np.array([high], np.uint64))[0, :n - low_width]
-    low_letters = xy_letter_matrix(low_width, lows)
+    low_letters = xy_letter_matrix(low_width, np.array(lows, np.uint64))
     low_columns = np.nonzero(low_letters == ord("Y"))[1].reshape(len(lows), -1)
     high_columns = np.flatnonzero(high_letters == ord("Y"))
     return np.hstack([np.broadcast_to(high_columns, (len(lows), len(high_columns))),
@@ -348,7 +354,7 @@ class TestPoleOperatorRendering:
         for pole in Pole:
             masks_in_order = iter(enumerate_pole(n, pole).tolist())
             for high, lows in pole_runs(n, pole):
-                masks = lows | np.uint64(high)
+                masks = np.array(lows, np.uint64) | np.uint64(high)
                 columns = _split_y_positions(n, high, lows)
                 assert columns.shape == (len(masks), np.bitwise_count(masks[0]))
                 for row, z in zip(columns.tolist(), masks_in_order):
@@ -359,7 +365,7 @@ class TestPoleOperatorRendering:
     def test_y_positions_wide(self):
         z = xy_string(63, (1, 2, 40, 63)).z_bits
         low = (1 << LOW_BITS) - 1
-        lows = np.array([z & low], np.uint64)
+        lows = (z & low,)
         assert (_split_y_positions(63, z & ~low, lows) + 1).tolist() == [[1, 2, 40, 63]]
 
 

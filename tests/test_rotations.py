@@ -13,7 +13,8 @@ from ghzverify.oracle import (apply_observable, apply_pauli, check_eigen, materi
                               observable_matrix, rotation_diagonal)
 from ghzverify.poles import eigenvalue_column
 from ghzverify.rotations import co_rotate_quarter
-from ghzverify.states import GhzLabel, apply_rotations, build_state, parse_label, rotated_dense
+from ghzverify.labels import GhzLabel, parse_label
+from ghzverify.states import apply_rotations, build_state, rotated_dense
 from references import from_letters
 
 

@@ -1,11 +1,13 @@
 """The integer-only commands start without numpy, and load only what they run.
 
-``count`` and ``identity`` run in a fresh interpreter, which then reports
-which of a few heavy modules were ever imported; their stdout, stderr and
-exit code must match an in-process run of the same argv.  ``enumerate``
-runs there too, and loads none of the refutation that only ``lhv`` runs.
-``verify`` draws from the standard library's generator, so it loads neither
-``numpy.random`` nor the ``secrets`` and ``hashlib`` that numpy's seeding needs.
+``count``, ``identity``, ``enumerate`` and ``lhv`` without ``--exhaustive``
+run in a fresh interpreter, which then reports which of a few heavy modules
+were ever imported; their stdout, stderr and exit code must match an
+in-process run of the same argv.  None loads numpy or ``dataclasses``, and
+``enumerate`` loads none of the refutation that only ``lhv`` runs.  The
+exhaustive sweep and ``verify`` load numpy; ``verify`` draws from the
+standard library's generator, so it loads neither ``numpy.random`` nor the
+``secrets`` and ``hashlib`` that numpy's seeding needs.
 """
 
 import functools
@@ -63,7 +65,18 @@ def _fresh_cli(command):
     return proc.returncode, proc.stdout, "".join(stderr), set(marker.split()[1:])
 
 
-@pytest.mark.parametrize("command", COMMANDS)
+#: The streamed listings: contradiction reports past LOW_BITS qubits, whose
+#: runs have high parts, and one pole's strings in every format.
+LISTINGS = [
+    "lhv --n 18 --label 011111111000011110-",
+    "lhv --n 18 --label 011111111000011110- --format json",
+    "enumerate --n 6 --pole S",
+    "enumerate --n 6 --pole S --format json",
+    "enumerate --n 6 --pole S --format csv",
+]
+
+
+@pytest.mark.parametrize("command", COMMANDS + LISTINGS)
 def test_command_runs_without_numpy(capsys, command):
     *result, loaded = _fresh_cli(command)
     assert "numpy" not in loaded
@@ -82,6 +95,14 @@ def test_command_loads_only_what_it_runs(command):
         assert "ghzverify.pauli" not in loaded
 
 
+@pytest.mark.parametrize("command", LISTINGS)
+def test_listing_loads_neither_numpy_nor_dataclasses(command):
+    *_, loaded = _fresh_cli(command)
+    assert "ghzverify.listing" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect"}
+    assert ("json" in loaded) == ("--format json" in command)
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 def test_enumerate_loads_neither_lhv_nor_pauli(capsys, fmt):
     command = f"enumerate --n 6 --pole S --format {fmt}"
@@ -91,6 +112,13 @@ def test_enumerate_loads_neither_lhv_nor_pauli(capsys, fmt):
     code = main(command.split())
     captured = capsys.readouterr()
     assert tuple(result) == (code, captured.out, captured.err)
+
+
+@pytest.mark.parametrize("command", ["lhv --n 5 --exhaustive", "verify --n 3"])
+def test_the_array_routes_still_load_numpy(command):
+    code, _, _, loaded = _fresh_cli(command)
+    assert code == 0
+    assert "numpy" in loaded
 
 
 @pytest.mark.parametrize("command", ["verify --n 3", "verify --n 14 --format json"])

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from ghzverify.errors import CapacityError, DimensionError, DomainError
-from ghzverify.states import (GhzLabel, apply_rotations, build_state, collective_angle,
-                              max_norm_diff, parse_label, rotated_dense, rotation_phases,
-                              signed_bit_sums)
+from ghzverify.labels import GhzLabel, parse_label
+from ghzverify.states import (apply_rotations, build_state, collective_angle, max_norm_diff,
+                              rotated_dense, rotation_phases, signed_bit_sums)
 from references import outer_rotation_phases, outer_signed_bit_sums
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)

@@ -1,16 +1,18 @@
 """The two tiers never mix: read each module's imports and check the boundary.
 
-The symbolic modules reach neither the oracle nor dense states (GhzLabel,
-a plain label value, is the one name they share), and the oracle modules
-reach no symbolic module beyond the Pauli strings the oracle applies.
-Only ``checks`` and ``cli`` use both tiers; the package ``__init__``
-imports nothing.
+The symbolic modules reach neither the oracle nor dense states, and the
+oracle modules reach no symbolic module beyond the Pauli strings the oracle
+applies; both name states by the ``labels`` of the shared core.  Only
+``checks`` and ``cli`` use both tiers; the package ``__init__`` imports
+nothing.
 
-Within the symbolic tier, a numpy-free core (``errors``, ``counting``,
-``pauli``, ``rotations``) is all that the CLI module loads, so the
-integer-only commands start without numpy; ``cli`` imports numpy nowhere,
-and only its two listing commands import the numpy renderers of
-``listing``, which run on ``poles`` alone.  Every module-level name of the
+Within the symbolic tier, a numpy-free core (``errors``, ``labels``,
+``counting``, ``pauli``, ``rotations``) is all that the CLI module loads,
+so the integer-only commands start without numpy; ``cli`` imports numpy
+nowhere, and only its two listing commands import the renderers of
+``listing``, which run on ``poles`` alone.  ``poles``, ``lhv`` and
+``listing`` load no numpy either: only the functions that build arrays
+import it, when they run.  Every module-level name of the
 package has a caller in the package, or the benchmark traces it and it is
 listed as kept by the tracer alone, and only ``errors`` defines a size cap
 or raises its refusal; README's Caps table lists exactly those caps.  Only
@@ -30,7 +32,7 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ghzverify"
 SYMBOLIC = ["pauli", "poles", "counting", "lhv", "rotations", "listing"]
 ORACLE = ["states", "oracle"]
 BOTH = {"checks", "cli"}
-CORE = ["errors", "counting", "pauli", "rotations"]
+CORE = ["errors", "labels", "counting", "pauli", "rotations"]
 NUMPY_BACKED = (set(SYMBOLIC) | set(ORACLE) | {"checks"}) - set(CORE)
 
 
@@ -63,15 +65,32 @@ def _imports(module, top_level=False):
 
 def test_every_module_is_placed():
     modules = {path.stem for path in PACKAGE.glob("*.py")}
-    assert modules == set(SYMBOLIC) | set(ORACLE) | BOTH | {"errors", "__init__", "__main__"}
+    assert modules == (set(SYMBOLIC) | set(ORACLE) | BOTH
+                       | {"errors", "labels", "__init__", "__main__"})
 
 
 @pytest.mark.parametrize("module", SYMBOLIC)
 def test_symbolic_modules_stay_off_the_oracle(module):
-    for target, name in _imports(module):
-        assert target != "oracle", f"{module} reaches the oracle"
-        if target == "states":
-            assert name == "GhzLabel", f"{module} imports {name or 'states'} from states"
+    reached = {target for target, _ in _imports(module)}
+    assert not reached & set(ORACLE), f"{module} reaches {reached & set(ORACLE)}"
+
+
+@pytest.mark.parametrize("module", ["poles", "lhv", "listing"])
+def test_symbolic_modules_load_no_numpy(module):
+    # lhv's reports and both listings run on ints; the array routes
+    # (enumerate_pole, eigenvalue_column, the exhaustive sweep) import numpy
+    # inside the function
+    assert not [target for target, _ in _imports(module, top_level=True)
+                if target.split(".")[0] == "numpy"]
+
+
+def test_labels_have_one_home():
+    # every module that names a label imports it from labels, and no other
+    # module defines or re-exports one
+    for path in PACKAGE.glob("*.py"):
+        for target, name in _imports(path.stem):
+            if name in ("GhzLabel", "parse_label"):
+                assert target == "labels", f"{path.stem} imports {name} from {target}"
 
 
 @pytest.mark.parametrize("module", ORACLE)
@@ -284,5 +303,5 @@ def test_every_package_name_has_a_caller_or_is_traced():
     # the tests' dense references for the pair route that verify runs
     # (build_state keeps one caller, rotated_dense)
     assert uncalled & traced == {("oracle", "materialize"), ("oracle", "observable_matrix"),
-                                 ("states", "apply_rotations"), ("poles", "eigenvalue_symbolic"),
-                                 ("oracle", "check_eigen"), ("states", "rotated_dense")}
+                                 ("states", "apply_rotations"), ("oracle", "check_eigen"),
+                                 ("states", "rotated_dense")}

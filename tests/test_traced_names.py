@@ -9,7 +9,7 @@ import pytest
 
 from ghzverify import lhv, oracle, poles, states
 from ghzverify.poles import Pole
-from ghzverify.states import GhzLabel
+from ghzverify.labels import GhzLabel
 from references import from_letters
 
 TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
